@@ -47,11 +47,8 @@ ThreadPool::~ThreadPool() {
     auto& registry = obs::Registry::Get();
     registry.GetCounter("dfp.parallel.tasks")
         .Inc(tasks_executed_.load(std::memory_order_relaxed));
-    registry.GetCounter("dfp.parallel.tasks_spawned")
-        .Inc(tasks_spawned_.load(std::memory_order_relaxed));
-    const std::uint64_t steals = steals_.load(std::memory_order_relaxed);
-    registry.GetCounter("dfp.parallel.steals").Inc(steals);
-    registry.GetCounter("dfp.parallel.steal_count").Inc(steals);
+    registry.GetCounter("dfp.parallel.steals")
+        .Inc(steals_.load(std::memory_order_relaxed));
     registry.GetGauge("dfp.parallel.workers")
         .Set(static_cast<double>(num_workers()));
     registry.GetGauge("dfp.parallel.max_queue_depth")
@@ -92,7 +89,6 @@ void ThreadPool::Submit(Task task, std::size_t queue) {
         std::lock_guard<std::mutex> lock(queues_[q]->mu);
         queues_[q]->tasks.push_back(std::move(task));
     }
-    tasks_spawned_.fetch_add(1, std::memory_order_relaxed);
     const std::uint64_t depth =
         queued_.fetch_add(1, std::memory_order_release) + 1;
     std::uint64_t seen = max_queue_depth_.load(std::memory_order_relaxed);

@@ -27,7 +27,7 @@
 //    per-depth buffers — is reused across tasks without locks or races
 //    (WorkerLocal<T> below).
 //  * Observability. The pool publishes `dfp.parallel.*` metrics on
-//    destruction: tasks executed/spawned, steals (`steal_count`), the queue
+//    destruction: tasks executed (`tasks`), steals (`steals`), the queue
 //    depth high-water mark, workers, and worker utilization (busy time /
 //    wall time summed over workers). Process-lifetime busy/wall tallies are
 //    exposed so the pipeline can report a per-train utilization gauge across
@@ -92,9 +92,6 @@ class ThreadPool {
     std::uint64_t tasks_executed() const {
         return tasks_executed_.load(std::memory_order_relaxed);
     }
-    std::uint64_t tasks_spawned() const {
-        return tasks_spawned_.load(std::memory_order_relaxed);
-    }
     std::uint64_t steals() const {
         return steals_.load(std::memory_order_relaxed);
     }
@@ -152,7 +149,6 @@ class ThreadPool {
 
     // Lifetime tallies, flushed to the obs registry by the destructor.
     std::atomic<std::uint64_t> tasks_executed_{0};
-    std::atomic<std::uint64_t> tasks_spawned_{0};
     std::atomic<std::uint64_t> steals_{0};
     std::atomic<std::uint64_t> max_queue_depth_{0};
     std::atomic<std::uint64_t> busy_ns_{0};

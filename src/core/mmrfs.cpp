@@ -58,40 +58,16 @@ MmrfsResult RunMmrfs(const TransactionDatabase& db,
         return mask != nullptr && (*mask)[i] == 0;
     };
 
-    // The effective feature cap folds budget.max_patterns into max_features;
-    // selections emitted so far play the "pattern count" role for the guard.
-    // Every check covers an O(|F|) scan, so read the clock on each one.
-    BudgetGuard guard(config.budget, config.max_features, /*clock_stride=*/1);
-
-    // Candidate-scan parallelism: relevance scoring and the per-round
-    // redundancy refresh write disjoint per-candidate slots, so the fan-out
-    // is deterministic regardless of thread count. The pool lives for the
-    // whole selection run (one greedy round per ParallelFor).
-    const std::size_t threads =
-        std::min(ResolveNumThreads(config.num_threads), candidates.size());
-    std::unique_ptr<ThreadPool> pool;
-    if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-
-    if (pool == nullptr) {
-        for (std::size_t i = 0; i < candidates.size(); ++i) {
-            if (masked_out(i)) continue;  // filtered: stays at relevance 0
-            assert(candidates[i].cover.size() == n && "metadata not attached");
-            result.relevance[i] =
-                PatternRelevance(config.relevance, db, candidates[i]);
-            if (guard.Check(0) != BudgetBreach::kNone &&
-                guard.breach() != BudgetBreach::kPatternCap) {
-                // Deadline/cancel during scoring: nothing selected yet, bail.
-                result.breach = guard.breach();
-                RecordBreach("core.mmrfs", result.breach, 0.0);
-                return result;
-            }
-        }
-    } else {
-        // Parallel scoring: each chunk polls its own guard on the shared
-        // budget so deadline/cancel still interrupts the scan; scores are
-        // identical to the serial path (PatternRelevance is pure).
+    // Relevance scan, the only parallel stage: each candidate writes its own
+    // slot, so scores are identical at any thread count. Each chunk polls its
+    // own guard on the shared budget so deadline/cancel still interrupt it.
+    DeadlineTimer timer(config.budget.time_budget_ms);
+    {
+        const std::size_t threads =
+            std::min(ResolveNumThreads(config.num_threads), candidates.size());
+        std::unique_ptr<ThreadPool> pool;
+        if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
         std::atomic<int> scoring_breach{static_cast<int>(BudgetBreach::kNone)};
-        DeadlineTimer timer(config.budget.time_budget_ms);
         ParallelFor(pool.get(), candidates.size(),
                     [&](std::size_t begin, std::size_t end) {
                         BudgetGuard chunk_guard(TaskBudget(config.budget, timer),
@@ -99,7 +75,7 @@ MmrfsResult RunMmrfs(const TransactionDatabase& db,
                                                     std::size_t>::max(),
                                                 /*clock_stride=*/1);
                         for (std::size_t i = begin; i < end; ++i) {
-                            if (masked_out(i)) continue;
+                            if (masked_out(i)) continue;  // stays at 0
                             assert(candidates[i].cover.size() == n &&
                                    "metadata not attached");
                             result.relevance[i] = PatternRelevance(
@@ -115,142 +91,102 @@ MmrfsResult RunMmrfs(const TransactionDatabase& db,
         const auto breach =
             static_cast<BudgetBreach>(scoring_breach.load(std::memory_order_relaxed));
         if (breach != BudgetBreach::kNone) {
+            // Deadline/cancel during scoring: nothing selected yet, bail.
             result.breach = breach;
             RecordBreach("core.mmrfs", result.breach, 0.0);
             return result;
         }
     }
 
-    // Per-candidate running state: selected/discarded flag and the current
-    // max_{β ∈ Fs} R(α, β), updated incrementally as Fs grows so each
-    // selection round is a single O(|F|) scan.
-    std::vector<char> done(candidates.size(), 0);
-    std::vector<double> max_red(candidates.size(), 0.0);
-    if (mask != nullptr) {
-        // Masked-out candidates enter the greedy loop pre-discarded.
-        for (std::size_t i = 0; i < candidates.size(); ++i) {
-            if ((*mask)[i] == 0) done[i] = 1;
-        }
-    }
+    // The effective feature cap folds budget.max_patterns into max_features;
+    // selections emitted so far play the "pattern count" role for the guard.
+    BudgetGuard guard(TaskBudget(config.budget, timer), config.max_features,
+                      /*clock_stride=*/1);
 
     // An instance is "correctly covered" by α when α is present in it and α's
-    // majority class matches its label. Precompute per-candidate majority.
+    // majority class matches its label. needy[c] holds the class-c instances
+    // still covered fewer than δ times; bits are only ever cleared.
     std::vector<ClassLabel> majority(candidates.size());
     for (std::size_t i = 0; i < candidates.size(); ++i) {
         majority[i] = candidates[i].MajorityClass();
     }
-
-    std::size_t under_covered = 0;  // instances with coverage < δ
-    for (std::size_t t = 0; t < n; ++t) under_covered += (config.coverage_delta > 0);
-
+    std::vector<BitVector> needy(db.num_classes());
+    for (std::size_t c = 0; c < needy.size(); ++c) {
+        needy[c] = db.ClassCover(static_cast<ClassLabel>(c));
+    }
+    std::size_t under_covered = config.coverage_delta > 0 ? n : 0;
     auto correctly_covers_needy = [&](std::size_t i) {
-        bool hit = false;
-        candidates[i].cover.ForEach([&](std::uint32_t t) {
-            if (!hit && db.label(t) == majority[i] &&
-                result.coverage[t] < config.coverage_delta) {
-                hit = true;
-            }
-        });
-        return hit;
+        return majority[i] < needy.size() &&
+               !candidates[i].cover.IsDisjointWith(needy[majority[i]]);
     };
 
-    // Greedy loop, one fused parallel pass per round: refresh each remaining
-    // candidate's cached max_{β ∈ Fs} R(α, β) against the β selected *last*
-    // round (nothing else changed — the incremental-cache invariant), compute
-    // its marginal gain, and take a chunk-local argmax. Chunk argmaxes merge
-    // in chunk-index order with a strict `>`, which keeps the lowest-index
-    // candidate among equal gains — exactly the serial left-to-right scan's
-    // tie-break, for any chunking. With incremental_cache off the max is
-    // recomputed over all of Fs in selection order instead: the same max()
-    // over the same doubles, so the certificate path is bitwise identical.
-    std::size_t iterations = 0;
-    std::size_t redundancy_evals = 0;
-    std::size_t last_selected = candidates.size();  // none yet
-    const std::size_t chunk_size = std::max<std::size_t>(
-        64, (candidates.size() + threads * 4 - 1) / (threads * 4));
-    const std::size_t num_chunks =
-        (candidates.size() + chunk_size - 1) / chunk_size;
-    struct ChunkBest {
-        double gain = -std::numeric_limits<double>::infinity();
-        std::size_t idx = 0;
-        std::size_t evals = 0;
+    // Lazy greedy (CELF): a max-heap of cached gains keyed (gain desc, index
+    // asc). max_red[i] folds R(i, β) for the first seen[i] entries of Fs, in
+    // selection order; gains only fall as Fs grows, so a cached gain is an
+    // upper bound and a refreshed top that still leads is the exact argmax.
+    struct Entry {
+        double gain;
+        std::size_t idx;
     };
-    std::vector<ChunkBest> chunk_best(num_chunks);
+    // Heap "less": a sorts after b.
+    auto after = [](const Entry& a, const Entry& b) {
+        return a.gain < b.gain || (a.gain == b.gain && a.idx > b.idx);
+    };
+    std::vector<double> max_red(candidates.size(), 0.0);
+    std::vector<std::size_t> seen(candidates.size(), 0);
+    std::vector<Entry> heap;
+    heap.reserve(candidates.size());
+    constexpr double kNoGain = -std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+        const double gain = result.relevance[i] - max_red[i];
+        // A gain that is not > -inf (or NaN) never wins the argmax.
+        if (!masked_out(i) && gain > kNoGain) heap.push_back({gain, i});
+    }
+    std::make_heap(heap.begin(), heap.end(), after);
+
+    std::size_t iterations = 0;  // accept + discard decisions
+    std::size_t redundancy_evals = 0;
     while (under_covered > 0 && result.selected.size() < config.max_features) {
         if (guard.Check(result.selected.size()) != BudgetBreach::kNone) {
             result.breach = guard.breach();
             break;
         }
-        ++iterations;
-        chunk_best.assign(num_chunks, ChunkBest{});
-        ParallelFor(
-            pool.get(), num_chunks,
-            [&](std::size_t cb, std::size_t ce) {
-                for (std::size_t c = cb; c < ce; ++c) {
-                    const std::size_t begin = c * chunk_size;
-                    const std::size_t end =
-                        std::min(candidates.size(), begin + chunk_size);
-                    ChunkBest local;
-                    local.idx = candidates.size();
-                    for (std::size_t i = begin; i < end; ++i) {
-                        if (done[i]) continue;
-                        if (config.incremental_cache) {
-                            if (last_selected < candidates.size()) {
-                                const double r = Redundancy(
-                                    candidates[i], candidates[last_selected],
-                                    result.relevance[i],
-                                    result.relevance[last_selected]);
-                                ++local.evals;
-                                max_red[i] = std::max(max_red[i], r);
-                            }
-                        } else if (!result.selected.empty()) {
-                            double m = 0.0;
-                            for (std::size_t s : result.selected) {
-                                const double r = Redundancy(
-                                    candidates[i], candidates[s],
-                                    result.relevance[i], result.relevance[s]);
-                                ++local.evals;
-                                m = std::max(m, r);
-                            }
-                            max_red[i] = m;
-                        }
-                        const double gain = result.relevance[i] - max_red[i];
-                        if (gain > local.gain) {
-                            local.gain = gain;
-                            local.idx = i;
-                        }
-                    }
-                    chunk_best[c] = local;
-                }
-            },
-            /*min_grain=*/1);
-        std::size_t best = candidates.size();
-        double best_gain = -std::numeric_limits<double>::infinity();
-        for (const ChunkBest& cb : chunk_best) {
-            redundancy_evals += cb.evals;
-            if (cb.idx < candidates.size() && cb.gain > best_gain) {
-                best_gain = cb.gain;
-                best = cb.idx;
-            }
-        }
-        if (best == candidates.size()) break;  // pool exhausted
-        done[best] = 1;
-
+        if (heap.empty()) break;  // pool exhausted
+        std::pop_heap(heap.begin(), heap.end(), after);
+        const std::size_t best = heap.back().idx;
+        heap.pop_back();
         if (!correctly_covers_needy(best)) {
-            // Discard, don't select: Fs is unchanged, so the next round has
-            // no new β to fold into the cache.
-            last_selected = candidates.size();
+            // Needy sets only shrink, so `best` can never be accepted; the
+            // eager loop would discard it whenever it became the argmax.
+            ++iterations;
+            continue;
+        }
+        for (; seen[best] < result.selected.size(); ++seen[best]) {
+            const std::size_t s = result.selected[seen[best]];
+            max_red[best] = std::max(
+                max_red[best], Redundancy(candidates[best], candidates[s],
+                                          result.relevance[best],
+                                          result.relevance[s]));
+            ++redundancy_evals;
+        }
+        const Entry fresh{result.relevance[best] - max_red[best], best};
+        if (!(fresh.gain > kNoGain)) continue;
+        if (!heap.empty() && after(fresh, heap.front())) {
+            heap.push_back(fresh);
+            std::push_heap(heap.begin(), heap.end(), after);
             continue;
         }
 
+        ++iterations;
         result.selected.push_back(best);
-        result.gains.push_back(best_gain);
-        last_selected = best;
-        // Update coverage over correctly covered instances.
+        result.gains.push_back(fresh.gain);
+        BitVector& best_needy = needy[majority[best]];
         candidates[best].cover.ForEach([&](std::uint32_t t) {
-            if (db.label(t) != majority[best]) return;
-            if (result.coverage[t] == config.coverage_delta - 1) --under_covered;
-            if (result.coverage[t] < config.coverage_delta) ++result.coverage[t];
+            if (!best_needy.Test(t)) return;
+            if (++result.coverage[t] == config.coverage_delta) {
+                best_needy.Clear(t);
+                --under_covered;
+            }
         });
     }
     if (result.breach != BudgetBreach::kNone) {

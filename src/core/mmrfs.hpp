@@ -29,28 +29,17 @@ struct MmrfsConfig {
     std::size_t coverage_delta = 3;
     /// Hard cap on |Fs| (the paper's algorithm has none; useful in sweeps).
     std::size_t max_features = std::numeric_limits<std::size_t>::max();
-    /// Worker threads for the per-candidate work inside each greedy round:
-    /// the relevance scan and the fused redundancy-refresh + marginal-gain
-    /// argmax run over sharded candidate ranges (chunk-local argmaxes merged
-    /// in chunk order reproduce the serial lowest-index tie-break exactly;
-    /// only the coverage update stays serial). The selected sequence is
-    /// identical for every thread count. 1 = serial; 0 = hardware_concurrency.
+    /// Worker threads for the relevance scan (disjoint per-candidate slots,
+    /// so scores are identical at any thread count). The greedy loop is
+    /// serial. 1 = serial; 0 = hardware_concurrency.
     std::size_t num_threads = 1;
-    /// Incremental-redundancy caching: keep max_{β ∈ Fs} R(α, β) per
-    /// candidate α and update it only against the β *newly added* last round,
-    /// making each round O(|F|) instead of O(|F|·|Fs|). Off recomputes the
-    /// max over all of Fs from scratch every round — same doubles bitwise
-    /// (max over an identical value sequence), kept as the certificate path
-    /// the dfp_parallel suite asserts `==` against (DESIGN.md §17).
-    bool incremental_cache = true;
     /// Optional per-candidate keep-mask from the significance filter
     /// (stats/significance.hpp). Masked-out candidates (mask value 0) are
-    /// never relevance-scored, never scanned in greedy rounds and never
+    /// never relevance-scored, never enter the gain heap and are never
     /// selected — exactly as if pre-discarded — but candidate *indices* are
     /// preserved, so MmrfsResult::selected still indexes the original vector.
-    /// Null (the default) leaves the unfiltered code path untouched,
-    /// instruction for instruction. Size must equal the candidate count.
-    /// Borrowed, not owned.
+    /// Null (the default) keeps every candidate. Size must equal the
+    /// candidate count. Borrowed, not owned.
     const std::vector<char>* candidate_mask = nullptr;
     /// Execution limits; a breach stops the greedy loop early, keeping the
     /// features selected so far (each selection is individually valid).
@@ -72,7 +61,11 @@ struct MmrfsResult {
 };
 
 /// Runs Algorithm 1. Candidates must have metadata attached against `db`
-/// (cover + class_counts). Runs in O(|F| · |Fs|) redundancy evaluations.
+/// (cover + class_counts). Lazy greedy (DESIGN.md §17): each candidate's
+/// max-redundancy is refreshed only when it reaches the top of the gain heap,
+/// and a candidate that can no longer correctly cover a needy instance is
+/// dropped without refreshing. Worst case O(|F| · |Fs|) redundancy
+/// evaluations plus O(log |F|) per heap operation; in practice far fewer.
 MmrfsResult RunMmrfs(const TransactionDatabase& db,
                      const std::vector<Pattern>& candidates,
                      const MmrfsConfig& config);

@@ -75,9 +75,11 @@ Result<TransactionDatabase> TransactionDatabase::FromTransactionsChecked(
 void TransactionDatabase::BuildIndexes() {
     item_covers_.assign(num_items_, BitVector(num_transactions()));
     class_covers_.assign(num_classes_, BitVector(num_transactions()));
+    class_counts_.assign(num_classes_, 0);
     for (std::size_t t = 0; t < num_transactions(); ++t) {
         for (ItemId i : transactions_[t]) item_covers_[i].Set(t);
         class_covers_[labels_[t]].Set(t);
+        ++class_counts_[labels_[t]];
     }
 }
 
@@ -105,19 +107,12 @@ std::vector<std::size_t> TransactionDatabase::ClassCountsOf(
     return counts;
 }
 
-std::vector<std::size_t> TransactionDatabase::ClassCounts() const {
-    std::vector<std::size_t> counts(num_classes_, 0);
-    for (ClassLabel y : labels_) counts[y]++;
-    return counts;
-}
-
 std::vector<double> TransactionDatabase::ClassPriors() const {
     std::vector<double> priors(num_classes_, 0.0);
     if (labels_.empty()) return priors;
-    const auto counts = ClassCounts();
     for (std::size_t c = 0; c < num_classes_; ++c) {
-        priors[c] =
-            static_cast<double>(counts[c]) / static_cast<double>(labels_.size());
+        priors[c] = static_cast<double>(class_counts_[c]) /
+                    static_cast<double>(labels_.size());
     }
     return priors;
 }

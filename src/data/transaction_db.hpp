@@ -71,8 +71,10 @@ class TransactionDatabase {
     /// Per-class counts of a cover set.
     std::vector<std::size_t> ClassCountsOf(const BitVector& cover) const;
 
-    /// Per-class transaction counts.
-    std::vector<std::size_t> ClassCounts() const;
+    /// Per-class transaction counts (cached when the indexes are built).
+    const std::vector<std::size_t>& ClassCounts() const {
+        return class_counts_;
+    }
     /// Per-class fractions.
     std::vector<double> ClassPriors() const;
 
@@ -97,6 +99,7 @@ class TransactionDatabase {
     std::vector<std::string> item_names_;
     std::vector<BitVector> item_covers_;
     std::vector<BitVector> class_covers_;
+    std::vector<std::size_t> class_counts_;
 };
 
 }  // namespace dfp

@@ -77,15 +77,23 @@ RequestTrace TraceRing::LoadTrace(const Slot& slot) {
 void TraceRing::Push(const RequestTrace& trace) {
     const std::uint64_t idx = next_.fetch_add(1, std::memory_order_relaxed);
     Slot& slot = slots_[idx & mask_];
-    // Per-slot seqlock: odd marks the slot in-flight. Two writers lapping
-    // each other onto the same slot both bump the sequence, so a reader can
-    // only accept a slot whose sequence was even AND unchanged around its
-    // copy — torn reads are impossible to return. The payload itself goes
+    // Per-slot seqlock: odd marks the slot in-flight, and a writer takes the
+    // slot only by moving its sequence from even to odd, so a writer that
+    // laps another onto the same slot waits for it. (Two unconditional
+    // increments would leave the sequence even while both write, and a
+    // reader could accept a torn copy.) A reader accepts a slot only if its
+    // sequence was even AND unchanged around the copy. The payload goes
     // through relaxed atomic words (StoreTrace/LoadTrace) so the concurrent
     // accesses the seqlock tolerates are not data races.
-    slot.seq.fetch_add(1, std::memory_order_acq_rel);
+    std::uint64_t seq = slot.seq.load(std::memory_order_relaxed);
+    while (seq % 2 != 0 ||
+           !slot.seq.compare_exchange_weak(seq, seq + 1,
+                                           std::memory_order_relaxed)) {
+        if (seq % 2 != 0) seq = slot.seq.load(std::memory_order_relaxed);
+    }
+    std::atomic_thread_fence(std::memory_order_release);
     StoreTrace(slot, trace);
-    slot.seq.fetch_add(1, std::memory_order_release);
+    slot.seq.store(seq + 2, std::memory_order_release);
 }
 
 std::vector<RequestTrace> TraceRing::Dump() const {

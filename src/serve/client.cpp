@@ -65,19 +65,37 @@ Status ServeClient::Reconnect() {
 }
 
 Result<std::string> ServeClient::RoundTrip(const std::string& line) {
+    return Exchange(line, nullptr);
+}
+
+Result<std::string> ServeClient::Exchange(const std::string& line,
+                                          bool* partial_response) {
     if (dispatcher_ != nullptr) return dispatcher_->HandleLine(line);
-    DFP_RETURN_NOT_OK(socket_->SendAll(line + "\n"));
+    if (socket_ == nullptr) DFP_RETURN_NOT_OK(Reconnect());
     std::string response;
-    auto got = reader_->ReadLine(&response);
-    if (!got.ok()) return got.status();
-    if (!*got) return Status::Unavailable("server closed the connection");
-    return response;
+    Status st = socket_->SendAll(line + "\n");
+    if (st.ok()) {
+        auto got = reader_->ReadLine(&response);
+        if (got.ok() && *got) return response;
+        st = got.ok() ? Status::Unavailable("server closed the connection")
+                      : got.status();
+    }
+    // Poison the connection: a late reply to this request may still arrive
+    // on it, and the next call must not read that as its own answer.
+    if (partial_response != nullptr) {
+        *partial_response = reader_->buffered_bytes() > 0;
+    }
+    reader_.reset();
+    socket_.reset();
+    return st;
 }
 
 Result<obs::JsonValue> ServeClient::Call(const std::string& line,
-                                         bool* transport_failed) {
+                                         bool* transport_failed,
+                                         bool* partial_response) {
     if (transport_failed != nullptr) *transport_failed = false;
-    auto response = RoundTrip(line);
+    if (partial_response != nullptr) *partial_response = false;
+    auto response = Exchange(line, partial_response);
     if (!response.ok()) {
         if (transport_failed != nullptr) *transport_failed = true;
         return response.status();
@@ -98,27 +116,18 @@ Result<obs::JsonValue> ServeClient::CallIdempotent(const std::string& line) {
     auto& metrics = obs::Registry::Get();
     DeadlineTimer deadline(retry_.deadline_ms);
     double backoff_ms = retry_.initial_backoff_ms;
-    bool need_reconnect = false;
     Result<obs::JsonValue> result = Status::Internal("retry loop never ran");
     for (int attempt = 1; attempt <= retry_.max_attempts; ++attempt) {
+        // A failed exchange drops the connection, so this attempt redials;
+        // a failed dial is this attempt's transport failure.
         bool transport_failed = false;
-        if (need_reconnect) {
-            const Status st = Reconnect();
-            need_reconnect = !st.ok();
-            if (!st.ok()) {
-                // The dial itself failed — that IS this attempt's failure.
-                transport_failed = true;
-                result = st;
+        bool partial_response = false;
+        result = Call(line, &transport_failed, &partial_response);
+        if (result.ok()) {
+            if (attempt > 1) {
+                metrics.GetCounter("dfp.serve.client.retry_success").Inc();
             }
-        }
-        if (!need_reconnect) {
-            result = Call(line, &transport_failed);
-            if (result.ok()) {
-                if (attempt > 1) {
-                    metrics.GetCounter("dfp.serve.client.retry_success").Inc();
-                }
-                return result;
-            }
+            return result;
         }
 
         // Retry policy: a transport failure is retryable only while no byte
@@ -126,15 +135,10 @@ Result<obs::JsonValue> ServeClient::CallIdempotent(const std::string& line) {
         // executed and a resend could double-execute. A well-formed
         // kUnavailable response (shed, draining, connection limit) is a
         // complete exchange and always retryable.
-        bool retryable;
-        if (transport_failed) {
-            const bool partial_response =
-                reader_ != nullptr && reader_->buffered_bytes() > 0;
-            retryable = !partial_response;
-            need_reconnect = dispatcher_ == nullptr;
-        } else {
-            retryable = result.status().code() == StatusCode::kUnavailable;
-        }
+        const bool retryable =
+            transport_failed
+                ? !partial_response
+                : result.status().code() == StatusCode::kUnavailable;
         if (!retryable) return result;  // a real error: report, don't mask
         if (attempt >= retry_.max_attempts) break;
 

@@ -8,8 +8,9 @@
 //
 // Self-healing (DESIGN.md §15): with a RetryPolicy of max_attempts > 1, the
 // idempotent read-path ops (Predict, PredictBatch, Health, Ready) retry on
-// transport failure or a kUnavailable response, reconnecting as needed, with
-// exponential backoff + decorrelated jitter bounded by the policy deadline.
+// transport failure or a kUnavailable response, with exponential backoff +
+// decorrelated jitter bounded by the policy deadline. Any transport failure,
+// retried or not, drops the connection and the next call redials.
 // A retry is refused the moment any byte of a response has been received
 // (LineReader::buffered_bytes() != 0): resending after a partial response
 // could double-execute. Mutating ops (Reload) never retry.
@@ -91,17 +92,26 @@ class ServeClient {
           retry_(retry),
           jitter_(retry.jitter_seed) {}
 
-    /// RoundTrip + parse + "ok" check; protocol errors come back as the
+    /// One request/response exchange. Any transport failure drops the
+    /// connection (the next exchange redials), so a late reply to this
+    /// request can never be read as the answer to a later one.
+    /// `*partial_response` (optional) is set when some bytes of a response
+    /// had arrived before the failure.
+    Result<std::string> Exchange(const std::string& line,
+                                 bool* partial_response);
+
+    /// Exchange + parse + "ok" check; protocol errors come back as the
     /// Status carried in the error response. One attempt, no retries;
     /// `*transport_failed` (optional) is set when the failure happened at the
     /// socket layer rather than as a well-formed error response.
     Result<obs::JsonValue> Call(const std::string& line,
-                                bool* transport_failed = nullptr);
+                                bool* transport_failed = nullptr,
+                                bool* partial_response = nullptr);
 
     /// Call with the retry loop — idempotent ops only.
     Result<obs::JsonValue> CallIdempotent(const std::string& line);
 
-    /// Tears down and re-establishes the TCP transport (no-op in-process).
+    /// Re-establishes the TCP transport (no-op in-process).
     Status Reconnect();
 
     RequestDispatcher* dispatcher_ = nullptr;

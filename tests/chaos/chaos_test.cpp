@@ -19,14 +19,17 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <future>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/failpoint.hpp"
 #include "common/fileio.hpp"
 #include "common/rng.hpp"
+#include "common/socket.hpp"
 #include "core/model_io.hpp"
 #include "core/pipeline.hpp"
 #include "data/encoder.hpp"
@@ -383,6 +386,61 @@ TEST_F(ChaosTest, SocketLayerSurvivesInjectedEintr) {
     ASSERT_TRUE(eof.ok());
     EXPECT_FALSE(*eof);
     FailpointRegistry::Get().DisableAll();
+}
+
+// Reads one '\n'-terminated line with raw recv(), bypassing Socket::Recv so
+// an armed serve.socket.read failpoint only ever hits the client under test.
+std::string RawReadLine(int fd) {
+    std::string line;
+    char c = 0;
+    while (::recv(fd, &c, 1, 0) == 1 && c != '\n') line.push_back(c);
+    return line;
+}
+
+void RawSend(int fd, const std::string& data) {
+    (void)::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
+}
+
+// Regression for the client's connection state: a non-retrying call whose
+// read times out must drop its connection. Otherwise the reply to that
+// request, arriving late, is read as the answer to the next one. A scripted
+// server answers request 1 only after the client has given up on it, and
+// answers anything on a second connection with a different label/version.
+TEST_F(ChaosTest, LateReplyAfterReadTimeoutNeverAnswersNextRequest) {
+    auto listener = TcpListen(0);
+    ASSERT_TRUE(listener.ok()) << listener.status();
+    auto port = LocalPort(*listener);
+    ASSERT_TRUE(port.ok()) << port.status();
+
+    std::promise<void> first_call_failed;
+    std::thread server([&listener, gave_up = first_call_failed.get_future()] {
+        auto first = TcpAccept(*listener);
+        if (!first.ok()) return;
+        RawReadLine(first->fd());
+        gave_up.wait();  // the reply is now past the client's read deadline
+        RawSend(first->fd(), "{\"ok\":true,\"label\":0,\"version\":1}\n");
+        auto second = TcpAccept(*listener);  // only a redialing client gets here
+        if (!second.ok()) return;
+        RawReadLine(second->fd());
+        RawSend(second->fd(), "{\"ok\":true,\"label\":1,\"version\":2}\n");
+    });
+
+    auto client = ServeClient::Connect("127.0.0.1", *port);  // max_attempts 1
+    ASSERT_TRUE(client.ok()) << client.status();
+    ASSERT_TRUE(FailpointRegistry::Get()
+                    .Configure("serve.socket.read=nth(1):timeout", 1)
+                    .ok());
+    auto timed_out = client->Predict({1});
+    EXPECT_FALSE(timed_out.ok());
+    EXPECT_EQ(timed_out.status().code(), StatusCode::kUnavailable);
+    first_call_failed.set_value();
+
+    auto next = client->Predict({2});
+    listener->ShutdownBoth();  // unblocks the script if the client never redials
+    server.join();
+    ASSERT_TRUE(next.ok()) << next.status();
+    EXPECT_EQ(next->label, 1u) << "read the late reply to the previous request";
+    EXPECT_EQ(next->model_version, 2u);
 }
 
 TEST_F(ChaosTest, AcceptLoopSurvivesInjectedAcceptFaults) {

@@ -35,6 +35,34 @@ TEST(TransactionDbTest, ClassCovers) {
     EXPECT_EQ(db.ClassCounts(), (std::vector<std::size_t>{2, 2}));
 }
 
+// ClassCounts() is cached when the indexes are built; it must always equal a
+// fresh recount of the labels, on every construction path.
+std::vector<std::size_t> RecountLabels(const TransactionDatabase& db) {
+    std::vector<std::size_t> counts(db.num_classes(), 0);
+    for (ClassLabel y : db.labels()) ++counts[y];
+    return counts;
+}
+
+TEST(TransactionDbTest, CachedClassCountsEqualLabelRecount) {
+    const auto db = TransactionDatabase::FromTransactions(
+        {{0}, {1}, {0, 1}, {2}, {1, 2}, {0}}, {2, 0, 2, 1, 2, 0}, 3, 3);
+    EXPECT_EQ(db.ClassCounts(), RecountLabels(db));
+    EXPECT_EQ(db.ClassCounts(), (std::vector<std::size_t>{2, 1, 3}));
+
+    const auto subset = db.Subset({4, 0, 3});
+    EXPECT_EQ(subset.ClassCounts(), RecountLabels(subset));
+    EXPECT_EQ(subset.ClassCounts(), (std::vector<std::size_t>{0, 1, 2}));
+
+    const auto none = db.Subset({});
+    EXPECT_EQ(none.ClassCounts(), (std::vector<std::size_t>{0, 0, 0}));
+
+    const TransactionDatabase empty;
+    EXPECT_TRUE(empty.ClassCounts().empty());
+    const auto built_empty =
+        TransactionDatabase::FromTransactions({}, {}, 4, 2);
+    EXPECT_EQ(built_empty.ClassCounts(), (std::vector<std::size_t>{0, 0}));
+}
+
 TEST(TransactionDbTest, CoverOfItemset) {
     const auto db = Toy();
     EXPECT_EQ(db.SupportOf({0, 1}), 2u);  // rows 0 and 3

@@ -1,12 +1,10 @@
-// Certificates for the recursive mining decomposition and the MMRFS
-// incremental-redundancy cache (DESIGN.md §17):
+// Certificates for the recursive mining decomposition (DESIGN.md §17):
 //  * with the split threshold forced to 1 every conditional subproblem
 //    re-submits to the TaskGroup, and the sharded merge must still reproduce
 //    the serial pattern sequence byte for byte at every thread count;
 //  * a budget cancelled mid-recursive-split must leave a well-formed partial
-//    MineOutcome that is a *subsequence* of the serial emission sequence;
-//  * RunMmrfs with the incremental cache on must equal the cache-off
-//    (recompute-from-scratch) path bitwise on doubles, over 20 seeded pools.
+//    MineOutcome that is a *subsequence* of the serial emission sequence.
+// The lazy-greedy MMRFS certificates live in mmrfs_lazy_test.cpp.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -15,7 +13,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/mmrfs.hpp"
 #include "fpm/closed_miner.hpp"
 #include "fpm/eclat.hpp"
 #include "fpm/fpgrowth.hpp"
@@ -137,41 +134,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("fpgrowth", "eclat", "closed"),
                        ::testing::Values(std::size_t{2}, std::size_t{3},
                                          std::size_t{8}, std::size_t{16})));
-
-// The incremental-cache certificate: per-candidate cached max R(α,β) updated
-// only against the newly selected β must equal the cache-off path — which
-// recomputes max over all of Fs fresh each round — bitwise on every double
-// in the result, across serial and parallel runs.
-TEST(MmrfsIncrementalCacheTest, CacheOnEqualsCacheOffBitwise) {
-    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-        const auto db = RandomDb(seed);
-        MinerConfig mine_config;
-        mine_config.min_sup_rel = 0.10;
-        auto mined = ClosedMiner().Mine(db, mine_config);
-        ASSERT_TRUE(mined.ok());
-        std::vector<Pattern> candidates = std::move(*mined);
-        AttachMetadata(db, &candidates);
-
-        MmrfsConfig config;
-        config.coverage_delta = 2;
-        config.incremental_cache = false;
-        config.num_threads = 1;
-        const MmrfsResult want = RunMmrfs(db, candidates, config);
-
-        for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-            config.incremental_cache = true;
-            config.num_threads = threads;
-            const MmrfsResult got = RunMmrfs(db, candidates, config);
-            EXPECT_EQ(got.selected, want.selected)
-                << "selection diverges with cache on, threads=" << threads
-                << " (seed " << seed << ")";
-            // operator== on double vectors is exact — bitwise certificate.
-            EXPECT_EQ(got.gains, want.gains);
-            EXPECT_EQ(got.relevance, want.relevance);
-            EXPECT_EQ(got.coverage, want.coverage);
-        }
-    }
-}
 
 }  // namespace
 }  // namespace dfp

@@ -1,0 +1,275 @@
+// Certificates for the lazy-greedy MMRFS loop (DESIGN.md §17): RunMmrfs must
+// select exactly what the naive Algorithm 1 reference (tests/testutil) does —
+// the same indices in the same order with bitwise-equal gains — over 20
+// seeded pools, with and without the chi²-BH significance mask, at threads
+// {1, 8}, δ ∈ {1, 3}, with and without a feature cap. Focused cases pin the
+// tie-break, the monotone needy discard, budget truncation and the counters.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "core/mmrfs.hpp"
+#include "fpm/closed_miner.hpp"
+#include "obs/metrics.hpp"
+#include "stats/significance.hpp"
+#include "testutil/naive_mmrfs.hpp"
+
+namespace dfp {
+namespace {
+
+constexpr std::uint64_t kNumSeeds = 20;
+
+// Labels lean on items 0 and 1, so some patterns are significant and the
+// chi²-BH mask keeps a real subset; odd seeds use three classes.
+TransactionDatabase SignalDb(std::uint64_t seed) {
+    Rng rng(seed);
+    const std::size_t n = 80;
+    const std::size_t items = 12;
+    const std::size_t classes = seed % 2 == 0 ? 2 : 3;
+    std::vector<std::vector<ItemId>> txns(n);
+    std::vector<ClassLabel> labels(n);
+    for (std::size_t t = 0; t < n; ++t) {
+        for (ItemId i = 0; i < items; ++i) {
+            if (rng.Bernoulli(0.4)) txns[t].push_back(i);
+        }
+        if (txns[t].empty()) txns[t].push_back(static_cast<ItemId>(t % items));
+        const bool has0 = txns[t].front() == 0;
+        const bool has1 = std::find(txns[t].begin(), txns[t].end(), ItemId{1}) !=
+                          txns[t].end();
+        std::uint64_t y = has0 ? 0 : (has1 ? 1 : classes - 1);
+        if (rng.Bernoulli(0.25)) y = rng.UniformInt(std::uint64_t{classes});
+        labels[t] = static_cast<ClassLabel>(y);
+    }
+    return TransactionDatabase::FromTransactions(std::move(txns),
+                                                 std::move(labels), items,
+                                                 classes);
+}
+
+std::vector<Pattern> MinePool(const TransactionDatabase& db) {
+    MinerConfig config;
+    config.min_sup_rel = 0.08;
+    auto mined = ClosedMiner().Mine(db, config);
+    EXPECT_TRUE(mined.ok()) << mined.status();
+    std::vector<Pattern> candidates = mined.ok() ? std::move(*mined)
+                                                 : std::vector<Pattern>{};
+    AttachMetadata(db, &candidates);
+    return candidates;
+}
+
+std::vector<char> Chi2BhMask(const TransactionDatabase& db,
+                             const std::vector<Pattern>& candidates) {
+    SignificanceConfig config;
+    config.test = SigTest::kChi2;
+    config.correction = Correction::kBenjaminiHochberg;
+    config.alpha = 0.05;
+    return RunSignificanceFilter(db, candidates, config).keep;
+}
+
+void ExpectSameSelection(const MmrfsResult& got, const MmrfsResult& want,
+                         const std::string& where) {
+    EXPECT_EQ(got.selected, want.selected) << where;
+    // operator== on double vectors is exact — the bitwise certificate.
+    EXPECT_EQ(got.gains, want.gains) << where;
+    EXPECT_EQ(got.relevance, want.relevance) << where;
+    EXPECT_EQ(got.coverage, want.coverage) << where;
+    EXPECT_EQ(got.breach, BudgetBreach::kNone) << where;
+}
+
+// masked × threads × δ × max_features.
+using CertCase = std::tuple<bool, std::size_t, std::size_t, std::size_t>;
+
+class LazyMmrfsCertificateTest : public ::testing::TestWithParam<CertCase> {};
+
+TEST_P(LazyMmrfsCertificateTest, MatchesNaiveReferenceBitwise) {
+    const auto [masked, threads, delta, cap] = GetParam();
+    std::size_t kept_total = 0;
+    std::size_t pool_total = 0;
+    for (std::uint64_t seed = 1; seed <= kNumSeeds; ++seed) {
+        const auto db = SignalDb(seed);
+        const auto candidates = MinePool(db);
+        ASSERT_FALSE(candidates.empty());
+        const std::vector<char> mask =
+            masked ? Chi2BhMask(db, candidates) : std::vector<char>{};
+        for (char k : mask) kept_total += k != 0;
+        pool_total += candidates.size();
+
+        MmrfsConfig config;
+        config.coverage_delta = delta;
+        config.max_features = cap;
+        config.candidate_mask = masked ? &mask : nullptr;
+        const MmrfsResult want = testutil::NaiveMmrfs(db, candidates, config);
+        config.num_threads = threads;
+        const MmrfsResult got = RunMmrfs(db, candidates, config);
+        ExpectSameSelection(got, want, "seed " + std::to_string(seed));
+        if (cap != std::numeric_limits<std::size_t>::max()) {
+            EXPECT_LE(got.selected.size(), cap);
+        }
+    }
+    if (masked) {
+        // The mask must actually filter, or the masked axis certifies nothing.
+        EXPECT_GT(kept_total, 0u);
+        EXPECT_LT(kept_total, pool_total);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MaskThreadsDeltaCap, LazyMmrfsCertificateTest,
+    ::testing::Combine(::testing::Bool(),
+                       ::testing::Values(std::size_t{1}, std::size_t{8}),
+                       ::testing::Values(std::size_t{1}, std::size_t{3}),
+                       ::testing::Values(std::numeric_limits<std::size_t>::max(),
+                                         std::size_t{4})));
+
+// Rows 0-1 hold items {0,1} (class 0), rows 2-3 hold item {2} (class 1):
+// {2}, {0,1} and {0} split the classes perfectly, so all three score the
+// same relevance and the argmax tie must go to the lowest index each round.
+TransactionDatabase TieDb() {
+    return TransactionDatabase::FromTransactions({{0, 1}, {0, 1}, {2}, {2}},
+                                                 {0, 0, 1, 1}, 3, 2);
+}
+
+std::vector<Pattern> WithMetadata(const TransactionDatabase& db,
+                                  std::vector<Itemset> itemsets) {
+    std::vector<Pattern> patterns;
+    for (Itemset& items : itemsets) {
+        Pattern p;
+        p.items = std::move(items);
+        patterns.push_back(std::move(p));
+    }
+    AttachMetadata(db, &patterns);
+    return patterns;
+}
+
+TEST(LazyMmrfsTest, EqualGainsResolveToLowestIndex) {
+    const auto db = TieDb();
+    // {0,1} and {0} have identical covers; {2} mirrors them on class 1.
+    const auto candidates = WithMetadata(db, {{2}, {0, 1}, {0}});
+    MmrfsConfig config;
+    config.coverage_delta = 2;
+    const MmrfsResult got = RunMmrfs(db, candidates, config);
+    ASSERT_EQ(got.relevance[0], got.relevance[1]);
+    ASSERT_EQ(got.relevance[1], got.relevance[2]);
+    ASSERT_GT(got.relevance[0], 0.0);
+    // Round 1: three-way tie → 0. Round 2: 1 and 2 are disjoint from 0, still
+    // tied → 1. Round 3: 2 duplicates 1 (gain 0) but rows 0-1 still need a
+    // second cover, so it is accepted.
+    EXPECT_EQ(got.selected, (std::vector<std::size_t>{0, 1, 2}));
+    EXPECT_EQ(got.gains, (std::vector<double>{got.relevance[0],
+                                              got.relevance[1], 0.0}));
+    ExpectSameSelection(got, testutil::NaiveMmrfs(db, candidates, config),
+                        "tie pool");
+}
+
+TEST(LazyMmrfsTest, CandidateCoveringNoNeedyRowIsDiscardedUnrefreshed) {
+    const auto db = TieDb();
+    // {0,2} occurs in no row: it can never correctly cover anything.
+    const auto candidates = WithMetadata(db, {{0, 2}, {2}, {0}});
+    ASSERT_EQ(candidates[0].support, 0u);
+    auto& registry = obs::Registry::Get();
+    auto& discarded = registry.GetCounter("dfp.core.mmrfs.discarded");
+    auto& evals = registry.GetCounter("dfp.core.mmrfs.redundancy_evals");
+    const auto discarded_before = discarded.value();
+    const auto evals_before = evals.value();
+
+    MmrfsConfig config;
+    config.coverage_delta = 5;  // never satisfied: the pool runs dry
+    const MmrfsResult got = RunMmrfs(db, candidates, config);
+    EXPECT_EQ(got.selected, (std::vector<std::size_t>{1, 2}));
+    EXPECT_EQ(discarded.value() - discarded_before, 1u);
+    // Only {0} is ever refreshed (against {2}); the empty-cover candidate is
+    // dropped on its first pop without a redundancy evaluation.
+    EXPECT_EQ(evals.value() - evals_before, 1u);
+    ExpectSameSelection(got, testutil::NaiveMmrfs(db, candidates, config),
+                        "dead candidate pool");
+}
+
+// A cancel fired at any check inside the greedy loop leaves exactly a prefix
+// of the uncancelled selection, gains included.
+TEST(LazyMmrfsTest, CancelMidLoopReturnsGreedyPrefix) {
+    const auto db = SignalDb(7);
+    const auto candidates = MinePool(db);
+    MmrfsConfig config;
+    config.coverage_delta = 3;
+    const MmrfsResult full = RunMmrfs(db, candidates, config);
+    ASSERT_GT(full.selected.size(), 2u);
+
+    bool truncated = false;
+    for (std::int64_t extra = 1; extra <= 200; extra += 7) {
+        CancelToken token;
+        // The relevance scan polls once per candidate; the rest land in the
+        // greedy loop.
+        token.CancelAfterChecks(static_cast<std::int64_t>(candidates.size()) +
+                                extra);
+        config.budget.cancel = &token;
+        const MmrfsResult got = RunMmrfs(db, candidates, config);
+        ASSERT_LE(got.selected.size(), full.selected.size());
+        ASSERT_EQ(got.gains.size(), got.selected.size());
+        for (std::size_t k = 0; k < got.selected.size(); ++k) {
+            EXPECT_EQ(got.selected[k], full.selected[k]) << "extra " << extra;
+            EXPECT_EQ(got.gains[k], full.gains[k]) << "extra " << extra;
+        }
+        if (got.breach == BudgetBreach::kCancelled &&
+            got.selected.size() < full.selected.size()) {
+            truncated = true;
+        }
+    }
+    EXPECT_TRUE(truncated) << "no cancel point landed inside the greedy loop";
+}
+
+TEST(LazyMmrfsTest, DeadlineReturnsGreedyPrefix) {
+    const auto db = SignalDb(8);
+    const auto candidates = MinePool(db);
+    MmrfsConfig config;
+    config.coverage_delta = 3;
+    const MmrfsResult full = RunMmrfs(db, candidates, config);
+    for (const double budget_ms : {0.0, 0.05, 0.2, 1.0}) {
+        config.budget.time_budget_ms = budget_ms;
+        const MmrfsResult got = RunMmrfs(db, candidates, config);
+        ASSERT_LE(got.selected.size(), full.selected.size());
+        for (std::size_t k = 0; k < got.selected.size(); ++k) {
+            EXPECT_EQ(got.selected[k], full.selected[k]);
+            EXPECT_EQ(got.gains[k], full.gains[k]);
+        }
+        if (got.breach == BudgetBreach::kNone) {
+            EXPECT_EQ(got.selected, full.selected);
+        } else {
+            EXPECT_EQ(got.breach, BudgetBreach::kDeadline);
+        }
+    }
+}
+
+// The lazy loop's counters: every accept/discard decision is an iteration,
+// and it spends no more redundancy evaluations than the eager loop's
+// incremental cache (one per remaining candidate per accepted feature).
+TEST(LazyMmrfsTest, CountersAddUpAndEvaluationsStayBelowEager) {
+    auto& registry = obs::Registry::Get();
+    auto& iterations = registry.GetCounter("dfp.core.mmrfs.iterations");
+    auto& accepted = registry.GetCounter("dfp.core.mmrfs.accepted");
+    auto& discarded = registry.GetCounter("dfp.core.mmrfs.discarded");
+    auto& evals = registry.GetCounter("dfp.core.mmrfs.redundancy_evals");
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        const auto db = SignalDb(seed);
+        const auto candidates = MinePool(db);
+        const auto it0 = iterations.value();
+        const auto acc0 = accepted.value();
+        const auto dis0 = discarded.value();
+        const auto ev0 = evals.value();
+        MmrfsConfig config;
+        config.coverage_delta = 3;
+        const MmrfsResult got = RunMmrfs(db, candidates, config);
+        EXPECT_EQ(accepted.value() - acc0, got.selected.size());
+        EXPECT_EQ(iterations.value() - it0,
+                  (accepted.value() - acc0) + (discarded.value() - dis0));
+        EXPECT_LE(evals.value() - ev0,
+                  got.selected.size() * candidates.size());
+    }
+}
+
+}  // namespace
+}  // namespace dfp

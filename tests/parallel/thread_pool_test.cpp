@@ -119,15 +119,14 @@ TEST(ThreadPoolTest, DestructorPublishesParallelMetrics) {
     EXPECT_DOUBLE_EQ(registry.GetGauge("dfp.parallel.workers").value(), 3.0);
 }
 
-// The scheduling telemetry added for the recursive decomposition: every task
-// spawn is counted, steal_count mirrors steals, the queue high-water mark is
+// The scheduling telemetry added for the recursive decomposition: every
+// executed task is counted, steals are exported, the queue high-water mark is
 // recorded, and per-pool utilization lands in [0, 1]. The same busy/wall
 // tallies accumulate into the process-wide counters FinishTrain diffs for
 // dfp.parallel.train_utilization.
 TEST(ThreadPoolTest, DestructorPublishesSchedulingTelemetry) {
     auto& registry = obs::Registry::Get();
-    const auto spawned_before =
-        registry.GetCounter("dfp.parallel.tasks_spawned").value();
+    const auto tasks_before = registry.GetCounter("dfp.parallel.tasks").value();
     const auto busy_before = ThreadPool::ProcessBusyNs();
     const auto wall_before = ThreadPool::ProcessWorkerWallNs();
     {
@@ -135,13 +134,10 @@ TEST(ThreadPoolTest, DestructorPublishesSchedulingTelemetry) {
         TaskGroup group(pool);
         for (int i = 0; i < 32; ++i) group.Submit([] {});
         group.Wait();
-        EXPECT_GE(pool.tasks_spawned(), 32u);
         EXPECT_GE(pool.max_queue_depth(), 1u);
-        EXPECT_EQ(registry.GetCounter("dfp.parallel.steal_count").value(),
-                  registry.GetCounter("dfp.parallel.steals").value());
     }
-    EXPECT_GE(registry.GetCounter("dfp.parallel.tasks_spawned").value(),
-              spawned_before + 32);
+    EXPECT_GE(registry.GetCounter("dfp.parallel.tasks").value(),
+              tasks_before + 32);
     EXPECT_GE(registry.GetGauge("dfp.parallel.max_queue_depth").value(), 1.0);
     const double utilization =
         registry.GetGauge("dfp.parallel.utilization").value();
