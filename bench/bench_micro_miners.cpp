@@ -4,7 +4,6 @@
 
 #include "data/encoder.hpp"
 #include "data/synthetic.hpp"
-#include "fpm/apriori.hpp"
 #include "fpm/closed_miner.hpp"
 #include "fpm/eclat.hpp"
 #include "fpm/fpgrowth.hpp"
@@ -47,12 +46,10 @@ void MineAt(benchmark::State& state) {
 }
 
 void BM_FpGrowth(benchmark::State& state) { MineAt<FpGrowthMiner>(state); }
-void BM_Apriori(benchmark::State& state) { MineAt<AprioriMiner>(state); }
 void BM_Eclat(benchmark::State& state) { MineAt<EclatMiner>(state); }
 void BM_Closed(benchmark::State& state) { MineAt<ClosedMiner>(state); }
 
 BENCHMARK(BM_FpGrowth)->Arg(5)->Arg(10)->Arg(20)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Apriori)->Arg(5)->Arg(10)->Arg(20)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Eclat)->Arg(5)->Arg(10)->Arg(20)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Closed)->Arg(5)->Arg(10)->Arg(20)->Unit(benchmark::kMillisecond);
 

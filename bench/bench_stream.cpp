@@ -1,16 +1,13 @@
 // Streaming-path benchmark (BENCH_stream.json):
 //
-//  1. Ingest throughput — StreamingDatabase::Append plus incremental CanTree
-//     maintenance (insert + evict) over a sliding window, measured in rows/s
-//     on a pre-generated drifting stream (generation is excluded).
+//  1. Ingest throughput — StreamingDatabase::Append over a sliding window,
+//     measured in rows/s on a pre-generated drifting stream (generation is
+//     excluded).
 //       dfp.bench.stream.ingest_rows_per_s
-//  2. Window mining: remine vs incremental — both WindowMiner strategies mine
-//     the same sliding window at every checkpoint while the stream advances;
-//     total mine time per strategy and the speedup land as
-//       dfp.bench.stream.{remine_mine_ms,incremental_mine_ms,mine_speedup}.
-//     This is the measurement behind the ContinuousTrainerConfig default
-//     (window_miner = kIncremental); the golden-equivalence suite certifies
-//     the two strategies emit identical pattern sets.
+//  2. Window mining — at checkpoints while the stream advances, the window
+//     is snapshotted and mined with FP-growth, exactly as
+//     ContinuousTrainer::RetrainNow does; the mean time per mine lands as
+//       dfp.bench.stream.window_mine_ms
 //  3. Retrain latency + staleness — a full ContinuousTrainer loop (stream →
 //     mine → select → train → save → hot reload through ModelRegistry) on a
 //     row-count schedule, run serial then with the pipeline's worker threads
@@ -20,6 +17,7 @@
 //     retrain_seconds_threaded,retrain_threads_speedup,staleness_seconds,
 //     retrains}.
 //
+// The host's hardware thread count lands as dfp.bench.stream.hw_threads.
 // tools/bench_diff gates these against bench/baselines/stream.json.
 #include <unistd.h>
 
@@ -27,17 +25,18 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.hpp"
 #include "common/stopwatch.hpp"
 #include "common/string_util.hpp"
 #include "exp/table_printer.hpp"
+#include "fpm/fpgrowth.hpp"
 #include "obs/metrics.hpp"
 #include "serve/registry.hpp"
 #include "stream/streaming_db.hpp"
 #include "stream/trainer.hpp"
-#include "stream/window_miner.hpp"
 #include "testutil/drift_source.hpp"
 
 using namespace dfp;
@@ -60,6 +59,9 @@ int main(int argc, char** argv) {
         bench::FlagValue(argc, argv, "window", 2048));
     bench::BeginBenchObservability(1);
     auto& registry = obs::Registry::Get();
+    const unsigned hw_threads = std::thread::hardware_concurrency();
+    registry.GetGauge("dfp.bench.stream.hw_threads")
+        .Set(hw_threads == 0 ? 1.0 : static_cast<double>(hw_threads));
 
     bench::Section(StrFormat("Stream benchmark: %zu rows, window %zu",
                              stream_rows, window_capacity));
@@ -80,8 +82,8 @@ int main(int argc, char** argv) {
     mine_config.max_pattern_len = 4;
     mine_config.include_singletons = false;
 
-    // --- Phase 1+2: ingest throughput and remine-vs-incremental mining -----
-    bench::Section("Ingest + window mining (remine vs incremental)");
+    // --- Phase 1+2: ingest throughput and window mining ---------------------
+    bench::Section("Ingest + window mining (snapshot + FP-growth)");
     stream::StreamConfig stream_config;
     stream_config.num_items = source.num_items();
     stream_config.num_classes = source.num_classes();
@@ -92,12 +94,6 @@ int main(int argc, char** argv) {
                      db.status().ToString().c_str());
         return 1;
     }
-    auto remine =
-        stream::MakeWindowMiner(stream::WindowMinerKind::kRemine,
-                                source.num_items());
-    auto incremental =
-        stream::MakeWindowMiner(stream::WindowMinerKind::kIncremental,
-                                source.num_items());
 
     // Pre-generate canonical batches so the timed loop measures ingestion,
     // not synthesis.
@@ -109,78 +105,52 @@ int main(int argc, char** argv) {
     }
 
     double ingest_seconds = 0.0;
-    double remine_seconds = 0.0;
-    double incremental_seconds = 0.0;
+    double mine_seconds = 0.0;
     std::size_t checkpoints = 0;
     std::size_t patterns_last = 0;
     std::size_t ingested = 0;
     const std::size_t checkpoint_every =
         std::max<std::size_t>(1, window_capacity / (2 * kBatch));
     for (std::size_t b = 0; b < batches.size(); ++b) {
+        stream::TransactionBatch batch = batches[b];
         Stopwatch ingest;
-        auto appended = (*db)->Append(batches[b]);
+        auto appended = (*db)->Append(std::move(batch));
+        ingest_seconds += ingest.ElapsedSeconds();
         if (!appended.ok()) {
             std::fprintf(stderr, "append failed: %s\n",
                          appended.status().ToString().c_str());
             return 1;
         }
-        for (const auto& txn : batches[b].transactions) {
-            incremental->Insert(txn);
-        }
-        for (const auto& txn : appended->evicted.transactions) {
-            incremental->Evict(txn);
-        }
-        ingest_seconds += ingest.ElapsedSeconds();
         ingested += batches[b].size();
-        // The remine strategy keeps its own window copy; its maintenance is
-        // trivial (deque push/pop) and is excluded from the ingest figure.
-        for (const auto& txn : batches[b].transactions) remine->Insert(txn);
-        for (const auto& txn : appended->evicted.transactions) {
-            remine->Evict(txn);
-        }
 
         if ((*db)->window_size() < window_capacity) continue;
         if (b % checkpoint_every != 0) continue;
         ++checkpoints;
-        Stopwatch remine_watch;
-        auto from_remine = remine->MineWindow(mine_config);
-        remine_seconds += remine_watch.ElapsedSeconds();
-        Stopwatch incremental_watch;
-        auto from_incremental = incremental->MineWindow(mine_config);
-        incremental_seconds += incremental_watch.ElapsedSeconds();
-        if (!from_remine.ok() || !from_incremental.ok()) {
-            std::fprintf(stderr, "window mine failed\n");
+        Stopwatch mine_watch;
+        const auto window = (*db)->SnapshotWindow();
+        auto mined = FpGrowthMiner().Mine(*window, mine_config);
+        mine_seconds += mine_watch.ElapsedSeconds();
+        if (!mined.ok()) {
+            std::fprintf(stderr, "window mine failed: %s\n",
+                         mined.status().ToString().c_str());
             return 1;
         }
-        if (from_remine->size() != from_incremental->size()) {
-            std::fprintf(stderr, "PATTERN COUNT MISMATCH: remine %zu vs %zu\n",
-                         from_remine->size(), from_incremental->size());
-            return 1;
-        }
-        patterns_last = from_incremental->size();
+        patterns_last = mined->size();
     }
     const double ingest_rows_per_s =
         ingest_seconds > 0.0 ? static_cast<double>(ingested) / ingest_seconds
                              : 0.0;
-    const double mine_speedup =
-        incremental_seconds > 0.0 ? remine_seconds / incremental_seconds : 0.0;
+    const double window_mine_ms =
+        checkpoints > 0 ? 1e3 * mine_seconds / static_cast<double>(checkpoints)
+                        : 0.0;
     std::printf("ingest  : %zu rows in %.3fs (%.0f rows/s)\n", ingested,
                 ingest_seconds, ingest_rows_per_s);
-    std::printf("mining  : %zu checkpoints, %zu patterns at the last\n",
-                checkpoints, patterns_last);
-    std::printf("remine      : %.3fs total (%.2f ms/mine)\n", remine_seconds,
-                1e3 * remine_seconds / static_cast<double>(checkpoints));
-    std::printf("incremental : %.3fs total (%.2f ms/mine)\n",
-                incremental_seconds,
-                1e3 * incremental_seconds / static_cast<double>(checkpoints));
-    std::printf("speedup     : %.2fx (remine / incremental)\n", mine_speedup);
+    std::printf("mining  : %zu checkpoints, %.2f ms/mine, %zu patterns at "
+                "the last\n",
+                checkpoints, window_mine_ms, patterns_last);
     registry.GetGauge("dfp.bench.stream.ingest_rows_per_s")
         .Set(ingest_rows_per_s);
-    registry.GetGauge("dfp.bench.stream.remine_mine_ms")
-        .Set(1e3 * remine_seconds / static_cast<double>(checkpoints));
-    registry.GetGauge("dfp.bench.stream.incremental_mine_ms")
-        .Set(1e3 * incremental_seconds / static_cast<double>(checkpoints));
-    registry.GetGauge("dfp.bench.stream.mine_speedup").Set(mine_speedup);
+    registry.GetGauge("dfp.bench.stream.window_mine_ms").Set(window_mine_ms);
 
     // --- Phase 3: end-to-end retrain latency + staleness --------------------
     // Run the full trainer loop twice: serial pipeline, then the pipeline's

@@ -7,7 +7,6 @@
 #include "common/parallel.hpp"
 #include "common/string_util.hpp"
 #include "core/minsup_strategy.hpp"
-#include "fpm/apriori.hpp"
 #include "fpm/closed_miner.hpp"
 #include "fpm/eclat.hpp"
 #include "fpm/fpgrowth.hpp"
@@ -20,7 +19,6 @@ std::unique_ptr<Miner> MakeMiner(MinerKind kind) {
     switch (kind) {
         case MinerKind::kClosed: return std::make_unique<ClosedMiner>();
         case MinerKind::kFpGrowth: return std::make_unique<FpGrowthMiner>();
-        case MinerKind::kApriori: return std::make_unique<AprioriMiner>();
         case MinerKind::kEclat: return std::make_unique<EclatMiner>();
     }
     return nullptr;
@@ -258,7 +256,7 @@ Status PatternClassifierPipeline::Train(const TransactionDatabase& train,
 
 Status PatternClassifierPipeline::TrainWithCandidates(
     const TransactionDatabase& train, std::vector<Pattern> candidates,
-    std::unique_ptr<Classifier> learner) {
+    std::unique_ptr<Classifier> learner, double mine_seconds) {
     if (learner == nullptr) {
         return Status::InvalidArgument("pipeline requires a learner");
     }
@@ -292,7 +290,7 @@ Status PatternClassifierPipeline::TrainWithCandidates(
         }
         AttachMetadata(train, &candidates_);
         pool_span.Annotate("pooled", static_cast<double>(candidates_.size()));
-        stats_.mine_seconds = pool_span.ElapsedSeconds();
+        stats_.mine_seconds = mine_seconds + pool_span.ElapsedSeconds();
     }
     stats_.num_candidates = candidates_.size();
 

@@ -19,7 +19,7 @@
 namespace dfp {
 
 /// Which miner generates the feature candidates.
-enum class MinerKind { kClosed, kFpGrowth, kApriori, kEclat };
+enum class MinerKind { kClosed, kFpGrowth, kEclat };
 
 std::unique_ptr<Miner> MakeMiner(MinerKind kind);
 
@@ -105,11 +105,15 @@ class PatternClassifierPipeline {
     /// stage: dedups the pool, re-anchors metadata (cover, per-class counts,
     /// support) on `train`, then runs the same selection → transform → learn
     /// tail as Train. Candidates need only their itemsets filled. This is the
-    /// streaming entry point: stream::ContinuousTrainer feeds it patterns
-    /// maintained incrementally over the sliding window (DESIGN.md §16).
+    /// streaming entry point: stream::ContinuousTrainer feeds it the patterns
+    /// it mined from the sliding window's snapshot (DESIGN.md §16).
+    /// `mine_seconds` is the time the caller spent mining `candidates`;
+    /// stats().mine_seconds reports it plus the pooling, so the mine stage
+    /// covers the whole mine.
     Status TrainWithCandidates(const TransactionDatabase& train,
                                std::vector<Pattern> candidates,
-                               std::unique_ptr<Classifier> learner);
+                               std::unique_ptr<Classifier> learner,
+                               double mine_seconds = 0.0);
 
     /// Predicts the class of a raw transaction (sorted item list).
     ClassLabel Predict(const std::vector<ItemId>& transaction) const;

@@ -1,8 +1,7 @@
 // Common interface for frequent-itemset miners.
 //
-// Four miners implement it:
+// Three miners implement it (tests/testutil adds a reference Apriori):
 //  * FpGrowthMiner  — FP-tree pattern growth, all frequent itemsets.
-//  * AprioriMiner   — level-wise candidate generation (reference baseline).
 //  * EclatMiner     — vertical bitset DFS (reference baseline).
 //  * ClosedMiner    — closed frequent itemsets only (LCM-style prefix-
 //                     preserving closure extension; output semantics identical
@@ -46,8 +45,8 @@ struct MinerConfig {
     /// so singletons are usually redundant as patterns; default keeps them).
     bool include_singletons = true;
     /// Worker threads for the mining fan-out (FP-growth / Eclat / closed
-    /// decompose recursively over conditional subproblems; Apriori stays
-    /// level-wise serial). 1 = today's serial code exactly;
+    /// decompose recursively over conditional subproblems; the reference
+    /// Apriori stays level-wise serial). 1 = today's serial code exactly;
     /// 0 = hardware_concurrency. The complete pattern set — and its emission
     /// order — is identical for every thread count; only budget-truncated
     /// runs may differ, and those are subsequences of the serial emission

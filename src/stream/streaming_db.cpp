@@ -77,21 +77,19 @@ Result<AppendResult> StreamingDatabase::Append(TransactionBatch batch) {
     ++version_;
     result.version = version_;
 
-    // FIFO eviction: advance the window start past capacity and hand the
-    // evicted rows back (they stay in the log until compaction).
-    while (next_seq_ - window_begin_seq_ > config_.window_capacity) {
-        const std::size_t idx =
-            static_cast<std::size_t>(window_begin_seq_ - retained_first_seq_);
-        result.evicted.transactions.push_back(rows_[idx].items);
-        result.evicted.labels.push_back(rows_[idx].label);
-        ++window_begin_seq_;
+    // FIFO eviction: advance the window start past capacity (evicted rows
+    // stay in the log until compaction).
+    std::uint64_t evicted = 0;
+    if (next_seq_ - window_begin_seq_ > config_.window_capacity) {
+        const std::uint64_t first = next_seq_ - config_.window_capacity;
+        evicted = first - window_begin_seq_;
+        window_begin_seq_ = first;
     }
 
     if (delta_rows_ >= config_.compact_every) CompactLocked();
     auto& registry = obs::Registry::Get();
     registry.GetCounter("dfp.stream.appended_total").Inc(batch.size());
-    registry.GetCounter("dfp.stream.evicted_total")
-        .Inc(result.evicted.size());
+    registry.GetCounter("dfp.stream.evicted_total").Inc(evicted);
     PublishGaugesLocked();
     return result;
 }
@@ -156,20 +154,6 @@ Result<TransactionDatabase> StreamingDatabase::SnapshotDecayed() const {
                                                  std::move(labels),
                                                  config_.num_items,
                                                  config_.num_classes);
-}
-
-TransactionBatch StreamingDatabase::WindowContents() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    const std::size_t begin =
-        static_cast<std::size_t>(window_begin_seq_ - retained_first_seq_);
-    TransactionBatch out;
-    out.transactions.reserve(rows_.size() - begin);
-    out.labels.reserve(rows_.size() - begin);
-    for (std::size_t k = begin; k < rows_.size(); ++k) {
-        out.transactions.push_back(rows_[k].items);
-        out.labels.push_back(rows_[k].label);
-    }
-    return out;
 }
 
 Result<TransactionBatch> StreamingDatabase::ReplaySince(std::uint64_t seq) const {

@@ -16,12 +16,12 @@
 //    and the structure is append-only between compactions (ReplaySince can
 //    hand back any still-retained suffix).
 //  * The *window* is a bounded suffix: the most recent `window_capacity`
-//    transactions. Append returns the rows it evicted so window-maintenance
-//    structures (stream::WindowMiner) can stay in sync incrementally.
+//    transactions; older rows are evicted FIFO.
 //  * SnapshotWindow() materializes the window as a regular
 //    TransactionDatabase — the bridge back into the arena miners and the
-//    training pipeline. The snapshot is cached and shared: repeated calls
-//    between appends return the same immutable database for free.
+//    training pipeline (the ContinuousTrainer mines it directly). The
+//    snapshot is cached and shared: repeated calls between appends return
+//    the same immutable database for free.
 //    SnapshotDecayed() is the decay-weighted view: row weights
 //    0.5^(age/half_life) are quantized to integer multiplicities, so recent
 //    rows count more without any change to the miners (see §16 for the
@@ -69,12 +69,10 @@ struct StreamConfig {
     std::uint32_t decay_quantum = 8;
 };
 
-/// What one Append did: the sequence range assigned and the rows evicted
-/// from the window (FIFO order, canonicalized) for incremental maintenance.
+/// What one Append did: the sequence range assigned and the new version.
 struct AppendResult {
     std::uint64_t first_seq = 0;  ///< seq of the first appended transaction
     std::uint64_t version = 0;    ///< store version after this append
-    TransactionBatch evicted;
 };
 
 class StreamingDatabase {
@@ -108,9 +106,6 @@ class StreamingDatabase {
     /// decay_half_life > 0. Supports measured on this snapshot approximate
     /// decayed supports to within the quantization step. Not cached.
     Result<TransactionDatabase> SnapshotDecayed() const;
-
-    /// Copies out the window contents (tests, window-miner seeding).
-    TransactionBatch WindowContents() const;
 
     /// Append-only replay: every retained transaction with seq >= `seq`, in
     /// sequence order. Fails (kOutOfRange) when `seq` predates the oldest

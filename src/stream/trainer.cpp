@@ -8,7 +8,9 @@
 
 #include "common/logging.hpp"
 #include "common/string_util.hpp"
+#include "fpm/fpgrowth.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace dfp::stream {
 
@@ -38,7 +40,6 @@ ContinuousTrainer::ContinuousTrainer(ContinuousTrainerConfig config,
     : config_(std::move(config)),
       db_(db),
       registry_(registry),
-      miner_(MakeWindowMiner(config_.window_miner, db->config().num_items)),
       drift_(config_.drift, db->config().num_classes) {}
 
 Result<std::unique_ptr<ContinuousTrainer>> ContinuousTrainer::Create(
@@ -75,14 +76,13 @@ Result<std::unique_ptr<ContinuousTrainer>> ContinuousTrainer::Create(
 }
 
 Result<AppendResult> ContinuousTrainer::Ingest(TransactionBatch batch) {
-    // Canonicalize up front so the rows handed to the window miner are
-    // byte-identical to what the StreamingDatabase stores (its Append
-    // re-canonicalizes, which is then a no-op).
+    // Canonicalize up front: the served model scores sorted rows, exactly as
+    // the StreamingDatabase stores them (its Append re-canonicalizes, which
+    // is then a no-op).
     for (auto& txn : batch.transactions) {
         std::sort(txn.begin(), txn.end());
         txn.erase(std::unique(txn.begin(), txn.end()), txn.end());
     }
-    TransactionBatch to_append = batch;  // Append consumes its argument
 
     std::lock_guard<std::mutex> lock(mu_);
     // Prequential scoring BEFORE the rows become training data: the served
@@ -96,18 +96,14 @@ Result<AppendResult> ContinuousTrainer::Ingest(TransactionBatch batch) {
         }
     }
 
-    auto appended = db_->Append(std::move(to_append));
-    if (!appended.ok()) return appended.status();  // miner/drift untouched
+    // Append consumes the rows; the drift detector needs only the labels.
+    std::vector<ClassLabel> labels = batch.labels;
+    auto appended = db_->Append(std::move(batch));
+    if (!appended.ok()) return appended.status();  // drift untouched
 
-    for (std::size_t t = 0; t < batch.size(); ++t) {
-        miner_->Insert(batch.transactions[t]);
-        drift_.ObserveLabel(batch.labels[t]);
-    }
-    for (std::size_t t = 0; t < appended->evicted.size(); ++t) {
-        miner_->Evict(appended->evicted.transactions[t]);
-    }
-    rows_since_retrain_ += batch.size();
-    stats_.ingested += batch.size();
+    for (const ClassLabel label : labels) drift_.ObserveLabel(label);
+    rows_since_retrain_ += labels.size();
+    stats_.ingested += labels.size();
     return appended;
 }
 
@@ -144,10 +140,8 @@ Status ContinuousTrainer::RetrainNow(const std::string& trigger) {
     std::lock_guard<std::mutex> retrain_lock(retrain_mu_);
     const auto started = std::chrono::steady_clock::now();
 
-    // Snapshot phase, under the ingest mutex: the window database and the
-    // incrementally maintained patterns must describe the same window.
+    // Snapshot phase, under the ingest mutex: the window and its version.
     std::shared_ptr<const TransactionDatabase> window;
-    Result<std::vector<Pattern>> mined = std::vector<Pattern>{};
     std::uint64_t stream_version = 0;
     {
         std::lock_guard<std::mutex> lock(mu_);
@@ -157,10 +151,6 @@ Status ContinuousTrainer::RetrainNow(const std::string& trigger) {
                           config_.min_window));
         }
         window = db_->SnapshotWindow();
-        MinerConfig mc = config_.pipeline.miner;
-        // Singletons are redundant next to I in the I ∪ Fs feature space.
-        mc.include_singletons = false;
-        mined = miner_->MineWindow(mc);
         stream_version = db_->version();
     }
     auto fail = [&](Status st) {
@@ -176,6 +166,20 @@ Status ContinuousTrainer::RetrainNow(const std::string& trigger) {
             st.message().c_str()));
         return st;
     };
+
+    // Mine the immutable snapshot outside the ingest mutex. Singletons are
+    // redundant next to I in the I ∪ Fs feature space; the window bounds the
+    // work, so no budget applies.
+    Result<std::vector<Pattern>> mined = std::vector<Pattern>{};
+    double mine_seconds = 0.0;
+    {
+        obs::Span mine_span("window_mine");
+        MinerConfig mc = config_.pipeline.miner;
+        mc.include_singletons = false;
+        mc.budget = ExecutionBudget{};
+        mined = FpGrowthMiner().Mine(*window, mc);
+        mine_seconds = mine_span.ElapsedSeconds();
+    }
     if (!mined.ok()) return fail(mined.status());
 
     // Heavy phase, off the ingest path: select → transform → learn, persist,
@@ -188,10 +192,12 @@ Status ContinuousTrainer::RetrainNow(const std::string& trigger) {
         auto decayed = db_->SnapshotDecayed();
         if (!decayed.ok()) return fail(decayed.status());
         trained = pipeline.TrainWithCandidates(*decayed, std::move(*mined),
-                                               std::move(*learner));
+                                               std::move(*learner),
+                                               mine_seconds);
     } else {
         trained = pipeline.TrainWithCandidates(*window, std::move(*mined),
-                                               std::move(*learner));
+                                               std::move(*learner),
+                                               mine_seconds);
     }
     if (!trained.ok()) return fail(trained);
 

@@ -3,18 +3,17 @@
 // The ContinuousTrainer closes the loop between the StreamingDatabase and the
 // serving ModelRegistry (DESIGN.md §16):
 //
-//   Ingest(batch)        appends to the stream, keeps the WindowMiner in sync
-//                        with the sliding window (insert + evict), and feeds
-//                        the DriftDetector prequentially: every labelled row
-//                        is scored by the *served* model before it becomes
-//                        training data (test-then-train), so live accuracy is
-//                        measured on data the model has never seen.
+//   Ingest(batch)        appends to the stream and feeds the DriftDetector
+//                        prequentially: every labelled row is scored by the
+//                        *served* model before it becomes training data
+//                        (test-then-train), so live accuracy is measured on
+//                        data the model has never seen.
 //   MaybeRetrain()       the pump. Retrains when (in priority order) a prior
 //                        retrain is awaiting retry, no model is serving yet
 //                        (bootstrap), the row-count schedule fires
 //                        (retrain_every), or the DriftDetector reports drift.
-//   RetrainNow(trigger)  mines the window incrementally, runs the pipeline's
-//                        selection → transform → learn tail
+//   RetrainNow(trigger)  mines the stream's window snapshot with FP-growth,
+//                        runs the pipeline's selection → transform → learn tail
 //                        (TrainWithCandidates), persists a versioned bundle
 //                        and publishes it through ModelRegistry::Reload() —
 //                        the same validate-then-swap path operators use, so
@@ -24,8 +23,9 @@
 //                        next pump tries again.
 //
 // Threading: Ingest and MaybeRetrain may be called from different threads.
-// The heavy train/save/reload work runs outside the ingest mutex, so
-// appending never stalls behind a retrain; retrains themselves serialize.
+// The window snapshot is immutable, so mining and the heavy train/save/reload
+// work run outside the ingest mutex: appending never stalls behind a retrain;
+// retrains themselves serialize.
 // Serving reads only the registry and is never blocked by any of this.
 #pragma once
 
@@ -39,7 +39,6 @@
 #include "serve/registry.hpp"
 #include "stream/drift.hpp"
 #include "stream/streaming_db.hpp"
-#include "stream/window_miner.hpp"
 
 namespace dfp::stream {
 
@@ -49,15 +48,6 @@ struct ContinuousTrainerConfig {
     PipelineConfig pipeline;
     /// Learner TypeId for every retrain ("nb", "svm", "c4.5", "pegasos").
     std::string learner_type = "nb";
-    /// Window pattern maintenance strategy. Remine is the default: on
-    /// window-sized workloads bench_stream measured mining a fresh
-    /// descending-frequency FP-tree 1.5-2x faster than mining the
-    /// incrementally maintained CanTree, whose fixed item order leaves
-    /// bushier conditional bases (see BENCH_stream.json / DESIGN.md §16).
-    /// The incremental path stays available for eviction-heavy windows where
-    /// O(row) maintenance matters more than per-mine speed; the
-    /// golden-equivalence suite certifies both emit identical pattern sets.
-    WindowMinerKind window_miner = WindowMinerKind::kRemine;
     /// Scheduled retraining: rows ingested between retrains (0 = drift/
     /// bootstrap only). Row counts, not wall clock, keep tests deterministic.
     std::size_t retrain_every = 0;
@@ -93,14 +83,14 @@ struct TrainerStats {
 class ContinuousTrainer {
   public:
     /// `db` and `registry` must outlive the trainer; all stream appends must
-    /// go through Ingest so the window miner stays in sync.
+    /// go through Ingest so the drift detector sees every row.
     static Result<std::unique_ptr<ContinuousTrainer>> Create(
         ContinuousTrainerConfig config, StreamingDatabase* db,
         serve::ModelRegistry* registry);
 
     /// Appends one labelled batch. Scores each row against the served model
-    /// first (prequential drift signal), then inserts into the stream and
-    /// the window miner. Returns the stream's AppendResult.
+    /// first (prequential drift signal), then appends it to the stream.
+    /// Returns the stream's AppendResult.
     Result<AppendResult> Ingest(TransactionBatch batch);
 
     /// Retrains if a trigger is armed (retry > bootstrap > schedule > drift).
@@ -128,11 +118,10 @@ class ContinuousTrainer {
     StreamingDatabase* db_;
     serve::ModelRegistry* registry_;
 
-    /// Guards miner_, drift_, stats_, rows_since_retrain_, retry_pending_
-    /// and scratch_. Held for O(batch)/O(window-mine) work only — never for
-    /// training or reloads.
+    /// Guards drift_, stats_, rows_since_retrain_, retry_pending_ and
+    /// scratch_. Held for O(batch) work only — never for mining, training or
+    /// reloads.
     mutable std::mutex mu_;
-    std::unique_ptr<WindowMiner> miner_;
     DriftDetector drift_;
     serve::PatternMatchIndex::Scratch scratch_;  ///< prequential scoring
     TrainerStats stats_;

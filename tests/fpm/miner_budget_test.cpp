@@ -4,12 +4,12 @@
 #include <gtest/gtest.h>
 
 #include "data/graph.hpp"
-#include "fpm/apriori.hpp"
 #include "fpm/closed_miner.hpp"
 #include "fpm/eclat.hpp"
 #include "fpm/fpgrowth.hpp"
 #include "fpm/pathminer.hpp"
 #include "fpm/prefixspan.hpp"
+#include "testutil/apriori.hpp"
 
 namespace dfp {
 namespace {
@@ -45,7 +45,7 @@ class MinerBudgetTest : public ::testing::TestWithParam<const char*> {
     std::unique_ptr<Miner> MakeNamed() const {
         const std::string name = GetParam();
         if (name == "fpgrowth") return std::make_unique<FpGrowthMiner>();
-        if (name == "apriori") return std::make_unique<AprioriMiner>();
+        if (name == "apriori") return std::make_unique<testutil::AprioriMiner>();
         if (name == "eclat") return std::make_unique<EclatMiner>();
         if (name == "closed") return std::make_unique<ClosedMiner>();
         return nullptr;

@@ -6,10 +6,10 @@
 #include <map>
 
 #include "common/rng.hpp"
-#include "fpm/apriori.hpp"
 #include "fpm/closed_miner.hpp"
 #include "fpm/eclat.hpp"
 #include "fpm/fpgrowth.hpp"
+#include "testutil/apriori.hpp"
 
 namespace dfp {
 namespace {
@@ -52,7 +52,7 @@ TEST_P(MinerAgreementTest, AllMinersProduceIdenticalOutput) {
     config.min_sup_rel = param.min_sup_rel;
 
     auto fp = FpGrowthMiner().Mine(db, config);
-    auto ap = AprioriMiner().Mine(db, config);
+    auto ap = testutil::AprioriMiner().Mine(db, config);
     auto ec = EclatMiner().Mine(db, config);
     ASSERT_TRUE(fp.ok()) << fp.status();
     ASSERT_TRUE(ap.ok()) << ap.status();

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <map>
 
-#include "fpm/apriori.hpp"
 #include "fpm/closed_miner.hpp"
 #include "fpm/eclat.hpp"
 #include "fpm/fpgrowth.hpp"
+#include "testutil/apriori.hpp"
 
 namespace dfp {
 namespace {
@@ -36,7 +36,7 @@ class AllMinersTest : public ::testing::TestWithParam<const char*> {
     std::unique_ptr<Miner> MakeNamed() const {
         const std::string name = GetParam();
         if (name == "fpgrowth") return std::make_unique<FpGrowthMiner>();
-        if (name == "apriori") return std::make_unique<AprioriMiner>();
+        if (name == "apriori") return std::make_unique<testutil::AprioriMiner>();
         if (name == "eclat") return std::make_unique<EclatMiner>();
         return nullptr;
     }

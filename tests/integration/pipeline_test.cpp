@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
+#include "common/stopwatch.hpp"
 #include "data/encoder.hpp"
 #include "data/synthetic.hpp"
 #include "ml/dtree/c45.hpp"
 #include "ml/nb/naive_bayes.hpp"
 #include "ml/svm/svm.hpp"
+#include "obs/metrics.hpp"
 
 namespace dfp {
 namespace {
@@ -81,8 +86,8 @@ TEST(PipelineTest, PerClassVsGlobalMining) {
 
 TEST(PipelineTest, AllMinerKindsWork) {
     const auto db = XorDb(150, 5);
-    for (MinerKind kind : {MinerKind::kClosed, MinerKind::kFpGrowth,
-                           MinerKind::kApriori, MinerKind::kEclat}) {
+    for (MinerKind kind :
+         {MinerKind::kClosed, MinerKind::kFpGrowth, MinerKind::kEclat}) {
         PipelineConfig config = DefaultConfig();
         config.miner_kind = kind;
         PatternClassifierPipeline pipeline(config);
@@ -141,6 +146,78 @@ TEST(PipelineTest, CandidatesAreDeduplicatedAcrossClasses) {
             << "duplicate " << ItemsetToString(p.items);
         EXPECT_GE(p.length(), 2u);  // singletons excluded from candidates
     }
+}
+
+TEST(PipelineTest, TrainWithCandidatesMatchesTrainOnItsPool) {
+    // Fed the itemsets Train would mine, twice over and with singletons
+    // mixed in, TrainWithCandidates dedups them, re-anchors support on the
+    // training database and selects exactly what Train selects.
+    const auto db = XorDb(300, 11);
+    PatternClassifierPipeline reference(DefaultConfig());
+    ASSERT_TRUE(reference.Train(db, std::make_unique<NaiveBayesClassifier>()).ok());
+    const auto mined = reference.MineCandidates(db);
+    ASSERT_TRUE(mined.ok()) << mined.status();
+
+    std::vector<Pattern> pool;
+    for (int copy = 0; copy < 2; ++copy) {
+        for (const Pattern& p : *mined) {
+            Pattern bare;
+            bare.items = p.items;  // itemsets only: no support, cover, counts
+            pool.push_back(std::move(bare));
+        }
+        for (ItemId item = 0; item < db.num_items(); ++item) {
+            Pattern single;
+            single.items = {item};
+            pool.push_back(std::move(single));
+        }
+    }
+    PatternClassifierPipeline fed(DefaultConfig());
+    ASSERT_TRUE(fed.TrainWithCandidates(db, std::move(pool),
+                                        std::make_unique<NaiveBayesClassifier>())
+                    .ok());
+
+    EXPECT_EQ(fed.stats().num_candidates, mined->size());
+    EXPECT_EQ(fed.stats().num_candidates, reference.stats().num_candidates);
+    EXPECT_EQ(fed.stats().num_selected, reference.stats().num_selected);
+    const auto& want = reference.feature_space().patterns();
+    const auto& got = fed.feature_space().patterns();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t k = 0; k < want.size(); ++k) {
+        EXPECT_EQ(got[k].items, want[k].items) << "feature " << k;
+        EXPECT_EQ(got[k].support, want[k].support) << "feature " << k;
+    }
+    EXPECT_EQ(fed.Accuracy(db), reference.Accuracy(db));
+}
+
+TEST(PipelineTest, TrainWithCandidatesReportsCallerMineSeconds) {
+    // A caller that mined the pool itself passes its mine time in; the mine
+    // stage reports it plus the pooling done inside the call.
+    const auto db = XorDb(200, 12);
+    PatternClassifierPipeline miner(DefaultConfig());
+    const auto mined = miner.MineCandidates(db);
+    ASSERT_TRUE(mined.ok()) << mined.status();
+
+    PatternClassifierPipeline fed(DefaultConfig());
+    const Stopwatch watch;
+    ASSERT_TRUE(fed.TrainWithCandidates(db, *mined,
+                                        std::make_unique<NaiveBayesClassifier>(),
+                                        /*mine_seconds=*/2.5)
+                    .ok());
+    const double call_seconds = watch.ElapsedSeconds();
+    const double mine_seconds = fed.stats().mine_seconds;
+    EXPECT_GE(mine_seconds, 2.5);
+    EXPECT_LE(mine_seconds - 2.5, call_seconds);
+    EXPECT_EQ(obs::Registry::Get()
+                  .GetGauge("dfp.core.pipeline.mine_seconds")
+                  .value(),
+              mine_seconds);
+
+    // Without a caller figure the stage is the pooling alone.
+    ASSERT_TRUE(
+        fed.TrainWithCandidates(db, *mined, std::make_unique<NaiveBayesClassifier>())
+            .ok());
+    EXPECT_GE(fed.stats().mine_seconds, 0.0);
+    EXPECT_LT(fed.stats().mine_seconds, 2.5);
 }
 
 TEST(PipelineTest, PredictionOnUnseenTransactions) {

@@ -9,6 +9,8 @@
 #include <numeric>
 #include <vector>
 
+#include "obs/metrics.hpp"
+
 namespace dfp::stream {
 namespace {
 
@@ -52,7 +54,7 @@ TEST(StreamingDbTest, AppendAssignsSequencesAndVersions) {
     ASSERT_TRUE(r1.ok());
     EXPECT_EQ(r1->first_seq, 0u);
     EXPECT_EQ(r1->version, 1u);
-    EXPECT_TRUE(r1->evicted.empty());
+    EXPECT_EQ((*db)->window_first_seq(), 0u);
 
     auto r2 = (*db)->Append(Batch({{3}}, {0}));
     ASSERT_TRUE(r2.ok());
@@ -66,9 +68,9 @@ TEST(StreamingDbTest, CanonicalizesRows) {
     auto db = StreamingDatabase::Create(SmallConfig());
     ASSERT_TRUE(db.ok());
     ASSERT_TRUE((*db)->Append(Batch({{5, 1, 3, 1, 5}}, {0})).ok());
-    const TransactionBatch window = (*db)->WindowContents();
-    ASSERT_EQ(window.size(), 1u);
-    EXPECT_EQ(window.transactions[0], (std::vector<ItemId>{1, 3, 5}));
+    const auto window = (*db)->SnapshotWindow();
+    ASSERT_EQ(window->num_transactions(), 1u);
+    EXPECT_EQ(window->transaction(0), (std::vector<ItemId>{1, 3, 5}));
 }
 
 TEST(StreamingDbTest, RejectsBadBatchesAtomically) {
@@ -84,20 +86,56 @@ TEST(StreamingDbTest, RejectsBadBatchesAtomically) {
     EXPECT_EQ((*db)->version(), 0u);
 }
 
-TEST(StreamingDbTest, WindowEvictsFifoAndReturnsEvicted) {
+TEST(StreamingDbTest, WindowEvictsFifo) {
     auto db = StreamingDatabase::Create(SmallConfig());  // capacity 4
     ASSERT_TRUE(db.ok());
     for (ItemId i = 0; i < 4; ++i) {
         ASSERT_TRUE((*db)->Append(Batch({{i}}, {0})).ok());
     }
-    auto r = (*db)->Append(Batch({{8}, {9}}, {1, 1}));
-    ASSERT_TRUE(r.ok());
-    ASSERT_EQ(r->evicted.size(), 2u);
-    EXPECT_EQ(r->evicted.transactions[0], (std::vector<ItemId>{0}));
-    EXPECT_EQ(r->evicted.transactions[1], (std::vector<ItemId>{1}));
-    EXPECT_EQ(r->evicted.labels[0], 0);
+    ASSERT_TRUE((*db)->Append(Batch({{8}, {9}}, {1, 1})).ok());
+    // The two oldest rows ({0}, {1}) left; the window keeps sequence order.
     EXPECT_EQ((*db)->window_size(), 4u);
     EXPECT_EQ((*db)->window_first_seq(), 2u);
+    const auto window = (*db)->SnapshotWindow();
+    ASSERT_EQ(window->num_transactions(), 4u);
+    const std::vector<std::vector<ItemId>> want = {{2}, {3}, {8}, {9}};
+    const std::vector<ClassLabel> want_labels = {0, 0, 1, 1};
+    for (std::size_t t = 0; t < want.size(); ++t) {
+        EXPECT_EQ(window->transaction(t), want[t]) << "row " << t;
+        EXPECT_EQ(window->label(t), want_labels[t]) << "row " << t;
+    }
+
+    // A batch larger than the window evicts everything before its tail.
+    ASSERT_TRUE((*db)->Append(Batch({{4}, {5}, {6}, {7}, {0}}, {0, 1, 0, 1, 0}))
+                    .ok());
+    EXPECT_EQ((*db)->window_first_seq(), 7u);
+    const auto tail = (*db)->SnapshotWindow();
+    ASSERT_EQ(tail->num_transactions(), 4u);
+    EXPECT_EQ(tail->transaction(0), (std::vector<ItemId>{5}));
+    EXPECT_EQ(tail->transaction(3), (std::vector<ItemId>{0}));
+}
+
+TEST(StreamingDbTest, EvictedTotalCountsEvictedRows) {
+    auto& evicted = obs::Registry::Get().GetCounter("dfp.stream.evicted_total");
+    auto& appended =
+        obs::Registry::Get().GetCounter("dfp.stream.appended_total");
+    const std::uint64_t evicted_mark = evicted.value();
+    const std::uint64_t appended_mark = appended.value();
+
+    auto db = StreamingDatabase::Create(SmallConfig());  // capacity 4
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE((*db)->Append(Batch({{0}, {1}, {2}}, {0, 0, 0})).ok());
+    EXPECT_EQ(evicted.value() - evicted_mark, 0u);
+    ASSERT_TRUE((*db)->Append(Batch({{3}, {4}}, {1, 1})).ok());
+    EXPECT_EQ(evicted.value() - evicted_mark, 1u);
+    // A batch larger than the window also evicts its own head.
+    ASSERT_TRUE((*db)->Append(Batch({{5}, {6}, {7}, {8}, {9}, {0}},
+                                    {0, 1, 0, 1, 0, 1}))
+                    .ok());
+    EXPECT_EQ(evicted.value() - evicted_mark, 7u);
+    EXPECT_EQ(appended.value() - appended_mark, 11u);
+    EXPECT_EQ((*db)->total_appended(), 11u);
+    EXPECT_EQ((*db)->window_first_seq(), 7u);
 }
 
 TEST(StreamingDbTest, SnapshotWindowIsCachedBetweenAppends) {

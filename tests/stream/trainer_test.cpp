@@ -1,17 +1,25 @@
 // ContinuousTrainer unit suite: config validation, bootstrap/schedule/drift
-// retrain triggers, prequential drift detection across a concept change, and
+// retrain triggers, prequential drift detection across a concept change,
 // failpoint-injected reload failure (previous model keeps serving, retry
-// armed and eventually succeeding).
+// armed and eventually succeeding), ingestion racing retrains, and the
+// retrain's window mine: its patterns and its share of the mine stage.
 #include "stream/trainer.hpp"
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <atomic>
 #include <memory>
+#include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/failpoint.hpp"
+#include "fpm/fpgrowth.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "serve/registry.hpp"
 #include "stream/drift.hpp"
 #include "stream/streaming_db.hpp"
@@ -248,8 +256,6 @@ TEST_F(TrainerTest, DecayedSnapshotTrainingWorksEndToEnd) {
     serve::ModelRegistry registry;
     ContinuousTrainerConfig config = TrainerConfig(ModelDir("decay"));
     config.use_decayed_snapshot = true;
-    // Also exercises the non-default maintenance strategy inside the trainer.
-    config.window_miner = WindowMinerKind::kIncremental;
     auto trainer = ContinuousTrainer::Create(config, db->get(), &registry);
     ASSERT_TRUE(trainer.ok()) << trainer.status();
 
@@ -258,6 +264,182 @@ TEST_F(TrainerTest, DecayedSnapshotTrainingWorksEndToEnd) {
     ASSERT_TRUE(pumped.ok()) << pumped.status();
     EXPECT_TRUE(*pumped);
     EXPECT_GE(ServedAccuracy(registry, source.EvalSet(0)), 0.65);
+}
+
+TEST_F(TrainerTest, IngestKeepsRunningWhileRetrainsMine) {
+    // RetrainNow holds the ingest mutex only to take the window snapshot:
+    // mining, training and the reload race a writer that keeps appending.
+    testutil::DriftSource source(SourceConfig(9));
+    auto db = StreamingDatabase::Create(StreamFor(source, 400));
+    ASSERT_TRUE(db.ok());
+    serve::ModelRegistry registry;
+    ContinuousTrainerConfig config = TrainerConfig(ModelDir("race"));
+    config.drift_trigger = false;
+    auto trainer = ContinuousTrainer::Create(config, db->get(), &registry);
+    ASSERT_TRUE(trainer.ok()) << trainer.status();
+    ASSERT_TRUE((*trainer)->Ingest(source.NextBatch(200)).ok());
+
+    std::atomic<bool> writer_done{false};
+    bool writer_ok = true;
+    std::thread writer([&] {
+        while (writer_ok && !source.exhausted()) {
+            writer_ok = (*trainer)->Ingest(source.NextBatch(20)).ok();
+        }
+        writer_done.store(true);
+    });
+    std::size_t retrains = 0;
+    bool retrains_ok = true;
+    while (retrains_ok && (retrains < 3 || !writer_done.load())) {
+        retrains_ok = (*trainer)->RetrainNow("race").ok();
+        if (retrains_ok) ++retrains;
+    }
+    writer.join();
+
+    EXPECT_TRUE(writer_ok);
+    EXPECT_TRUE(retrains_ok);
+    const TrainerStats stats = (*trainer)->stats();
+    EXPECT_EQ(stats.ingested, source.total_rows());
+    EXPECT_EQ(stats.retrains, retrains);
+    EXPECT_EQ(stats.retrain_failures, 0u);
+    EXPECT_LE(stats.last_stream_version, (*db)->version());
+    EXPECT_EQ(registry.current_version(), retrains);
+}
+
+TEST_F(TrainerTest, IngestCanonicalizesRowsIntoWindow) {
+    testutil::DriftSource source(SourceConfig(10));
+    auto db = StreamingDatabase::Create(StreamFor(source, 8));
+    ASSERT_TRUE(db.ok());
+    serve::ModelRegistry registry;
+    auto trainer = ContinuousTrainer::Create(TrainerConfig(ModelDir("canon")),
+                                             db->get(), &registry);
+    ASSERT_TRUE(trainer.ok()) << trainer.status();
+
+    TransactionBatch batch;
+    batch.transactions = {{5, 1, 5, 3}, {2, 0}};
+    batch.labels = {1, 0};
+    const auto appended = (*trainer)->Ingest(std::move(batch));
+    ASSERT_TRUE(appended.ok()) << appended.status();
+    EXPECT_EQ(appended->first_seq, 0u);
+    EXPECT_EQ(appended->version, (*db)->version());
+
+    const auto window = (*db)->SnapshotWindow();
+    ASSERT_EQ(window->num_transactions(), 2u);
+    EXPECT_EQ(window->transaction(0), (std::vector<ItemId>{1, 3, 5}));
+    EXPECT_EQ(window->transaction(1), (std::vector<ItemId>{0, 2}));
+    EXPECT_EQ(window->label(0), 1);
+    EXPECT_EQ(window->label(1), 0);
+    EXPECT_EQ((*trainer)->stats().ingested, 2u);
+}
+
+TEST_F(TrainerTest, RejectedBatchLeavesTrainerUntouched) {
+    testutil::DriftSource source(SourceConfig(11));
+    auto db = StreamingDatabase::Create(StreamFor(source, 400));
+    ASSERT_TRUE(db.ok());
+    serve::ModelRegistry registry;
+    ContinuousTrainerConfig config = TrainerConfig(ModelDir("reject"));
+    config.retrain_every = 50;
+    config.drift_trigger = false;
+    auto trainer = ContinuousTrainer::Create(config, db->get(), &registry);
+    ASSERT_TRUE(trainer.ok()) << trainer.status();
+    ASSERT_TRUE((*trainer)->Ingest(source.NextBatch(300)).ok());
+    auto pumped = (*trainer)->MaybeRetrain();  // bootstrap
+    ASSERT_TRUE(pumped.ok()) << pumped.status();
+    ASSERT_TRUE(*pumped);
+    const std::uint64_t version = (*db)->version();
+
+    // An out-of-universe item rejects the whole batch, after the served
+    // model has scored it: no row is stored or counted toward the schedule.
+    TransactionBatch bad = source.NextBatch(60);
+    bad.transactions.back().push_back(
+        static_cast<ItemId>(source.num_items()));
+    EXPECT_FALSE((*trainer)->Ingest(std::move(bad)).ok());
+    EXPECT_EQ((*trainer)->stats().ingested, 300u);
+    EXPECT_EQ((*db)->version(), version);
+    EXPECT_EQ((*db)->total_appended(), 300u);
+    pumped = (*trainer)->MaybeRetrain();
+    ASSERT_TRUE(pumped.ok()) << pumped.status();
+    EXPECT_FALSE(*pumped);
+    EXPECT_EQ((*trainer)->stats().schedule_triggers, 0u);
+    EXPECT_EQ(registry.current_version(), 1u);
+
+    // The next good rows count from where the accepted ones left off.
+    ASSERT_TRUE((*trainer)->Ingest(source.NextBatch(50)).ok());
+    pumped = (*trainer)->MaybeRetrain();
+    ASSERT_TRUE(pumped.ok()) << pumped.status();
+    EXPECT_TRUE(*pumped);
+    EXPECT_EQ((*trainer)->stats().schedule_triggers, 1u);
+    EXPECT_EQ(registry.current_version(), 2u);
+}
+
+TEST_F(TrainerTest, RetrainSelectsFromSnapshotPatterns) {
+    // The served patterns come from FP-growth over the window snapshot the
+    // retrain took, singletons dropped.
+    testutil::DriftSource source(SourceConfig(12));
+    auto db = StreamingDatabase::Create(StreamFor(source, 300));
+    ASSERT_TRUE(db.ok());
+    serve::ModelRegistry registry;
+    ContinuousTrainerConfig config = TrainerConfig(ModelDir("snapmine"));
+    config.drift_trigger = false;
+    auto trainer = ContinuousTrainer::Create(config, db->get(), &registry);
+    ASSERT_TRUE(trainer.ok()) << trainer.status();
+    ASSERT_TRUE((*trainer)->Ingest(source.NextBatch(500)).ok());
+    ASSERT_TRUE((*trainer)->RetrainNow("test").ok());
+    EXPECT_EQ((*trainer)->stats().last_stream_version, (*db)->version());
+
+    MinerConfig mc = config.pipeline.miner;
+    mc.include_singletons = false;
+    const auto mined = FpGrowthMiner().Mine(*(*db)->SnapshotWindow(), mc);
+    ASSERT_TRUE(mined.ok()) << mined.status();
+    std::set<Itemset> window_patterns;
+    for (const Pattern& p : *mined) window_patterns.insert(p.items);
+
+    const serve::ServablePtr served = registry.Snapshot();
+    ASSERT_NE(served, nullptr);
+    const auto& patterns = served->model.feature_space().patterns();
+    ASSERT_FALSE(patterns.empty());
+    for (const Pattern& p : patterns) {
+        EXPECT_GE(p.items.size(), 2u);
+        EXPECT_EQ(window_patterns.count(p.items), 1u)
+            << "served pattern not mined from the window";
+    }
+}
+
+TEST_F(TrainerTest, RetrainMineSecondsIncludeWindowMine) {
+    // dfp.core.pipeline.mine_seconds of a stream retrain covers the window
+    // mine (its own `window_mine` span) plus the pipeline's pool dedup.
+    testutil::DriftSource source(SourceConfig(13));
+    auto db = StreamingDatabase::Create(StreamFor(source, 400));
+    ASSERT_TRUE(db.ok());
+    serve::ModelRegistry registry;
+    ContinuousTrainerConfig config = TrainerConfig(ModelDir("minesec"));
+    config.drift_trigger = false;
+    auto trainer = ContinuousTrainer::Create(config, db->get(), &registry);
+    ASSERT_TRUE(trainer.ok()) << trainer.status();
+    ASSERT_TRUE((*trainer)->Ingest(source.NextBatch(400)).ok());
+
+    obs::EnableTracing(true);
+    obs::Tracer::Get().Clear();
+    const Status retrained = (*trainer)->RetrainNow("test");
+    obs::EnableTracing(false);
+    const auto roots = obs::Tracer::Get().TakeRoots();
+    ASSERT_TRUE(retrained.ok()) << retrained;
+
+    double window_mine_seconds = -1.0;
+    double pool_seconds = -1.0;
+    for (const auto& root : roots) {
+        if (root->name == "window_mine") window_mine_seconds = root->seconds;
+        if (root->name != "train") continue;
+        for (const auto& child : root->children) {
+            if (child->name == "pool_dedup") pool_seconds = child->seconds;
+        }
+    }
+    ASSERT_GE(window_mine_seconds, 0.0) << "no window_mine span";
+    ASSERT_GE(pool_seconds, 0.0) << "no pool_dedup span";
+    const double mine_seconds = obs::Registry::Get()
+                                    .GetGauge("dfp.core.pipeline.mine_seconds")
+                                    .value();
+    EXPECT_GE(mine_seconds, window_mine_seconds);
+    EXPECT_GE(mine_seconds, pool_seconds);
 }
 
 }  // namespace
