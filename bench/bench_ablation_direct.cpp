@@ -29,10 +29,12 @@ double AccuracyWith(const TransactionDatabase& train,
         return 0.0;
     }
     std::size_t correct = 0;
-    std::vector<double> enc(space.dim());
+    PatternMatchIndex::Scratch scratch;
     for (std::size_t t = 0; t < test.num_transactions(); ++t) {
-        space.Encode(test.transaction(t), enc);
-        if (svm.Predict(enc) == test.label(t)) ++correct;
+        if (svm.Predict(space.Encode(test.transaction(t), &scratch)) ==
+            test.label(t)) {
+            ++correct;
+        }
     }
     return static_cast<double>(correct) /
            static_cast<double>(test.num_transactions());

@@ -66,10 +66,12 @@ double EvaluatePolicy(const TransactionDatabase& db,
             continue;
         }
         std::size_t correct = 0;
-        std::vector<double> enc(space.dim());
+        PatternMatchIndex::Scratch scratch;
         for (std::size_t t : fold_rows[f]) {
-            space.Encode(db.transaction(t), enc);
-            if (svm.Predict(enc) == db.label(t)) ++correct;
+            if (svm.Predict(space.Encode(db.transaction(t), &scratch)) ==
+                db.label(t)) {
+                ++correct;
+            }
         }
         total += static_cast<double>(correct) /
                  static_cast<double>(fold_rows[f].size());

@@ -1,5 +1,10 @@
 // Microbenchmarks of the core framework machinery: MMRFS selection, feature-
 // space transformation, measures/bounds, and BitVector cover kernels.
+//
+// The letter-shape cases split the training-matrix cost of the perfbench
+// train-wide workload (20000 rows × 112 items, ~120 selected patterns) into
+// allocating the dense matrix, the whole Transform, and the learner's pass
+// over it.
 #include <benchmark/benchmark.h>
 
 #include "core/bounds.hpp"
@@ -9,6 +14,8 @@
 #include "core/pipeline.hpp"
 #include "data/encoder.hpp"
 #include "data/synthetic.hpp"
+#include "exp/experiment.hpp"
+#include "ml/nb/naive_bayes.hpp"
 
 namespace dfp {
 namespace {
@@ -64,6 +71,79 @@ void BM_FeatureTransform(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_FeatureTransform)->Arg(50)->Arg(500)->Unit(benchmark::kMillisecond);
+
+/// The train-wide shape: letter rows and the feature space Train() selects
+/// on them with the perfbench train-wide configuration.
+struct LetterFixture {
+    TransactionDatabase db;
+    FeatureSpace space;
+};
+
+const LetterFixture& Letter() {
+    static const LetterFixture fixture = [] {
+        SyntheticSpec spec = LetterSpec();
+        spec.rows = 20000;
+        LetterFixture f{DatasetToTransactions(GenerateSynthetic(spec)), {}};
+        PipelineConfig config;
+        config.miner_kind = MinerKind::kClosed;
+        config.per_class_mining = false;
+        config.miner.max_pattern_len = 5;
+        config.miner.min_sup_rel = -1.0;
+        config.miner.min_sup_abs = 4500;
+        config.mmrfs.coverage_delta = 2;
+        config.mmrfs.max_features = 600;
+        PatternClassifierPipeline pipeline(config);
+        if (pipeline.Train(f.db, std::make_unique<NaiveBayesClassifier>()).ok()) {
+            f.space = pipeline.feature_space();
+        }
+        return f;
+    }();
+    return fixture;
+}
+
+void LetterCounters(benchmark::State& state) {
+    const auto& f = Letter();
+    state.counters["rows"] = static_cast<double>(f.db.num_transactions());
+    state.counters["items"] = static_cast<double>(f.space.num_items());
+    state.counters["patterns"] = static_cast<double>(f.space.num_patterns());
+}
+
+void BM_FeatureTransformLetter(benchmark::State& state) {
+    const auto& f = Letter();
+    for (auto _ : state) {
+        FeatureMatrix x = f.space.Transform(f.db);
+        benchmark::DoNotOptimize(x.MutableRow(0).data());
+        benchmark::ClobberMemory();
+    }
+    LetterCounters(state);
+}
+BENCHMARK(BM_FeatureTransformLetter)->Unit(benchmark::kMillisecond);
+
+/// The floor under any dense Transform: allocating and zero-filling the
+/// rows × dim double matrix.
+void BM_DenseMatrixLetter(benchmark::State& state) {
+    const auto& f = Letter();
+    for (auto _ : state) {
+        FeatureMatrix x(f.db.num_transactions(), f.space.dim());
+        benchmark::DoNotOptimize(x.MutableRow(0).data());
+        benchmark::ClobberMemory();
+    }
+    LetterCounters(state);
+}
+BENCHMARK(BM_DenseMatrixLetter)->Unit(benchmark::kMillisecond);
+
+/// The learner's share: NaiveBayes Train over the transformed matrix.
+void BM_NaiveBayesTrainLetter(benchmark::State& state) {
+    const auto& f = Letter();
+    const FeatureMatrix x = f.space.Transform(f.db);
+    for (auto _ : state) {
+        NaiveBayesClassifier learner;
+        benchmark::DoNotOptimize(
+            learner.Train(x, f.db.labels(), f.db.num_classes()).ok());
+    }
+    LetterCounters(state);
+}
+BENCHMARK(BM_NaiveBayesTrainLetter)->Unit(benchmark::kMillisecond);
 
 void BM_PatternRelevance(benchmark::State& state) {
     const auto& f = BenchFixture();

@@ -1,8 +1,9 @@
 // Serving-path benchmark (BENCH_serving.json):
 //
-//  1. Inverted-index micro-bench — PatternMatchIndex::CountMatches vs the
-//     naive per-pattern std::includes scan FeatureSpace::Encode does, on the
-//     trained feature space. The index must be ≥ 3× the naive matcher.
+//  1. Inverted-index micro-bench — PatternMatchIndex::CountMatches vs a
+//     naive per-pattern std::includes scan (the encoder FeatureSpace ran
+//     before it compiled the index), on the trained feature space. The index
+//     must be ≥ 3× the naive matcher.
 //  2. Closed-loop TCP load — dfp_serve's stack (registry → engine → server)
 //     on a loopback ephemeral port, hammered by 1 / 4 / 16 concurrent
 //     connections issuing predict_batch requests of 64 transactions.
@@ -69,8 +70,8 @@ TransactionDatabase DenseCorpus(std::size_t rows, std::size_t items,
                                                  std::move(labels), items, 2);
 }
 
-/// Naive matcher: exactly the per-pattern std::includes scan the offline
-/// FeatureSpace::Encode runs — the baseline the index must beat.
+/// Naive matcher: the per-pattern std::includes scan — the baseline the
+/// index must beat.
 std::size_t NaiveCountMatches(const FeatureSpace& space,
                               const std::vector<ItemId>& txn) {
     std::size_t matches = 0;
@@ -198,7 +199,7 @@ int main(int argc, char** argv) {
     // --- Phase 1: inverted index vs naive matching -------------------------
     bench::Section("Inverted-index matching vs naive std::includes");
     const FeatureSpace& space = pipeline.feature_space();
-    const serve::PatternMatchIndex index = serve::PatternMatchIndex::Build(space);
+    const serve::PatternMatchIndex& index = space.matcher();
     serve::PatternMatchIndex::Scratch scratch;
     constexpr std::size_t kMatchRounds = 20;
 

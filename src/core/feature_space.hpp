@@ -6,15 +6,19 @@
 // unseen instances at prediction time.
 #pragma once
 
+#include <span>
 #include <vector>
 
+#include "core/pattern_match_index.hpp"
 #include "data/transaction_db.hpp"
 #include "fpm/itemset.hpp"
 #include "ml/feature_matrix.hpp"
 
 namespace dfp {
 
-/// Immutable item+pattern → vector encoder.
+/// Immutable item+pattern → vector encoder. Single transactions are encoded
+/// through the compiled PatternMatchIndex the space owns; whole databases are
+/// transformed column by column from the pattern covers.
 class FeatureSpace {
   public:
     FeatureSpace() = default;
@@ -32,16 +36,24 @@ class FeatureSpace {
     std::size_t dim() const { return num_items_ + patterns_.size(); }
 
     const std::vector<Pattern>& patterns() const { return patterns_; }
+    /// The compiled matcher every single-transaction encoding runs through.
+    const PatternMatchIndex& matcher() const { return matcher_; }
 
-    /// Encodes one transaction (sorted item list) into `out` (size dim()).
-    void Encode(const std::vector<ItemId>& transaction, std::span<double> out) const;
+    /// Encodes one transaction (sorted item list) into scratch->encoded and
+    /// returns it (size dim()). Items ≥ num_items() are ignored.
+    std::span<const double> Encode(const std::vector<ItemId>& transaction,
+                                   PatternMatchIndex::Scratch* scratch) const;
 
-    /// Encodes a whole database into a dense matrix.
+    /// Encodes a whole database into a dense matrix, equal to encoding each
+    /// row: item columns are set from the rows, and pattern column p holds
+    /// exactly the rows of db.CoverOf(pattern p) (all zero when the pattern
+    /// names an item ≥ db.num_items()).
     FeatureMatrix Transform(const TransactionDatabase& db) const;
 
   private:
     std::size_t num_items_ = 0;
     std::vector<Pattern> patterns_;
+    PatternMatchIndex matcher_;
 };
 
 }  // namespace dfp

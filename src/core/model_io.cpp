@@ -46,8 +46,8 @@ Result<FeatureSpace> LoadFeatureSpaceAfterTag(std::istream& in) {
     DFP_RETURN_NOT_OK(reader.ReadCount(&num_patterns));
     // Untrusted input: patterns are parsed incrementally (a lying header
     // count fails at EOF instead of driving a huge up-front allocation) and
-    // each one is validated against the declared item universe. Prediction
-    // (FeatureSpace::Encode, serve::PatternMatchIndex) relies on every
+    // each one is validated against the declared item universe. Encoding
+    // (FeatureSpace's PatternMatchIndex, Transform's covers) relies on every
     // pattern being a sorted duplicate-free subset of [0, num_items).
     std::vector<Pattern> patterns;
     patterns.reserve(std::min(num_patterns, std::size_t{4096}));
@@ -127,13 +127,9 @@ Status SavePipelineModel(const PatternClassifierPipeline& pipeline,
 }
 
 ClassLabel LoadedModel::Predict(const std::vector<ItemId>& transaction) const {
-    // Encode scratch is reused across calls — Predict is the serving-adjacent
-    // hot path and a per-call dim()-sized allocation is measurable there.
-    if (encode_buffer_.size() != space_.dim()) {
-        encode_buffer_.assign(space_.dim(), 0.0);
-    }
-    space_.Encode(transaction, encode_buffer_);
-    return learner_->Predict(encode_buffer_);
+    // Matcher scratch is reused across calls — Predict is the serving-adjacent
+    // hot path and per-call counter/vector allocations are measurable there.
+    return learner_->Predict(space_.Encode(transaction, &scratch_));
 }
 
 double LoadedModel::Accuracy(const TransactionDatabase& test) const {

@@ -67,7 +67,7 @@ class LoadedModel {
     FeatureSpace space_;
     std::unique_ptr<Classifier> learner_;
     std::vector<std::pair<std::string, std::string>> provenance_;
-    mutable std::vector<double> encode_buffer_;  // scratch for Predict
+    mutable PatternMatchIndex::Scratch scratch_;  // matcher state for Predict
 };
 
 /// Deserializes a pipeline model saved with SavePipelineModel.

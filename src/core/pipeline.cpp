@@ -452,11 +452,7 @@ void PatternClassifierPipeline::FinalizeReport(std::size_t guard_mark) {
 
 ClassLabel PatternClassifierPipeline::Predict(
     const std::vector<ItemId>& transaction) const {
-    if (encode_buffer_.size() != feature_space_.dim()) {
-        encode_buffer_.assign(feature_space_.dim(), 0.0);
-    }
-    feature_space_.Encode(transaction, encode_buffer_);
-    return learner_->Predict(encode_buffer_);
+    return learner_->Predict(feature_space_.Encode(transaction, &scratch_));
 }
 
 double PatternClassifierPipeline::Accuracy(const TransactionDatabase& test) const {

@@ -173,7 +173,7 @@ class PatternClassifierPipeline {
     std::vector<Pattern> candidates_;
     std::unique_ptr<Classifier> learner_;
     std::size_t num_classes_ = 0;
-    mutable std::vector<double> encode_buffer_;  // scratch for Predict
+    mutable PatternMatchIndex::Scratch scratch_;  // matcher state for Predict
 };
 
 }  // namespace dfp

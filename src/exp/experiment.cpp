@@ -114,10 +114,11 @@ double EvaluateItemFold(const TransactionDatabase& db,
     if (!model->Train(train_x, train.labels(), db.num_classes()).ok()) return 0.0;
 
     std::size_t correct = 0;
-    std::vector<double> full(space.dim(), 0.0);
+    PatternMatchIndex::Scratch scratch;
     std::vector<double> projected(cols.size(), 0.0);
     for (std::size_t t : test_rows) {
-        space.Encode(db.transaction(t), full);
+        const std::span<const double> full =
+            space.Encode(db.transaction(t), &scratch);
         for (std::size_t j = 0; j < cols.size(); ++j) projected[j] = full[cols[j]];
         if (model->Predict(projected) == db.label(t)) ++correct;
     }

@@ -29,10 +29,12 @@ double EvaluateLearner(Classifier* learner, const FeatureSpace& space,
                        std::size_t num_classes) {
     if (!learner->Train(train_x, train_y, num_classes).ok()) return 0.0;
     std::size_t correct = 0;
-    std::vector<double> encoded(space.dim());
+    PatternMatchIndex::Scratch scratch;
     for (std::size_t t : test_rows) {
-        space.Encode(db.transaction(t), encoded);
-        if (learner->Predict(encoded) == db.label(t)) ++correct;
+        if (learner->Predict(space.Encode(db.transaction(t), &scratch)) ==
+            db.label(t)) {
+            ++correct;
+        }
     }
     return static_cast<double>(correct) / static_cast<double>(test_rows.size());
 }

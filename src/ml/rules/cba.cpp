@@ -44,34 +44,29 @@ Status CbaClassifier::Train(const TransactionDatabase& train) {
         candidates.resize(config_.max_rules);
     }
 
-    // CBA-CB M1 covering pass.
-    std::vector<char> covered(train.num_transactions(), 0);
+    // CBA-CB M1 covering pass, over cover sets: a rule is kept iff its
+    // still-uncovered rows include one of its consequent class.
+    BitVector covered(train.num_transactions());
     std::size_t uncovered = train.num_transactions();
     for (CbaRule& rule : candidates) {
         if (uncovered == 0) break;
-        bool keeps = false;
-        for (std::size_t t = 0; t < train.num_transactions(); ++t) {
-            if (covered[t]) continue;
-            if (train.label(t) == rule.consequent &&
-                train.Contains(t, rule.antecedent)) {
-                keeps = true;
-                break;
-            }
-        }
-        if (!keeps) continue;
+        BitVector fresh = train.CoverOf(rule.antecedent);
+        fresh.AndNot(covered);
+        if (fresh.AndCount(train.ClassCover(rule.consequent)) == 0) continue;
         rules_.push_back(rule);
-        for (std::size_t t = 0; t < train.num_transactions(); ++t) {
-            if (!covered[t] && train.Contains(t, rule.antecedent)) {
-                covered[t] = 1;
-                --uncovered;
-            }
-        }
+        covered |= fresh;
+        uncovered -= fresh.Count();
     }
+    std::vector<Pattern> antecedents(rules_.size());
+    for (std::size_t r = 0; r < rules_.size(); ++r) {
+        antecedents[r].items = rules_[r].antecedent;
+    }
+    matcher_ = PatternMatchIndex::Build(0, antecedents);
 
     // Default class: majority among uncovered instances (or overall majority).
     std::vector<std::size_t> rest(train.num_classes(), 0);
     for (std::size_t t = 0; t < train.num_transactions(); ++t) {
-        if (!covered[t]) rest[train.label(t)]++;
+        if (!covered.Test(t)) rest[train.label(t)]++;
     }
     if (uncovered == 0) rest = train.ClassCounts();
     std::size_t best = 0;
@@ -83,13 +78,13 @@ Status CbaClassifier::Train(const TransactionDatabase& train) {
 }
 
 ClassLabel CbaClassifier::Predict(const std::vector<ItemId>& transaction) const {
-    for (const CbaRule& rule : rules_) {
-        if (std::includes(transaction.begin(), transaction.end(),
-                          rule.antecedent.begin(), rule.antecedent.end())) {
-            return rule.consequent;
-        }
-    }
-    return default_class_;
+    matcher_.InitScratch(&scratch_);
+    matcher_.MatchInto(transaction, &scratch_);
+    if (scratch_.matched.empty()) return default_class_;
+    // Rule ids are rank positions: the lowest matching id fires.
+    return rules_[*std::min_element(scratch_.matched.begin(),
+                                    scratch_.matched.end())]
+        .consequent;
 }
 
 double CbaClassifier::Accuracy(const TransactionDatabase& test) const {

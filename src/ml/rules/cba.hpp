@@ -6,13 +6,15 @@
 // (confidence, support, shorter antecedent), then the CBA-CB M1 covering pass
 // keeps each rule that correctly classifies at least one still-uncovered
 // training instance; a default class absorbs the remainder. Prediction fires
-// the first matching rule.
+// the first matching rule, found through a PatternMatchIndex over the rule
+// antecedents.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "common/status.hpp"
+#include "core/pattern_match_index.hpp"
 #include "data/transaction_db.hpp"
 #include "fpm/itemset.hpp"
 #include "fpm/miner.hpp"
@@ -43,6 +45,7 @@ class CbaClassifier {
     Status Train(const TransactionDatabase& train);
 
     /// First-matching-rule prediction (default class when nothing fires).
+    /// Not thread-safe: matching reuses one scratch.
     ClassLabel Predict(const std::vector<ItemId>& transaction) const;
 
     double Accuracy(const TransactionDatabase& test) const;
@@ -54,6 +57,8 @@ class CbaClassifier {
     CbaConfig config_;
     std::vector<CbaRule> rules_;
     ClassLabel default_class_ = 0;
+    PatternMatchIndex matcher_;  ///< over rules_' antecedents, in rank order
+    mutable PatternMatchIndex::Scratch scratch_;
 };
 
 }  // namespace dfp

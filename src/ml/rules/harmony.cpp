@@ -66,6 +66,11 @@ Status HarmonyClassifier::Train(const TransactionDatabase& train) {
     rules_.reserve(kept.size());
     for (std::size_t i : kept) rules_.push_back(candidates[i].rule);
     // `kept` iterates ascending candidate index == descending confidence order.
+    std::vector<Pattern> antecedents(rules_.size());
+    for (std::size_t r = 0; r < rules_.size(); ++r) {
+        antecedents[r].items = rules_[r].antecedent;
+    }
+    matcher_ = PatternMatchIndex::Build(0, antecedents);
 
     default_class_ = static_cast<ClassLabel>([&train] {
         const auto counts = train.ClassCounts();
@@ -90,15 +95,17 @@ ClassLabel HarmonyClassifier::Predict(const std::vector<ItemId>& transaction) co
     score.assign(num_classes, 0.0);
     used.assign(num_classes, 0);
 
+    matcher_.InitScratch(&scratch_);
+    matcher_.MatchInto(transaction, &scratch_);
+    // Rule ids ascend in confidence-descending order.
+    std::sort(scratch_.matched.begin(), scratch_.matched.end());
     bool any = false;
-    for (const HarmonyRule& r : rules_) {  // confidence-descending
+    for (std::uint32_t id : scratch_.matched) {
+        const HarmonyRule& r = rules_[id];
         if (used[r.consequent] >= config_.prediction_rules) continue;
-        if (std::includes(transaction.begin(), transaction.end(),
-                          r.antecedent.begin(), r.antecedent.end())) {
-            score[r.consequent] += r.confidence;
-            used[r.consequent]++;
-            any = true;
-        }
+        score[r.consequent] += r.confidence;
+        used[r.consequent]++;
+        any = true;
     }
     if (!any) return default_class_;
     std::size_t best = 0;

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/status.hpp"
+#include "core/pattern_match_index.hpp"
 #include "data/transaction_db.hpp"
 #include "fpm/itemset.hpp"
 #include "fpm/miner.hpp"
@@ -45,6 +46,7 @@ class HarmonyClassifier {
         : config_(std::move(config)) {}
 
     Status Train(const TransactionDatabase& train);
+    /// Not thread-safe: matching reuses one scratch.
     ClassLabel Predict(const std::vector<ItemId>& transaction) const;
     double Accuracy(const TransactionDatabase& test) const;
 
@@ -55,6 +57,8 @@ class HarmonyClassifier {
     HarmonyConfig config_;
     std::vector<HarmonyRule> rules_;  // sorted by confidence desc
     ClassLabel default_class_ = 0;
+    PatternMatchIndex matcher_;  ///< over rules_' antecedents, in order
+    mutable PatternMatchIndex::Scratch scratch_;
 };
 
 }  // namespace dfp

@@ -64,6 +64,11 @@ Status ServeClient::Reconnect() {
     return Status::Ok();
 }
 
+void ServeClient::DropConnection() {
+    reader_.reset();
+    socket_.reset();
+}
+
 Result<std::string> ServeClient::RoundTrip(const std::string& line) {
     return Exchange(line, nullptr);
 }
@@ -85,8 +90,7 @@ Result<std::string> ServeClient::Exchange(const std::string& line,
     if (partial_response != nullptr) {
         *partial_response = reader_->buffered_bytes() > 0;
     }
-    reader_.reset();
-    socket_.reset();
+    DropConnection();
     return st;
 }
 
@@ -95,14 +99,26 @@ Result<obs::JsonValue> ServeClient::Call(const std::string& line,
                                          bool* partial_response) {
     if (transport_failed != nullptr) *transport_failed = false;
     if (partial_response != nullptr) *partial_response = false;
-    auto response = Exchange(line, partial_response);
+    // Every request line built here is a JSON object: splice the id in
+    // before its closing brace.
+    const std::uint64_t id = next_id_++;
+    std::string stamped = line;
+    stamped.insert(stamped.size() - 1, ",\"id\":" + std::to_string(id));
+    auto response = Exchange(stamped, partial_response);
     if (!response.ok()) {
         if (transport_failed != nullptr) *transport_failed = true;
         return response.status();
     }
     auto parsed = obs::ParseJson(*response);
-    if (!parsed.ok()) {
-        return Status::Internal("unparseable response: " + *response);
+    const obs::JsonValue* echoed = parsed.ok() ? parsed->Find("id") : nullptr;
+    if (echoed == nullptr || !echoed->is_number() ||
+        echoed->number() != static_cast<double>(id)) {
+        // Not this request's answer (a stale reply, or a line the server
+        // sent before it read the request): the stream is out of step.
+        DropConnection();
+        if (transport_failed != nullptr) *transport_failed = true;
+        return Status::Unavailable("response does not answer request id " +
+                                   std::to_string(id) + ": " + *response);
     }
     const obs::JsonValue* ok = parsed->Find("ok");
     if (ok == nullptr) return Status::Internal("response missing \"ok\"");

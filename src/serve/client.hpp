@@ -11,6 +11,9 @@
 // transport failure or a kUnavailable response, with exponential backoff +
 // decorrelated jitter bounded by the policy deadline. Any transport failure,
 // retried or not, drops the connection and the next call redials.
+// Every request carries a fresh, monotonically increasing "id" that the server
+// echoes; a response with a missing or different id is not this request's
+// answer, so it counts as a transport failure and drops the connection too.
 // A retry is refused the moment any byte of a response has been received
 // (LineReader::buffered_bytes() != 0): resending after a partial response
 // could double-execute. Mutating ops (Reload) never retry.
@@ -77,7 +80,8 @@ class ServeClient {
     /// Chrome trace-event document of the server's recent request traces.
     Result<obs::JsonValue> TraceDump();
 
-    /// Raw line round-trip (the protocol golden tests use this directly).
+    /// Raw line round-trip (the protocol golden tests use this directly); the
+    /// line is sent as given, without an id.
     Result<std::string> RoundTrip(const std::string& line);
 
   private:
@@ -100,10 +104,12 @@ class ServeClient {
     Result<std::string> Exchange(const std::string& line,
                                  bool* partial_response);
 
-    /// Exchange + parse + "ok" check; protocol errors come back as the
-    /// Status carried in the error response. One attempt, no retries;
+    /// Stamps the next request id onto `line` (a JSON object), then
+    /// Exchange + parse + id check + "ok" check; protocol errors come back as
+    /// the Status carried in the error response. One attempt, no retries;
     /// `*transport_failed` (optional) is set when the failure happened at the
-    /// socket layer rather than as a well-formed error response.
+    /// socket layer, or the reply did not echo the id, rather than as a
+    /// well-formed error response.
     Result<obs::JsonValue> Call(const std::string& line,
                                 bool* transport_failed = nullptr,
                                 bool* partial_response = nullptr);
@@ -113,6 +119,8 @@ class ServeClient {
 
     /// Re-establishes the TCP transport (no-op in-process).
     Status Reconnect();
+    /// Drops the TCP transport so the next exchange redials.
+    void DropConnection();
 
     RequestDispatcher* dispatcher_ = nullptr;
     std::unique_ptr<Socket> socket_;
@@ -121,6 +129,7 @@ class ServeClient {
     std::uint16_t port_ = 0;
     RetryPolicy retry_;
     Rng jitter_;
+    std::uint64_t next_id_ = 1;
 };
 
 }  // namespace dfp::serve

@@ -44,14 +44,6 @@ Result<Prediction> ScoreOne(const ServableModel& servable,
     }
 }
 
-/// Serve latencies live at tens of microseconds; the decade-style defaults
-/// (and the old 0.05 ms floor) collapsed the whole distribution into the
-/// first bucket or two. These bounds resolve 5 µs .. 1 s.
-std::vector<double> LatencyBoundsMs() {
-    return {0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,   1.0,   2.5,
-            5.0,   10.0, 25.0,  50.0, 100.0, 250.0, 1000.0};
-}
-
 /// HDR geometry for serve latencies: 1 µs .. 60 s in milliseconds, 64
 /// sub-buckets per octave (quantile error <= 0.79%), 8 recording shards.
 obs::HdrConfig ServeHdrConfig() {
@@ -78,11 +70,28 @@ void Canonicalize(std::vector<ItemId>* items) {
 
 }  // namespace
 
+ScoringEngine::Meters ScoringEngine::ResolveMeters() {
+    auto& reg = obs::Registry::Get();
+    return Meters{
+        reg.GetCounter("dfp.serve.requests"),
+        reg.GetCounter("dfp.serve.shed"),
+        reg.GetCounter("dfp.serve.predictions"),
+        reg.GetCounter("dfp.serve.no_model"),
+        reg.GetCounter("dfp.serve.batches"),
+        reg.GetCounter("dfp.serve.cancelled"),
+        reg.GetCounter("dfp.serve.deadline_expired"),
+        reg.GetCounter("dfp.serve.score_errors"),
+        reg.GetGauge("dfp.serve.queue_depth"),
+        reg.GetHistogram("dfp.serve.batch_size", BatchSizeBounds()),
+    };
+}
+
 ScoringEngine::ScoringEngine(ModelRegistry& registry, EngineConfig config)
     : registry_(registry),
       config_(config),
       trace_ring_(config.telemetry.trace_ring_capacity),
-      slow_sampler_(config.telemetry.slow_request_ms) {
+      slow_sampler_(config.telemetry.slow_request_ms),
+      meters_(ResolveMeters()) {
     const std::size_t threads = ResolveNumThreads(config_.num_threads);
     if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
 
@@ -117,8 +126,7 @@ std::future<Result<Prediction>> ScoringEngine::Submit(std::vector<ItemId> items,
                                                       double deadline_ms,
                                                       CancelToken* cancel,
                                                       obs::RequestTrace* trace) {
-    auto& registry = obs::Registry::Get();
-    registry.GetCounter("dfp.serve.requests").Inc();
+    meters_.requests.Inc();
     if (deadline_ms < 0.0) deadline_ms = config_.default_deadline_ms;
 
     PendingRequest request{std::move(items), DeadlineTimer(deadline_ms), cancel,
@@ -135,7 +143,7 @@ std::future<Result<Prediction>> ScoringEngine::Submit(std::vector<ItemId> items,
         const bool shed =
             stopping_ || queue_.size() >= config_.queue_capacity;
         if (shed) {
-            registry.GetCounter("dfp.serve.shed").Inc();
+            meters_.shed.Inc();
             t->outcome = static_cast<std::uint16_t>(StatusCode::kUnavailable);
             // Internal traces are committed now; an external trace belongs
             // to the caller, who commits after stamping serialize times.
@@ -148,8 +156,7 @@ std::future<Result<Prediction>> ScoringEngine::Submit(std::vector<ItemId> items,
             return future;
         }
         queue_.push_back(std::move(request));
-        registry.GetGauge("dfp.serve.queue_depth")
-            .Set(static_cast<double>(queue_.size()));
+        meters_.queue_depth.Set(static_cast<double>(queue_.size()));
     }
     cv_.notify_one();
     return future;
@@ -164,7 +171,7 @@ Result<std::vector<Prediction>> ScoringEngine::PredictBatch(
     std::vector<std::vector<ItemId>> batch) const {
     const ServablePtr snapshot = registry_.Snapshot();
     if (snapshot == nullptr) {
-        obs::Registry::Get().GetCounter("dfp.serve.no_model").Inc();
+        meters_.no_model.Inc();
         return Status::FailedPrecondition("no model installed");
     }
     for (auto& items : batch) Canonicalize(&items);
@@ -188,7 +195,7 @@ Result<std::vector<Prediction>> ScoringEngine::PredictBatch(
     for (const Status& st : errors) {
         if (!st.ok()) return st;
     }
-    obs::Registry::Get().GetCounter("dfp.serve.predictions").Inc(batch.size());
+    meters_.predictions.Inc(batch.size());
     return out;
 }
 
@@ -252,8 +259,7 @@ std::vector<ScoringEngine::PendingRequest> ScoringEngine::TakeBatch() {
             batch.push_back(std::move(queue_.front()));
             queue_.pop_front();
         }
-        obs::Registry::Get().GetGauge("dfp.serve.queue_depth")
-            .Set(static_cast<double>(queue_.size()));
+        meters_.queue_depth.Set(static_cast<double>(queue_.size()));
     }
     const double now_us = obs::NowMicros();
     for (PendingRequest& request : batch) {
@@ -267,10 +273,8 @@ std::vector<ScoringEngine::PendingRequest> ScoringEngine::TakeBatch() {
 std::size_t ScoringEngine::ProcessBatch(std::vector<PendingRequest> batch) {
     if (batch.empty()) return 0;
     obs::Span span("serve.batch");
-    auto& registry = obs::Registry::Get();
-    registry.GetCounter("dfp.serve.batches").Inc();
-    registry.GetHistogram("dfp.serve.batch_size", BatchSizeBounds())
-        .Observe(static_cast<double>(batch.size()));
+    meters_.batches.Inc();
+    meters_.batch_size.Observe(static_cast<double>(batch.size()));
     span.Annotate("requests", static_cast<double>(batch.size()));
 
     const ServablePtr snapshot = registry_.Snapshot();
@@ -288,7 +292,6 @@ std::size_t ScoringEngine::ProcessBatch(std::vector<PendingRequest> batch) {
 void ScoringEngine::ScoreRange(const ServablePtr& snapshot,
                                std::vector<PendingRequest>& batch,
                                std::size_t begin, std::size_t end) {
-    auto& registry = obs::Registry::Get();
     PatternMatchIndex::Scratch scratch;
     std::size_t scored = 0;
     for (std::size_t i = begin; i < end; ++i) {
@@ -299,20 +302,20 @@ void ScoringEngine::ScoreRange(const ServablePtr& snapshot,
 
         Result<Prediction> result = Prediction{};
         if (request.cancel != nullptr && request.cancel->Poll()) {
-            registry.GetCounter("dfp.serve.cancelled").Inc();
+            meters_.cancelled.Inc();
             result = Status::Cancelled("request cancelled");
         } else if (request.deadline.expired()) {
-            registry.GetCounter("dfp.serve.deadline_expired").Inc();
+            meters_.deadline_expired.Inc();
             result = Status::Cancelled("deadline expired before scoring");
         } else if (snapshot == nullptr) {
-            registry.GetCounter("dfp.serve.no_model").Inc();
+            meters_.no_model.Inc();
             result = Status::FailedPrecondition("no model installed");
         } else {
             result = ScoreOne(*snapshot, request.items, &scratch);
             if (result.ok()) {
                 ++scored;
             } else {
-                registry.GetCounter("dfp.serve.score_errors").Inc();
+                meters_.score_errors.Inc();
             }
         }
         t->score_end_us = obs::NowMicros();
@@ -327,7 +330,7 @@ void ScoringEngine::ScoreRange(const ServablePtr& snapshot,
         RecordStageLatencies(done);
         if (request.external_trace == nullptr) CommitTrace(done);
     }
-    if (scored > 0) registry.GetCounter("dfp.serve.predictions").Inc(scored);
+    if (scored > 0) meters_.predictions.Inc(scored);
 }
 
 void ScoringEngine::CommitTrace(const obs::RequestTrace& trace) {
@@ -342,11 +345,7 @@ void ScoringEngine::RecordStageLatencies(const obs::RequestTrace& trace) {
     win_queue_->Record(StageMs(trace.submit_us, trace.dequeue_us));
     win_batch_wait_->Record(StageMs(trace.dequeue_us, trace.score_start_us));
     win_score_->Record(StageMs(trace.score_start_us, trace.score_end_us));
-    const double total_ms = StageMs(trace.submit_us, trace.score_end_us);
-    win_total_->Record(total_ms);
-    obs::Registry::Get()
-        .GetHistogram("dfp.serve.latency_ms", LatencyBoundsMs())
-        .Observe(total_ms);
+    win_total_->Record(StageMs(trace.submit_us, trace.score_end_us));
 }
 
 }  // namespace dfp::serve

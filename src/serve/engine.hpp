@@ -36,6 +36,7 @@
 #include "common/parallel.hpp"
 #include "common/status.hpp"
 #include "obs/hdr.hpp"
+#include "obs/metrics.hpp"
 #include "obs/reqtrace.hpp"
 #include "serve/registry.hpp"
 
@@ -170,8 +171,25 @@ class ScoringEngine {
                     std::size_t end);
 
     /// Records one request's stage durations into the windowed latency
-    /// histograms and the fixed-bucket total-latency histogram.
+    /// histograms.
     void RecordStageLatencies(const obs::RequestTrace& trace);
+
+    /// The counters, gauge and histogram the request and batch paths update.
+    /// Registry metrics are immortal, so they are resolved once at
+    /// construction and no request or batch looks a metric up by name.
+    struct Meters {
+        obs::Counter& requests;
+        obs::Counter& shed;
+        obs::Counter& predictions;
+        obs::Counter& no_model;
+        obs::Counter& batches;
+        obs::Counter& cancelled;
+        obs::Counter& deadline_expired;
+        obs::Counter& score_errors;
+        obs::Gauge& queue_depth;
+        obs::Histogram& batch_size;
+    };
+    static Meters ResolveMeters();
 
     ModelRegistry& registry_;
     EngineConfig config_;
@@ -186,6 +204,7 @@ class ScoringEngine {
     obs::WindowedHdrHistogram* win_batch_wait_ = nullptr;
     obs::WindowedHdrHistogram* win_score_ = nullptr;
     obs::WindowedHdrHistogram* win_serialize_ = nullptr;
+    Meters meters_;
     std::unique_ptr<obs::WindowFlusher> flusher_;
 
     mutable std::mutex mu_;

@@ -1,9 +1,10 @@
 // Model registry: versioned, hot-reloadable ownership of the served model.
 //
-// A ServableModel bundles a LoadedModel with its compiled PatternMatchIndex
-// and a monotonically increasing version. The registry hands out
-// `shared_ptr<const ServableModel>` snapshots; a Reload() builds the new
-// servable entirely off to the side before one pointer swap publishes it.
+// A ServableModel bundles a LoadedModel, a handle on the PatternMatchIndex
+// its feature space compiled, and a monotonically increasing version. The
+// registry hands out `shared_ptr<const ServableModel>` snapshots; a Reload()
+// builds the new servable entirely off to the side before one pointer swap
+// publishes it.
 // In-flight requests keep scoring against the snapshot they grabbed, so a
 // reload drops no responses and misroutes none (each response reports the
 // version that produced it).
@@ -36,12 +37,17 @@ struct ServableModel {
     ServableModel(LoadedModel loaded, std::uint64_t model_version,
                   std::string model_source)
         : model(std::move(loaded)),
-          index(PatternMatchIndex::Build(model.feature_space())),
+          index(model.feature_space().matcher()),
           version(model_version),
           source(std::move(model_source)) {}
+    // `index` refers into `model`; a copy or move would leave it dangling.
+    ServableModel(const ServableModel&) = delete;
+    ServableModel& operator=(const ServableModel&) = delete;
 
     LoadedModel model;
-    PatternMatchIndex index;
+    /// The model's own matcher (FeatureSpace::matcher()), scored through
+    /// directly with a per-worker Scratch.
+    const PatternMatchIndex& index;
     std::uint64_t version;
     std::string source;
 };

@@ -1,78 +1,12 @@
-// Compiled pattern-matching index for the serving hot path.
-//
-// FeatureSpace::Encode tests every pattern against the transaction with
-// std::includes — O(|Fs| × pattern length) per prediction, fine offline but
-// the dominant cost online. PatternMatchIndex compiles the feature space once
-// into an inverted item → pattern-id index (CSR layout) with per-pattern hit
-// counters, so matching is O(items-in-txn × avg postings): walk the
-// transaction, bump the counter of every pattern containing each item, and a
-// pattern matches exactly when its counter reaches its length.
-//
-// The encodings produced are *bit-identical* to FeatureSpace::Encode for any
-// sorted duplicate-free transaction (certified by the dfp_serve equivalence
-// suite), so a learner sees exactly the vectors it would see offline.
-//
-// The index itself is immutable after Build and safe to share across threads;
-// all per-call state lives in a caller-owned Scratch (one per worker).
+// The serving hot path scores through the core pattern matcher
+// (core/pattern_match_index.hpp): the one FeatureSpace::Encode runs through,
+// so a served prediction sees exactly the vector an offline one does.
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
-#include "core/feature_space.hpp"
+#include "core/pattern_match_index.hpp"
 
 namespace dfp::serve {
 
-class PatternMatchIndex {
-  public:
-    /// Per-thread matching state. Counters are invalidated lazily via a
-    /// generation stamp, so consecutive matches never pay an O(|Fs|) clear.
-    struct Scratch {
-        std::vector<std::uint32_t> hits;     ///< per-pattern item hits
-        std::vector<std::uint32_t> stamp;    ///< generation of `hits[p]`
-        std::uint32_t generation = 0;
-        std::vector<std::uint32_t> matched;  ///< pattern ids contained
-        std::vector<double> encoded;         ///< dense dim() vector
-    };
-
-    PatternMatchIndex() = default;
-
-    /// Compiles `space` (patterns are sorted duplicate-free itemsets with
-    /// every item < num_items, enforced by FeatureSpace/model loading).
-    static PatternMatchIndex Build(const FeatureSpace& space);
-
-    std::size_t num_items() const { return num_items_; }
-    std::size_t num_patterns() const { return pattern_len_.size(); }
-    std::size_t dim() const { return num_items_ + pattern_len_.size(); }
-    /// Total posting entries (= sum of pattern lengths).
-    std::size_t num_postings() const { return postings_.size(); }
-
-    /// Sizes `scratch` for this index (idempotent; cheap when already sized).
-    void InitScratch(Scratch* scratch) const;
-
-    /// Matching only: fills scratch->matched with the ids of all patterns
-    /// contained in `transaction` (sorted, duplicate-free). This is the
-    /// O(items × postings) inner loop — no dense vector is touched.
-    void MatchInto(const std::vector<ItemId>& transaction, Scratch* scratch) const;
-
-    /// Encodes `transaction` (sorted, duplicate-free) into scratch->encoded,
-    /// bit-identically to FeatureSpace::Encode.
-    void EncodeInto(const std::vector<ItemId>& transaction, Scratch* scratch) const;
-
-    /// Convenience for tests/benches: number of contained patterns.
-    std::size_t CountMatches(const std::vector<ItemId>& transaction,
-                             Scratch* scratch) const {
-        InitScratch(scratch);
-        MatchInto(transaction, scratch);
-        return scratch->matched.size();
-    }
-
-  private:
-    std::size_t num_items_ = 0;
-    /// CSR: postings_[offsets_[i] .. offsets_[i+1]) = patterns containing i.
-    std::vector<std::uint32_t> offsets_;
-    std::vector<std::uint32_t> postings_;
-    std::vector<std::uint32_t> pattern_len_;
-};
+using PatternMatchIndex = dfp::PatternMatchIndex;
 
 }  // namespace dfp::serve

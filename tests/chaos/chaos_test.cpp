@@ -35,6 +35,7 @@
 #include "data/encoder.hpp"
 #include "data/synthetic.hpp"
 #include "ml/nb/naive_bayes.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
@@ -401,6 +402,22 @@ void RawSend(int fd, const std::string& data) {
     (void)::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
 }
 
+// The id a client stamped on `request` (0 when it carries none).
+std::uint64_t RequestId(const std::string& request) {
+    auto parsed = obs::ParseJson(request);
+    const obs::JsonValue* id = parsed.ok() ? parsed->Find("id") : nullptr;
+    return id != nullptr && id->is_number()
+               ? static_cast<std::uint64_t>(id->number())
+               : 0;
+}
+
+// A scripted predict reply echoing `id`, as the real server does.
+std::string Reply(int label, int version, std::uint64_t id) {
+    return "{\"ok\":true,\"label\":" + std::to_string(label) +
+           ",\"version\":" + std::to_string(version) +
+           ",\"id\":" + std::to_string(id) + "}\n";
+}
+
 // Regression for the client's connection state: a non-retrying call whose
 // read times out must drop its connection. Otherwise the reply to that
 // request, arriving late, is read as the answer to the next one. A scripted
@@ -416,13 +433,12 @@ TEST_F(ChaosTest, LateReplyAfterReadTimeoutNeverAnswersNextRequest) {
     std::thread server([&listener, gave_up = first_call_failed.get_future()] {
         auto first = TcpAccept(*listener);
         if (!first.ok()) return;
-        RawReadLine(first->fd());
+        const std::uint64_t late_id = RequestId(RawReadLine(first->fd()));
         gave_up.wait();  // the reply is now past the client's read deadline
-        RawSend(first->fd(), "{\"ok\":true,\"label\":0,\"version\":1}\n");
+        RawSend(first->fd(), Reply(0, 1, late_id));
         auto second = TcpAccept(*listener);  // only a redialing client gets here
         if (!second.ok()) return;
-        RawReadLine(second->fd());
-        RawSend(second->fd(), "{\"ok\":true,\"label\":1,\"version\":2}\n");
+        RawSend(second->fd(), Reply(1, 2, RequestId(RawReadLine(second->fd()))));
     });
 
     auto client = ServeClient::Connect("127.0.0.1", *port);  // max_attempts 1
@@ -441,6 +457,47 @@ TEST_F(ChaosTest, LateReplyAfterReadTimeoutNeverAnswersNextRequest) {
     ASSERT_TRUE(next.ok()) << next.status();
     EXPECT_EQ(next->label, 1u) << "read the late reply to the previous request";
     EXPECT_EQ(next->model_version, 2u);
+}
+
+// Regression for request ids: a reply carrying another request's id fails
+// the call it arrived on, as a transport failure, and the next call redials
+// and gets its own answer. The scripted first connection answers request 1
+// with a wrong id and then with the right one; a client that ignored ids
+// would return label 7, and one that kept the connection would read the
+// second line as the answer to request 2.
+TEST_F(ChaosTest, WrongIdReplyFailsThatCallAndNextCallGetsItsOwnAnswer) {
+    auto listener = TcpListen(0);
+    ASSERT_TRUE(listener.ok()) << listener.status();
+    auto port = LocalPort(*listener);
+    ASSERT_TRUE(port.ok()) << port.status();
+
+    std::uint64_t first_id = 0;
+    std::uint64_t second_id = 0;
+    std::thread server([&] {
+        auto first = TcpAccept(*listener);
+        if (!first.ok()) return;
+        first_id = RequestId(RawReadLine(first->fd()));
+        RawSend(first->fd(), Reply(7, 1, first_id + 100) + Reply(0, 1, first_id));
+        auto second = TcpAccept(*listener);  // only a redialing client gets here
+        if (!second.ok()) return;
+        second_id = RequestId(RawReadLine(second->fd()));
+        RawSend(second->fd(), Reply(1, 2, second_id));
+    });
+
+    auto client = ServeClient::Connect("127.0.0.1", *port);  // max_attempts 1
+    ASSERT_TRUE(client.ok()) << client.status();
+    auto mismatched = client->Predict({1});
+    auto next = client->Predict({2});
+    listener->ShutdownBoth();  // unblocks the script if the client never redials
+    server.join();
+
+    ASSERT_FALSE(mismatched.ok()) << "accepted the reply to another request";
+    EXPECT_EQ(mismatched.status().code(), StatusCode::kUnavailable);
+    ASSERT_TRUE(next.ok()) << next.status();
+    EXPECT_EQ(next->label, 1u);
+    EXPECT_EQ(next->model_version, 2u);
+    EXPECT_GT(first_id, 0u) << "request carried no id";
+    EXPECT_GT(second_id, first_id) << "ids must increase";
 }
 
 TEST_F(ChaosTest, AcceptLoopSurvivesInjectedAcceptFaults) {

@@ -5,6 +5,13 @@
 namespace dfp {
 namespace {
 
+std::vector<double> Encoded(const FeatureSpace& fs,
+                            const std::vector<ItemId>& transaction) {
+    PatternMatchIndex::Scratch scratch;
+    const std::span<const double> out = fs.Encode(transaction, &scratch);
+    return {out.begin(), out.end()};
+}
+
 TransactionDatabase Toy() {
     return TransactionDatabase::FromTransactions(
         {{0, 1, 2}, {0, 2}, {1, 3}}, {0, 0, 1}, 4, 2);
@@ -39,13 +46,15 @@ TEST(FeatureSpaceTest, SingletonPatternsDropped) {
 TEST(FeatureSpaceTest, EncodeSetsItemAndPatternBits) {
     const auto db = Toy();
     const auto fs = FeatureSpace::Build(4, TwoPatterns(db));
-    std::vector<double> out(fs.dim());
-    fs.Encode({0, 1, 2}, out);
-    EXPECT_EQ(out, (std::vector<double>{1, 1, 1, 0, 1, 0}));
-    fs.Encode({1, 3}, out);
-    EXPECT_EQ(out, (std::vector<double>{0, 1, 0, 1, 0, 1}));
-    fs.Encode({3}, out);
-    EXPECT_EQ(out, (std::vector<double>{0, 0, 0, 1, 0, 0}));
+    EXPECT_EQ(Encoded(fs, {0, 1, 2}), (std::vector<double>{1, 1, 1, 0, 1, 0}));
+    EXPECT_EQ(Encoded(fs, {1, 3}), (std::vector<double>{0, 1, 0, 1, 0, 1}));
+    EXPECT_EQ(Encoded(fs, {3}), (std::vector<double>{0, 0, 0, 1, 0, 0}));
+    // One scratch reused across calls leaves nothing behind.
+    PatternMatchIndex::Scratch scratch;
+    fs.Encode({0, 1, 2}, &scratch);
+    const std::span<const double> reused = fs.Encode({3}, &scratch);
+    EXPECT_EQ(std::vector<double>(reused.begin(), reused.end()),
+              (std::vector<double>{0, 0, 0, 1, 0, 0}));
 }
 
 TEST(FeatureSpaceTest, TransformMatchesRowwiseEncode) {
@@ -54,9 +63,8 @@ TEST(FeatureSpaceTest, TransformMatchesRowwiseEncode) {
     const FeatureMatrix x = fs.Transform(db);
     ASSERT_EQ(x.rows(), 3u);
     ASSERT_EQ(x.cols(), 6u);
-    std::vector<double> expected(fs.dim());
     for (std::size_t t = 0; t < db.num_transactions(); ++t) {
-        fs.Encode(db.transaction(t), expected);
+        const std::vector<double> expected = Encoded(fs, db.transaction(t));
         for (std::size_t c = 0; c < fs.dim(); ++c) {
             EXPECT_DOUBLE_EQ(x.At(t, c), expected[c]);
         }
@@ -67,18 +75,14 @@ TEST(FeatureSpaceTest, ItemsOnly) {
     const auto fs = FeatureSpace::ItemsOnly(5);
     EXPECT_EQ(fs.dim(), 5u);
     EXPECT_EQ(fs.num_patterns(), 0u);
-    std::vector<double> out(5);
-    fs.Encode({1, 4}, out);
-    EXPECT_EQ(out, (std::vector<double>{0, 1, 0, 0, 1}));
+    EXPECT_EQ(Encoded(fs, {1, 4}), (std::vector<double>{0, 1, 0, 0, 1}));
 }
 
 TEST(FeatureSpaceTest, UnseenItemsIgnored) {
     // A transaction may carry item ids beyond the training universe (e.g. a
     // test-fold value bin never seen in training); they must be ignored.
     const auto fs = FeatureSpace::ItemsOnly(3);
-    std::vector<double> out(3);
-    fs.Encode({1, 7}, out);
-    EXPECT_EQ(out, (std::vector<double>{0, 1, 0}));
+    EXPECT_EQ(Encoded(fs, {1, 7}), (std::vector<double>{0, 1, 0}));
 }
 
 TEST(FeatureMatrixTest, SelectRowsAndCols) {

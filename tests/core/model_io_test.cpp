@@ -45,12 +45,12 @@ TEST(FeatureSpaceIoTest, RoundTrip) {
     EXPECT_EQ(loaded->dim(), pipeline.feature_space().dim());
     EXPECT_EQ(loaded->num_patterns(), pipeline.feature_space().num_patterns());
     // Identical encodings on every transaction.
-    std::vector<double> a(loaded->dim());
-    std::vector<double> b(loaded->dim());
+    PatternMatchIndex::Scratch a;
+    PatternMatchIndex::Scratch b;
     for (std::size_t t = 0; t < db.num_transactions(); ++t) {
-        loaded->Encode(db.transaction(t), a);
-        pipeline.feature_space().Encode(db.transaction(t), b);
-        EXPECT_EQ(a, b) << "row " << t;
+        loaded->Encode(db.transaction(t), &a);
+        pipeline.feature_space().Encode(db.transaction(t), &b);
+        EXPECT_EQ(a.encoded, b.encoded) << "row " << t;
     }
 }
 

@@ -2,11 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "data/encoder.hpp"
 #include "data/synthetic.hpp"
 
 namespace dfp {
 namespace {
+
+TransactionDatabase SyntheticDb(std::uint64_t seed) {
+    SyntheticSpec spec;
+    spec.rows = 300;
+    spec.attributes = 8;
+    spec.arity = 3;
+    spec.seed = seed;
+    const Dataset data = GenerateSynthetic(spec);
+    auto encoder = ItemEncoder::FromSchema(data);
+    return TransactionDatabase::FromDataset(data, *encoder);
+}
 
 // Item 0 ⇒ class 0, item 2 ⇒ class 1, item 1 is noise.
 TransactionDatabase Toy() {
@@ -96,6 +109,39 @@ TEST(CbaTest, WorksOnSyntheticData) {
         static_cast<double>(*std::max_element(counts.begin(), counts.end())) /
         static_cast<double>(db.num_transactions());
     EXPECT_GT(cba.Accuracy(db), majority);
+}
+
+TEST(CbaTest, PredictFiresFirstRuleFoundByScan) {
+    // The matcher-backed Predict equals walking rules() in rank order with a
+    // subset test, on training rows, rows of another seed, and rows carrying
+    // items beyond the training universe.
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        const auto db = SyntheticDb(seed);
+        CbaConfig config;
+        config.miner.min_sup_rel = 0.05;
+        CbaClassifier cba(config);
+        ASSERT_TRUE(cba.Train(db).ok());
+        ASSERT_GT(cba.rules().size(), 1u);
+        auto scan = [&cba](const std::vector<ItemId>& txn) {
+            for (const CbaRule& rule : cba.rules()) {
+                if (std::includes(txn.begin(), txn.end(), rule.antecedent.begin(),
+                                  rule.antecedent.end())) {
+                    return rule.consequent;
+                }
+            }
+            return cba.default_class();
+        };
+        const auto other = SyntheticDb(seed + 100);
+        for (const auto* rows : {&db, &other}) {
+            for (std::size_t t = 0; t < rows->num_transactions(); ++t) {
+                std::vector<ItemId> txn = rows->transaction(t);
+                ASSERT_EQ(cba.Predict(txn), scan(txn)) << "row " << t;
+                txn.push_back(static_cast<ItemId>(db.num_items() + 3));
+                ASSERT_EQ(cba.Predict(txn), scan(txn)) << "row " << t;
+            }
+        }
+    }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "data/encoder.hpp"
 #include "data/synthetic.hpp"
 #include "ml/rules/cba.hpp"
@@ -115,6 +117,51 @@ TEST(HarmonyTest, MoreRulesPerInstanceKeepsMore) {
     ASSERT_TRUE(a.Train(db).ok());
     ASSERT_TRUE(b.Train(db).ok());
     EXPECT_GE(b.rules().size(), a.rules().size());
+}
+
+TEST(HarmonyTest, PredictScoresTheRulesFoundByScan) {
+    // The matcher-backed Predict equals scoring by a subset test over rules()
+    // in confidence order, top prediction_rules per class.
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        SyntheticSpec spec;
+        spec.rows = 300;
+        spec.classes = 3;
+        spec.attributes = 8;
+        spec.arity = 3;
+        spec.seed = seed;
+        const Dataset data = GenerateSynthetic(spec);
+        const auto db = TransactionDatabase::FromDataset(
+            data, *ItemEncoder::FromSchema(data));
+        HarmonyConfig config;
+        config.miner.min_sup_rel = 0.05;
+        config.rules_per_instance = 3;
+        config.prediction_rules = 2;
+        HarmonyClassifier harmony(config);
+        ASSERT_TRUE(harmony.Train(db).ok());
+        ASSERT_GT(harmony.rules().size(), 1u);
+        auto scan = [&](const std::vector<ItemId>& txn) {
+            std::vector<double> score(3, 0.0);
+            std::vector<std::size_t> used(3, 0);
+            bool any = false;
+            for (const HarmonyRule& r : harmony.rules()) {
+                if (used[r.consequent] >= config.prediction_rules) continue;
+                if (std::includes(txn.begin(), txn.end(), r.antecedent.begin(),
+                                  r.antecedent.end())) {
+                    score[r.consequent] += r.confidence;
+                    used[r.consequent]++;
+                    any = true;
+                }
+            }
+            if (!any) return harmony.default_class();
+            return static_cast<ClassLabel>(
+                std::max_element(score.begin(), score.end()) - score.begin());
+        };
+        for (std::size_t t = 0; t < db.num_transactions(); ++t) {
+            ASSERT_EQ(harmony.Predict(db.transaction(t)), scan(db.transaction(t)))
+                << "row " << t;
+        }
+    }
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Serving equivalence certificates (ISSUE 5 acceptance):
 //
-//  * PatternMatchIndex::EncodeInto is bit-identical to FeatureSpace::Encode
-//    on 20 seeded synthetic databases.
+//  * PatternMatchIndex::EncodeInto, the serving index a ServableModel scores
+//    through, is bit-identical to the subset-scan reference encoder
+//    (testutil/reference_encoder) on 20 seeded synthetic databases.
 //  * ScoringEngine predictions are bit-identical to LoadedModel::Predict at
 //    batch sizes {1, 7, 64} and thread counts {1, 8} — batching and
 //    parallelism are pure scheduling, never numerics.
@@ -20,6 +21,7 @@
 #include "serve/engine.hpp"
 #include "serve/registry.hpp"
 #include "serve/scoring_index.hpp"
+#include "testutil/reference_encoder.hpp"
 
 namespace dfp::serve {
 namespace {
@@ -57,15 +59,15 @@ TEST(PatternMatchIndexTest, EncodesBitIdenticallyOn20SeededDbs) {
         const auto db = Db(seed, 120);
         LoadedModel model = TrainModel<NaiveBayesClassifier>(db);
         const FeatureSpace& space = model.feature_space();
-        const PatternMatchIndex index = PatternMatchIndex::Build(space);
+        const PatternMatchIndex& index = space.matcher();
         ASSERT_EQ(index.dim(), space.dim());
 
         PatternMatchIndex::Scratch scratch;
-        std::vector<double> reference(space.dim());
         for (std::size_t t = 0; t < db.num_transactions(); ++t) {
-            space.Encode(db.transaction(t), reference);
             index.EncodeInto(db.transaction(t), &scratch);
-            ASSERT_EQ(scratch.encoded, reference) << "row " << t;
+            ASSERT_EQ(scratch.encoded,
+                      testutil::ScanEncode(space, db.transaction(t)))
+                << "row " << t;
         }
     }
 }
@@ -74,9 +76,8 @@ TEST(PatternMatchIndexTest, HandlesEdgeTransactions) {
     const auto db = Db(7);
     LoadedModel model = TrainModel<NaiveBayesClassifier>(db);
     const FeatureSpace& space = model.feature_space();
-    const PatternMatchIndex index = PatternMatchIndex::Build(space);
+    const PatternMatchIndex& index = space.matcher();
     PatternMatchIndex::Scratch scratch;
-    std::vector<double> reference(space.dim());
 
     const std::vector<std::vector<ItemId>> edges = {
         {},                                           // empty transaction
@@ -85,15 +86,13 @@ TEST(PatternMatchIndexTest, HandlesEdgeTransactions) {
         {0, static_cast<ItemId>(space.num_items() + 7)},  // mixed in/out
     };
     for (const auto& txn : edges) {
-        space.Encode(txn, reference);
         index.EncodeInto(txn, &scratch);
-        EXPECT_EQ(scratch.encoded, reference);
+        EXPECT_EQ(scratch.encoded, testutil::ScanEncode(space, txn));
     }
     // Scratch reuse across many calls stays clean (generation stamping).
     for (std::size_t t = 0; t < db.num_transactions(); ++t) {
-        space.Encode(db.transaction(t), reference);
         index.EncodeInto(db.transaction(t), &scratch);
-        ASSERT_EQ(scratch.encoded, reference);
+        ASSERT_EQ(scratch.encoded, testutil::ScanEncode(space, db.transaction(t)));
     }
 }
 

@@ -1,0 +1,25 @@
+// Reference feature encoder: the row-by-row subset scan.
+//
+// Tests every pattern of a FeatureSpace against the transaction with
+// std::includes — O(|Fs| × pattern length) per row, the encoder the library
+// ran before it compiled a PatternMatchIndex and built the training matrix
+// from pattern covers. The certificate tests compare FeatureSpace::Encode,
+// FeatureSpace::Transform and the serving index against it.
+#pragma once
+
+#include <vector>
+
+#include "core/feature_space.hpp"
+
+namespace dfp::testutil {
+
+/// Item coordinates (items < space.num_items()) then one 0/1 coordinate per
+/// pattern, set iff the pattern ⊆ `transaction` (sorted).
+std::vector<double> ScanEncode(const FeatureSpace& space,
+                               const std::vector<ItemId>& transaction);
+
+/// ScanEncode of every row of `db`, as a dense matrix.
+FeatureMatrix ScanTransform(const FeatureSpace& space,
+                            const TransactionDatabase& db);
+
+}  // namespace dfp::testutil
