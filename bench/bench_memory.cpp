@@ -45,21 +45,23 @@ TransactionDatabase DenseCorpus(std::size_t rows, std::size_t items,
                                                  std::move(labels), items, 2);
 }
 
-// Two overlapping uniform clouds: separable enough that SMO converges, noisy
-// enough that it takes real kernel work to get there.
+// Two overlapping 0/1 clouds (the learners' input is binary): separable
+// enough that SMO converges, noisy enough that it takes real kernel work to
+// get there. Even features lean to the +1 class, odd ones to the −1 class.
 void TwoClassClouds(std::size_t n, std::size_t d, std::uint64_t seed,
-                    FeatureMatrix* x, std::vector<int>* y) {
+                    PackedRows* x, std::vector<int>* y) {
     Rng rng(seed);
-    *x = FeatureMatrix(n, d);
+    FeatureMatrix m(n, d);
     y->assign(n, 1);
     for (std::size_t r = 0; r < n; ++r) {
         const int label = r % 2 == 0 ? 1 : -1;
         (*y)[r] = label;
-        const double shift = label == 1 ? 0.6 : -0.6;
         for (std::size_t c = 0; c < d; ++c) {
-            x->At(r, c) = rng.Uniform(-1.0, 1.0) + shift;
+            const bool leans = (c % 2 == 0) == (label == 1);
+            if (rng.Bernoulli(leans ? 0.6 : 0.3)) m.Set(r, c);
         }
     }
+    *x = PackedRows(m);
 }
 
 }  // namespace
@@ -109,12 +111,12 @@ int main(int argc, char** argv) {
     table.Print();
 
     bench::Section("SMO kernel-row cache (gram disabled, rbf)");
-    FeatureMatrix x;
+    PackedRows x;
     std::vector<int> y;
     TwoClassClouds(/*n=*/900, /*d=*/24, /*seed=*/23, &x, &y);
     SmoConfig smo;
     smo.kernel.type = KernelType::kRbf;
-    smo.kernel.gamma = 0.5;
+    smo.kernel.gamma = 0.05;
     smo.gram_limit = 0;  // force the row-cache / direct paths
     TablePrinter smo_table({"config", "seconds", "steps", "converged"});
     for (const bool cache_on : {false, true}) {

@@ -1,10 +1,11 @@
 // Microbenchmarks of the core framework machinery: MMRFS selection, feature-
 // space transformation, measures/bounds, and BitVector cover kernels.
 //
-// The letter-shape cases split the training-matrix cost of the perfbench
-// train-wide workload (20000 rows × 112 items, ~120 selected patterns) into
-// allocating the dense matrix, the whole Transform, and the learner's pass
-// over it.
+// The letter-shape cases time the training-matrix stages of the perfbench
+// train-wide workload (20000 rows × 112 items, ~120 selected patterns): the
+// Transform that copies covers into the bit-packed FeatureMatrix, then the
+// learners on it — naive Bayes (popcount counts), C4.5, and one one-vs-one
+// SMO pair.
 #include <benchmark/benchmark.h>
 
 #include "core/bounds.hpp"
@@ -15,7 +16,9 @@
 #include "data/encoder.hpp"
 #include "data/synthetic.hpp"
 #include "exp/experiment.hpp"
+#include "ml/dtree/c45.hpp"
 #include "ml/nb/naive_bayes.hpp"
+#include "ml/svm/smo.hpp"
 
 namespace dfp {
 namespace {
@@ -112,25 +115,12 @@ void BM_FeatureTransformLetter(benchmark::State& state) {
     const auto& f = Letter();
     for (auto _ : state) {
         FeatureMatrix x = f.space.Transform(f.db);
-        benchmark::DoNotOptimize(x.MutableRow(0).data());
+        benchmark::DoNotOptimize(x.cols());
         benchmark::ClobberMemory();
     }
     LetterCounters(state);
 }
 BENCHMARK(BM_FeatureTransformLetter)->Unit(benchmark::kMillisecond);
-
-/// The floor under any dense Transform: allocating and zero-filling the
-/// rows × dim double matrix.
-void BM_DenseMatrixLetter(benchmark::State& state) {
-    const auto& f = Letter();
-    for (auto _ : state) {
-        FeatureMatrix x(f.db.num_transactions(), f.space.dim());
-        benchmark::DoNotOptimize(x.MutableRow(0).data());
-        benchmark::ClobberMemory();
-    }
-    LetterCounters(state);
-}
-BENCHMARK(BM_DenseMatrixLetter)->Unit(benchmark::kMillisecond);
 
 /// The learner's share: NaiveBayes Train over the transformed matrix.
 void BM_NaiveBayesTrainLetter(benchmark::State& state) {
@@ -144,6 +134,42 @@ void BM_NaiveBayesTrainLetter(benchmark::State& state) {
     LetterCounters(state);
 }
 BENCHMARK(BM_NaiveBayesTrainLetter)->Unit(benchmark::kMillisecond);
+
+/// C4.5 over the whole letter matrix (26 classes).
+void BM_C45TrainLetter(benchmark::State& state) {
+    const auto& f = Letter();
+    const FeatureMatrix x = f.space.Transform(f.db);
+    for (auto _ : state) {
+        C45Classifier learner;
+        benchmark::DoNotOptimize(
+            learner.Train(x, f.db.labels(), f.db.num_classes()).ok());
+    }
+    LetterCounters(state);
+}
+BENCHMARK(BM_C45TrainLetter)->Unit(benchmark::kMillisecond);
+
+/// One one-vs-one SMO pair of the letter matrix (classes 0 and 1, linear
+/// kernel), the unit of work SvmClassifier repeats for all 325 pairs.
+void BM_SmoPairTrainLetter(benchmark::State& state) {
+    const auto& f = Letter();
+    const PackedRows all(f.space.Transform(f.db));
+    std::vector<std::size_t> rows;
+    std::vector<int> labels;
+    for (std::size_t r = 0; r < f.db.num_transactions(); ++r) {
+        const ClassLabel c = f.db.label(r);
+        if (c > 1) continue;
+        rows.push_back(r);
+        labels.push_back(c == 0 ? 1 : -1);
+    }
+    const PackedRows pair = all.SelectRows(rows);
+    for (auto _ : state) {
+        const auto model = TrainSmo(pair, labels, SmoConfig{});
+        benchmark::DoNotOptimize(model.ok());
+    }
+    LetterCounters(state);
+    state.counters["pair_rows"] = static_cast<double>(rows.size());
+}
+BENCHMARK(BM_SmoPairTrainLetter)->Unit(benchmark::kMillisecond);
 
 void BM_PatternRelevance(benchmark::State& state) {
     const auto& f = BenchFixture();

@@ -3,7 +3,7 @@
 // reference [7] (Deshpande et al.). Molecule-like random graphs carry hidden
 // per-class "functional group" path motifs; the pipeline mines frequent
 // labeled paths per class, MMR-selects the discriminative ones, and an SVM
-// learns on "atom counts ∪ selected paths".
+// learns on "atom-type presence ∪ selected paths".
 #include <cstdio>
 
 #include "core/graph_pipeline.hpp"

@@ -29,30 +29,23 @@ std::span<const double> FeatureSpace::Encode(
 
 FeatureMatrix FeatureSpace::Transform(const TransactionDatabase& db) const {
     const std::size_t rows = db.num_transactions();
-    const std::size_t cols = dim();
-    FeatureMatrix x(rows, cols);
-    if (rows == 0) return x;  // no row to point into
-    for (std::size_t t = 0; t < rows; ++t) {
-        const std::span<double> row = x.MutableRow(t);
-        for (ItemId i : db.transaction(t)) {
-            if (i < num_items_) row[i] = 1.0;
-        }
+    std::vector<BitVector> columns;
+    columns.reserve(dim());
+    for (ItemId i = 0; i < num_items_; ++i) {
+        columns.push_back(i < db.num_items() ? db.ItemCover(i) : BitVector(rows));
     }
     // Column num_items_ + p is pattern p's cover over db. It is re-derived
     // from db's item covers (a stored Pattern::cover may belong to another
     // database, and loaded patterns carry none).
-    double* const pattern_cols = x.MutableRow(0).data() + num_items_;
-    for (std::size_t p = 0; p < patterns_.size(); ++p) {
-        const Itemset& items = patterns_[p].items;
+    for (const Pattern& pattern : patterns_) {
+        const Itemset& items = pattern.items;
         const bool in_universe = std::all_of(
             items.begin(), items.end(),
             [&db](ItemId i) { return i < db.num_items(); });
-        if (!in_universe) continue;  // no row of db contains it
-        double* const column = pattern_cols + p;
-        db.CoverOf(items).ForEach(
-            [column, cols](std::uint32_t r) { column[r * cols] = 1.0; });
+        // A pattern naming an item outside db's universe covers no row.
+        columns.push_back(in_universe ? db.CoverOf(items) : BitVector(rows));
     }
-    return x;
+    return FeatureMatrix(rows, std::move(columns));
 }
 
 }  // namespace dfp

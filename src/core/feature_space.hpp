@@ -44,10 +44,9 @@ class FeatureSpace {
     std::span<const double> Encode(const std::vector<ItemId>& transaction,
                                    PatternMatchIndex::Scratch* scratch) const;
 
-    /// Encodes a whole database into a dense matrix, equal to encoding each
-    /// row: item columns are set from the rows, and pattern column p holds
-    /// exactly the rows of db.CoverOf(pattern p) (all zero when the pattern
-    /// names an item ≥ db.num_items()).
+    /// Maps a whole database into B^{d'}, equal to encoding each row: item
+    /// column i is db.ItemCover(i), and pattern column p is db.CoverOf(pattern
+    /// p) (all zero when the item or pattern lies outside db's universe).
     FeatureMatrix Transform(const TransactionDatabase& db) const;
 
   private:

@@ -77,14 +77,18 @@ Status GraphClassifierPipeline::Train(const GraphDatabase& train,
         features_.push_back({std::move(p), relevance[i]});
     }
 
-    // 3. Learn on vertex-label counts ∪ selected paths.
-    FeatureMatrix x(train.size(), num_vertex_labels_ + features_.size());
-    std::vector<double> row(x.cols());
+    // 3. Learn on vertex-label presence ∪ selected paths: a label's column
+    // holds the graphs with a vertex of that label, a path's column its cover.
+    std::vector<BitVector> columns(num_vertex_labels_, BitVector(train.size()));
     for (std::size_t g = 0; g < train.size(); ++g) {
-        Encode(train.graph(g), &row);
-        auto dst = x.MutableRow(g);
-        std::copy(row.begin(), row.end(), dst.begin());
+        const LabeledGraph& graph = train.graph(g);
+        for (std::size_t v = 0; v < graph.num_vertices(); ++v) {
+            const VertexLabel vl = graph.vertex_label(v);
+            if (vl < num_vertex_labels_) columns[vl].Set(g);
+        }
     }
+    for (std::size_t i : chosen) columns.push_back(std::move(covers[i]));
+    const FeatureMatrix x(train.size(), std::move(columns));
     DFP_RETURN_NOT_OK(learner->Train(x, train.labels(), train.num_classes()));
     learner_ = std::move(learner);
     return Status::Ok();
@@ -95,7 +99,7 @@ void GraphClassifierPipeline::Encode(const LabeledGraph& graph,
     out->assign(num_vertex_labels_ + features_.size(), 0.0);
     for (std::size_t v = 0; v < graph.num_vertices(); ++v) {
         const VertexLabel vl = graph.vertex_label(v);
-        if (vl < num_vertex_labels_) (*out)[vl] += 1.0;
+        if (vl < num_vertex_labels_) (*out)[vl] = 1.0;
     }
     for (std::size_t f = 0; f < features_.size(); ++f) {
         if (ContainsPath(graph, features_[f].pattern)) {

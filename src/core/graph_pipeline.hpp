@@ -3,7 +3,9 @@
 // reference [7], built on the labeled-path miner).
 //
 // Same three steps: per-class frequent-path mining, MMR selection over path
-// covers (Eq. 9), and learning on "vertex-label counts ∪ selected paths".
+// covers (Eq. 9), and learning on "vertex-label presence ∪ selected paths"
+// — a binary space like B^{d'}: coordinate l is 1 when the graph has a
+// vertex labelled l.
 #pragma once
 
 #include <memory>
@@ -20,7 +22,7 @@ struct GraphPipelineConfig {
     PathMinerConfig miner;
     bool per_class_mining = true;
     /// Minimum edges per path feature (0-edge paths duplicate the
-    /// vertex-label-count coordinates).
+    /// vertex-label coordinates).
     std::size_t min_pattern_edges = 1;
     std::size_t max_features = 150;
 };

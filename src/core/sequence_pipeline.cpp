@@ -91,14 +91,16 @@ Status SequenceClassifierPipeline::Train(const SequenceDatabase& train,
                              candidates[i].relevance});
     }
 
-    // 3. Learn on item presence ∪ selected subsequences.
-    FeatureMatrix x(train.size(), num_items_ + features_.size());
-    std::vector<double> row(x.cols());
+    // 3. Learn on item presence ∪ selected subsequences: an item's column
+    // holds the sequences containing it, a subsequence's column its cover.
+    std::vector<BitVector> columns(num_items_, BitVector(train.size()));
     for (std::size_t t = 0; t < train.size(); ++t) {
-        Encode(train.sequence(t), &row);
-        auto dst = x.MutableRow(t);
-        std::copy(row.begin(), row.end(), dst.begin());
+        for (ItemId item : train.sequence(t)) {
+            if (item < num_items_) columns[item].Set(t);
+        }
     }
+    for (std::size_t i : chosen) columns.push_back(std::move(candidates[i].cover));
+    const FeatureMatrix x(train.size(), std::move(columns));
     DFP_RETURN_NOT_OK(learner->Train(x, train.labels(), train.num_classes()));
     learner_ = std::move(learner);
     return Status::Ok();

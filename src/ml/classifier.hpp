@@ -17,7 +17,8 @@
 
 namespace dfp {
 
-/// Abstract supervised classifier over dense feature vectors.
+/// Abstract supervised classifier: trains on the 0/1 FeatureMatrix of B^{d'}
+/// and predicts one encoded row given as doubles.
 class Classifier {
   public:
     virtual ~Classifier() = default;

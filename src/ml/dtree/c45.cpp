@@ -50,17 +50,20 @@ Status C45Classifier::Train(const FeatureMatrix& x, const std::vector<ClassLabel
     }
     nodes_.clear();
     num_classes_ = num_classes;
+    const PackedRows packed(x);
     std::vector<std::size_t> rows(x.rows());
     for (std::size_t r = 0; r < rows.size(); ++r) rows[r] = r;
-    root_ = BuildNode(x, y, rows, 0);
+    std::vector<std::size_t> ones(x.cols() * num_classes, 0);
+    root_ = BuildNode(packed, y, rows, 0, &ones);
     if (config_.prune) PruneNode(root_);
     return Status::Ok();
 }
 
-std::int32_t C45Classifier::BuildNode(const FeatureMatrix& x,
+std::int32_t C45Classifier::BuildNode(const PackedRows& x,
                                       const std::vector<ClassLabel>& y,
                                       std::vector<std::size_t>& rows,
-                                      std::size_t depth) {
+                                      std::size_t depth,
+                                      std::vector<std::size_t>* ones) {
     std::vector<std::size_t> hist(num_classes_, 0);
     for (std::size_t r : rows) hist[y[r]]++;
     const auto [majority, errors] = MajorityOf(hist);
@@ -77,96 +80,68 @@ std::int32_t C45Classifier::BuildNode(const FeatureMatrix& x,
         return idx;  // pure / too small / too deep: leaf
     }
 
-    // Best gain-ratio split across all features and thresholds.
-    double best_ratio = 0.0;
-    double best_gain = 0.0;
-    std::size_t best_feature = 0;
-    double best_threshold = 0.0;
-    bool found = false;
+    // Class histogram of the rows whose feature is 1, for every feature at
+    // once: (*ones)[f * K + c] counts the node's class-c rows with bit f set.
+    // One pass over the set bits of the node's rows.
+    const std::size_t k = num_classes_;
+    std::fill(ones->begin(), ones->end(), 0);
+    for (std::size_t r : rows) {
+        const ClassLabel c = y[r];
+        x.ForEach(r, [ones, k, c](std::size_t f) { (*ones)[f * k + c]++; });
+    }
 
+    // Best gain-ratio split over all features. A 0/1 feature has the single
+    // threshold 0.5: rows with bit f clear go left.
+    double best_ratio = 0.0;
+    std::size_t best_feature = 0;
+    bool found = false;
     const double n = static_cast<double>(rows.size());
-    std::vector<std::pair<double, ClassLabel>> column(rows.size());
-    std::vector<std::size_t> left_hist(num_classes_);
-    std::vector<std::size_t> right_hist(num_classes_);
-    // Evaluates the candidate split (f, threshold) given the left histogram.
-    auto consider = [&](std::size_t f, double threshold, std::size_t left_n) {
+    std::vector<std::size_t> left_hist(k);
+    std::vector<std::size_t> right_hist(k);
+    for (std::size_t f = 0; f < x.cols(); ++f) {
+        std::size_t left_n = 0;
+        for (std::size_t c = 0; c < k; ++c) {
+            right_hist[c] = (*ones)[f * k + c];
+            left_hist[c] = hist[c] - right_hist[c];
+            left_n += left_hist[c];
+        }
+        if (left_n == 0 || left_n == rows.size()) continue;  // constant
         if (left_n < config_.min_leaf || rows.size() - left_n < config_.min_leaf) {
-            return;
+            continue;
         }
         const double nl = static_cast<double>(left_n);
         const double nr = n - nl;
-        for (std::size_t c = 0; c < num_classes_; ++c) {
-            right_hist[c] = hist[c] - left_hist[c];
-        }
         const double gain = h_parent - (nl / n) * EntropyCounts(left_hist) -
                             (nr / n) * EntropyCounts(right_hist);
-        if (gain <= config_.min_gain) return;
+        if (gain <= config_.min_gain) continue;
         const double split_info = -XLog2X(nl / n) - XLog2X(nr / n);
-        if (split_info <= 0.0) return;
+        if (split_info <= 0.0) continue;
         const double ratio = gain / split_info;
         if (ratio > best_ratio) {
             best_ratio = ratio;
-            best_gain = gain;
             best_feature = f;
-            best_threshold = threshold;
             found = true;
         }
-    };
-    for (std::size_t f = 0; f < x.cols(); ++f) {
-        // Fast path for binary 0/1 features (the common case in the pattern
-        // feature space): one counting pass, single threshold, no sort.
-        bool binary = true;
-        std::fill(left_hist.begin(), left_hist.end(), 0);
-        std::size_t zeros = 0;
-        for (std::size_t r : rows) {
-            const double v = x.At(r, f);
-            if (v == 0.0) {
-                left_hist[y[r]]++;
-                ++zeros;
-            } else if (v != 1.0) {
-                binary = false;
-                break;
-            }
-        }
-        if (binary) {
-            if (zeros != 0 && zeros != rows.size()) consider(f, 0.5, zeros);
-            continue;
-        }
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            column[i] = {x.At(rows[i], f), y[rows[i]]};
-        }
-        std::sort(column.begin(), column.end());
-        if (column.front().first == column.back().first) continue;  // constant
-
-        std::fill(left_hist.begin(), left_hist.end(), 0);
-        std::size_t left_n = 0;
-        for (std::size_t i = 0; i + 1 < column.size(); ++i) {
-            left_hist[column[i].second]++;
-            ++left_n;
-            if (column[i].first == column[i + 1].first) continue;
-            consider(f, 0.5 * (column[i].first + column[i + 1].first), left_n);
-        }
     }
-    (void)best_gain;
     if (!found) return idx;
 
     std::vector<std::size_t> left_rows;
     std::vector<std::size_t> right_rows;
     for (std::size_t r : rows) {
-        if (x.At(r, best_feature) <= best_threshold) {
-            left_rows.push_back(r);
-        } else {
+        if (x.Test(r, best_feature)) {
             right_rows.push_back(r);
+        } else {
+            left_rows.push_back(r);
         }
     }
     rows.clear();
     rows.shrink_to_fit();  // release before recursing
 
-    const std::int32_t left = BuildNode(x, y, left_rows, depth + 1);
-    const std::int32_t right = BuildNode(x, y, right_rows, depth + 1);
+    const std::int32_t left = BuildNode(x, y, left_rows, depth + 1, ones);
+    const std::int32_t right = BuildNode(x, y, right_rows, depth + 1, ones);
     nodes_[idx].leaf = false;
     nodes_[idx].feature = best_feature;
-    nodes_[idx].threshold = best_threshold;
+    nodes_[idx].threshold = kSplitThreshold;
     nodes_[idx].left = left;
     nodes_[idx].right = right;
     return idx;

@@ -1,6 +1,6 @@
 // C4.5-style decision tree (our Weka J48 substitute).
 //
-// Binary threshold splits chosen by gain ratio (Quinlan 1993), with the
+// Binary splits on 0/1 features chosen by gain ratio (Quinlan 1993), with the
 // standard guards (minimum leaf size, average-gain prefilter) and C4.5's
 // pessimistic error-based subtree pruning using the upper confidence bound of
 // the binomial error rate.
@@ -22,8 +22,8 @@ struct C45Config {
     double confidence = 0.25;     ///< C4.5 pruning confidence factor
 };
 
-/// Gain-ratio decision tree over dense features (binary 0/1 item features are
-/// the common case in this framework; arbitrary numeric features also work).
+/// Gain-ratio decision tree over the 0/1 features of B^{d'}: every split
+/// tests one feature, rows with it clear going left.
 class C45Classifier : public Classifier {
   public:
     explicit C45Classifier(C45Config config = {}) : config_(config) {}
@@ -51,12 +51,19 @@ class C45Classifier : public Classifier {
         std::size_t errors = 0;     ///< training misclassifications as a leaf
         std::size_t feature = 0;    ///< split feature (internal nodes)
         double threshold = 0.0;     ///< go left iff x[feature] <= threshold
+                                    ///< (kSplitThreshold on trained nodes)
         std::int32_t left = -1;
         std::int32_t right = -1;
     };
 
-    std::int32_t BuildNode(const FeatureMatrix& x, const std::vector<ClassLabel>& y,
-                           std::vector<std::size_t>& rows, std::size_t depth);
+    /// Split threshold of a 0/1 feature (kept in the model format, which
+    /// stores a threshold per node).
+    static constexpr double kSplitThreshold = 0.5;
+
+    /// `ones` is scratch of cols × num_classes counts shared by every node.
+    std::int32_t BuildNode(const PackedRows& x, const std::vector<ClassLabel>& y,
+                           std::vector<std::size_t>& rows, std::size_t depth,
+                           std::vector<std::size_t>* ones);
     /// Returns the pessimistic error estimate of the subtree; prunes in place.
     double PruneNode(std::int32_t idx);
     std::size_t DepthOf(std::int32_t idx) const;

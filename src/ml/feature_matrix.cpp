@@ -1,42 +1,87 @@
 #include "ml/feature_matrix.hpp"
 
+#include <cassert>
+#include <utility>
+
 namespace dfp {
 
-FeatureMatrix FeatureMatrix::SelectRows(const std::vector<std::size_t>& rows) const {
-    FeatureMatrix out(rows.size(), cols_);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const auto src = Row(rows[i]);
-        auto dst = out.MutableRow(i);
-        for (std::size_t c = 0; c < cols_; ++c) dst[c] = src[c];
+FeatureMatrix::FeatureMatrix(std::size_t rows, std::vector<BitVector> columns)
+    : rows_(rows), columns_(std::move(columns)) {
+    for ([[maybe_unused]] const BitVector& column : columns_) {
+        assert(column.size() == rows_);
     }
-    return out;
 }
 
-FeatureMatrix FeatureMatrix::SelectCols(const std::vector<std::size_t>& cols) const {
-    FeatureMatrix out(rows_, cols.size());
-    for (std::size_t r = 0; r < rows_; ++r) {
-        for (std::size_t j = 0; j < cols.size(); ++j) {
-            out.At(r, j) = At(r, cols[j]);
+std::vector<double> FeatureMatrix::Row(std::size_t r) const {
+    std::vector<double> row(cols(), 0.0);
+    for (std::size_t c = 0; c < row.size(); ++c) {
+        if (columns_[c].Test(r)) row[c] = 1.0;
+    }
+    return row;
+}
+
+FeatureMatrix FeatureMatrix::SelectRows(const std::vector<std::size_t>& rows) const {
+    FeatureMatrix out(rows.size(), cols());
+    for (std::size_t c = 0; c < cols(); ++c) {
+        const BitVector& src = columns_[c];
+        BitVector& dst = out.columns_[c];
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            if (src.Test(rows[i])) dst.Set(i);
         }
     }
     return out;
 }
 
-double Dot(std::span<const double> a, std::span<const double> b) {
-    assert(a.size() == b.size());
-    double s = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
-    return s;
+FeatureMatrix FeatureMatrix::SelectCols(const std::vector<std::size_t>& cols) const {
+    std::vector<BitVector> columns;
+    columns.reserve(cols.size());
+    for (std::size_t c : cols) columns.push_back(columns_[c]);
+    return FeatureMatrix(rows_, std::move(columns));
 }
 
-double SquaredDistance(std::span<const double> a, std::span<const double> b) {
-    assert(a.size() == b.size());
-    double s = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        const double d = a[i] - b[i];
-        s += d * d;
+PackedRows::PackedRows(const FeatureMatrix& x)
+    : cols_(x.cols()),
+      stride_((x.cols() + 63) / 64),
+      words_(x.rows() * stride_, 0),
+      counts_(x.rows(), 0) {
+    for (std::size_t c = 0; c < cols_; ++c) {
+        const std::size_t word = c / 64;
+        const std::uint64_t bit = std::uint64_t{1} << (c % 64);
+        x.Column(c).ForEach([&](std::uint32_t r) {
+            words_[r * stride_ + word] |= bit;
+            ++counts_[r];
+        });
     }
-    return s;
+}
+
+std::size_t PackedRows::AndCount(std::size_t i, std::size_t j) const {
+    const std::uint64_t* a = words_.data() + i * stride_;
+    const std::uint64_t* b = words_.data() + j * stride_;
+    std::size_t count = 0;
+    for (std::size_t w = 0; w < stride_; ++w) {
+        count += static_cast<std::size_t>(__builtin_popcountll(a[w] & b[w]));
+    }
+    return count;
+}
+
+std::vector<double> PackedRows::Dense(std::size_t r) const {
+    std::vector<double> row(cols_, 0.0);
+    ForEach(r, [&row](std::size_t c) { row[c] = 1.0; });
+    return row;
+}
+
+PackedRows PackedRows::SelectRows(const std::vector<std::size_t>& rows) const {
+    PackedRows out;
+    out.cols_ = cols_;
+    out.stride_ = stride_;
+    out.words_.reserve(rows.size() * stride_);
+    out.counts_.reserve(rows.size());
+    for (std::size_t r : rows) {
+        const auto row = Row(r);
+        out.words_.insert(out.words_.end(), row.begin(), row.end());
+        out.counts_.push_back(counts_[r]);
+    }
+    return out;
 }
 
 }  // namespace dfp

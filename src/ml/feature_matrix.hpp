@@ -1,48 +1,101 @@
-// Dense row-major feature matrix consumed by the learners.
+// The learners' input: the paper's binary matrix over B^{d'} (Section 2).
+//
+// Every coordinate of the augmented space is a 0/1 indicator, and every
+// column is a cover set — item i's column is the rows containing i, pattern
+// p's column the rows containing p. FeatureMatrix stores exactly that: one
+// packed BitVector per column, so building it from a TransactionDatabase is a
+// copy of covers and per-class feature counts are popcounts. Learners that
+// walk instances (the SVM solvers, C4.5's node splits) transpose the columns
+// once into PackedRows.
 #pragma once
 
-#include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
+#include "common/bitvector.hpp"
+
 namespace dfp {
 
-/// Row-major dense matrix of doubles.
+/// Column-major 0/1 matrix: column c is the cover of feature c over the rows.
 class FeatureMatrix {
   public:
     FeatureMatrix() = default;
+    /// An all-zero rows × cols matrix.
     FeatureMatrix(std::size_t rows, std::size_t cols)
-        : rows_(rows), cols_(cols), data_(rows * cols, 0.0) {}
+        : rows_(rows), columns_(cols, BitVector(rows)) {}
+    /// Adopts the given covers as columns (each must have `rows` bits).
+    FeatureMatrix(std::size_t rows, std::vector<BitVector> columns);
 
     std::size_t rows() const { return rows_; }
-    std::size_t cols() const { return cols_; }
+    std::size_t cols() const { return columns_.size(); }
 
-    double& At(std::size_t r, std::size_t c) { return data_[r * cols_ + c]; }
-    double At(std::size_t r, std::size_t c) const { return data_[r * cols_ + c]; }
+    /// Feature c's cover: the rows whose coordinate c is 1.
+    const BitVector& Column(std::size_t c) const { return columns_[c]; }
+    void Set(std::size_t r, std::size_t c) { columns_[c].Set(r); }
+    bool Test(std::size_t r, std::size_t c) const { return columns_[c].Test(r); }
 
-    std::span<const double> Row(std::size_t r) const {
-        return {data_.data() + r * cols_, cols_};
-    }
-    std::span<double> MutableRow(std::size_t r) {
-        return {data_.data() + r * cols_, cols_};
-    }
+    /// Row r decoded as 0/1 doubles (the vector Classifier::Predict takes);
+    /// an allocation per call, for evaluation rather than training loops.
+    std::vector<double> Row(std::size_t r) const;
 
-    /// Copies the selected rows into a new matrix.
+    /// Copies the selected rows (in the given order) into a new matrix.
     FeatureMatrix SelectRows(const std::vector<std::size_t>& rows) const;
     /// Copies the selected columns into a new matrix.
     FeatureMatrix SelectCols(const std::vector<std::size_t>& cols) const;
 
   private:
     std::size_t rows_ = 0;
-    std::size_t cols_ = 0;
-    std::vector<double> data_;
+    std::vector<BitVector> columns_;
 };
 
-/// Dot product of two equal-length spans.
-double Dot(std::span<const double> a, std::span<const double> b);
+/// Row-major transpose of a FeatureMatrix: each row packed into 64-bit
+/// words, with its popcount cached. Dot products and squared distances of 0/1
+/// rows are exact integers: |a ∧ b| and |a| + |b| − 2|a ∧ b|.
+class PackedRows {
+  public:
+    PackedRows() = default;
+    explicit PackedRows(const FeatureMatrix& x);
 
-/// Squared Euclidean distance of two equal-length spans.
-double SquaredDistance(std::span<const double> a, std::span<const double> b);
+    std::size_t rows() const { return counts_.size(); }
+    std::size_t cols() const { return cols_; }
+
+    std::span<const std::uint64_t> Row(std::size_t r) const {
+        return {words_.data() + r * stride_, stride_};
+    }
+    bool Test(std::size_t r, std::size_t c) const {
+        return (words_[r * stride_ + c / 64] >> (c % 64)) & 1u;
+    }
+    /// |row r|.
+    std::size_t Count(std::size_t r) const { return counts_[r]; }
+    /// |row i ∧ row j|.
+    std::size_t AndCount(std::size_t i, std::size_t j) const;
+
+    /// Calls fn(column) for every set bit of row r, ascending.
+    template <typename Fn>
+    void ForEach(std::size_t r, Fn&& fn) const {
+        const std::uint64_t* row = words_.data() + r * stride_;
+        for (std::size_t w = 0; w < stride_; ++w) {
+            std::uint64_t bits = row[w];
+            while (bits != 0) {
+                fn(w * 64 + static_cast<std::size_t>(__builtin_ctzll(bits)));
+                bits &= bits - 1;
+            }
+        }
+    }
+
+    /// Row r decoded as 0/1 doubles.
+    std::vector<double> Dense(std::size_t r) const;
+
+    /// Copies the selected rows (in the given order).
+    PackedRows SelectRows(const std::vector<std::size_t>& rows) const;
+
+  private:
+    std::size_t cols_ = 0;
+    std::size_t stride_ = 0;  // words per row
+    std::vector<std::uint64_t> words_;
+    std::vector<std::size_t> counts_;
+};
 
 }  // namespace dfp

@@ -1,10 +1,10 @@
 #include "ml/nb/naive_bayes.hpp"
 
 #include <cmath>
+#include <limits>
 #include <ostream>
 
 #include "common/serialize.hpp"
-#include <limits>
 
 namespace dfp {
 
@@ -17,14 +17,16 @@ Status NaiveBayesClassifier::Train(const FeatureMatrix& x,
     }
     num_classes_ = num_classes;
     cols_ = x.cols();
+    // Per-class counts are popcounts: on_count[c][f] = |cover_f ∧ class_c|.
+    std::vector<BitVector> class_rows(num_classes, BitVector(x.rows()));
+    for (std::size_t r = 0; r < x.rows(); ++r) class_rows[y[r]].Set(r);
     std::vector<double> class_count(num_classes, 0.0);
     std::vector<double> on_count(num_classes * cols_, 0.0);
-    for (std::size_t r = 0; r < x.rows(); ++r) {
-        const ClassLabel c = y[r];
-        class_count[c] += 1.0;
-        const auto row = x.Row(r);
+    for (std::size_t c = 0; c < num_classes; ++c) {
+        class_count[c] = static_cast<double>(class_rows[c].Count());
         for (std::size_t f = 0; f < cols_; ++f) {
-            if (row[f] > 0.5) on_count[c * cols_ + f] += 1.0;
+            on_count[c * cols_ + f] =
+                static_cast<double>(x.Column(f).AndCount(class_rows[c]));
         }
     }
     const double n = static_cast<double>(x.rows());

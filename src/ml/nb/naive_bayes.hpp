@@ -10,7 +10,8 @@
 
 namespace dfp {
 
-/// Bernoulli NB with Laplace smoothing; features are binarized at > 0.5.
+/// Bernoulli NB with Laplace smoothing over 0/1 features (Predict binarizes
+/// its input at > 0.5).
 class NaiveBayesClassifier : public Classifier {
   public:
     explicit NaiveBayesClassifier(double smoothing = 1.0) : smoothing_(smoothing) {}

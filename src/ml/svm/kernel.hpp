@@ -1,6 +1,7 @@
 // Kernel functions for the SVM (the paper uses LIBSVM's linear and RBF).
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <string>
 
@@ -16,9 +17,16 @@ struct KernelParams {
     int degree = 3;
 };
 
-/// Evaluates K(a, b).
+/// Evaluates K(a, b) (prediction: a support vector against an encoded row).
 double KernelEval(const KernelParams& params, std::span<const double> a,
                   std::span<const double> b);
+
+/// K(a, b) of two 0/1 vectors from dot = |a ∧ b| and their sizes |a|, |b|:
+/// the dot product is dot and the squared distance |a| + |b| − 2·dot, both
+/// exact integers, so the value equals KernelEval on the same vectors as
+/// doubles bit for bit (training: two rows of B^{d'}).
+double BinaryKernelEval(const KernelParams& params, std::size_t dot,
+                        std::size_t size_a, std::size_t size_b);
 
 /// "linear", "rbf(γ=0.5)", ...
 std::string KernelName(const KernelParams& params);

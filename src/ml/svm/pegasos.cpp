@@ -4,9 +4,8 @@
 #include <cmath>
 #include <ostream>
 
-#include "common/serialize.hpp"
-
 #include "common/rng.hpp"
+#include "common/serialize.hpp"
 
 namespace dfp {
 
@@ -16,9 +15,11 @@ namespace {
 // fallback solver. `target_of(i)` returns the ±1 label of row i; `rng` is
 // shared by callers training several machines so the sampling stream stays
 // reproducible. The budget is checked once per epoch: fine-grained enough
-// for deadlines (epochs are O(n·d)) without touching the inner loop.
+// for deadlines without touching the inner loop. A step reads and updates w
+// only at the sampled row's set bits — the zero terms of the dense step add
+// nothing — so it costs O(|x_i|), not O(d).
 template <typename TargetFn>
-BinaryLinearModel PegasosSgd(const FeatureMatrix& x, TargetFn target_of,
+BinaryLinearModel PegasosSgd(const PackedRows& x, TargetFn target_of,
                              const PegasosConfig& config, Rng& rng) {
     const std::size_t n = x.rows();
     const std::size_t cols = x.cols();
@@ -42,9 +43,8 @@ BinaryLinearModel PegasosSgd(const FeatureMatrix& x, TargetFn target_of,
                 static_cast<std::size_t>(rng.UniformInt(std::uint64_t{n}));
             const double target = target_of(i);
             const double eta = 1.0 / (config.lambda * static_cast<double>(t));
-            const auto row = x.Row(i);
             double f = b;
-            for (std::size_t d = 0; d < cols; ++d) f += w[d] * row[d];
+            x.ForEach(i, [w, &f](std::size_t d) { f += w[d]; });
             f *= scale;
             // Shrink: w ← (1 − ηλ)w, folded into the lazy scale.
             scale *= (1.0 - eta * config.lambda);
@@ -55,7 +55,7 @@ BinaryLinearModel PegasosSgd(const FeatureMatrix& x, TargetFn target_of,
             }
             if (target * f < 1.0) {
                 const double g = eta * target / scale;
-                for (std::size_t d = 0; d < cols; ++d) w[d] += g * row[d];
+                x.ForEach(i, [w, g](std::size_t d) { w[d] += g; });
                 b += g;
             }
         }
@@ -67,7 +67,7 @@ BinaryLinearModel PegasosSgd(const FeatureMatrix& x, TargetFn target_of,
 
 }  // namespace
 
-BinaryLinearModel TrainPegasosBinary(const FeatureMatrix& x,
+BinaryLinearModel TrainPegasosBinary(const PackedRows& x,
                                      const std::vector<int>& y,
                                      const PegasosConfig& config) {
     Rng rng(config.seed);
@@ -91,10 +91,11 @@ Status PegasosClassifier::Train(const FeatureMatrix& x,
     weights_.assign(num_classes * cols_, 0.0);
     bias_.assign(num_classes, 0.0);
     Rng rng(config_.seed);
+    const PackedRows packed(x);
 
     for (std::size_t c = 0; c < num_classes; ++c) {
         const BinaryLinearModel machine = PegasosSgd(
-            x, [&y, c](std::size_t i) { return (y[i] == c) ? 1.0 : -1.0; },
+            packed, [&y, c](std::size_t i) { return (y[i] == c) ? 1.0 : -1.0; },
             config_, rng);
         if (machine.breach == BudgetBreach::kCancelled) {
             RecordBreach("ml.pegasos", machine.breach, static_cast<double>(c));

@@ -3,9 +3,10 @@
 // The SMO solver is exact but quadratic-ish in n; the scalability experiments
 // (Tables 3–5, up to 20 000 rows × 26 classes) need a linear-time linear SVM,
 // which is what LIBLINEAR would provide in the paper's setting. Pegasos makes
-// one O(d) update per sampled example and converges in a few epochs on the
-// sparse binary feature spaces this framework produces. Multiclass is
-// one-vs-rest with argmax over decision values.
+// one update per sampled example, touching only its set features, and
+// converges in a few epochs on the sparse binary feature spaces this
+// framework produces. Multiclass is one-vs-rest with argmax over decision
+// values.
 #pragma once
 
 #include <vector>
@@ -34,7 +35,7 @@ struct BinaryLinearModel {
 
 /// Trains a binary (±1 labels) linear SVM with Pegasos SGD — the fallback
 /// solver used when SMO fails to converge on a pairwise subproblem.
-BinaryLinearModel TrainPegasosBinary(const FeatureMatrix& x,
+BinaryLinearModel TrainPegasosBinary(const PackedRows& x,
                                      const std::vector<int>& y,
                                      const PegasosConfig& config);
 

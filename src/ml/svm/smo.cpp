@@ -104,7 +104,7 @@ class KernelRowCache {
 // Training workspace: data views, alphas, error cache and (optional) Gram.
 class SmoSolver {
   public:
-    SmoSolver(const FeatureMatrix& x, const std::vector<int>& y,
+    SmoSolver(const PackedRows& x, const std::vector<int>& y,
               const SmoConfig& config)
         : x_(x),
           y_(y),
@@ -118,7 +118,7 @@ class SmoSolver {
             gram_.resize(n_ * n_);
             for (std::size_t i = 0; i < n_; ++i) {
                 for (std::size_t j = i; j < n_; ++j) {
-                    const double k = KernelEval(config_.kernel, x_.Row(i), x_.Row(j));
+                    const double k = KernelOf(i, j);
                     gram_[i * n_ + j] = k;
                     gram_[j * n_ + i] = k;
                 }
@@ -191,7 +191,13 @@ class SmoSolver {
             return gram_[i * n_ + j];
         }
         ++kernel_evals_;
-        return KernelEval(config_.kernel, x_.Row(i), x_.Row(j));
+        return KernelOf(i, j);
+    }
+
+    // K(x_i, x_j) from the packed rows' overlap popcount.
+    double KernelOf(std::size_t i, std::size_t j) const {
+        return BinaryKernelEval(config_.kernel, x_.AndCount(i, j), x_.Count(i),
+                                x_.Count(j));
     }
 
     // One registry flush per Solve(); the per-call tallies above keep the
@@ -232,7 +238,7 @@ class SmoSolver {
     const double* CachedRow(std::size_t i, std::size_t pinned) {
         return cache_.Get(i, pinned, [this](std::size_t r, double* out) {
             for (std::size_t j = 0; j < n_; ++j) {
-                out[j] = KernelEval(config_.kernel, x_.Row(r), x_.Row(j));
+                out[j] = KernelOf(r, j);
             }
             kernel_evals_ += n_;
         });
@@ -400,12 +406,22 @@ class SmoSolver {
             }
         }
         // Update the primal weights BEFORE re-anchoring the two changed
-        // errors: Fx() reads w_ on the linear path.
+        // errors: Fx() reads w_ on the linear path. w += d1·x_i1 + d2·x_i2
+        // touches only the columns either row sets; a column both set gets
+        // d1 + d2 in one addition, as the dense update rounds it.
         if (!w_.empty()) {
             const auto r1 = x_.Row(i1);
             const auto r2 = x_.Row(i2);
-            for (std::size_t d = 0; d < w_.size(); ++d) {
-                w_[d] += d1 * r1[d] + d2 * r2[d];
+            for (std::size_t k = 0; k < r1.size(); ++k) {
+                std::uint64_t bits = r1[k] | r2[k];
+                while (bits != 0) {
+                    const int b = __builtin_ctzll(bits);
+                    const std::uint64_t bit = std::uint64_t{1} << b;
+                    w_[k * 64 + static_cast<std::size_t>(b)] +=
+                        ((r1[k] & bit) != 0 ? d1 : 0.0) +
+                        ((r2[k] & bit) != 0 ? d2 : 0.0);
+                    bits &= bits - 1;
+                }
             }
         }
         error_[i1] = Fx(i1, row1) - y1;  // recompute exactly for the changed points
@@ -420,7 +436,11 @@ class SmoSolver {
     double Fx(std::size_t i, const double* row) const {
         double f = -bias_;
         if (!w_.empty()) {
-            f += Dot(w_, x_.Row(i));
+            // w·x_i over the set bits, in column order (the zero terms of
+            // the dense sum add nothing).
+            double dot = 0.0;
+            x_.ForEach(i, [this, &dot](std::size_t d) { dot += w_[d]; });
+            f += dot;
         } else if (row != nullptr) {
             for (std::size_t j = 0; j < n_; ++j) {
                 if (alpha_[j] > 0.0) f += alpha_[j] * y_[j] * row[j];
@@ -445,13 +465,12 @@ class SmoSolver {
         for (std::size_t i = 0; i < n_; ++i) {
             if (alpha_[i] <= 0.0) continue;
             model.sv_coef.push_back(alpha_[i] * y_[i]);
-            const auto row = x_.Row(i);
-            model.sv.emplace_back(row.begin(), row.end());
+            model.sv.push_back(x_.Dense(i));
         }
         return model;
     }
 
-    const FeatureMatrix& x_;
+    const PackedRows& x_;
     const std::vector<int>& y_;
     const SmoConfig& config_;
     std::size_t n_;
@@ -476,7 +495,11 @@ class SmoSolver {
 }  // namespace
 
 double SmoModel::Decision(std::span<const double> x) const {
-    if (!w.empty()) return Dot(w, x) + bias;
+    if (!w.empty()) {
+        double dot = 0.0;
+        for (std::size_t d = 0; d < w.size(); ++d) dot += w[d] * x[d];
+        return dot + bias;
+    }
     double f = bias;
     for (std::size_t i = 0; i < sv.size(); ++i) {
         f += sv_coef[i] * KernelEval(kernel, sv[i], x);
@@ -484,7 +507,7 @@ double SmoModel::Decision(std::span<const double> x) const {
     return f;
 }
 
-Result<SmoModel> TrainSmo(const FeatureMatrix& x, const std::vector<int>& y,
+Result<SmoModel> TrainSmo(const PackedRows& x, const std::vector<int>& y,
                           const SmoConfig& config) {
     if (x.rows() == 0) return Status::InvalidArgument("empty SVM training set");
     if (x.rows() != y.size()) {
@@ -500,11 +523,12 @@ Result<SmoModel> TrainSmo(const FeatureMatrix& x, const std::vector<int>& y,
     return solver.Solve();
 }
 
-double MaxKktViolation(const SmoModel& model, const FeatureMatrix& x,
+double MaxKktViolation(const SmoModel& model, const PackedRows& x,
                        const std::vector<int>& y, double c) {
     double worst = 0.0;
     for (std::size_t i = 0; i < x.rows(); ++i) {
-        const double margin = static_cast<double>(y[i]) * model.Decision(x.Row(i));
+        const double margin =
+            static_cast<double>(y[i]) * model.Decision(x.Dense(i));
         const double a = model.alpha[i];
         double violation = 0.0;
         if (a <= 1e-12) {

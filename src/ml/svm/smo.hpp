@@ -31,7 +31,7 @@ struct SmoConfig {
     /// (n > gram_limit): TakeStep's O(n) error refresh re-reads the two
     /// changed rows, so caching whole rows turns its 2n kernel evaluations
     /// into 2n loads on a hit. Cached rows hold exactly the values direct
-    /// evaluation would produce (KernelEval is deterministic and bit-
+    /// evaluation would produce (BinaryKernelEval is deterministic and
     /// symmetric), so the optimization trajectory — and the trained model —
     /// is bit-identical with the cache on or off. 0 disables the cache.
     std::size_t cache_bytes = 64ull << 20;
@@ -84,13 +84,15 @@ struct SmoModel {
     double Decision(std::span<const double> x) const;
 };
 
-/// Trains on rows of `x` with labels y_i ∈ {−1, +1}.
-Result<SmoModel> TrainSmo(const FeatureMatrix& x, const std::vector<int>& y,
+/// Trains on the 0/1 rows of `x` with labels y_i ∈ {−1, +1}. Kernel values
+/// come from row popcounts (BinaryKernelEval); support vectors are stored as
+/// doubles for Decision().
+Result<SmoModel> TrainSmo(const PackedRows& x, const std::vector<int>& y,
                           const SmoConfig& config);
 
 /// Max KKT-condition violation of the trained model on its training set;
 /// used by the tests to certify convergence (should be ≤ config.tol + slack).
-double MaxKktViolation(const SmoModel& model, const FeatureMatrix& x,
+double MaxKktViolation(const SmoModel& model, const PackedRows& x,
                        const std::vector<int>& y, double c);
 
 }  // namespace dfp

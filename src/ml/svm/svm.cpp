@@ -5,7 +5,6 @@
 
 #include "common/parallel.hpp"
 #include "common/serialize.hpp"
-
 #include "common/string_util.hpp"
 #include "ml/eval/cross_validation.hpp"
 #include "ml/svm/pegasos.hpp"
@@ -42,6 +41,8 @@ Status SvmClassifier::Train(const FeatureMatrix& x, const std::vector<ClassLabel
         Status status = Status::Ok();
     };
     std::vector<PairSlot> slots(pairs.size());
+    // Every pair's solve reads its rows from one transpose of the covers.
+    const PackedRows packed(x);
 
     auto solve_pair = [&](std::size_t idx) {
         const auto [a, b] = pairs[idx];
@@ -68,7 +69,7 @@ Status SvmClassifier::Train(const FeatureMatrix& x, const std::vector<ClassLabel
             slot.pm.model.bias = has_pos ? 1.0 : -1.0;  // constant decision
             return;
         }
-        const FeatureMatrix sub = x.SelectRows(rows);
+        const PackedRows sub = packed.SelectRows(rows);
         SmoConfig pair_config = config_;
         pair_config.budget.time_budget_ms = timer.remaining_ms();
         // Pair solves can run concurrently; split the kernel-row cache

@@ -65,8 +65,9 @@ TEST(FeatureSpaceTest, TransformMatchesRowwiseEncode) {
     ASSERT_EQ(x.cols(), 6u);
     for (std::size_t t = 0; t < db.num_transactions(); ++t) {
         const std::vector<double> expected = Encoded(fs, db.transaction(t));
+        EXPECT_EQ(x.Row(t), expected) << "row " << t;
         for (std::size_t c = 0; c < fs.dim(); ++c) {
-            EXPECT_DOUBLE_EQ(x.At(t, c), expected[c]);
+            EXPECT_EQ(x.Test(t, c), expected[c] == 1.0);
         }
     }
 }
@@ -83,20 +84,6 @@ TEST(FeatureSpaceTest, UnseenItemsIgnored) {
     // test-fold value bin never seen in training); they must be ignored.
     const auto fs = FeatureSpace::ItemsOnly(3);
     EXPECT_EQ(Encoded(fs, {1, 7}), (std::vector<double>{0, 1, 0}));
-}
-
-TEST(FeatureMatrixTest, SelectRowsAndCols) {
-    FeatureMatrix m(2, 3);
-    m.At(0, 0) = 1;
-    m.At(0, 2) = 2;
-    m.At(1, 1) = 3;
-    const auto rows = m.SelectRows({1});
-    EXPECT_EQ(rows.rows(), 1u);
-    EXPECT_DOUBLE_EQ(rows.At(0, 1), 3.0);
-    const auto cols = m.SelectCols({2, 0});
-    EXPECT_EQ(cols.cols(), 2u);
-    EXPECT_DOUBLE_EQ(cols.At(0, 0), 2.0);
-    EXPECT_DOUBLE_EQ(cols.At(0, 1), 1.0);
 }
 
 }  // namespace

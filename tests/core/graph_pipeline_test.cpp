@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "ml/dtree/c45.hpp"
 #include "ml/svm/svm.hpp"
@@ -71,6 +76,58 @@ TEST(GraphPipelineTest, MaxFeaturesRespected) {
     GraphClassifierPipeline pipeline(config);
     ASSERT_TRUE(pipeline.Train(db, std::make_unique<C45Classifier>()).ok());
     EXPECT_LE(pipeline.features().size(), 7u);
+}
+
+// Records the training matrix and every encoded row it is asked to predict.
+class RecordingClassifier : public Classifier {
+  public:
+    struct Log {
+        FeatureMatrix train;
+        std::vector<std::vector<double>> predicted;
+    };
+    explicit RecordingClassifier(std::shared_ptr<Log> log) : log_(std::move(log)) {}
+
+    std::string Name() const override { return "recording"; }
+    Status Train(const FeatureMatrix& x, const std::vector<ClassLabel>& /*y*/,
+                 std::size_t /*num_classes*/) override {
+        log_->train = x;
+        return Status::Ok();
+    }
+    ClassLabel Predict(std::span<const double> x) const override {
+        log_->predicted.emplace_back(x.begin(), x.end());
+        return 0;
+    }
+
+  private:
+    std::shared_ptr<Log> log_;
+};
+
+TEST(GraphPipelineTest, EncodesVertexLabelPresenceAlikeInTrainAndPredict) {
+    // The learner input is 0/1: a vertex label seen twice in a graph is a 1,
+    // in the training matrix and in the row Predict encodes.
+    const auto db = MakeDb(6);
+    auto log = std::make_shared<RecordingClassifier::Log>();
+    GraphClassifierPipeline pipeline(SmallConfig());
+    ASSERT_TRUE(
+        pipeline.Train(db, std::make_unique<RecordingClassifier>(log)).ok());
+    ASSERT_EQ(log->train.rows(), db.size());
+    ASSERT_EQ(log->train.cols(), db.num_vertex_labels() + pipeline.features().size());
+    bool saw_repeated_label = false;
+    for (std::size_t g = 0; g < db.size(); ++g) {
+        const LabeledGraph& graph = db.graph(g);
+        std::vector<std::size_t> label_counts(db.num_vertex_labels(), 0);
+        for (std::size_t v = 0; v < graph.num_vertices(); ++v) {
+            ++label_counts[graph.vertex_label(v)];
+        }
+        for (std::size_t vl = 0; vl < label_counts.size(); ++vl) {
+            EXPECT_EQ(log->train.Test(g, vl), label_counts[vl] > 0) << g << "," << vl;
+            if (label_counts[vl] > 1) saw_repeated_label = true;
+        }
+        pipeline.Predict(graph);
+        ASSERT_EQ(log->predicted.size(), g + 1);
+        EXPECT_EQ(log->predicted.back(), log->train.Row(g)) << "graph " << g;
+    }
+    EXPECT_TRUE(saw_repeated_label);
 }
 
 TEST(GraphPipelineTest, ErrorsPropagate) {

@@ -52,16 +52,16 @@ bool SameBytes(const double* a, const double* b, std::size_t n) {
     return n == 0 || std::memcmp(a, b, n * sizeof(double)) == 0;
 }
 
-/// Bytewise equality of Transform(db) and the scan reference, plus Encode of
-/// every row against ScanEncode.
+/// Column-by-column equality of Transform(db) and the scan reference, plus
+/// bytewise equality of Encode of every row against ScanEncode.
 void ExpectMatchesScan(const FeatureSpace& space, const TransactionDatabase& db) {
     const FeatureMatrix got = space.Transform(db);
     const FeatureMatrix want = testutil::ScanTransform(space, db);
     ASSERT_EQ(got.rows(), want.rows());
     ASSERT_EQ(got.cols(), want.cols());
-    for (std::size_t r = 0; r < got.rows(); ++r) {
-        ASSERT_TRUE(SameBytes(got.Row(r).data(), want.Row(r).data(), got.cols()))
-            << "Transform row " << r << " of " << got.rows();
+    for (std::size_t c = 0; c < got.cols(); ++c) {
+        ASSERT_EQ(got.Column(c), want.Column(c))
+            << "Transform column " << c << " of " << got.cols();
     }
     PatternMatchIndex::Scratch scratch;
     for (std::size_t t = 0; t < db.num_transactions(); ++t) {
@@ -148,8 +148,8 @@ TEST(TransformCertificateTest, PatternBeyondDbUniverseGetsZeroColumn) {
     ExpectMatchesScan(space, db);
     const FeatureMatrix x = space.Transform(db);
     for (std::size_t r = 0; r < x.rows(); ++r) {
-        EXPECT_EQ(x.At(r, 10 + 1), 0.0);
-        EXPECT_EQ(x.At(r, 10 + 2), 0.0);
+        EXPECT_FALSE(x.Test(r, 10 + 1));
+        EXPECT_FALSE(x.Test(r, 10 + 2));
     }
     // Items a row carries beyond the space's own item coordinates are
     // ignored there but still complete patterns.

@@ -8,18 +8,26 @@ namespace dfp {
 namespace {
 
 TEST(C45Test, LearnsSimpleThreshold) {
-    FeatureMatrix x(20, 1);
+    // Feature 2 marks class 1; features 0, 1 and 3 are seeded noise. The tree
+    // must pick feature 2 and split it at 0.5.
+    Rng rng(3);
+    FeatureMatrix x(40, 4);
     std::vector<ClassLabel> y;
-    for (std::size_t i = 0; i < 20; ++i) {
-        x.At(i, 0) = static_cast<double>(i);
-        y.push_back(i < 10 ? 0 : 1);
+    for (std::size_t i = 0; i < 40; ++i) {
+        const ClassLabel c = i < 20 ? 0 : 1;
+        for (std::size_t f : {0u, 1u, 3u}) {
+            if (rng.Bernoulli(0.5)) x.Set(i, f);
+        }
+        if (c == 1) x.Set(i, 2);
+        y.push_back(c);
     }
     C45Classifier tree;
     ASSERT_TRUE(tree.Train(x, y, 2).ok());
     EXPECT_DOUBLE_EQ(tree.Accuracy(x, y), 1.0);
-    std::vector<double> probe = {3.0};
+    EXPECT_EQ(tree.num_leaves(), 2u);
+    std::vector<double> probe = {1.0, 1.0, 0.0, 1.0};
     EXPECT_EQ(tree.Predict(probe), 0u);
-    probe[0] = 15.0;
+    probe = {0.0, 0.0, 1.0, 0.0};
     EXPECT_EQ(tree.Predict(probe), 1u);
 }
 
@@ -30,8 +38,8 @@ TEST(C45Test, LearnsXorWithTwoLevels) {
     for (std::size_t i = 0; i < 200; ++i) {
         const int a = static_cast<int>(rng.UniformInt(std::uint64_t{2}));
         const int b = static_cast<int>(rng.UniformInt(std::uint64_t{2}));
-        x.At(i, 0) = a;
-        x.At(i, 1) = b;
+        if (a == 1) x.Set(i, 0);
+        if (b == 1) x.Set(i, 1);
         y.push_back(static_cast<ClassLabel>(a ^ b));
     }
     C45Classifier tree;
@@ -54,10 +62,12 @@ TEST(C45Test, PureDataYieldsSingleLeaf) {
 TEST(C45Test, PruningShrinksTreeOnNoise) {
     // Pure-noise labels: an unpruned tree overfits, a pruned one collapses.
     Rng rng(5);
-    FeatureMatrix x(300, 4);
+    FeatureMatrix x(300, 10);
     std::vector<ClassLabel> y;
     for (std::size_t i = 0; i < 300; ++i) {
-        for (std::size_t f = 0; f < 4; ++f) x.At(i, f) = rng.Uniform();
+        for (std::size_t f = 0; f < 10; ++f) {
+            if (rng.Bernoulli(0.5)) x.Set(i, f);
+        }
         y.push_back(static_cast<ClassLabel>(rng.UniformInt(std::uint64_t{2})));
     }
     C45Config no_prune;
@@ -71,29 +81,40 @@ TEST(C45Test, PruningShrinksTreeOnNoise) {
 }
 
 TEST(C45Test, MinLeafRespected) {
-    FeatureMatrix x(20, 1);
+    // Feature i < 20 marks row i alone; feature 20 + k marks the block of
+    // rows 5k..5k+4. Alternating labels: only the singleton splits separate
+    // them, and min_leaf = 5 forbids those.
+    FeatureMatrix x(20, 24);
     std::vector<ClassLabel> y;
     for (std::size_t i = 0; i < 20; ++i) {
-        x.At(i, 0) = static_cast<double>(i);
-        y.push_back(static_cast<ClassLabel>(i % 2));  // alternating: splits are
-                                                      // only useful at size 1
+        x.Set(i, i);
+        x.Set(i, 20 + i / 5);
+        y.push_back(static_cast<ClassLabel>(i % 2));
     }
     C45Config config;
-    config.min_leaf = 5;
+    config.min_leaf = 1;
     config.prune = false;
+    C45Classifier memorizer(config);
+    ASSERT_TRUE(memorizer.Train(x, y, 2).ok());
+    EXPECT_DOUBLE_EQ(memorizer.Accuracy(x, y), 1.0);
+    EXPECT_GT(memorizer.num_leaves(), 4u);
+
+    config.min_leaf = 5;
     C45Classifier tree(config);
     ASSERT_TRUE(tree.Train(x, y, 2).ok());
-    // With alternating labels and min_leaf=5 no high-gain split exists; the
-    // tree must stay tiny rather than memorizing.
+    // The tree must stay tiny rather than memorizing.
     EXPECT_LE(tree.num_leaves(), 4u);
 }
 
 TEST(C45Test, MulticlassSplits) {
-    FeatureMatrix x(30, 1);
+    // Three classes coded on two features: 00, 10, 11.
+    FeatureMatrix x(30, 2);
     std::vector<ClassLabel> y;
     for (std::size_t i = 0; i < 30; ++i) {
-        x.At(i, 0) = static_cast<double>(i);
-        y.push_back(static_cast<ClassLabel>(i / 10));  // three bands
+        const std::size_t c = i / 10;
+        if (c >= 1) x.Set(i, 0);
+        if (c == 2) x.Set(i, 1);
+        y.push_back(static_cast<ClassLabel>(c));
     }
     C45Classifier tree;
     ASSERT_TRUE(tree.Train(x, y, 3).ok());
@@ -108,17 +129,18 @@ TEST(C45Test, RejectsBadInput) {
 }
 
 TEST(C45Test, ToTextMentionsSplits) {
-    FeatureMatrix x(20, 1);
+    FeatureMatrix x(20, 1);  // the feature marks class 1
     std::vector<ClassLabel> y;
     for (std::size_t i = 0; i < 20; ++i) {
-        x.At(i, 0) = static_cast<double>(i);
+        if (i >= 10) x.Set(i, 0);
         y.push_back(i < 10 ? 0 : 1);
     }
     C45Classifier tree;
     ASSERT_TRUE(tree.Train(x, y, 2).ok());
+    EXPECT_DOUBLE_EQ(tree.Accuracy(x, y), 1.0);
     const std::vector<std::string> names = {"age"};
     const std::string text = tree.ToText(&names);
-    EXPECT_NE(text.find("age <="), std::string::npos);
+    EXPECT_NE(text.find("age <= 0.5"), std::string::npos) << text;
     EXPECT_NE(text.find("class"), std::string::npos);
 }
 

@@ -44,10 +44,10 @@ TEST(StratifiedFoldsTest, UnevenSizesDifferByAtMostOnePerClass) {
 }
 
 TEST(CrossValidateTest, PerfectlyLearnableData) {
-    FeatureMatrix x(40, 1);
+    FeatureMatrix x(40, 1);  // the feature marks class 1
     std::vector<ClassLabel> y;
     for (std::size_t i = 0; i < 40; ++i) {
-        x.At(i, 0) = static_cast<double>(i);
+        if (i >= 20) x.Set(i, 0);
         y.push_back(i < 20 ? 0 : 1);
     }
     const auto cv = CrossValidate(

@@ -14,8 +14,8 @@ TEST(NaiveBayesTest, LearnsClassConditionalBits) {
     std::vector<ClassLabel> y;
     for (std::size_t i = 0; i < 400; ++i) {
         const ClassLabel c = i % 2;
-        x.At(i, 0) = rng.Bernoulli(c == 1 ? 0.9 : 0.1) ? 1.0 : 0.0;
-        x.At(i, 1) = rng.Bernoulli(c == 0 ? 0.9 : 0.1) ? 1.0 : 0.0;
+        if (rng.Bernoulli(c == 1 ? 0.9 : 0.1)) x.Set(i, 0);
+        if (rng.Bernoulli(c == 0 ? 0.9 : 0.1)) x.Set(i, 1);
         y.push_back(c);
     }
     NaiveBayesClassifier nb;
@@ -40,7 +40,7 @@ TEST(NaiveBayesTest, SmoothingHandlesUnseenCombination) {
     // Feature always on in training; an off value at test time must not
     // produce -inf for every class.
     FeatureMatrix x(4, 1);
-    for (std::size_t i = 0; i < 4; ++i) x.At(i, 0) = 1.0;
+    for (std::size_t i = 0; i < 4; ++i) x.Set(i, 0);
     const std::vector<ClassLabel> y = {0, 0, 1, 1};
     NaiveBayesClassifier nb;
     ASSERT_TRUE(nb.Train(x, y, 2).ok());
@@ -56,7 +56,7 @@ TEST(NaiveBayesTest, ThreeClasses) {
     for (std::size_t i = 0; i < 600; ++i) {
         const ClassLabel c = i % 3;
         for (std::size_t f = 0; f < 3; ++f) {
-            x.At(i, f) = rng.Bernoulli(f == c ? 0.85 : 0.15) ? 1.0 : 0.0;
+            if (rng.Bernoulli(f == c ? 0.85 : 0.15)) x.Set(i, f);
         }
         y.push_back(c);
     }

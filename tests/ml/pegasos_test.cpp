@@ -3,36 +3,22 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "testutil/binary_clouds.hpp"
 
 namespace dfp {
 namespace {
 
 TEST(PegasosTest, SeparableBlobs) {
-    Rng rng(1);
-    FeatureMatrix x(200, 2);
     std::vector<ClassLabel> y;
-    for (std::size_t i = 0; i < 200; ++i) {
-        const bool pos = i % 2 == 0;
-        x.At(i, 0) = rng.Gaussian(pos ? 3.0 : 0.0, 0.4);
-        x.At(i, 1) = rng.Gaussian(pos ? 3.0 : 0.0, 0.4);
-        y.push_back(pos ? 1 : 0);
-    }
+    const FeatureMatrix x = testutil::BinaryClouds(2, 100, 10, 0.6, 0.0, 1, &y);
     PegasosClassifier svm;
     ASSERT_TRUE(svm.Train(x, y, 2).ok());
     EXPECT_GT(svm.Accuracy(x, y), 0.97);
 }
 
 TEST(PegasosTest, MulticlassOneVsRest) {
-    Rng rng(2);
-    FeatureMatrix x(300, 3);
     std::vector<ClassLabel> y;
-    for (std::size_t i = 0; i < 300; ++i) {
-        const ClassLabel c = i % 3;
-        for (std::size_t f = 0; f < 3; ++f) {
-            x.At(i, f) = rng.Gaussian(f == c ? 2.5 : 0.0, 0.5);
-        }
-        y.push_back(c);
-    }
+    const FeatureMatrix x = testutil::BinaryClouds(3, 100, 12, 0.7, 0.05, 2, &y);
     PegasosClassifier svm;
     ASSERT_TRUE(svm.Train(x, y, 3).ok());
     EXPECT_GT(svm.Accuracy(x, y), 0.95);
@@ -47,7 +33,7 @@ TEST(PegasosTest, BinaryFeatureSpace) {
         const ClassLabel c = i % 2;
         for (std::size_t f = 0; f < 20; ++f) {
             const double p = (f < 3 && c == 1) ? 0.8 : 0.2;
-            x.At(i, f) = rng.Bernoulli(p) ? 1.0 : 0.0;
+            if (rng.Bernoulli(p)) x.Set(i, f);
         }
         y.push_back(c);
     }
@@ -57,14 +43,8 @@ TEST(PegasosTest, BinaryFeatureSpace) {
 }
 
 TEST(PegasosTest, DeterministicForSeed) {
-    Rng rng(4);
-    FeatureMatrix x(100, 2);
     std::vector<ClassLabel> y;
-    for (std::size_t i = 0; i < 100; ++i) {
-        x.At(i, 0) = rng.Uniform();
-        x.At(i, 1) = rng.Uniform();
-        y.push_back(x.At(i, 0) > 0.5 ? 1 : 0);
-    }
+    const FeatureMatrix x = testutil::BinaryClouds(2, 50, 8, 0.5, 0.3, 4, &y);
     PegasosClassifier a;
     PegasosClassifier b;
     ASSERT_TRUE(a.Train(x, y, 2).ok());

@@ -8,24 +8,28 @@
 #include "ml/svm/smo.hpp"
 #include "ml/svm/svm.hpp"
 #include "obs/metrics.hpp"
+#include "testutil/binary_clouds.hpp"
 
 namespace dfp {
 namespace {
 
-// 2-D XOR-ish data: not linearly separable, hard for an RBF SMO given only a
-// handful of pair updates.
+// XOR of two bits plus four noise bits: not linearly separable, hard for an
+// RBF SMO given only a handful of pair updates.
 void MakeXor(std::size_t n, std::uint64_t seed, FeatureMatrix* x,
              std::vector<int>* y_pm, std::vector<ClassLabel>* y_cl) {
     Rng rng(seed);
-    *x = FeatureMatrix(n, 2);
+    *x = FeatureMatrix(n, 6);
     y_pm->clear();
     y_cl->clear();
     for (std::size_t i = 0; i < n; ++i) {
-        const double a = rng.Uniform() < 0.5 ? 1.0 : -1.0;
-        const double b = rng.Uniform() < 0.5 ? 1.0 : -1.0;
-        x->At(i, 0) = a + rng.Gaussian(0.0, 0.3);
-        x->At(i, 1) = b + rng.Gaussian(0.0, 0.3);
-        const bool pos = a * b > 0.0;
+        const bool a = rng.Bernoulli(0.5);
+        const bool b = rng.Bernoulli(0.5);
+        if (a) x->Set(i, 0);
+        if (b) x->Set(i, 1);
+        for (std::size_t f = 2; f < 6; ++f) {
+            if (rng.Bernoulli(0.3)) x->Set(i, f);
+        }
+        const bool pos = a == b;
         y_pm->push_back(pos ? 1 : -1);
         y_cl->push_back(pos ? 1 : 0);
     }
@@ -44,7 +48,7 @@ TEST(SmoGuardTest, ExhaustedStepBudgetDetectedAsNonConvergence) {
     std::vector<int> y;
     std::vector<ClassLabel> yc;
     MakeXor(40, 1, &x, &y, &yc);
-    const auto model = TrainSmo(x, y, HardRbfTinySteps());
+    const auto model = TrainSmo(PackedRows(x), y, HardRbfTinySteps());
     ASSERT_TRUE(model.ok()) << model.status();
     EXPECT_FALSE(model->converged);
     EXPECT_EQ(model->breach, BudgetBreach::kNone);  // budget ≠ step exhaustion
@@ -95,15 +99,8 @@ TEST(SmoGuardTest, FallbackCanBeDisabled) {
 
 TEST(SmoGuardTest, ConvergedSolveDoesNotFallBack) {
     // Easy separable blobs with a generous step budget: no guard events.
-    Rng rng(4);
-    FeatureMatrix x(40, 2);
     std::vector<ClassLabel> yc;
-    for (std::size_t i = 0; i < 40; ++i) {
-        const bool pos = i < 20;
-        x.At(i, 0) = rng.Gaussian(pos ? 3.0 : 0.0, 0.3);
-        x.At(i, 1) = rng.Gaussian(pos ? 3.0 : 0.0, 0.3);
-        yc.push_back(pos ? 1 : 0);
-    }
+    const FeatureMatrix x = testutil::BinaryClouds(2, 20, 8, 0.6, 0.0, 4, &yc);
     GuardLog::Get().Clear();
     SvmClassifier svm;
     ASSERT_TRUE(svm.Train(x, yc, 2).ok());
@@ -119,7 +116,7 @@ TEST(SmoGuardTest, CancellationPropagatesFromSolver) {
     token.CancelAfterChecks(1);
     SmoConfig config;
     config.budget.cancel = &token;
-    const auto model = TrainSmo(x, y, config);
+    const auto model = TrainSmo(PackedRows(x), y, config);
     ASSERT_TRUE(model.ok()) << model.status();
     EXPECT_EQ(model->breach, BudgetBreach::kCancelled);
 
@@ -139,7 +136,7 @@ TEST(SmoGuardTest, ExpiredDeadlineKeepsPartialIterate) {
     SmoConfig config;
     config.kernel.type = KernelType::kRbf;
     config.budget.time_budget_ms = 0.0;
-    const auto model = TrainSmo(x, y, config);
+    const auto model = TrainSmo(PackedRows(x), y, config);
     ASSERT_TRUE(model.ok()) << model.status();
     EXPECT_EQ(model->breach, BudgetBreach::kDeadline);
     EXPECT_FALSE(model->converged);

@@ -17,6 +17,7 @@
 #include "fpm/fpgrowth.hpp"
 #include "ml/eval/cross_validation.hpp"
 #include "ml/svm/svm.hpp"
+#include "testutil/binary_clouds.hpp"
 
 namespace dfp {
 namespace {
@@ -135,19 +136,10 @@ TEST(MmrfsThreadEquivalenceTest, SelectedSequenceIdenticalForEveryThreadCount) {
     }
 }
 
-// Three overlapping Gaussian blobs → 3 OvO binary subproblems per model.
+// Three overlapping 0/1 clouds → 3 OvO binary subproblems per model.
 void MakeBlobs(std::uint64_t seed, std::size_t n_per_class, FeatureMatrix* x,
                std::vector<ClassLabel>* y) {
-    Rng rng(seed);
-    const std::size_t classes = 3;
-    *x = FeatureMatrix(classes * n_per_class, 2);
-    y->clear();
-    for (std::size_t i = 0; i < classes * n_per_class; ++i) {
-        const std::size_t c = i / n_per_class;
-        x->At(i, 0) = rng.Gaussian(2.0 * static_cast<double>(c), 0.8);
-        x->At(i, 1) = rng.Gaussian(c == 1 ? 2.0 : 0.0, 0.8);
-        y->push_back(static_cast<ClassLabel>(c));
-    }
+    *x = testutil::BinaryClouds(3, n_per_class, 9, 0.6, 0.25, seed, y);
 }
 
 TEST(SvmThreadEquivalenceTest, OvoPredictionsIdenticalForEveryThreadCount) {

@@ -1,8 +1,8 @@
 // Certificates for the SMO kernel-row cache and shrinking.
 //
 // The cache claims *bit-identity*: cached rows hold exactly the values direct
-// evaluation produces (KernelEval is deterministic and symmetric in its
-// arguments), so the optimization trajectory — every alpha, the bias, the
+// evaluation produces (BinaryKernelEval is deterministic and symmetric in
+// its arguments), so the optimization trajectory — every alpha, the bias, the
 // iteration count — must match with the cache on, off, or replaced by the
 // full Gram matrix. These tests compare with operator== on doubles, no
 // tolerance. Shrinking legitimately reorders float updates, so it is held to
@@ -14,28 +14,21 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "ml/feature_matrix.hpp"
 #include "obs/metrics.hpp"
+#include "testutil/binary_clouds.hpp"
 
 namespace dfp {
 namespace {
 
-// Two overlapping Gaussian clouds: enough overlap that SMO does real work
-// (bound and non-bound multipliers, many TakeStep error refreshes).
-void MakeClouds(std::size_t n_per_class, std::size_t dims, double spread,
+// Two overlapping 0/1 clouds: enough overlap that SMO does real work (bound
+// and non-bound multipliers, many TakeStep error refreshes).
+void MakeClouds(std::size_t n_per_class, std::size_t dims, double p_foreign,
                 std::uint64_t seed, FeatureMatrix* x, std::vector<int>* y) {
-    Rng rng(seed);
-    *x = FeatureMatrix(2 * n_per_class, dims);
-    y->clear();
-    for (std::size_t i = 0; i < 2 * n_per_class; ++i) {
-        const bool pos = i < n_per_class;
-        const double center = pos ? 1.0 : -1.0;
-        for (std::size_t d = 0; d < dims; ++d) {
-            x->At(i, d) = center + rng.Uniform(-spread, spread);
-        }
-        y->push_back(pos ? 1 : -1);
-    }
+    std::vector<ClassLabel> labels;
+    *x = testutil::BinaryClouds(2, n_per_class, dims, 0.5, p_foreign, seed,
+                                &labels);
+    *y = testutil::PlusMinus(labels);
 }
 
 SmoConfig RbfBase() {
@@ -60,7 +53,7 @@ void ExpectBitIdentical(const SmoModel& a, const SmoModel& b,
 TEST(SmoCacheTest, CacheOnOffAndGramAreBitIdentical) {
     FeatureMatrix x;
     std::vector<int> y;
-    MakeClouds(/*n_per_class=*/120, /*dims=*/6, /*spread=*/1.6, /*seed=*/31,
+    MakeClouds(/*n_per_class=*/120, /*dims=*/12, /*p_foreign=*/0.3, /*seed=*/31,
                &x, &y);
 
     SmoConfig gram = RbfBase();
@@ -74,9 +67,9 @@ TEST(SmoCacheTest, CacheOnOffAndGramAreBitIdentical) {
     direct.gram_limit = 0;
     direct.cache_bytes = 0;  // no cache: every row evaluated in place
 
-    auto m_gram = TrainSmo(x, y, gram);
-    auto m_cached = TrainSmo(x, y, cached);
-    auto m_direct = TrainSmo(x, y, direct);
+    auto m_gram = TrainSmo(PackedRows(x), y, gram);
+    auto m_cached = TrainSmo(PackedRows(x), y, cached);
+    auto m_direct = TrainSmo(PackedRows(x), y, direct);
     ASSERT_TRUE(m_gram.ok() && m_cached.ok() && m_direct.ok());
     ASSERT_TRUE(m_gram->converged);
 
@@ -87,7 +80,7 @@ TEST(SmoCacheTest, CacheOnOffAndGramAreBitIdentical) {
 TEST(SmoCacheTest, TinyCacheEvictsButStaysExact) {
     FeatureMatrix x;
     std::vector<int> y;
-    MakeClouds(/*n_per_class=*/80, /*dims=*/4, /*spread=*/1.8, /*seed=*/32,
+    MakeClouds(/*n_per_class=*/80, /*dims=*/10, /*p_foreign=*/0.35, /*seed=*/32,
                &x, &y);
 
     SmoConfig reference = RbfBase();
@@ -98,8 +91,8 @@ TEST(SmoCacheTest, TinyCacheEvictsButStaysExact) {
     tiny.gram_limit = 0;
     tiny.cache_bytes = 1;  // clamps to the 2-row minimum: constant eviction
 
-    auto m_ref = TrainSmo(x, y, reference);
-    auto m_tiny = TrainSmo(x, y, tiny);
+    auto m_ref = TrainSmo(PackedRows(x), y, reference);
+    auto m_tiny = TrainSmo(PackedRows(x), y, tiny);
     ASSERT_TRUE(m_ref.ok() && m_tiny.ok());
     ExpectBitIdentical(*m_tiny, *m_ref, "tiny cache vs direct");
 
@@ -112,7 +105,7 @@ TEST(SmoCacheTest, TinyCacheEvictsButStaysExact) {
 TEST(SmoCacheTest, CacheCountersPublished) {
     FeatureMatrix x;
     std::vector<int> y;
-    MakeClouds(/*n_per_class=*/60, /*dims=*/4, /*spread=*/1.5, /*seed=*/33,
+    MakeClouds(/*n_per_class=*/60, /*dims=*/10, /*p_foreign=*/0.3, /*seed=*/33,
                &x, &y);
     auto& registry = obs::Registry::Get();
     const double hits_before =
@@ -121,7 +114,7 @@ TEST(SmoCacheTest, CacheCountersPublished) {
     SmoConfig config = RbfBase();
     config.gram_limit = 0;
     config.cache_bytes = 8 << 20;  // room for every row: all hits after fill
-    auto model = TrainSmo(x, y, config);
+    auto model = TrainSmo(PackedRows(x), y, config);
     ASSERT_TRUE(model.ok());
 
     EXPECT_GT(registry.GetCounter("dfp.svm.cache.hits").value(), hits_before);
@@ -131,7 +124,7 @@ TEST(SmoCacheTest, CacheCountersPublished) {
 TEST(SmoCacheTest, ShrinkingConvergesToSameQuality) {
     FeatureMatrix x;
     std::vector<int> y;
-    MakeClouds(/*n_per_class=*/150, /*dims=*/6, /*spread=*/1.7, /*seed=*/34,
+    MakeClouds(/*n_per_class=*/150, /*dims=*/12, /*p_foreign=*/0.3, /*seed=*/34,
                &x, &y);
 
     SmoConfig plain = RbfBase();
@@ -139,15 +132,15 @@ TEST(SmoCacheTest, ShrinkingConvergesToSameQuality) {
     SmoConfig shrunk = plain;
     shrunk.shrinking = true;
 
-    auto m_plain = TrainSmo(x, y, plain);
-    auto m_shrunk = TrainSmo(x, y, shrunk);
+    auto m_plain = TrainSmo(PackedRows(x), y, plain);
+    auto m_shrunk = TrainSmo(PackedRows(x), y, shrunk);
     ASSERT_TRUE(m_plain.ok() && m_shrunk.ok());
     ASSERT_TRUE(m_plain->converged);
     ASSERT_TRUE(m_shrunk->converged);
 
     // Shrinking reorders float updates, so no bit-identity claim — but both
     // solves must end KKT-clean to the same tolerance...
-    EXPECT_LT(MaxKktViolation(*m_shrunk, x, y, shrunk.c),
+    EXPECT_LT(MaxKktViolation(*m_shrunk, PackedRows(x), y, shrunk.c),
               10 * shrunk.tol + 0.05);
     // ...and agree on nearly every training-set prediction.
     std::size_t disagree = 0;
@@ -165,13 +158,13 @@ TEST(SmoCacheTest, ShrinkingOffIsDefaultAndBitIdenticalToCacheOff) {
     // a quick end-to-end check that defaults didn't drift.
     FeatureMatrix x;
     std::vector<int> y;
-    MakeClouds(/*n_per_class=*/50, /*dims=*/3, /*spread=*/1.2, /*seed=*/35,
+    MakeClouds(/*n_per_class=*/50, /*dims=*/8, /*p_foreign=*/0.25, /*seed=*/35,
                &x, &y);
     SmoConfig a;  // all defaults: linear kernel
     SmoConfig b;
     b.cache_bytes = 0;
-    auto ma = TrainSmo(x, y, a);
-    auto mb = TrainSmo(x, y, b);
+    auto ma = TrainSmo(PackedRows(x), y, a);
+    auto mb = TrainSmo(PackedRows(x), y, b);
     ASSERT_TRUE(ma.ok() && mb.ok());
     ExpectBitIdentical(*ma, *mb, "default vs cache-off (linear)");
 }

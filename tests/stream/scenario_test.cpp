@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -63,9 +64,10 @@ struct Harness {
 };
 
 /// Per-connection traffic log. Counters only — a client may push tens of
-/// thousands of requests through the scenario.
+/// thousands of requests through the scenario. `requests` is read live by the
+/// streaming thread; the rest only after the client thread is joined.
 struct ClientLog {
-    std::uint64_t requests = 0;
+    std::atomic<std::uint64_t> requests{0};
     std::uint64_t failures = 0;
     std::uint64_t version_regressions = 0;
     std::uint64_t max_version = 0;
@@ -81,9 +83,9 @@ void ClientLoop(std::uint16_t port,
     std::uint64_t last_version = 0;
     for (std::size_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
         const auto prediction = client->Predict(queries[i % queries.size()]);
-        ++log->requests;
         if (!prediction.ok()) {
             ++log->failures;
+            log->requests.fetch_add(1);
             continue;
         }
         if (prediction->model_version < last_version) {
@@ -92,7 +94,30 @@ void ClientLoop(std::uint16_t port,
         last_version = prediction->model_version;
         log->max_version = std::max(log->max_version, last_version);
         log->versions_seen.insert(last_version);
+        log->requests.fetch_add(1);
     }
+}
+
+/// Blocks until every client has completed `n` more requests than its
+/// `*baseline` entry, then advances the baselines. The streaming thread calls
+/// it at the end of each phase, so live traffic overlaps every phase's model
+/// however the scheduler treats the client threads: on a loaded host they
+/// can otherwise starve until the stream is over. The deadline only turns a
+/// hung client into a failure instead of a hang.
+bool WaitForTraffic(const std::vector<ClientLog>& logs, std::uint64_t n,
+                    std::vector<std::uint64_t>* baseline) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    for (std::size_t c = 0; c < logs.size(); ++c) {
+        while (logs[c].requests.load() < (*baseline)[c] + n) {
+            if (std::chrono::steady_clock::now() > deadline) return false;
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
+    }
+    for (std::size_t c = 0; c < logs.size(); ++c) {
+        (*baseline)[c] = logs[c].requests.load();
+    }
+    return true;
 }
 
 double ServedAccuracy(const ModelRegistry& registry,
@@ -121,6 +146,8 @@ class DriftScenarioTest : public ::testing::Test {
 TEST_F(DriftScenarioTest, LiveServerRecoversAcrossThreeDrifts) {
     constexpr std::size_t kBatch = 50;
     constexpr std::size_t kClients = 2;
+    // Requests each client completes on every phase's final model.
+    constexpr std::uint64_t kRequestsPerPhase = 40;
 
     testutil::DriftSourceConfig source_config;
     source_config.num_phases = 4;  // 3 drifts
@@ -171,6 +198,7 @@ TEST_F(DriftScenarioTest, LiveServerRecoversAcrossThreeDrifts) {
     // client traffic against the live server for the rest of the run.
     std::atomic<bool> stop{false};
     std::vector<ClientLog> logs(kClients);
+    std::vector<std::uint64_t> traffic_baseline(kClients, 0);
     std::vector<std::thread> clients;
     std::vector<double> phase_accuracy;
     bool traffic_started = false;
@@ -191,6 +219,8 @@ TEST_F(DriftScenarioTest, LiveServerRecoversAcrossThreeDrifts) {
             }
         }
         ASSERT_TRUE(traffic_started) << "phase 0 never bootstrapped a model";
+        ASSERT_TRUE(WaitForTraffic(logs, kRequestsPerPhase, &traffic_baseline))
+            << "client traffic stalled in phase " << phase;
         phase_accuracy.push_back(
             ServedAccuracy(harness.registry, source.EvalSet(phase)));
         std::printf("[scenario] phase %zu: served accuracy %.3f, model v%llu, "
@@ -242,7 +272,8 @@ TEST_F(DriftScenarioTest, LiveServerRecoversAcrossThreeDrifts) {
     const std::uint64_t final_version = harness.registry.current_version();
     std::set<std::uint64_t> all_versions;
     for (std::size_t c = 0; c < kClients; ++c) {
-        EXPECT_GT(logs[c].requests, 100u) << "client " << c << " barely ran";
+        EXPECT_GT(logs[c].requests.load(), 100u)
+            << "client " << c << " barely ran";
         EXPECT_EQ(logs[c].failures, 0u)
             << "client " << c << " had predictions dropped";
         EXPECT_EQ(logs[c].version_regressions, 0u)

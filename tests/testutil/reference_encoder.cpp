@@ -26,7 +26,9 @@ FeatureMatrix ScanTransform(const FeatureSpace& space,
     FeatureMatrix x(db.num_transactions(), space.dim());
     for (std::size_t t = 0; t < db.num_transactions(); ++t) {
         const std::vector<double> row = ScanEncode(space, db.transaction(t));
-        std::copy(row.begin(), row.end(), x.MutableRow(t).begin());
+        for (std::size_t c = 0; c < row.size(); ++c) {
+            if (row[c] != 0.0) x.Set(t, c);
+        }
     }
     return x;
 }

@@ -18,7 +18,7 @@ namespace dfp::testutil {
 std::vector<double> ScanEncode(const FeatureSpace& space,
                                const std::vector<ItemId>& transaction);
 
-/// ScanEncode of every row of `db`, as a dense matrix.
+/// ScanEncode of every row of `db`, set bit by bit.
 FeatureMatrix ScanTransform(const FeatureSpace& space,
                             const TransactionDatabase& db);
 
