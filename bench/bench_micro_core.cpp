@@ -1,11 +1,11 @@
 // Microbenchmarks of the core framework machinery: MMRFS selection, feature-
 // space transformation, measures/bounds, and BitVector cover kernels.
 //
-// The letter-shape cases time the training-matrix stages of the perfbench
-// train-wide workload (20000 rows × 112 items, ~120 selected patterns): the
-// Transform that copies covers into the bit-packed FeatureMatrix, then the
-// learners on it — naive Bayes (popcount counts), C4.5, and one one-vs-one
-// SMO pair.
+// The letter-shape cases time the stages of the perfbench train-wide
+// workload (20000 rows × 112 items, 122 candidates, ~120 selected patterns):
+// MMRFS over 313-word covers, the Transform that copies covers into the
+// bit-packed FeatureMatrix, then the learners on it — naive Bayes (popcount
+// counts), C4.5, and one one-vs-one SMO pair.
 #include <benchmark/benchmark.h>
 
 #include "core/bounds.hpp"
@@ -75,10 +75,13 @@ void BM_FeatureTransform(benchmark::State& state) {
 }
 BENCHMARK(BM_FeatureTransform)->Arg(50)->Arg(500)->Unit(benchmark::kMillisecond);
 
-/// The train-wide shape: letter rows and the feature space Train() selects
-/// on them with the perfbench train-wide configuration.
+/// The train-wide shape: letter rows, the candidate pool mined from them and
+/// the feature space Train() selects, with the perfbench train-wide
+/// configuration.
 struct LetterFixture {
     TransactionDatabase db;
+    std::vector<Pattern> candidates;
+    MmrfsConfig mmrfs;
     FeatureSpace space;
 };
 
@@ -86,7 +89,8 @@ const LetterFixture& Letter() {
     static const LetterFixture fixture = [] {
         SyntheticSpec spec = LetterSpec();
         spec.rows = 20000;
-        LetterFixture f{DatasetToTransactions(GenerateSynthetic(spec)), {}};
+        LetterFixture f{DatasetToTransactions(GenerateSynthetic(spec)), {}, {},
+                        {}};
         PipelineConfig config;
         config.miner_kind = MinerKind::kClosed;
         config.per_class_mining = false;
@@ -96,6 +100,10 @@ const LetterFixture& Letter() {
         config.mmrfs.coverage_delta = 2;
         config.mmrfs.max_features = 600;
         PatternClassifierPipeline pipeline(config);
+        if (auto mined = pipeline.MineCandidates(f.db); mined.ok()) {
+            f.candidates = std::move(*mined);
+        }
+        f.mmrfs = config.mmrfs;
         if (pipeline.Train(f.db, std::make_unique<NaiveBayesClassifier>()).ok()) {
             f.space = pipeline.feature_space();
         }
@@ -110,6 +118,21 @@ void LetterCounters(benchmark::State& state) {
     state.counters["items"] = static_cast<double>(f.space.num_items());
     state.counters["patterns"] = static_cast<double>(f.space.num_patterns());
 }
+
+/// MMRFS on the train-wide pool: ~7.3k redundancy evaluations, each one
+/// AndCount pass over a 313-word cover pair.
+void BM_MmrfsLetter(benchmark::State& state) {
+    const auto& f = Letter();
+    std::size_t selected = 0;
+    for (auto _ : state) {
+        const auto result = RunMmrfs(f.db, f.candidates, f.mmrfs);
+        selected = result.selected.size();
+        benchmark::DoNotOptimize(selected);
+    }
+    state.counters["candidates"] = static_cast<double>(f.candidates.size());
+    state.counters["selected"] = static_cast<double>(selected);
+}
+BENCHMARK(BM_MmrfsLetter)->Unit(benchmark::kMillisecond);
 
 void BM_FeatureTransformLetter(benchmark::State& state) {
     const auto& f = Letter();

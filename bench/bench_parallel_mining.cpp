@@ -1,14 +1,13 @@
-// Parallel-layer throughput: each miner plus MMRFS selection on a dense
-// synthetic corpus at 1 / 2 / 4 / 8 worker threads (ceiling from --threads=,
-// default 8). Only MMRFS's relevance scan is parallel; its lazy greedy loop
-// is serial, so its rows mostly record the single-threaded selection cost.
+// Parallel-layer throughput: each miner on a dense synthetic corpus at
+// 1 / 2 / 4 / 8 worker threads (ceiling from --threads=, default 8), plus
+// one serial MMRFS selection row over the closed pool of the same corpus.
 //
 // The parallel layer's contract is "same output, less wall clock": the
 // equivalence + decomposition suites (ctest -L dfp_parallel) certify the
 // first half, this bench records the second. Results land in
 // BENCH_parallel.json as
 //   dfp.bench.parallel.<miner>.t<k>.seconds / .speedup / .efficiency
-//   dfp.bench.parallel.mmrfs.t<k>.seconds / .speedup / .efficiency
+//   dfp.bench.parallel.mmrfs.t1.seconds / .speedup / .efficiency
 //     / .selected / .redundancy_evals
 // plus the usual dfp.parallel.* pool counters, so the perf trajectory of the
 // recursive fan-out is machine-tracked alongside the paper tables.
@@ -150,10 +149,9 @@ int main(int argc, char** argv) {
         }
     }
 
-    // MMRFS selection over the closed pool of the same corpus: the relevance
-    // scan is the parallel section; the selected sequence is
-    // thread-count-invariant (certified by the dfp_parallel suite), so only
-    // the wall clock moves.
+    // MMRFS selection over the closed pool of the same corpus. Selection is
+    // serial, so it gets one row at t1 (speedup and efficiency are 1 by
+    // definition; the gauges keep the key layout of the miner rows).
     auto pool_result = ClosedMiner().Mine(db, config);
     if (!pool_result.ok()) {
         std::fprintf(stderr, "closed pool mining failed: %s\n",
@@ -164,35 +162,24 @@ int main(int argc, char** argv) {
     AttachMetadata(db, &candidates);
     MmrfsConfig select;
     select.coverage_delta = 3;
-    double mmrfs_serial_seconds = 0.0;
     const auto& evals = registry.GetCounter("dfp.core.mmrfs.redundancy_evals");
-    for (const std::size_t threads : thread_counts) {
-        select.num_threads = threads;
-        (void)RunMmrfs(db, candidates, select);  // warm-up
-        const auto evals_before = evals.value();
-        Stopwatch watch;
-        const MmrfsResult result = RunMmrfs(db, candidates, select);
-        const double seconds = watch.ElapsedSeconds();
-        const auto run_evals = evals.value() - evals_before;
-        if (threads == 1) mmrfs_serial_seconds = seconds;
-        const double speedup =
-            seconds > 0.0 ? mmrfs_serial_seconds / seconds : 1.0;
-        const double efficiency = Efficiency(speedup, threads);
-        table.AddRow({"mmrfs", StrFormat("%zu", threads),
-                      StrFormat("%zu selected", result.selected.size()),
-                      StrFormat("%.3f", seconds),
-                      StrFormat("%.2fx", speedup),
-                      StrFormat("%.2f", efficiency)});
-        const std::string prefix =
-            "dfp.bench.parallel.mmrfs.t" + std::to_string(threads);
-        registry.GetGauge(prefix + ".seconds").Set(seconds);
-        registry.GetGauge(prefix + ".speedup").Set(speedup);
-        registry.GetGauge(prefix + ".efficiency").Set(efficiency);
-        registry.GetGauge(prefix + ".selected")
-            .Set(static_cast<double>(result.selected.size()));
-        registry.GetGauge(prefix + ".redundancy_evals")
-            .Set(static_cast<double>(run_evals));
-    }
+    (void)RunMmrfs(db, candidates, select);  // warm-up
+    const auto evals_before = evals.value();
+    Stopwatch watch;
+    const MmrfsResult result = RunMmrfs(db, candidates, select);
+    const double seconds = watch.ElapsedSeconds();
+    const auto run_evals = evals.value() - evals_before;
+    table.AddRow({"mmrfs", "1",
+                  StrFormat("%zu selected", result.selected.size()),
+                  StrFormat("%.3f", seconds), "1.00x", "1.00"});
+    const std::string prefix = "dfp.bench.parallel.mmrfs.t1";
+    registry.GetGauge(prefix + ".seconds").Set(seconds);
+    registry.GetGauge(prefix + ".speedup").Set(1.0);
+    registry.GetGauge(prefix + ".efficiency").Set(1.0);
+    registry.GetGauge(prefix + ".selected")
+        .Set(static_cast<double>(result.selected.size()));
+    registry.GetGauge(prefix + ".redundancy_evals")
+        .Set(static_cast<double>(run_evals));
     table.Print();
 
     bench::WriteBenchReport("parallel");

@@ -12,6 +12,8 @@ std::vector<std::size_t> GreedyMmrSelect(const std::vector<BitVector>& covers,
                                          std::size_t max_features) {
     assert(covers.size() == relevance.size());
     const std::size_t n = covers.size();
+    std::vector<std::size_t> counts(n);
+    for (std::size_t i = 0; i < n; ++i) counts[i] = covers[i].Count();
     std::vector<char> done(n, 0);
     std::vector<double> max_red(n, 0.0);
     std::vector<std::size_t> chosen;
@@ -31,8 +33,9 @@ std::vector<std::size_t> GreedyMmrSelect(const std::vector<BitVector>& covers,
         chosen.push_back(best);
         for (std::size_t i = 0; i < n; ++i) {
             if (done[i]) continue;
-            const double r = CoverJaccard(covers[i], covers[best]) *
-                             std::min(relevance[i], relevance[best]);
+            const double r =
+                CoverJaccard(covers[i], counts[i], covers[best], counts[best]) *
+                std::min(relevance[i], relevance[best]);
             max_red[i] = std::max(max_red[i], r);
         }
     }

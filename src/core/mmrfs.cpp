@@ -1,9 +1,7 @@
 #include "core/mmrfs.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <memory>
 
 #include "common/parallel.hpp"
 #include "core/redundancy.hpp"
@@ -58,43 +56,24 @@ MmrfsResult RunMmrfs(const TransactionDatabase& db,
         return mask != nullptr && (*mask)[i] == 0;
     };
 
-    // Relevance scan, the only parallel stage: each candidate writes its own
-    // slot, so scores are identical at any thread count. Each chunk polls its
-    // own guard on the shared budget so deadline/cancel still interrupt it.
+    // Relevance scan. The budget is polled after every scored candidate, so a
+    // deadline or cancel interrupts it between candidates.
     DeadlineTimer timer(config.budget.time_budget_ms);
     {
-        const std::size_t threads =
-            std::min(ResolveNumThreads(config.num_threads), candidates.size());
-        std::unique_ptr<ThreadPool> pool;
-        if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-        std::atomic<int> scoring_breach{static_cast<int>(BudgetBreach::kNone)};
-        ParallelFor(pool.get(), candidates.size(),
-                    [&](std::size_t begin, std::size_t end) {
-                        BudgetGuard chunk_guard(TaskBudget(config.budget, timer),
-                                                std::numeric_limits<
-                                                    std::size_t>::max(),
-                                                /*clock_stride=*/1);
-                        for (std::size_t i = begin; i < end; ++i) {
-                            if (masked_out(i)) continue;  // stays at 0
-                            assert(candidates[i].cover.size() == n &&
-                                   "metadata not attached");
-                            result.relevance[i] = PatternRelevance(
-                                config.relevance, db, candidates[i]);
-                            if (chunk_guard.Check(0) != BudgetBreach::kNone) {
-                                scoring_breach.store(
-                                    static_cast<int>(chunk_guard.breach()),
-                                    std::memory_order_relaxed);
-                                return;
-                            }
-                        }
-                    });
-        const auto breach =
-            static_cast<BudgetBreach>(scoring_breach.load(std::memory_order_relaxed));
-        if (breach != BudgetBreach::kNone) {
-            // Deadline/cancel during scoring: nothing selected yet, bail.
-            result.breach = breach;
-            RecordBreach("core.mmrfs", result.breach, 0.0);
-            return result;
+        BudgetGuard scan_guard(config.budget,
+                               std::numeric_limits<std::size_t>::max(),
+                               /*clock_stride=*/1);
+        for (std::size_t i = 0; i < candidates.size(); ++i) {
+            if (masked_out(i)) continue;  // stays at 0
+            assert(candidates[i].cover.size() == n && "metadata not attached");
+            result.relevance[i] =
+                PatternRelevance(config.relevance, db, candidates[i]);
+            if (scan_guard.Check(0) != BudgetBreach::kNone) {
+                // Deadline/cancel during scoring: nothing selected yet, bail.
+                result.breach = scan_guard.breach();
+                RecordBreach("core.mmrfs", result.breach, 0.0);
+                return result;
+            }
         }
     }
 
@@ -106,9 +85,13 @@ MmrfsResult RunMmrfs(const TransactionDatabase& db,
     // An instance is "correctly covered" by α when α is present in it and α's
     // majority class matches its label. needy[c] holds the class-c instances
     // still covered fewer than δ times; bits are only ever cleared.
+    // Per-candidate constants, computed once: the majority class and |cover|
+    // (the cached popcount the one-pass redundancy kernel needs).
     std::vector<ClassLabel> majority(candidates.size());
+    std::vector<std::size_t> cover_count(candidates.size());
     for (std::size_t i = 0; i < candidates.size(); ++i) {
         majority[i] = candidates[i].MajorityClass();
+        cover_count[i] = candidates[i].cover.Count();
     }
     std::vector<BitVector> needy(db.num_classes());
     for (std::size_t c = 0; c < needy.size(); ++c) {
@@ -144,6 +127,7 @@ MmrfsResult RunMmrfs(const TransactionDatabase& db,
     }
     std::make_heap(heap.begin(), heap.end(), after);
 
+    BitVector hits;  // scratch: the accepted cover's needy rows
     std::size_t iterations = 0;  // accept + discard decisions
     std::size_t redundancy_evals = 0;
     while (under_covered > 0 && result.selected.size() < config.max_features) {
@@ -163,10 +147,12 @@ MmrfsResult RunMmrfs(const TransactionDatabase& db,
         }
         for (; seen[best] < result.selected.size(); ++seen[best]) {
             const std::size_t s = result.selected[seen[best]];
+            // Eq. 9: R = Jaccard(covers) · min(S).
             max_red[best] = std::max(
-                max_red[best], Redundancy(candidates[best], candidates[s],
-                                          result.relevance[best],
-                                          result.relevance[s]));
+                max_red[best],
+                CoverJaccard(candidates[best].cover, cover_count[best],
+                             candidates[s].cover, cover_count[s]) *
+                    std::min(result.relevance[best], result.relevance[s]));
             ++redundancy_evals;
         }
         const Entry fresh{result.relevance[best] - max_red[best], best};
@@ -180,9 +166,12 @@ MmrfsResult RunMmrfs(const TransactionDatabase& db,
         ++iterations;
         result.selected.push_back(best);
         result.gains.push_back(fresh.gain);
+        // Word-wise: visit only the needy rows the cover hits. A bit is
+        // cleared only after it is visited, so the snapshot in `hits` visits
+        // exactly what a bit-by-bit Test over the cover would.
         BitVector& best_needy = needy[majority[best]];
-        candidates[best].cover.ForEach([&](std::uint32_t t) {
-            if (!best_needy.Test(t)) return;
+        hits.AssignAnd(candidates[best].cover, best_needy);
+        hits.ForEach([&](std::uint32_t t) {
             if (++result.coverage[t] == config.coverage_delta) {
                 best_needy.Clear(t);
                 --under_covered;

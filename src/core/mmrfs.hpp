@@ -29,10 +29,6 @@ struct MmrfsConfig {
     std::size_t coverage_delta = 3;
     /// Hard cap on |Fs| (the paper's algorithm has none; useful in sweeps).
     std::size_t max_features = std::numeric_limits<std::size_t>::max();
-    /// Worker threads for the relevance scan (disjoint per-candidate slots,
-    /// so scores are identical at any thread count). The greedy loop is
-    /// serial. 1 = serial; 0 = hardware_concurrency.
-    std::size_t num_threads = 1;
     /// Optional per-candidate keep-mask from the significance filter
     /// (stats/significance.hpp). Masked-out candidates (mask value 0) are
     /// never relevance-scored, never enter the gain heap and are never
@@ -66,6 +62,8 @@ struct MmrfsResult {
 /// and a candidate that can no longer correctly cover a needy instance is
 /// dropped without refreshing. Worst case O(|F| · |Fs|) redundancy
 /// evaluations plus O(log |F|) per heap operation; in practice far fewer.
+/// Each evaluation is one AndCount pass against cached cover popcounts.
+/// Runs serially: selection is a few milliseconds on the bench shapes.
 MmrfsResult RunMmrfs(const TransactionDatabase& db,
                      const std::vector<Pattern>& candidates,
                      const MmrfsConfig& config);

@@ -350,7 +350,6 @@ Status PatternClassifierPipeline::FinishTrain(const TransactionDatabase& train,
         obs::Span select_span("mmrfs");
         if (config_.feature_selection) {
             MmrfsConfig sc = config_.mmrfs;
-            sc.num_threads = resolved_threads;
             if (sc.budget.cancel == nullptr) {
                 sc.budget.cancel = config_.budget.cancel;
             }

@@ -43,11 +43,11 @@ struct PipelineConfig {
     SignificanceConfig significance;
     /// Include the single items I in the feature space (the paper always does).
     bool include_single_items = true;
-    /// Worker threads for every stage (mining fan-out, MMRFS scoring, OvO
-    /// SVM): Train copies this into the miner/MMRFS configs and calls
-    /// learner->SetNumThreads(). Trained models and selections are identical
-    /// for every thread count (DESIGN.md §11). 1 = serial (the default);
-    /// 0 = hardware_concurrency.
+    /// Worker threads for the parallel stages (mining fan-out, significance
+    /// filter, OvO SVM): Train copies this into the miner and filter configs
+    /// and calls learner->SetNumThreads(); MMRFS is serial. Trained models
+    /// and selections are identical for every thread count (DESIGN.md §11).
+    /// 1 = serial (the default); 0 = hardware_concurrency.
     std::size_t num_threads = 1;
     /// Overall Train budget: one wall-clock deadline shared by mining,
     /// selection and learning; the cancel token and pattern/memory caps are

@@ -6,18 +6,22 @@
 // overlap. A non-closed pattern and its closure have Jaccard 1, which is why
 // the framework mines *closed* patterns: the non-closed ones are completely
 // redundant.
+//
+// Selection evaluates R against one fixed cover many times, so callers cache
+// each cover's popcount once and the kernel makes a single AndCount pass:
+// |A∨B| = |A| + |B| − |A∧B| gives the same integers as a second OrCount pass,
+// hence the same double ratio bit for bit.
 #pragma once
 
+#include <cstddef>
+
 #include "common/bitvector.hpp"
-#include "fpm/itemset.hpp"
 
 namespace dfp {
 
-/// Jaccard similarity |A∧B| / |A∨B| of two cover sets (0 when both empty).
-double CoverJaccard(const BitVector& a, const BitVector& b);
-
-/// Eq. 9: Jaccard(covers) × min(relevance_a, relevance_b).
-double Redundancy(const Pattern& a, const Pattern& b, double relevance_a,
-                  double relevance_b);
+/// Jaccard similarity |A∧B| / |A∨B| of two covers whose popcounts
+/// `count_a` = |A| and `count_b` = |B| are known (0 when both are empty).
+double CoverJaccard(const BitVector& a, std::size_t count_a,
+                    const BitVector& b, std::size_t count_b);
 
 }  // namespace dfp

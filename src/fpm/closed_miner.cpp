@@ -20,6 +20,10 @@ struct ClosedContext {
     const TransactionDatabase* db;
     std::vector<ItemId> frequent;  // ascending item ids, support >= min_sup
     std::size_t min_sup;
+    std::size_t max_len;  // MinerConfig::max_pattern_len
+    std::size_t max_patterns;  // the pattern cap, checked at emission
+    bool capped = false;       // set when an emission found the cap full
+    // Deadline, cancel and memory; the pattern cap is MayEmit's.
     BudgetGuard* guard = nullptr;
     std::size_t est_bytes = 0;    // coarse output-memory estimate for the guard
     std::vector<char> in_closed;  // membership of the current closed set
@@ -28,33 +32,28 @@ struct ClosedContext {
     // the maximum depth up front and never reallocated mid-mine.
     std::vector<BitVector> cover_scratch;
     std::vector<Pattern>* out;
-    // Set on parallel fan-out: pool-wide tallies so per-task guards enforce
-    // the global pattern/memory caps. Null on the serial path.
-    SharedMineProgress* shared = nullptr;
     // Instrumentation tallies, flushed to the registry once per Mine().
     std::size_t nodes_expanded = 0;   // prefix extensions whose support we took
     std::size_t closure_checks = 0;   // closure/subsumption scans
 };
 
-std::size_t GuardEmitted(const ClosedContext& ctx) {
-    return ctx.shared != nullptr
-               ? ctx.shared->emitted.load(std::memory_order_relaxed)
-               : ctx.out->size();
+// The budget the per-node guards poll: the pattern cap moves to emission.
+ExecutionBudget WithoutPatternCap(ExecutionBudget budget) {
+    budget.max_patterns = std::numeric_limits<std::size_t>::max();
+    return budget;
 }
-std::size_t GuardBytes(const ClosedContext& ctx) {
-    return ctx.shared != nullptr
-               ? ctx.shared->est_bytes.load(std::memory_order_relaxed)
-               : ctx.est_bytes;
+
+// Emission-time pattern cap: false, and the run stops on kPatternCap, when
+// the cap is already full so one more pattern would exceed it. Checking here
+// rather than per node means a cap equal to the output size is no breach.
+bool MayEmit(ClosedContext& ctx) {
+    if (ctx.out->size() < ctx.max_patterns) return true;
+    ctx.capped = true;
+    return false;
 }
 
 void TallyEmission(ClosedContext& ctx, const Pattern& p) {
-    const std::size_t bytes =
-        sizeof(Pattern) + p.items.capacity() * sizeof(ItemId);
-    ctx.est_bytes += bytes;
-    if (ctx.shared != nullptr) {
-        ctx.shared->AddEmitted();
-        ctx.shared->AddBytes(bytes);
-    }
+    ctx.est_bytes += sizeof(Pattern) + p.items.capacity() * sizeof(ItemId);
 }
 
 void FlushClosedMetrics(std::size_t nodes_expanded, std::size_t closure_checks,
@@ -73,6 +72,31 @@ void FlushClosedMetrics(std::size_t nodes_expanded, std::size_t closure_checks,
     if (budget_abort) aborts.Inc();
 }
 
+// Closure of `tidset`, the cover of the current closed set extended by core
+// item `i`: the closed items plus every other frequent item whose cover
+// contains `tidset`, ascending because `frequent` is. Returns false (leaving
+// `closure` partial) when the extension is not prefix-preserving, i.e. an
+// item below `i` enters (LCM), or when the closure outgrows `max_len`. Either
+// way the extension emits nothing and its subtree is skipped: closures only
+// grow down the DFS, so every pattern below a too-long closure is too long.
+bool CloseExtension(const TransactionDatabase& db,
+                    const std::vector<ItemId>& frequent,
+                    const std::vector<char>& in_closed, const BitVector& tidset,
+                    ItemId i, std::size_t max_len, Itemset* closure) {
+    for (ItemId j : frequent) {
+        if (in_closed[j]) {
+            closure->push_back(j);  // closed ⊆ closure(tidset) always
+        } else if (tidset.IsSubsetOf(db.ItemCover(j))) {
+            if (j < i) return false;
+            closure->push_back(j);
+        } else {
+            continue;
+        }
+        if (closure->size() > max_len) return false;
+    }
+    return true;
+}
+
 // Prefix-preserving closure extension DFS (LCM). `closed` is the current
 // closed itemset (sorted), `tidset` its cover, `core` the extension item that
 // produced it. Returns false when the execution budget fires.
@@ -86,7 +110,7 @@ bool ClosedDfs(ClosedContext& ctx, const Itemset& closed, const BitVector& tidse
         // reusable slot instead of allocating a fresh vector.
         const std::size_t support = tidset.AndCount(ctx.db->ItemCover(i));
         ++ctx.nodes_expanded;
-        if (ctx.guard->Check(GuardEmitted(ctx), GuardBytes(ctx)) !=
+        if (ctx.guard->Check(ctx.out->size(), ctx.est_bytes) !=
             BudgetBreach::kNone) {
             return false;
         }
@@ -94,32 +118,19 @@ bool ClosedDfs(ClosedContext& ctx, const Itemset& closed, const BitVector& tidse
         BitVector& extended = ctx.cover_scratch[depth];
         extended.AssignAnd(tidset, ctx.db->ItemCover(i));
 
-        // Closure: every frequent item whose cover contains the new tidset.
-        // Prefix-preservation: no item < i may newly enter the closure.
         ++ctx.closure_checks;
         Itemset closure;
-        bool prefix_ok = true;
-        for (ItemId j : ctx.frequent) {
-            if (ctx.in_closed[j]) {
-                closure.push_back(j);  // closed ⊆ closure(extended) always
-                continue;
-            }
-            if (extended.IsSubsetOf(ctx.db->ItemCover(j))) {
-                if (j < i) {
-                    prefix_ok = false;
-                    break;
-                }
-                closure.push_back(j);
-            }
+        if (!CloseExtension(*ctx.db, ctx.frequent, ctx.in_closed, extended, i,
+                            ctx.max_len, &closure)) {
+            continue;
         }
-        if (!prefix_ok) continue;
-
-        std::sort(closure.begin(), closure.end());
+        if (!MayEmit(ctx)) return false;
         Pattern p;
         p.items = closure;
         p.support = support;
         TallyEmission(ctx, p);
         ctx.out->push_back(std::move(p));
+        if (closure.size() == ctx.max_len) continue;  // descendants are longer
 
         // Note: recurse on the local `closure`, not out->back() — the output
         // vector may reallocate during recursion.
@@ -143,34 +154,24 @@ bool ClosedTopLevel(ClosedContext& ctx, const Itemset& root_closed, ItemId i) {
     const BitVector& tidset = db.ItemCover(i);
     const std::size_t support = tidset.Count();
     ++ctx.nodes_expanded;
-    if (ctx.guard->Check(GuardEmitted(ctx), GuardBytes(ctx)) !=
+    if (ctx.guard->Check(ctx.out->size(), ctx.est_bytes) !=
         BudgetBreach::kNone) {
         return false;
     }
     if (support < ctx.min_sup) return true;
     ++ctx.closure_checks;
     Itemset closure;
-    bool prefix_ok = true;
-    for (ItemId j : ctx.frequent) {
-        if (ctx.in_closed[j]) {
-            closure.push_back(j);
-            continue;
-        }
-        if (tidset.IsSubsetOf(db.ItemCover(j))) {
-            if (j < i) {
-                prefix_ok = false;
-                break;
-            }
-            closure.push_back(j);
-        }
+    if (!CloseExtension(db, ctx.frequent, ctx.in_closed, tidset, i, ctx.max_len,
+                        &closure)) {
+        return true;
     }
-    if (!prefix_ok) return true;
-    std::sort(closure.begin(), closure.end());
+    if (!MayEmit(ctx)) return false;
     Pattern p;
     p.items = closure;
     p.support = support;
     TallyEmission(ctx, p);
     ctx.out->push_back(std::move(p));
+    if (closure.size() == ctx.max_len) return true;  // descendants are longer
 
     for (ItemId j : closure) ctx.in_closed[j] = 1;
     const bool ok = ClosedDfs(ctx, closure, tidset, i, /*depth=*/0);
@@ -213,9 +214,10 @@ struct ParClosedShared {
     const TransactionDatabase* db = nullptr;
     std::vector<ItemId> frequent;
     std::size_t min_sup = 0;
-    std::size_t max_patterns = 0;
+    std::size_t max_len = 0;
+    std::size_t max_patterns = 0;  // checked at emission (ParMayEmit)
     std::size_t split_threshold = 0;
-    const ExecutionBudget* budget = nullptr;
+    ExecutionBudget budget;  // without the pattern cap
     DeadlineTimer timer;
     SharedMineProgress progress;
     ShardCollector shards;
@@ -228,9 +230,11 @@ struct ParClosedShared {
 
     ParClosedShared(const MinerConfig& config, std::size_t min_sup_in)
         : min_sup(min_sup_in),
-          max_patterns(config.max_patterns),
+          max_len(config.max_pattern_len),
+          max_patterns(
+              std::min(config.max_patterns, config.budget.max_patterns)),
           split_threshold(config.split_work_threshold),
-          budget(&config.budget),
+          budget(WithoutPatternCap(config.budget)),
           timer(config.budget.time_budget_ms) {}
 
     void RecordFirstBreach(BudgetBreach b) {
@@ -239,6 +243,16 @@ struct ParClosedShared {
                                        std::memory_order_relaxed);
     }
 };
+
+// MayEmit against the pool-wide tally. Concurrent emitters may overshoot the
+// cap by at most one pattern per worker before the breach lands.
+bool ParMayEmit(ParClosedShared& sh) {
+    if (sh.progress.emitted.load(std::memory_order_relaxed) < sh.max_patterns) {
+        return true;
+    }
+    sh.RecordFirstBreach(BudgetBreach::kPatternCap);
+    return false;
+}
 
 struct ParClosedCtx {
     ParClosedShared* sh;
@@ -276,23 +290,11 @@ bool ParClosedDfs(ParClosedCtx& ctx, const Itemset& closed,
 
         ++ctx.closure_checks;
         Itemset closure;
-        bool prefix_ok = true;
-        for (ItemId j : sh.frequent) {
-            if (in_closed[j]) {
-                closure.push_back(j);
-                continue;
-            }
-            if (extended.IsSubsetOf(sh.db->ItemCover(j))) {
-                if (j < i) {
-                    prefix_ok = false;
-                    break;
-                }
-                closure.push_back(j);
-            }
+        if (!CloseExtension(*sh.db, sh.frequent, in_closed, extended, i,
+                            sh.max_len, &closure)) {
+            continue;
         }
-        if (!prefix_ok) continue;
-
-        std::sort(closure.begin(), closure.end());
+        if (!ParMayEmit(sh)) return false;
         ctx.emitter->PushRank(static_cast<std::uint32_t>(fi));
         Pattern p;
         p.items = closure;
@@ -303,11 +305,13 @@ bool ParClosedDfs(ParClosedCtx& ctx, const Itemset& closed,
         sh.progress.AddBytes(bytes);
         ctx.emitter->Emit(std::move(p));
 
+        // A closure at the length bound is a leaf: its descendants are longer.
+        const bool leaf = closure.size() == sh.max_len;
         // Estimated subtree work: cover rows × extension items still ahead.
         const std::size_t est = support * (sh.frequent.size() - fi);
-        if (est > sh.split_threshold) {
+        if (!leaf && est > sh.split_threshold) {
             SpawnClosedSubtree(ctx, closure, extended, i, depth + 1);
-        } else {
+        } else if (!leaf) {
             for (ItemId j : closure) in_closed[j] = 1;
             const bool ok = ParClosedDfs(ctx, closure, extended, i, depth + 1);
             std::fill(in_closed.begin(), in_closed.end(), 0);
@@ -331,7 +335,7 @@ void RunClosedSubtreeTask(ParClosedShared* sh,
     if (scratch.cover_scratch.size() < sh->frequent.size()) {
         scratch.cover_scratch.resize(sh->frequent.size());
     }
-    BudgetGuard guard(TaskBudget(*sh->budget, sh->timer), sh->max_patterns);
+    BudgetGuard guard(TaskBudget(sh->budget, sh->timer));
     ShardEmitter emitter(&sh->shards, std::move(path));
     ParClosedCtx ctx{sh, &guard, &emitter, &scratch, slot};
     if (!ParClosedDfs(ctx, holder->closed, holder->tidset, holder->core,
@@ -375,7 +379,7 @@ void RunClosedRootTask(ParClosedShared* sh, const Itemset& root_closed,
     if (scratch.cover_scratch.size() < sh->frequent.size()) {
         scratch.cover_scratch.resize(sh->frequent.size());
     }
-    BudgetGuard guard(TaskBudget(*sh->budget, sh->timer), sh->max_patterns);
+    BudgetGuard guard(TaskBudget(sh->budget, sh->timer));
     ShardEmitter emitter(&sh->shards, {});
     ParClosedCtx ctx{sh, &guard, &emitter, &scratch, slot};
     const TransactionDatabase& db = *sh->db;
@@ -396,22 +400,14 @@ void RunClosedRootTask(ParClosedShared* sh, const Itemset& root_closed,
         if (support < sh->min_sup) continue;
         ++ctx.closure_checks;
         Itemset closure;
-        bool prefix_ok = true;
-        for (ItemId j : sh->frequent) {
-            if (scratch.in_closed[j]) {
-                closure.push_back(j);
-                continue;
-            }
-            if (tidset.IsSubsetOf(db.ItemCover(j))) {
-                if (j < i) {
-                    prefix_ok = false;
-                    break;
-                }
-                closure.push_back(j);
-            }
+        if (!CloseExtension(db, sh->frequent, scratch.in_closed, tidset, i,
+                            sh->max_len, &closure)) {
+            continue;
         }
-        if (!prefix_ok) continue;
-        std::sort(closure.begin(), closure.end());
+        if (!ParMayEmit(*sh)) {
+            ok = false;
+            break;
+        }
         emitter.PushRank(static_cast<std::uint32_t>(k));
         Pattern p;
         p.items = closure;
@@ -422,10 +418,11 @@ void RunClosedRootTask(ParClosedShared* sh, const Itemset& root_closed,
         sh->progress.AddBytes(bytes);
         emitter.Emit(std::move(p));
 
+        const bool leaf = closure.size() == sh->max_len;
         const std::size_t est = support * sh->frequent.size();
-        if (est > sh->split_threshold) {
+        if (!leaf && est > sh->split_threshold) {
             SpawnClosedSubtree(ctx, closure, tidset, i, /*depth=*/0);
-        } else {
+        } else if (!leaf) {
             for (ItemId j : closure) scratch.in_closed[j] = 1;
             ok = ParClosedDfs(ctx, closure, tidset, i, /*depth=*/0);
             std::fill(scratch.in_closed.begin(), scratch.in_closed.end(), 0);
@@ -446,12 +443,14 @@ Result<MineOutcome<Pattern>> ClosedMiner::MineBudgeted(
     const std::size_t n = db.num_transactions();
     const std::size_t min_sup = ResolveMinSup(config, n);
 
-    BudgetGuard guard(config.budget, config.max_patterns);
+    BudgetGuard guard(WithoutPatternCap(config.budget));
     MineOutcome<Pattern> outcome;
     std::vector<Pattern>& out = outcome.patterns;
     ClosedContext ctx;
     ctx.db = &db;
     ctx.min_sup = min_sup;
+    ctx.max_len = config.max_pattern_len;
+    ctx.max_patterns = std::min(config.max_patterns, config.budget.max_patterns);
     ctx.guard = &guard;
     ctx.in_closed.assign(db.num_items(), 0);
     ctx.out = &out;
@@ -470,7 +469,8 @@ Result<MineOutcome<Pattern>> ClosedMiner::MineBudgeted(
             ctx.in_closed[i] = 1;
         }
     }
-    if (!root_closed.empty() && n >= min_sup) {
+    if (!root_closed.empty() && n >= min_sup &&
+        root_closed.size() <= config.max_pattern_len && MayEmit(ctx)) {
         Pattern p;
         p.items = root_closed;
         p.support = n;
@@ -490,13 +490,18 @@ Result<MineOutcome<Pattern>> ClosedMiner::MineBudgeted(
     std::size_t nodes = 0;
     std::size_t closures = 0;
 
-    if (threads <= 1) {
-        // Serial path: today's code, bit for bit.
+    if (ctx.capped) {
+        outcome.breach = BudgetBreach::kPatternCap;  // a zero cap
+    } else if (threads <= 1) {
+        // Serial path.
         bool ok = true;
         for (std::size_t k = 0; k < cores.size() && ok; ++k) {
             ok = ClosedTopLevel(ctx, root_closed, cores[k]);
         }
-        if (!ok) outcome.breach = guard.breach();
+        if (!ok) {
+            outcome.breach =
+                ctx.capped ? BudgetBreach::kPatternCap : guard.breach();
+        }
         nodes = ctx.nodes_expanded;
         closures = ctx.closure_checks;
     } else {

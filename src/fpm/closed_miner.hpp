@@ -6,7 +6,10 @@
 // cover ⇒ maximal Jaccard). We implement the LCM-style prefix-preserving
 // closure extension (Uno et al.) over vertical bit vectors: it enumerates
 // exactly the closed frequent itemsets — the same output as FPClose — with
-// polynomial delay and no subsumption store.
+// polynomial delay and no subsumption store. Closures only grow down the
+// DFS, so MinerConfig::max_pattern_len prunes it exactly: a closure longer
+// than the bound is neither emitted nor descended into, and one at the bound
+// is emitted as a leaf.
 #pragma once
 
 #include "fpm/miner.hpp"

@@ -35,8 +35,11 @@ struct MinerConfig {
     double min_sup_rel = -1.0;
     /// Absolute min_sup (count); ignored when min_sup_rel >= 0.
     std::size_t min_sup_abs = 1;
-    /// Maximum pattern length emitted (ClosedMiner applies it as a post-filter
-    /// since truncating closed patterns would change closure semantics).
+    /// Maximum pattern length emitted. Every miner bounds its search here, so
+    /// pattern and memory budgets never count a pattern beyond the bound.
+    /// ClosedMiner keeps the closed itemsets of at most this length (it never
+    /// truncates a closure, which would change closure semantics) and skips
+    /// the subtree below any longer closure.
     std::size_t max_pattern_len = std::numeric_limits<std::size_t>::max();
     /// Safety cap on emitted patterns; the effective cap is the min of this
     /// and budget.max_patterns. MineBudgeted() truncates here; Mine() fails.

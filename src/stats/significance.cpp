@@ -150,10 +150,10 @@ SignificanceResult RunSignificanceFilter(const TransactionDatabase& db,
     result.p_values.assign(candidates.size(), 1.0);
     result.tested = candidates.size();
 
-    // Parallel p-value scan, structured like the MMRFS relevance scan: each
-    // chunk writes only its own disjoint p_values slots (PatternPValue is
-    // pure), so the doubles are bit-identical at any thread count. Each
-    // chunk polls its own guard on the shared budget/deadline.
+    // Parallel p-value scan: each chunk writes only its own disjoint
+    // p_values slots (PatternPValue is pure), so the doubles are
+    // bit-identical at any thread count. Each chunk polls its own guard on
+    // the shared budget/deadline.
     const std::size_t threads =
         std::min(ResolveNumThreads(config.num_threads), candidates.size());
     std::unique_ptr<ThreadPool> pool;

@@ -20,9 +20,8 @@
 //               min_odds_ratio = 1 tests plain positive association; larger
 //               values demand a minimum effect *size*, not just existence.
 //
-// The p-value scan fans out over the slotted ThreadPool exactly like the
-// MMRFS relevance scan (disjoint per-candidate slots → bit-identical at any
-// thread count; 20-seed certificate in tests/stats/stats_determinism_test.cpp)
+// The p-value scan fans out over the slotted ThreadPool (disjoint
+// per-candidate slots → bit-identical at any thread count; 20-seed certificate in tests/stats/stats_determinism_test.cpp)
 // and is budget/cancel aware: a fired CancelToken propagates kCancelled; any
 // other breach fails *open* (keeps every candidate, records the guard event)
 // because dropping patterns on a deadline would silently change the model.

@@ -119,6 +119,61 @@ INSTANTIATE_TEST_SUITE_P(AllMiners, MinerBudgetTest,
                          ::testing::Values("fpgrowth", "apriori", "eclat",
                                            "closed"));
 
+// The closed miner stops its DFS at max_pattern_len, so its budgets count
+// only patterns within the bound, and it checks the pattern cap when it has
+// a pattern to emit: a cap equal to the bounded output size, or a memory cap
+// equal to that output's estimate, truncates nothing.
+class ClosedBoundBudgetTest : public ::testing::Test {
+  protected:
+    void SetUp() override {
+        config_.min_sup_abs = 3;
+        auto all = ClosedMiner().Mine(db_, config_);
+        ASSERT_TRUE(all.ok()) << all.status();
+        config_.max_pattern_len = 3;
+        auto bounded = ClosedMiner().Mine(db_, config_);
+        ASSERT_TRUE(bounded.ok()) << bounded.status();
+        bounded_ = std::move(*bounded);
+        // Most closed patterns are longer than the bound.
+        ASSERT_LT(2 * bounded_.size(), all->size());
+    }
+
+    void ExpectWholeBoundedOutput(const MinerConfig& config) const {
+        const auto outcome = ClosedMiner().MineBudgeted(db_, config);
+        ASSERT_TRUE(outcome.ok()) << outcome.status();
+        EXPECT_EQ(outcome->breach, BudgetBreach::kNone);
+        ASSERT_EQ(outcome->patterns.size(), bounded_.size());
+        for (std::size_t k = 0; k < bounded_.size(); ++k) {
+            EXPECT_EQ(outcome->patterns[k].items, bounded_[k].items);
+        }
+    }
+
+    const TransactionDatabase db_ = Explosive();
+    MinerConfig config_;
+    std::vector<Pattern> bounded_;
+};
+
+TEST_F(ClosedBoundBudgetTest, PatternCapEqualToBoundedOutputDoesNotTruncate) {
+    MinerConfig config = config_;
+    config.budget.max_patterns = bounded_.size();
+    ExpectWholeBoundedOutput(config);
+    // One fewer is a real truncation, at exactly the cap.
+    config.budget.max_patterns = bounded_.size() - 1;
+    const auto outcome = ClosedMiner().MineBudgeted(db_, config);
+    ASSERT_TRUE(outcome.ok()) << outcome.status();
+    EXPECT_EQ(outcome->breach, BudgetBreach::kPatternCap);
+    EXPECT_EQ(outcome->patterns.size(), bounded_.size() - 1);
+}
+
+TEST_F(ClosedBoundBudgetTest, MemoryCapEqualToBoundedEstimateDoesNotTruncate) {
+    MinerConfig config = config_;
+    std::size_t bytes = 0;
+    for (const Pattern& p : bounded_) {
+        bytes += sizeof(Pattern) + p.items.capacity() * sizeof(ItemId);
+    }
+    config.budget.max_memory_bytes = bytes;
+    ExpectWholeBoundedOutput(config);
+}
+
 TEST(PrefixSpanBudgetTest, CancellationYieldsPartialResult) {
     SequenceDatabase db({{0, 1, 2, 0, 1}, {0, 2, 1, 2}, {1, 0, 2, 1}, {2, 1, 0}},
                         {0, 0, 1, 1}, 3, 2);

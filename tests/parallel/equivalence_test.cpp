@@ -1,7 +1,7 @@
 // Determinism certificates for the parallel layer: every parallel call site
 // must produce results identical to the serial path (num_threads == 1) for
-// every thread count — miners' pattern sets (sorted, with supports), MMRFS's
-// selected sequence, OvO SVM predictions, CV fold accuracies and the grid
+// every thread count — miners' pattern sets (sorted, with supports), OvO SVM
+// predictions, CV fold accuracies and the grid
 // search winner. 20 random databases × threads ∈ {1, 2, 3, 5, 8, 16}
 // (non-power-of-two and oversubscribed counts included).
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/mmrfs.hpp"
 #include "fpm/closed_miner.hpp"
 #include "fpm/eclat.hpp"
 #include "fpm/fpgrowth.hpp"
@@ -107,34 +106,6 @@ TEST_P(MinerThreadEquivalenceTest, EmissionOrderMatchesSerial) {
 
 INSTANTIATE_TEST_SUITE_P(ParallelMiners, MinerThreadEquivalenceTest,
                          ::testing::Values("fpgrowth", "eclat", "closed"));
-
-TEST(MmrfsThreadEquivalenceTest, SelectedSequenceIdenticalForEveryThreadCount) {
-    for (std::uint64_t seed = 1; seed <= kNumSeeds; ++seed) {
-        const auto db = RandomDb(seed);
-        MinerConfig mine_config;
-        mine_config.min_sup_rel = 0.10;
-        auto mined = ClosedMiner().Mine(db, mine_config);
-        ASSERT_TRUE(mined.ok());
-        std::vector<Pattern> candidates = std::move(*mined);
-        AttachMetadata(db, &candidates);
-
-        MmrfsConfig config;
-        config.coverage_delta = 2;
-        config.num_threads = 1;
-        const MmrfsResult want = RunMmrfs(db, candidates, config);
-
-        for (const std::size_t threads : kThreadCounts) {
-            config.num_threads = threads;
-            const MmrfsResult got = RunMmrfs(db, candidates, config);
-            EXPECT_EQ(got.selected, want.selected)
-                << "selection diverges at num_threads=" << threads << " (seed "
-                << seed << ")";
-            EXPECT_EQ(got.relevance, want.relevance);
-            EXPECT_EQ(got.gains, want.gains);
-            EXPECT_EQ(got.coverage, want.coverage);
-        }
-    }
-}
 
 // Three overlapping 0/1 clouds → 3 OvO binary subproblems per model.
 void MakeBlobs(std::uint64_t seed, std::size_t n_per_class, FeatureMatrix* x,

@@ -145,7 +145,6 @@ TEST(ParallelMmrfsFaultTest, CancellationKeepsValidPrefixOfSelections) {
     token.CancelAfterChecks(40);
     MmrfsConfig config;
     config.coverage_delta = 4;
-    config.num_threads = 4;
     config.budget.cancel = &token;
     const MmrfsResult result = RunMmrfs(db, candidates, config);
     EXPECT_EQ(result.breach, BudgetBreach::kCancelled);

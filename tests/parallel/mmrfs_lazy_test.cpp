@@ -1,9 +1,11 @@
 // Certificates for the lazy-greedy MMRFS loop (DESIGN.md §17): RunMmrfs must
 // select exactly what the naive Algorithm 1 reference (tests/testutil) does —
 // the same indices in the same order with bitwise-equal gains — over 20
-// seeded pools, with and without the chi²-BH significance mask, at threads
-// {1, 8}, δ ∈ {1, 3}, with and without a feature cap. Focused cases pin the
-// tie-break, the monotone needy discard, budget truncation and the counters.
+// seeded pools, with and without the chi²-BH significance mask, δ ∈ {1, 3},
+// with and without a feature cap, and over many-class pools whose covers span
+// more than 64 words (the one-pass redundancy kernel and the word-wise
+// coverage update). Focused cases pin the tie-break, the monotone needy
+// discard, budget truncation and the counters.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -81,13 +83,13 @@ void ExpectSameSelection(const MmrfsResult& got, const MmrfsResult& want,
     EXPECT_EQ(got.breach, BudgetBreach::kNone) << where;
 }
 
-// masked × threads × δ × max_features.
-using CertCase = std::tuple<bool, std::size_t, std::size_t, std::size_t>;
+// masked × δ × max_features.
+using CertCase = std::tuple<bool, std::size_t, std::size_t>;
 
 class LazyMmrfsCertificateTest : public ::testing::TestWithParam<CertCase> {};
 
 TEST_P(LazyMmrfsCertificateTest, MatchesNaiveReferenceBitwise) {
-    const auto [masked, threads, delta, cap] = GetParam();
+    const auto [masked, delta, cap] = GetParam();
     std::size_t kept_total = 0;
     std::size_t pool_total = 0;
     for (std::uint64_t seed = 1; seed <= kNumSeeds; ++seed) {
@@ -104,7 +106,6 @@ TEST_P(LazyMmrfsCertificateTest, MatchesNaiveReferenceBitwise) {
         config.max_features = cap;
         config.candidate_mask = masked ? &mask : nullptr;
         const MmrfsResult want = testutil::NaiveMmrfs(db, candidates, config);
-        config.num_threads = threads;
         const MmrfsResult got = RunMmrfs(db, candidates, config);
         ExpectSameSelection(got, want, "seed " + std::to_string(seed));
         if (cap != std::numeric_limits<std::size_t>::max()) {
@@ -119,12 +120,86 @@ TEST_P(LazyMmrfsCertificateTest, MatchesNaiveReferenceBitwise) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    MaskThreadsDeltaCap, LazyMmrfsCertificateTest,
+    MaskDeltaCap, LazyMmrfsCertificateTest,
     ::testing::Combine(::testing::Bool(),
-                       ::testing::Values(std::size_t{1}, std::size_t{8}),
                        ::testing::Values(std::size_t{1}, std::size_t{3}),
                        ::testing::Values(std::numeric_limits<std::size_t>::max(),
                                          std::size_t{4})));
+
+// 4500 rows (71 cover words) over 8 classes. Every row holds its class's
+// item (c < 8), sometimes a second class item, and at least one of six noise
+// items, so {c} and its noise extensions can cover each row δ = 2 times.
+TransactionDatabase ManyClassDb(std::uint64_t seed) {
+    Rng rng(seed);
+    const std::size_t n = 4500;
+    const std::size_t classes = 8;
+    const std::size_t items = classes + 6;
+    std::vector<std::vector<ItemId>> txns(n);
+    std::vector<ClassLabel> labels(n);
+    for (std::size_t t = 0; t < n; ++t) {
+        const std::uint64_t y = rng.UniformInt(std::uint64_t{classes});
+        labels[t] = static_cast<ClassLabel>(y);
+        txns[t].push_back(static_cast<ItemId>(y));
+        if (rng.Bernoulli(0.15)) {
+            const auto other =
+                static_cast<ItemId>(rng.UniformInt(std::uint64_t{classes}));
+            if (other != y) txns[t].push_back(other);
+        }
+        bool noisy = false;
+        for (ItemId i = classes; i < items; ++i) {
+            if (rng.Bernoulli(0.4)) {
+                txns[t].push_back(i);
+                noisy = true;
+            }
+        }
+        if (!noisy) txns[t].push_back(static_cast<ItemId>(classes + t % 6));
+        std::sort(txns[t].begin(), txns[t].end());
+    }
+    return TransactionDatabase::FromTransactions(std::move(txns),
+                                                 std::move(labels), items,
+                                                 classes);
+}
+
+// masked × max_features, at δ = 2.
+using WideCase = std::tuple<bool, std::size_t>;
+
+class LazyMmrfsWideCertificateTest : public ::testing::TestWithParam<WideCase> {
+};
+
+TEST_P(LazyMmrfsWideCertificateTest, ManyClassWideCoversMatchNaiveBitwise) {
+    const auto [masked, cap] = GetParam();
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+        const auto db = ManyClassDb(seed);
+        MinerConfig mine_config;
+        mine_config.min_sup_rel = 0.01;
+        mine_config.max_pattern_len = 3;
+        auto mined = ClosedMiner().Mine(db, mine_config);
+        ASSERT_TRUE(mined.ok()) << mined.status();
+        std::vector<Pattern> candidates = std::move(*mined);
+        AttachMetadata(db, &candidates);
+        ASSERT_GT(candidates.size(), 100u);
+        ASSERT_GT(candidates.front().cover.size(), 64u * 64u);
+        const std::vector<char> mask =
+            masked ? Chi2BhMask(db, candidates) : std::vector<char>{};
+
+        MmrfsConfig config;
+        config.coverage_delta = 2;
+        config.max_features = cap;
+        config.candidate_mask = masked ? &mask : nullptr;
+        const MmrfsResult want = testutil::NaiveMmrfs(db, candidates, config);
+        const MmrfsResult got = RunMmrfs(db, candidates, config);
+        ExpectSameSelection(got, want, "seed " + std::to_string(seed));
+        // Every class gets patterns, and redundancy is actually exercised.
+        EXPECT_GT(got.selected.size(), 8u);
+        EXPECT_LE(got.selected.size(), cap);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MaskCap, LazyMmrfsWideCertificateTest,
+    ::testing::Combine(::testing::Bool(),
+                       ::testing::Values(std::numeric_limits<std::size_t>::max(),
+                                         std::size_t{24})));
 
 // Rows 0-1 hold items {0,1} (class 0), rows 2-3 hold item {2} (class 1):
 // {2}, {0,1} and {0} split the classes perfectly, so all three score the

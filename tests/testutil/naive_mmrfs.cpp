@@ -3,9 +3,18 @@
 #include <algorithm>
 #include <limits>
 
-#include "core/redundancy.hpp"
-
 namespace dfp::testutil {
+
+double CoverJaccard(const BitVector& a, const BitVector& b) {
+    const std::size_t unions = a.OrCount(b);
+    if (unions == 0) return 0.0;
+    return static_cast<double>(a.AndCount(b)) / static_cast<double>(unions);
+}
+
+double Redundancy(const Pattern& a, const Pattern& b, double relevance_a,
+                  double relevance_b) {
+    return CoverJaccard(a.cover, b.cover) * std::min(relevance_a, relevance_b);
+}
 
 MmrfsResult NaiveMmrfs(const TransactionDatabase& db,
                        const std::vector<Pattern>& candidates,

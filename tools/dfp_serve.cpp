@@ -282,7 +282,7 @@ int main(int argc, char** argv) {
         trainer_config.pipeline.miner.max_pattern_len = 4;
         trainer_config.pipeline.mmrfs.coverage_delta = 2;
         // Retrains use the same worker-thread budget as scoring: the mining
-        // fan-out, MMRFS rounds and OvO training all parallelise, and the
+        // fan-out, significance filter and OvO training parallelise, and the
         // retrained model is thread-count-invariant (DESIGN.md §17), so
         // --threads shortens the retrain critical path for free.
         trainer_config.pipeline.num_threads = engine_config.num_threads;
