@@ -1,5 +1,6 @@
 // Microbenchmarks of the core framework machinery: MMRFS selection, feature-
-// space transformation, measures/bounds, and BitVector cover kernels.
+// space transformation, measures/bounds, and the popcount kernel under every
+// cover count.
 //
 // The letter-shape cases time the stages of the perfbench train-wide
 // workload (20000 rows × 112 items, 122 candidates, ~120 selected patterns):
@@ -8,6 +9,8 @@
 // counts), C4.5, and one one-vs-one SMO pair.
 #include <benchmark/benchmark.h>
 
+#include "common/popcount.hpp"
+#include "common/rng.hpp"
 #include "core/bounds.hpp"
 #include "core/feature_space.hpp"
 #include "core/measures.hpp"
@@ -215,15 +218,24 @@ void BM_IgUpperBound(benchmark::State& state) {
 }
 BENCHMARK(BM_IgUpperBound);
 
-void BM_CoverAndCount(benchmark::State& state) {
-    const auto& f = BenchFixture();
-    const BitVector& a = f.db.ItemCover(0);
-    const BitVector& b = f.db.ItemCover(1);
+// |A∧B| of two random covers of range(0) words: 50 is the chess width (3196
+// rows), 313 the letter width (20000 rows), 1024 a wide case. Runs whichever
+// popcount body this host chose; the benchmark's label names it.
+void BM_AndCount(benchmark::State& state) {
+    const std::size_t bits = static_cast<std::size_t>(state.range(0)) * 64;
+    Rng rng(29);
+    BitVector a(bits);
+    BitVector b(bits);
+    for (std::size_t i = 0; i < bits; ++i) {
+        if (rng.Bernoulli(0.5)) a.Set(i);
+        if (rng.Bernoulli(0.5)) b.Set(i);
+    }
     for (auto _ : state) {
         benchmark::DoNotOptimize(a.AndCount(b));
     }
+    state.SetLabel(PopcountPath());
 }
-BENCHMARK(BM_CoverAndCount);
+BENCHMARK(BM_AndCount)->Arg(50)->Arg(313)->Arg(1024);
 
 }  // namespace
 }  // namespace dfp

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/popcount.hpp"
+
 namespace dfp {
 
 namespace {
@@ -43,9 +45,7 @@ void BitVector::MaskTail() {
 }
 
 std::size_t BitVector::Count() const {
-    std::size_t n = 0;
-    for (std::uint64_t w : words_) n += static_cast<std::size_t>(__builtin_popcountll(w));
-    return n;
+    return Popcount(words_.data(), words_.size());
 }
 
 BitVector& BitVector::operator&=(const BitVector& other) {
@@ -74,21 +74,12 @@ BitVector& BitVector::AndNot(const BitVector& other) {
 
 std::size_t BitVector::AndCount(const BitVector& other) const {
     assert(size_ == other.size_);
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < words_.size(); ++i) {
-        n += static_cast<std::size_t>(__builtin_popcountll(words_[i] & other.words_[i]));
-    }
-    return n;
+    return AndPopcount(words_.data(), other.words_.data(), words_.size());
 }
 
 std::size_t BitVector::AndNotCount(const BitVector& other) const {
     assert(size_ == other.size_);
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < words_.size(); ++i) {
-        n += static_cast<std::size_t>(
-            __builtin_popcountll(words_[i] & ~other.words_[i]));
-    }
-    return n;
+    return AndNotPopcount(words_.data(), other.words_.data(), words_.size());
 }
 
 void BitVector::AssignAnd(const BitVector& a, const BitVector& b) {
@@ -107,15 +98,6 @@ void BitVector::AssignAndNot(const BitVector& a, const BitVector& b) {
     for (std::size_t i = 0; i < words_.size(); ++i) {
         words_[i] = a.words_[i] & ~b.words_[i];
     }
-}
-
-std::size_t BitVector::OrCount(const BitVector& other) const {
-    assert(size_ == other.size_);
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < words_.size(); ++i) {
-        n += static_cast<std::size_t>(__builtin_popcountll(words_[i] | other.words_[i]));
-    }
-    return n;
 }
 
 bool BitVector::IsSubsetOf(const BitVector& other) const {

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,9 @@ class BitVector {
 
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
+    /// The packed words, bit i in word i / 64. Bits at and past size() in
+    /// the last word are always clear, so whole-word counts are exact.
+    std::span<const std::uint64_t> words() const { return words_; }
 
     void Set(std::size_t i);
     void Clear(std::size_t i);
@@ -55,8 +59,6 @@ class BitVector {
     /// |this ∧ ¬other| without materializing the difference (the diffset
     /// cardinality kernel of the hybrid Eclat).
     std::size_t AndNotCount(const BitVector& other) const;
-    /// |this ∨ other| without materializing the union.
-    std::size_t OrCount(const BitVector& other) const;
 
     /// this = a ∧ b, reusing this vector's existing word storage (the
     /// per-depth scratch path of the miners: no allocation when sizes match).

@@ -27,15 +27,16 @@ void FlushMmrfsMetrics(std::size_t iterations, std::size_t accepted,
     static auto& gain_h = registry.GetHistogram(
         "dfp.core.mmrfs.gain",
         {0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0});
+    static auto& under_covered_g =
+        registry.GetGauge("dfp.core.mmrfs.under_covered_final");
+    static auto& pool_size_g = registry.GetGauge("dfp.core.mmrfs.pool_size");
     iter_c.Inc(iterations);
     accept_c.Inc(accepted);
     discard_c.Inc(discarded);
     red_c.Inc(redundancy_evals);
     for (double g : gains) gain_h.Observe(g);
-    registry.GetGauge("dfp.core.mmrfs.under_covered_final")
-        .Set(static_cast<double>(under_covered));
-    registry.GetGauge("dfp.core.mmrfs.pool_size")
-        .Set(static_cast<double>(pool_size));
+    under_covered_g.Set(static_cast<double>(under_covered));
+    pool_size_g.Set(static_cast<double>(pool_size));
 }
 
 }  // namespace

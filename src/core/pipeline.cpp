@@ -38,25 +38,55 @@ struct ItemsetHash {
     }
 };
 
+// The registry metrics every Train() updates. Registry metrics are immortal,
+// so they are resolved once per process and no run looks one up by name.
+struct PipelineMeters {
+    obs::Gauge& num_candidates;
+    obs::Gauge& num_selected;
+    obs::Gauge& num_sig_rejected;
+    obs::Gauge& mine_seconds;
+    obs::Gauge& significance_seconds;
+    obs::Gauge& select_seconds;
+    obs::Gauge& transform_seconds;
+    obs::Gauge& learn_seconds;
+    obs::Counter& train_runs;
+    obs::Gauge& pipeline_threads;
+    obs::Gauge& train_utilization;
+};
+
+const PipelineMeters& Meters() {
+    static const PipelineMeters meters = [] {
+        auto& reg = obs::Registry::Get();
+        return PipelineMeters{
+            reg.GetGauge("dfp.core.pipeline.num_candidates"),
+            reg.GetGauge("dfp.core.pipeline.num_selected"),
+            reg.GetGauge("dfp.core.pipeline.num_sig_rejected"),
+            reg.GetGauge("dfp.core.pipeline.mine_seconds"),
+            reg.GetGauge("dfp.core.pipeline.significance_seconds"),
+            reg.GetGauge("dfp.core.pipeline.select_seconds"),
+            reg.GetGauge("dfp.core.pipeline.transform_seconds"),
+            reg.GetGauge("dfp.core.pipeline.learn_seconds"),
+            reg.GetCounter("dfp.core.pipeline.train_runs"),
+            reg.GetGauge("dfp.parallel.pipeline_threads"),
+            reg.GetGauge("dfp.parallel.train_utilization"),
+        };
+    }();
+    return meters;
+}
+
 // Mirrors a finished run's stats into the registry (the struct stays the
 // caller-facing façade; the registry carries the same numbers into reports).
 void PublishPipelineStats(const PipelineStats& stats) {
-    auto& registry = obs::Registry::Get();
-    registry.GetGauge("dfp.core.pipeline.num_candidates")
-        .Set(static_cast<double>(stats.num_candidates));
-    registry.GetGauge("dfp.core.pipeline.num_selected")
-        .Set(static_cast<double>(stats.num_selected));
-    registry.GetGauge("dfp.core.pipeline.num_sig_rejected")
-        .Set(static_cast<double>(stats.num_sig_rejected));
-    registry.GetGauge("dfp.core.pipeline.mine_seconds").Set(stats.mine_seconds);
-    registry.GetGauge("dfp.core.pipeline.significance_seconds")
-        .Set(stats.significance_seconds);
-    registry.GetGauge("dfp.core.pipeline.select_seconds")
-        .Set(stats.select_seconds);
-    registry.GetGauge("dfp.core.pipeline.transform_seconds")
-        .Set(stats.transform_seconds);
-    registry.GetGauge("dfp.core.pipeline.learn_seconds").Set(stats.learn_seconds);
-    registry.GetCounter("dfp.core.pipeline.train_runs").Inc();
+    const PipelineMeters& m = Meters();
+    m.num_candidates.Set(static_cast<double>(stats.num_candidates));
+    m.num_selected.Set(static_cast<double>(stats.num_selected));
+    m.num_sig_rejected.Set(static_cast<double>(stats.num_sig_rejected));
+    m.mine_seconds.Set(stats.mine_seconds);
+    m.significance_seconds.Set(stats.significance_seconds);
+    m.select_seconds.Set(stats.select_seconds);
+    m.transform_seconds.Set(stats.transform_seconds);
+    m.learn_seconds.Set(stats.learn_seconds);
+    m.train_runs.Inc();
 }
 
 }  // namespace
@@ -156,9 +186,7 @@ Status PatternClassifierPipeline::Train(const TransactionDatabase& train,
     // One thread knob for the whole run, mirrored into every stage and the
     // run report (quickstart --threads lands here).
     const std::size_t resolved_threads = ResolveNumThreads(config_.num_threads);
-    obs::Registry::Get()
-        .GetGauge("dfp.parallel.pipeline_threads")
-        .Set(static_cast<double>(resolved_threads));
+    Meters().pipeline_threads.Set(static_cast<double>(resolved_threads));
     const std::size_t guard_mark = GuardLog::Get().size();
     // Worker-utilization bookends: the stage pools fold their busy/wall time
     // into process-wide counters when they retire, so the delta across Train
@@ -266,9 +294,7 @@ Status PatternClassifierPipeline::TrainWithCandidates(
     obs::Span train_span("train");
     budget_report_ = BudgetReport{};
     const std::size_t resolved_threads = ResolveNumThreads(config_.num_threads);
-    obs::Registry::Get()
-        .GetGauge("dfp.parallel.pipeline_threads")
-        .Set(static_cast<double>(resolved_threads));
+    Meters().pipeline_threads.Set(static_cast<double>(resolved_threads));
     const std::size_t guard_mark = GuardLog::Get().size();
     const std::uint64_t busy_mark = ThreadPool::ProcessBusyNs();
     const std::uint64_t wall_mark = ThreadPool::ProcessWorkerWallNs();
@@ -415,11 +441,10 @@ Status PatternClassifierPipeline::FinishTrain(const TransactionDatabase& train,
     // "did the fan-out actually keep the workers fed" gauge per train.
     const std::uint64_t busy_ns = ThreadPool::ProcessBusyNs() - busy_mark;
     const std::uint64_t wall_ns = ThreadPool::ProcessWorkerWallNs() - wall_mark;
-    obs::Registry::Get()
-        .GetGauge("dfp.parallel.train_utilization")
-        .Set(wall_ns > 0 ? static_cast<double>(busy_ns) /
-                               static_cast<double>(wall_ns)
-                         : 1.0);
+    Meters().train_utilization.Set(
+        wall_ns > 0
+            ? static_cast<double>(busy_ns) / static_cast<double>(wall_ns)
+            : 1.0);
     PublishPipelineStats(stats_);
     if (budget_report_.degraded()) {
         DFP_LOG_WARN(StrFormat(

@@ -9,7 +9,7 @@
 //
 // Selection evaluates R against one fixed cover many times, so callers cache
 // each cover's popcount once and the kernel makes a single AndCount pass:
-// |A∨B| = |A| + |B| − |A∧B| gives the same integers as a second OrCount pass,
+// |A∨B| = |A| + |B| − |A∧B| gives the same integers as counting the union,
 // hence the same double ratio bit for bit.
 #pragma once
 

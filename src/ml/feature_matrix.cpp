@@ -3,6 +3,8 @@
 #include <cassert>
 #include <utility>
 
+#include "common/popcount.hpp"
+
 namespace dfp {
 
 FeatureMatrix::FeatureMatrix(std::size_t rows, std::vector<BitVector> columns)
@@ -55,13 +57,8 @@ PackedRows::PackedRows(const FeatureMatrix& x)
 }
 
 std::size_t PackedRows::AndCount(std::size_t i, std::size_t j) const {
-    const std::uint64_t* a = words_.data() + i * stride_;
-    const std::uint64_t* b = words_.data() + j * stride_;
-    std::size_t count = 0;
-    for (std::size_t w = 0; w < stride_; ++w) {
-        count += static_cast<std::size_t>(__builtin_popcountll(a[w] & b[w]));
-    }
-    return count;
+    return AndPopcount(words_.data() + i * stride_, words_.data() + j * stride_,
+                       stride_);
 }
 
 std::vector<double> PackedRows::Dense(std::size_t r) const {

@@ -209,24 +209,26 @@ class SmoSolver {
         static auto& examine_c = registry.GetCounter("dfp.ml.smo.examine_calls");
         static auto& kern_c = registry.GetCounter("dfp.ml.smo.kernel_evals");
         static auto& hits_c = registry.GetCounter("dfp.ml.smo.cache_hits");
+        static auto& solves_c = registry.GetCounter("dfp.ml.smo.solves");
         passes_c.Inc(passes);
         steps_c.Inc(steps_);
         examine_c.Inc(examine_calls_);
         kern_c.Inc(kernel_evals_);
         hits_c.Inc(cache_hits_);
-        registry.GetCounter("dfp.ml.smo.solves").Inc();
+        solves_c.Inc();
         if (use_cache_) {
             static auto& row_hits = registry.GetCounter("dfp.svm.cache.hits");
             static auto& row_misses = registry.GetCounter("dfp.svm.cache.misses");
             static auto& row_evict = registry.GetCounter("dfp.svm.cache.evictions");
+            static auto& rows_g = registry.GetGauge("dfp.svm.cache.rows");
             row_hits.Inc(cache_.hits());
             row_misses.Inc(cache_.misses());
             row_evict.Inc(cache_.evictions());
-            registry.GetGauge("dfp.svm.cache.rows")
-                .Set(static_cast<double>(cache_.resident_rows()));
+            rows_g.Set(static_cast<double>(cache_.resident_rows()));
         }
         if (config_.shrinking) {
-            registry.GetCounter("dfp.ml.smo.shrunk_points").Inc(shrunk_total_);
+            static auto& shrunk_c = registry.GetCounter("dfp.ml.smo.shrunk_points");
+            shrunk_c.Inc(shrunk_total_);
         }
     }
 

@@ -73,6 +73,11 @@ void FlushSignificanceMetrics(const SignificanceResult& result) {
     static auto& rejected_c = registry.GetCounter("dfp.stats.rejected");
     static auto& p_h = registry.GetHistogram(
         "dfp.stats.p_value", {1e-10, 1e-6, 1e-4, 0.001, 0.01, 0.05, 0.1, 0.5});
+    static auto& min_p_g = registry.GetGauge("dfp.stats.min_p");
+    static auto& median_p_g = registry.GetGauge("dfp.stats.median_p");
+    static auto& threshold_g =
+        registry.GetGauge("dfp.stats.correction_threshold");
+    static auto& kept_g = registry.GetGauge("dfp.stats.kept");
     tested_c.Inc(result.tested);
     rejected_c.Inc(result.rejected);
     double min_p = 1.0;
@@ -81,15 +86,13 @@ void FlushSignificanceMetrics(const SignificanceResult& result) {
         p_h.Observe(p);
     }
     std::vector<double> scratch = result.p_values;
-    registry.GetGauge("dfp.stats.min_p").Set(min_p);
-    registry.GetGauge("dfp.stats.median_p").Set(MedianInPlace(scratch));
+    min_p_g.Set(min_p);
+    median_p_g.Set(MedianInPlace(scratch));
     // The raw threshold can be ±inf (BH with no discovery / fail-open);
     // clamp the gauge so report JSON stays finite. 0 = "rejects everything",
     // 1 = "keeps everything".
-    registry.GetGauge("dfp.stats.correction_threshold")
-        .Set(Clamp(result.threshold, 0.0, 1.0));
-    registry.GetGauge("dfp.stats.kept")
-        .Set(static_cast<double>(result.tested - result.rejected));
+    threshold_g.Set(Clamp(result.threshold, 0.0, 1.0));
+    kept_g.Set(static_cast<double>(result.tested - result.rejected));
 }
 
 }  // namespace

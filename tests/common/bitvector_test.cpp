@@ -82,7 +82,7 @@ TEST(BitVectorTest, CountingWithoutMaterializing) {
         if (rng.Bernoulli(0.4)) b.Set(i);
     }
     EXPECT_EQ(a.AndCount(b), (a & b).Count());
-    EXPECT_EQ(a.OrCount(b), (a | b).Count());
+    EXPECT_EQ(a.AndNotCount(b), BitVector(a).AndNot(b).Count());
 }
 
 TEST(BitVectorTest, SubsetAndDisjoint) {

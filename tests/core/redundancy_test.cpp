@@ -39,7 +39,7 @@ TEST(JaccardTest, BothEmpty) {
     EXPECT_DOUBLE_EQ(Jaccard(Bits(10, {}), Bits(10, {})), 0.0);
 }
 
-// |A∨B| = |A| + |B| − |A∧B| is the same integer as the OrCount pass, so the
+// |A∨B| = |A| + |B| − |A∧B| is the same integer as the union's count, so the
 // one-pass kernel must equal the two-pass reference bit for bit, at any
 // density and across word boundaries (sizes up to 5000 bits = 79 words).
 TEST(JaccardTest, CountedKernelMatchesTwoPassReferenceBitwise) {

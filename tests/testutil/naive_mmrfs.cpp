@@ -6,7 +6,7 @@
 namespace dfp::testutil {
 
 double CoverJaccard(const BitVector& a, const BitVector& b) {
-    const std::size_t unions = a.OrCount(b);
+    const std::size_t unions = (a | b).Count();
     if (unions == 0) return 0.0;
     return static_cast<double>(a.AndCount(b)) / static_cast<double>(unions);
 }

@@ -8,7 +8,7 @@
 // for small pools. The certificate tests compare RunMmrfs against it bitwise.
 //
 // Redundancy (Eq. 9) is computed here with its own two-pass Jaccard
-// (AndCount, then OrCount for the union), independent of the counted
+// (AndCount, then the Count of the materialized union), independent of the counted
 // one-pass kernel in core/redundancy.hpp that RunMmrfs uses.
 #pragma once
 
