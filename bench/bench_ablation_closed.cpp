@@ -58,7 +58,7 @@ int main(int, char**) {
         const auto test = db.Subset(test_rows);
 
         const Outcome closed = RunOnce(train, test, MinerKind::kClosed, spec->bench_min_sup);
-        const Outcome all = RunOnce(train, test, MinerKind::kFpGrowth, spec->bench_min_sup);
+        const Outcome all = RunOnce(train, test, MinerKind::kEclat, spec->bench_min_sup);
         if (!closed.ok || !all.ok) {
             table.AddRow({name, "mining failed"});
             continue;

@@ -1,27 +1,23 @@
-// Memory-footprint bench for the allocation-aware mining core.
+// Memory-footprint bench for the mining core.
 //
-// Records, per miner, wall-clock and pattern throughput next to the arena
-// reservation gauges (dfp.arena.bytes_reserved / .peak_bytes_reserved /
-// .chunks_allocated) and the process peak RSS, plus an SMO section that
-// trains the same solve with the kernel-row cache off and on. Results land in
-// BENCH_memory.json:
+// Records, per miner, wall-clock and pattern throughput next to the process
+// peak RSS, plus an SMO section that trains the same solve with the
+// kernel-row cache off and on. Results land in BENCH_memory.json:
 //   dfp.bench.memory.<miner>.seconds / .patterns
 //   dfp.bench.memory.smo.cache_{off,on}.seconds
-//   dfp.bench.peak_rss_bytes, dfp.arena.*, dfp.svm.cache.*
+//   dfp.bench.peak_rss_bytes, dfp.svm.cache.*
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.hpp"
-#include "common/arena.hpp"
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
 #include "common/string_util.hpp"
 #include "exp/table_printer.hpp"
 #include "fpm/closed_miner.hpp"
 #include "fpm/eclat.hpp"
-#include "fpm/fpgrowth.hpp"
 #include "ml/svm/smo.hpp"
 #include "obs/metrics.hpp"
 
@@ -72,7 +68,7 @@ int main(int argc, char** argv) {
     bench::BeginBenchObservability(threads);
     auto& registry = obs::Registry::Get();
 
-    bench::Section("Mining memory profile (arena-backed core)");
+    bench::Section("Mining memory profile");
     const auto db = DenseCorpus(/*rows=*/4000, /*items=*/30, /*density=*/0.40,
                                 /*seed=*/11);
     MinerConfig config;
@@ -80,14 +76,12 @@ int main(int argc, char** argv) {
     config.num_threads = threads;
 
     std::vector<std::pair<std::string, std::unique_ptr<Miner>>> miners;
-    miners.emplace_back("fpgrowth", std::make_unique<FpGrowthMiner>());
     miners.emplace_back("eclat", std::make_unique<EclatMiner>());
     miners.emplace_back("closed", std::make_unique<ClosedMiner>());
 
-    TablePrinter table({"miner", "patterns", "seconds", "arena peak MiB",
-                        "peak RSS MiB"});
+    TablePrinter table({"miner", "patterns", "seconds", "peak RSS MiB"});
     for (const auto& [name, miner] : miners) {
-        (void)miner->Mine(db, config);  // warm-up (page cache, arena chunks)
+        (void)miner->Mine(db, config);  // warm-up (page cache, allocator)
         Stopwatch watch;
         const auto mined = miner->Mine(db, config);
         const double seconds = watch.ElapsedSeconds();
@@ -96,12 +90,9 @@ int main(int argc, char** argv) {
                          mined.status().ToString().c_str());
             return 1;
         }
-        const double arena_peak =
-            static_cast<double>(Arena::PeakReservedBytes());
         const double rss = static_cast<double>(bench::PeakRssBytes());
         table.AddRow({name, StrFormat("%zu", mined->size()),
                       StrFormat("%.3f", seconds),
-                      StrFormat("%.2f", arena_peak / (1024.0 * 1024.0)),
                       StrFormat("%.1f", rss / (1024.0 * 1024.0))});
         const std::string prefix = "dfp.bench.memory." + name;
         registry.GetGauge(prefix + ".seconds").Set(seconds);

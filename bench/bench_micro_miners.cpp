@@ -7,8 +7,6 @@
 #include "exp/experiment.hpp"
 #include "fpm/closed_miner.hpp"
 #include "fpm/eclat.hpp"
-#include "fpm/fpgrowth.hpp"
-#include "fpm/fptree.hpp"
 
 namespace dfp {
 namespace {
@@ -46,11 +44,9 @@ void MineAt(benchmark::State& state) {
     state.counters["patterns"] = static_cast<double>(patterns);
 }
 
-void BM_FpGrowth(benchmark::State& state) { MineAt<FpGrowthMiner>(state); }
 void BM_Eclat(benchmark::State& state) { MineAt<EclatMiner>(state); }
 void BM_Closed(benchmark::State& state) { MineAt<ClosedMiner>(state); }
 
-BENCHMARK(BM_FpGrowth)->Arg(5)->Arg(10)->Arg(20)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Eclat)->Arg(5)->Arg(10)->Arg(20)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Closed)->Arg(5)->Arg(10)->Arg(20)->Unit(benchmark::kMillisecond);
 
@@ -74,19 +70,6 @@ void BM_ClosedChess(benchmark::State& state) {
     state.counters["patterns"] = static_cast<double>(patterns);
 }
 BENCHMARK(BM_ClosedChess)->Arg(5)->Arg(100)->Unit(benchmark::kMillisecond);
-
-// FP-tree construction alone (the shared substrate of FP-growth).
-void BM_FpTreeBuild(benchmark::State& state) {
-    const auto& db = BenchDb();
-    std::vector<FpTree::WeightedTransaction> txns;
-    for (const auto& t : db.transactions()) txns.push_back({t, 1});
-    const auto min_sup = static_cast<std::size_t>(state.range(0));
-    for (auto _ : state) {
-        const FpTree tree = FpTree::Build(txns, min_sup);
-        benchmark::DoNotOptimize(tree.num_nodes());
-    }
-}
-BENCHMARK(BM_FpTreeBuild)->Arg(20)->Arg(100)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace dfp

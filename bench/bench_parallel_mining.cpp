@@ -37,7 +37,6 @@
 #include "exp/table_printer.hpp"
 #include "fpm/closed_miner.hpp"
 #include "fpm/eclat.hpp"
-#include "fpm/fpgrowth.hpp"
 #include "obs/metrics.hpp"
 
 using namespace dfp;
@@ -111,7 +110,6 @@ int main(int argc, char** argv) {
     config.min_sup_rel = 0.02;
 
     std::vector<MinerRow> miners;
-    miners.push_back({"fpgrowth", std::make_unique<FpGrowthMiner>()});
     miners.push_back({"eclat", std::make_unique<EclatMiner>()});
     miners.push_back({"closed", std::make_unique<ClosedMiner>()});
 

@@ -5,7 +5,7 @@
 //     excluded).
 //       dfp.bench.stream.ingest_rows_per_s
 //  2. Window mining — at checkpoints while the stream advances, the window
-//     is snapshotted and mined with FP-growth, exactly as
+//     is snapshotted and mined with Eclat, exactly as
 //     ContinuousTrainer::RetrainNow does; the mean time per mine lands as
 //       dfp.bench.stream.window_mine_ms
 //  3. Retrain latency + staleness — a full ContinuousTrainer loop (stream →
@@ -32,7 +32,7 @@
 #include "common/stopwatch.hpp"
 #include "common/string_util.hpp"
 #include "exp/table_printer.hpp"
-#include "fpm/fpgrowth.hpp"
+#include "fpm/eclat.hpp"
 #include "obs/metrics.hpp"
 #include "serve/registry.hpp"
 #include "stream/streaming_db.hpp"
@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
     mine_config.include_singletons = false;
 
     // --- Phase 1+2: ingest throughput and window mining ---------------------
-    bench::Section("Ingest + window mining (snapshot + FP-growth)");
+    bench::Section("Ingest + window mining (snapshot + Eclat)");
     stream::StreamConfig stream_config;
     stream_config.num_items = source.num_items();
     stream_config.num_classes = source.num_classes();
@@ -128,7 +128,7 @@ int main(int argc, char** argv) {
         ++checkpoints;
         Stopwatch mine_watch;
         const auto window = (*db)->SnapshotWindow();
-        auto mined = FpGrowthMiner().Mine(*window, mine_config);
+        auto mined = EclatMiner().Mine(*window, mine_config);
         mine_seconds += mine_watch.ElapsedSeconds();
         if (!mined.ok()) {
             std::fprintf(stderr, "window mine failed: %s\n",

@@ -9,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/popcount.hpp"
 #include "common/string_util.hpp"
 #include "exp/experiment.hpp"
@@ -44,8 +43,7 @@ inline void BeginBenchObservability(std::size_t threads = 1) {
 /// (git-ignored — the numbers live in EXPERIMENTS.md / CI artifacts).
 inline void WriteBenchReport(const std::string& name) {
     // Every bench report carries the memory footprint alongside the timing
-    // spans (process peak RSS plus the mining arenas' reservation gauges),
-    // and the host shape its numbers came from: hardware threads and whether
+    // spans (process peak RSS), and the host shape its numbers came from: hardware threads and whether
     // the cover counts ran the AVX-512 popcount body.
     auto& registry = dfp::obs::Registry::Get();
     registry.GetGauge("dfp.bench.peak_rss_bytes").Set(
@@ -54,7 +52,6 @@ inline void WriteBenchReport(const std::string& name) {
         static_cast<double>(std::max(1u, std::thread::hardware_concurrency())));
     registry.GetGauge("dfp.bench.popcount_avx512").Set(
         dfp::Avx512PopcountBody() != nullptr ? 1.0 : 0.0);
-    PublishArenaMetrics();
     const dfp::obs::RunReport report = dfp::obs::CollectRunReport(name);
     const std::string path = "BENCH_" + name + ".json";
     const Status st = dfp::obs::WriteReportJsonFile(report, path);

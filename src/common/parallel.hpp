@@ -23,8 +23,8 @@
 //    *helps* (executes queued tasks) instead of idling.
 //  * Execution slots. Every task runs under an exclusive *slot index*
 //    (workers own slots [0, num_workers); threads helping from Wait() borrow
-//    one of kMaxHelperSlots extra slots), so per-slot scratch state — arenas,
-//    per-depth buffers — is reused across tasks without locks or races
+//    one of kMaxHelperSlots extra slots), so per-slot scratch state — per-depth
+//    cover buffers — is reused across tasks without locks or races
 //    (WorkerLocal<T> below).
 //  * Observability. The pool publishes `dfp.parallel.*` metrics on
 //    destruction: tasks executed (`tasks`), steals (`steals`), the queue
@@ -209,8 +209,8 @@ void ParallelFor(ThreadPool* pool, std::size_t n,
 /// Per-execution-slot scratch storage, lazily constructed on first use. A
 /// slot is exclusive to one running task at a time (see ThreadPool), so the
 /// returned reference is race-free for the duration of the task without any
-/// locking — this is how mining workers own an arena each (per-worker
-/// arenas, DESIGN.md §17) instead of constructing scratch per task.
+/// locking — this is how mining workers own their per-depth scratch
+/// (DESIGN.md §17) instead of constructing it per task.
 template <typename T>
 class WorkerLocal {
   public:

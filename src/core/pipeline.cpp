@@ -9,7 +9,6 @@
 #include "core/minsup_strategy.hpp"
 #include "fpm/closed_miner.hpp"
 #include "fpm/eclat.hpp"
-#include "fpm/fpgrowth.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -18,7 +17,6 @@ namespace dfp {
 std::unique_ptr<Miner> MakeMiner(MinerKind kind) {
     switch (kind) {
         case MinerKind::kClosed: return std::make_unique<ClosedMiner>();
-        case MinerKind::kFpGrowth: return std::make_unique<FpGrowthMiner>();
         case MinerKind::kEclat: return std::make_unique<EclatMiner>();
     }
     return nullptr;
@@ -301,19 +299,23 @@ Status PatternClassifierPipeline::TrainWithCandidates(
     DeadlineTimer timer(config_.budget.time_budget_ms);
 
     {
-        // Mirror the mining path's pooling: dedup by itemset, drop singletons
-        // (redundant next to the single-item block of I ∪ F), re-anchor
+        // Pool in canonical order so MMRFS ties depend only on the candidate
+        // set: drop singletons (redundant next to the single-item block of
+        // I ∪ F), sort by PatternLess, drop duplicate itemsets, then re-anchor
         // cover/support/class counts on this training database.
         obs::Span pool_span("pool_dedup");
-        std::unordered_set<Itemset, ItemsetHash> seen;
-        candidates_.clear();
-        candidates_.reserve(candidates.size());
-        for (Pattern& p : candidates) {
-            if (p.items.size() <= 1) continue;
-            if (seen.insert(p.items).second) {
-                candidates_.push_back(std::move(p));
-            }
-        }
+        candidates.erase(
+            std::remove_if(candidates.begin(), candidates.end(),
+                           [](const Pattern& p) { return p.items.size() <= 1; }),
+            candidates.end());
+        SortPatterns(candidates);
+        candidates.erase(
+            std::unique(candidates.begin(), candidates.end(),
+                        [](const Pattern& a, const Pattern& b) {
+                            return a.items == b.items;
+                        }),
+            candidates.end());
+        candidates_ = std::move(candidates);
         AttachMetadata(train, &candidates_);
         pool_span.Annotate("pooled", static_cast<double>(candidates_.size()));
         stats_.mine_seconds = mine_seconds + pool_span.ElapsedSeconds();

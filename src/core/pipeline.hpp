@@ -19,7 +19,7 @@
 namespace dfp {
 
 /// Which miner generates the feature candidates.
-enum class MinerKind { kClosed, kFpGrowth, kEclat };
+enum class MinerKind { kClosed, kEclat };
 
 std::unique_ptr<Miner> MakeMiner(MinerKind kind);
 
@@ -102,9 +102,12 @@ class PatternClassifierPipeline {
                  std::unique_ptr<Classifier> learner);
 
     /// Train with an externally mined candidate pool, skipping the mining
-    /// stage: dedups the pool, re-anchors metadata (cover, per-class counts,
-    /// support) on `train`, then runs the same selection → transform → learn
-    /// tail as Train. Candidates need only their itemsets filled. This is the
+    /// stage: pools the candidates in canonical order (PatternLess: length,
+    /// then items) with duplicates dropped, re-anchors metadata (cover,
+    /// per-class counts, support) on `train`, then runs the same selection →
+    /// transform → learn tail as Train. The trained model therefore depends
+    /// only on the candidate set, never on the order the caller's miner
+    /// emitted it. Candidates need only their itemsets filled. This is the
     /// streaming entry point: stream::ContinuousTrainer feeds it the patterns
     /// it mined from the sliding window's snapshot (DESIGN.md §16).
     /// `mine_seconds` is the time the caller spent mining `candidates`;

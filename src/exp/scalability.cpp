@@ -10,7 +10,7 @@
 #include "core/mmrfs.hpp"
 #include "exp/table_printer.hpp"
 #include "fpm/closed_miner.hpp"
-#include "fpm/fpgrowth.hpp"
+#include "fpm/eclat.hpp"
 #include "ml/dtree/c45.hpp"
 #include "ml/eval/cross_validation.hpp"
 #include "ml/svm/pegasos.hpp"
@@ -53,7 +53,7 @@ std::vector<ScalabilityRow> RunScalability(const TransactionDatabase& db,
         mc.min_sup_abs = 1;
         mc.max_patterns = config.pattern_budget;
         Stopwatch watch;
-        const auto attempt = FpGrowthMiner().Mine(db, mc);
+        const auto attempt = EclatMiner().Mine(db, mc);
         if (attempt.ok()) {
             probe.feasible = true;
             probe.patterns = attempt->size();

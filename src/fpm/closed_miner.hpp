@@ -24,10 +24,4 @@ class ClosedMiner : public Miner {
         const TransactionDatabase& db, const MinerConfig& config) const override;
 };
 
-/// Reference implementation for tests: mines all frequent itemsets with the
-/// given miner and keeps those whose support strictly drops for every
-/// superset-by-one — O(F · d) but obviously correct.
-Result<std::vector<Pattern>> BruteForceClosed(const TransactionDatabase& db,
-                                              const MinerConfig& config);
-
 }  // namespace dfp

@@ -1,8 +1,8 @@
 // Eclat: depth-first vertical mining over tid bit vectors (Zaki 2000).
 //
-// Third independent frequent-itemset implementation; also the fastest of the
-// three on the dense databases this framework produces, since support counting
-// is a single AND+popcount over cached covers.
+// The library's one all-frequent miner: support counting is a single
+// AND+popcount over cached covers, which suits the dense databases this
+// framework produces.
 #pragma once
 
 #include "fpm/miner.hpp"

@@ -48,7 +48,8 @@ bool IsSubsetOf(const Itemset& a, const Itemset& b);
 /// Canonical order: by length, then lexicographically by items.
 bool PatternLess(const Pattern& a, const Pattern& b);
 
-/// Sorts patterns into the canonical order (for comparisons in tests).
+/// Sorts patterns into the canonical order (TrainWithCandidates pools its
+/// candidates in it; tests compare in it).
 void SortPatterns(std::vector<Pattern>& patterns);
 
 /// "{a0=v1, a3=v0}" using the database's item names, or "{3, 17}" without one.

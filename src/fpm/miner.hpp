@@ -1,11 +1,12 @@
 // Common interface for frequent-itemset miners.
 //
-// Three miners implement it (tests/testutil adds a reference Apriori):
-//  * FpGrowthMiner  — FP-tree pattern growth, all frequent itemsets.
-//  * EclatMiner     — vertical bitset DFS (reference baseline).
-//  * ClosedMiner    — closed frequent itemsets only (LCM-style prefix-
-//                     preserving closure extension; output semantics identical
-//                     to FPClose, which the paper uses).
+// Two miners implement it (tests/testutil adds a reference Apriori):
+//  * ClosedMiner — closed frequent itemsets only (LCM-style prefix-preserving
+//                  closure extension; output semantics identical to FPClose,
+//                  which the paper uses); PipelineConfig's default miner.
+//  * EclatMiner  — all frequent itemsets by vertical bitset DFS. The stream
+//                  retrain mines its window with it, and the min_sup = 1
+//                  scalability probe enumerates with it.
 //
 // All miners honour an ExecutionBudget (pattern cap, wall-clock deadline,
 // estimated-memory cap, cancellation) so that runaway enumerations (e.g. the
@@ -47,7 +48,7 @@ struct MinerConfig {
     /// Emit single-item patterns too (the framework's feature space is I ∪ F,
     /// so singletons are usually redundant as patterns; default keeps them).
     bool include_singletons = true;
-    /// Worker threads for the mining fan-out (FP-growth / Eclat / closed
+    /// Worker threads for the mining fan-out (Eclat and the closed miner
     /// decompose recursively over conditional subproblems; the reference
     /// Apriori stays level-wise serial). 1 = today's serial code exactly;
     /// 0 = hardware_concurrency. The complete pattern set — and its emission
@@ -75,7 +76,7 @@ class Miner {
   public:
     virtual ~Miner() = default;
 
-    /// Short identifier ("fpgrowth", "closed", ...).
+    /// Short identifier ("closed", "eclat", ...).
     virtual std::string Name() const = 0;
 
     /// Mines patterns from `db`, honouring config.budget cooperatively. On

@@ -4,8 +4,7 @@
 // Every pattern a miner emits has a unique *DFS position*: the path of child
 // ranks from the root of the search tree to the node that emits it, where a
 // node's rank is its 0-based index in its parent's serial iteration order
-// (reverse-header order for FP-growth, class-member order for Eclat,
-// frequent-item order for the closed miner). Serial mining emits patterns in
+// (class-member order for Eclat, frequent-item order for the closed miner). Serial mining emits patterns in
 // preorder over these positions, and preorder over rank paths is exactly
 // lexicographic order on the paths (a prefix sorts before its extensions) —
 // so `std::vector<std::uint32_t>` comparison *is* the serial emission order.

@@ -18,7 +18,7 @@
 //  * The *window* is a bounded suffix: the most recent `window_capacity`
 //    transactions; older rows are evicted FIFO.
 //  * SnapshotWindow() materializes the window as a regular
-//    TransactionDatabase — the bridge back into the arena miners and the
+//    TransactionDatabase — the bridge back into the miners and the
 //    training pipeline (the ContinuousTrainer mines it directly). The
 //    snapshot is cached and shared: repeated calls between appends return
 //    the same immutable database for free.

@@ -8,7 +8,7 @@
 
 #include "common/logging.hpp"
 #include "common/string_util.hpp"
-#include "fpm/fpgrowth.hpp"
+#include "fpm/eclat.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -22,6 +22,36 @@ ClassLabel ScoreWith(const serve::ServableModel& servable,
     servable.index.InitScratch(scratch);
     servable.index.EncodeInto(txn, scratch);
     return servable.model.learner().Predict(scratch->encoded);
+}
+
+// The registry metrics the trainer updates. Registry metrics are immortal,
+// so they are resolved once per process and no retrain looks one up by name.
+struct TrainerMeters {
+    obs::Counter& drift_detected;
+    obs::Counter& retrain_failures;
+    obs::Counter& retrains;
+    obs::Gauge& retrain_seconds;
+    obs::Gauge& staleness_seconds;
+    obs::Gauge& save_seconds;
+    obs::Gauge& reload_seconds;
+    obs::Gauge& baseline_seconds;
+};
+
+const TrainerMeters& Meters() {
+    static const TrainerMeters meters = [] {
+        auto& reg = obs::Registry::Get();
+        return TrainerMeters{
+            reg.GetCounter("dfp.stream.drift_detected"),
+            reg.GetCounter("dfp.stream.retrain_failures"),
+            reg.GetCounter("dfp.stream.retrains"),
+            reg.GetGauge("dfp.stream.retrain_seconds"),
+            reg.GetGauge("dfp.stream.staleness_seconds"),
+            reg.GetGauge("dfp.stream.retrain.save_seconds"),
+            reg.GetGauge("dfp.stream.retrain.reload_seconds"),
+            reg.GetGauge("dfp.stream.retrain.baseline_seconds"),
+        };
+    }();
+    return meters;
 }
 
 std::vector<double> ClassDistribution(const TransactionDatabase& db) {
@@ -125,9 +155,7 @@ Result<bool> ContinuousTrainer::MaybeRetrain() {
             if (verdict.drifted) {
                 trigger = verdict.reason;
                 ++stats_.drift_triggers;
-                obs::Registry::Get()
-                    .GetCounter("dfp.stream.drift_detected")
-                    .Inc();
+                Meters().drift_detected.Inc();
             }
         }
     }
@@ -158,7 +186,7 @@ Status ContinuousTrainer::RetrainNow(const std::string& trigger) {
         retry_pending_ = true;
         ++stats_.retrain_failures;
         stats_.retry_pending = true;
-        obs::Registry::Get().GetCounter("dfp.stream.retrain_failures").Inc();
+        Meters().retrain_failures.Inc();
         DFP_LOG_WARN(StrFormat(
             "stream: retrain (trigger=%s, stream v%llu) failed: %s — "
             "previous model keeps serving, retry armed",
@@ -177,7 +205,7 @@ Status ContinuousTrainer::RetrainNow(const std::string& trigger) {
         MinerConfig mc = config_.pipeline.miner;
         mc.include_singletons = false;
         mc.budget = ExecutionBudget{};
-        mined = FpGrowthMiner().Mine(*window, mc);
+        mined = EclatMiner().Mine(*window, mc);
         mine_seconds = mine_span.ElapsedSeconds();
     }
     if (!mined.ok()) return fail(mined.status());
@@ -201,27 +229,48 @@ Status ContinuousTrainer::RetrainNow(const std::string& trigger) {
     }
     if (!trained.ok()) return fail(trained);
 
+    const TrainerMeters& meters = Meters();
     const std::string path = ModelPath(stream_version);
-    if (const Status saved = SavePipelineModelToFile(pipeline, path);
-        !saved.ok()) {
-        return fail(saved);
+    {
+        obs::Span save_span("save");
+        if (const Status saved = SavePipelineModelToFile(pipeline, path);
+            !saved.ok()) {
+            return fail(saved);
+        }
+        meters.save_seconds.Set(save_span.ElapsedSeconds());
     }
 
     // Staleness of the model being replaced, measured at swap time.
     const double staleness = registry_->SecondsSinceLastPublish();
     Result<serve::ServablePtr> published =
         Status::Internal("no reload attempted");
-    for (std::size_t attempt = 0; attempt < config_.max_reload_attempts;
-         ++attempt) {
-        published = registry_->Reload(path);
-        if (published.ok()) break;
+    {
+        obs::Span reload_span("reload");
+        for (std::size_t attempt = 0; attempt < config_.max_reload_attempts;
+             ++attempt) {
+            published = registry_->Reload(path);
+            if (published.ok()) break;
+        }
+        if (!published.ok()) return fail(published.status());
+        meters.reload_seconds.Set(reload_span.ElapsedSeconds());
     }
-    if (!published.ok()) return fail(published.status());
 
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       started)
             .count();
+    // Re-arm drift detection against the fresh model: baseline accuracy is
+    // the training-window fit, baseline labels the window's mix. Both read
+    // only this retrain's pipeline and snapshot, so they run outside the
+    // ingest mutex.
+    double baseline_accuracy = 0.0;
+    std::vector<double> baseline_mix;
+    {
+        obs::Span baseline_span("drift_baseline");
+        baseline_accuracy = pipeline.Accuracy(*window);
+        baseline_mix = ClassDistribution(*window);
+        meters.baseline_seconds.Set(baseline_span.ElapsedSeconds());
+    }
     {
         std::lock_guard<std::mutex> lock(mu_);
         retry_pending_ = false;
@@ -232,18 +281,12 @@ Status ContinuousTrainer::RetrainNow(const std::string& trigger) {
         stats_.last_model_version = (*published)->version;
         stats_.last_sig_rejected = pipeline.stats().num_sig_rejected;
         stats_.last_retrain_seconds = seconds;
-        // Re-arm drift detection against the fresh model: baseline accuracy
-        // is the training-window fit, baseline labels the window's mix.
-        drift_.SetBaseline(pipeline.Accuracy(*window),
-                           ClassDistribution(*window));
+        drift_.SetBaseline(baseline_accuracy, std::move(baseline_mix));
         drift_.ResetRecent();
     }
-    auto& metrics = obs::Registry::Get();
-    metrics.GetCounter("dfp.stream.retrains").Inc();
-    metrics.GetGauge("dfp.stream.retrain_seconds").Set(seconds);
-    if (staleness >= 0.0) {
-        metrics.GetGauge("dfp.stream.staleness_seconds").Set(staleness);
-    }
+    meters.retrains.Inc();
+    meters.retrain_seconds.Set(seconds);
+    if (staleness >= 0.0) meters.staleness_seconds.Set(staleness);
     DFP_LOG_INFO(StrFormat(
         "stream: retrained (trigger=%s) on stream v%llu (%zu rows) -> model "
         "v%llu in %.3fs",

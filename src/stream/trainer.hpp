@@ -12,7 +12,7 @@
 //                        retrain is awaiting retry, no model is serving yet
 //                        (bootstrap), the row-count schedule fires
 //                        (retrain_every), or the DriftDetector reports drift.
-//   RetrainNow(trigger)  mines the stream's window snapshot with FP-growth,
+//   RetrainNow(trigger)  mines the stream's window snapshot with Eclat,
 //                        runs the pipeline's selection → transform → learn tail
 //                        (TrainWithCandidates), persists a versioned bundle
 //                        and publishes it through ModelRegistry::Reload() —

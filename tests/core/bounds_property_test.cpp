@@ -10,7 +10,7 @@
 #include "core/measures.hpp"
 #include "data/encoder.hpp"
 #include "data/synthetic.hpp"
-#include "fpm/fpgrowth.hpp"
+#include "fpm/eclat.hpp"
 
 namespace dfp {
 namespace {
@@ -35,7 +35,7 @@ TEST_P(BoundHoldsTest, InformationGainBelowBoundBinary) {
     const double p = db.ClassPriors()[0];
     MinerConfig config;
     config.min_sup_rel = 0.05;
-    auto mined = FpGrowthMiner().Mine(db, config);
+    auto mined = EclatMiner().Mine(db, config);
     ASSERT_TRUE(mined.ok());
     std::vector<Pattern> patterns = std::move(*mined);
     AttachMetadata(db, &patterns);
@@ -54,7 +54,7 @@ TEST_P(BoundHoldsTest, FisherScoreBelowBoundBinary) {
     const double p = db.ClassPriors()[0];
     MinerConfig config;
     config.min_sup_rel = 0.05;
-    auto mined = FpGrowthMiner().Mine(db, config);
+    auto mined = EclatMiner().Mine(db, config);
     ASSERT_TRUE(mined.ok());
     std::vector<Pattern> patterns = std::move(*mined);
     AttachMetadata(db, &patterns);
@@ -73,7 +73,7 @@ TEST_P(BoundHoldsTest, OneVsRestBoundHoldsMulticlass) {
     const auto priors = db.ClassPriors();
     MinerConfig config;
     config.min_sup_rel = 0.08;
-    auto mined = FpGrowthMiner().Mine(db, config);
+    auto mined = EclatMiner().Mine(db, config);
     ASSERT_TRUE(mined.ok());
     std::vector<Pattern> patterns = std::move(*mined);
     AttachMetadata(db, &patterns);
@@ -100,7 +100,7 @@ TEST_P(BoundHoldsTest, MulticlassHeuristicBoundHoldsEmpirically) {
     const auto priors = db.ClassPriors();
     MinerConfig config;
     config.min_sup_rel = 0.08;
-    auto mined = FpGrowthMiner().Mine(db, config);
+    auto mined = EclatMiner().Mine(db, config);
     ASSERT_TRUE(mined.ok());
     std::vector<Pattern> patterns = std::move(*mined);
     AttachMetadata(db, &patterns);

@@ -6,7 +6,7 @@
 
 #include "data/encoder.hpp"
 #include "data/synthetic.hpp"
-#include "fpm/fpgrowth.hpp"
+#include "fpm/eclat.hpp"
 
 namespace dfp {
 namespace {
@@ -23,10 +23,10 @@ TransactionDatabase BinaryDb(std::uint64_t seed) {
     return TransactionDatabase::FromDataset(data, *encoder);
 }
 
-// Exhaustive reference: IG of every frequent pattern via FP-growth.
+// Exhaustive reference: IG of every frequent pattern via Eclat.
 std::vector<double> AllIgsSorted(const TransactionDatabase& db,
                                  const MinerConfig& mc) {
-    auto mined = FpGrowthMiner().Mine(db, mc);
+    auto mined = EclatMiner().Mine(db, mc);
     EXPECT_TRUE(mined.ok());
     std::vector<Pattern> patterns = std::move(*mined);
     AttachMetadata(db, &patterns);
@@ -121,7 +121,7 @@ TEST(SubCoverBoundTest, DominatesEverySubPattern) {
     const auto db = BinaryDb(27);
     MinerConfig mc;
     mc.min_sup_rel = 0.1;
-    auto mined = FpGrowthMiner().Mine(db, mc);
+    auto mined = EclatMiner().Mine(db, mc);
     ASSERT_TRUE(mined.ok());
     std::vector<Pattern> patterns = std::move(*mined);
     AttachMetadata(db, &patterns);

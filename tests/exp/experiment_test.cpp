@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "exp/scalability.hpp"
 #include "ml/svm/svm.hpp"
 
@@ -119,6 +121,31 @@ TEST(ScalabilityTest, MinSupOneProbeReportsBudget) {
     EXPECT_EQ(rows[0].min_sup, 1u);
     EXPECT_FALSE(rows[0].feasible);
     EXPECT_NE(rows[0].note.find("budget"), std::string::npos);
+}
+
+TEST(ScalabilityTest, MinSupOneProbeCountsEveryOccurringItemset) {
+    // Within budget, the min_sup = 1 probe enumerates exactly the distinct
+    // non-empty subsets of the rows.
+    const auto db = PrepareTransactions(TinySpec());
+    std::set<Itemset> occurring;
+    for (std::size_t t = 0; t < db.num_transactions(); ++t) {
+        const auto& row = db.transaction(t);
+        ASSERT_LE(row.size(), 10u);
+        for (std::uint32_t mask = 1; mask < (1u << row.size()); ++mask) {
+            Itemset subset;
+            for (std::size_t k = 0; k < row.size(); ++k) {
+                if ((mask >> k) & 1u) subset.push_back(row[k]);
+            }
+            occurring.insert(std::move(subset));
+        }
+    }
+    ScalabilityConfig config;
+    config.min_sups = {};
+    config.pattern_budget = occurring.size();
+    const auto rows = RunScalability(db, config);
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_TRUE(rows[0].feasible) << rows[0].note;
+    EXPECT_EQ(rows[0].patterns, occurring.size());
 }
 
 }  // namespace

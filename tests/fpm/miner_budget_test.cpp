@@ -6,7 +6,6 @@
 #include "data/graph.hpp"
 #include "fpm/closed_miner.hpp"
 #include "fpm/eclat.hpp"
-#include "fpm/fpgrowth.hpp"
 #include "fpm/pathminer.hpp"
 #include "fpm/prefixspan.hpp"
 #include "testutil/apriori.hpp"
@@ -44,7 +43,6 @@ class MinerBudgetTest : public ::testing::TestWithParam<const char*> {
   protected:
     std::unique_ptr<Miner> MakeNamed() const {
         const std::string name = GetParam();
-        if (name == "fpgrowth") return std::make_unique<FpGrowthMiner>();
         if (name == "apriori") return std::make_unique<testutil::AprioriMiner>();
         if (name == "eclat") return std::make_unique<EclatMiner>();
         if (name == "closed") return std::make_unique<ClosedMiner>();
@@ -116,8 +114,7 @@ TEST_P(MinerBudgetTest, MemoryCapStopsEnumeration) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMiners, MinerBudgetTest,
-                         ::testing::Values("fpgrowth", "apriori", "eclat",
-                                           "closed"));
+                         ::testing::Values("apriori", "eclat", "closed"));
 
 // The closed miner stops its DFS at max_pattern_len, so its budgets count
 // only patterns within the bound, and it checks the pattern cap when it has

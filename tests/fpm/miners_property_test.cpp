@@ -1,5 +1,5 @@
-// Property tests: on random databases, all frequent-itemset miners agree with
-// each other, every emitted pattern satisfies min_sup with a correct support
+// Property tests: on random databases, Eclat agrees with the reference
+// Apriori, every emitted pattern satisfies min_sup with a correct support
 // value, and the closed miner matches the brute-force closure filter.
 #include <gtest/gtest.h>
 
@@ -8,8 +8,8 @@
 #include "common/rng.hpp"
 #include "fpm/closed_miner.hpp"
 #include "fpm/eclat.hpp"
-#include "fpm/fpgrowth.hpp"
 #include "testutil/apriori.hpp"
+#include "testutil/brute_force_closed.hpp"
 
 namespace dfp {
 namespace {
@@ -51,16 +51,32 @@ TEST_P(MinerAgreementTest, AllMinersProduceIdenticalOutput) {
     MinerConfig config;
     config.min_sup_rel = param.min_sup_rel;
 
-    auto fp = FpGrowthMiner().Mine(db, config);
     auto ap = testutil::AprioriMiner().Mine(db, config);
     auto ec = EclatMiner().Mine(db, config);
-    ASSERT_TRUE(fp.ok()) << fp.status();
     ASSERT_TRUE(ap.ok()) << ap.status();
     ASSERT_TRUE(ec.ok()) << ec.status();
+    EXPECT_EQ(ToMap(*ec), ToMap(*ap)) << "eclat vs apriori diverge";
+}
 
-    const auto fp_map = ToMap(*fp);
-    EXPECT_EQ(fp_map, ToMap(*ap)) << "fpgrowth vs apriori diverge";
-    EXPECT_EQ(fp_map, ToMap(*ec)) << "fpgrowth vs eclat diverge";
+TEST_P(MinerAgreementTest, BoundedEclatMatchesApriori) {
+    // The stream retrain's window mine: length-bounded, singletons dropped.
+    // Eclat prunes its DFS at the bound; Apriori stops at that level.
+    const auto& param = GetParam();
+    const auto db = RandomDb(param.seed, param.n, param.items, param.density);
+    MinerConfig config;
+    config.min_sup_rel = param.min_sup_rel;
+    config.max_pattern_len = 3;
+    config.include_singletons = false;
+
+    auto ap = testutil::AprioriMiner().Mine(db, config);
+    auto ec = EclatMiner().Mine(db, config);
+    ASSERT_TRUE(ap.ok()) << ap.status();
+    ASSERT_TRUE(ec.ok()) << ec.status();
+    for (const auto& p : *ec) {
+        EXPECT_GE(p.length(), 2u);
+        EXPECT_LE(p.length(), 3u);
+    }
+    EXPECT_EQ(ToMap(*ec), ToMap(*ap)) << "bounded eclat vs apriori diverge";
 }
 
 TEST_P(MinerAgreementTest, SupportsAreCorrectAndAboveThreshold) {
@@ -70,7 +86,7 @@ TEST_P(MinerAgreementTest, SupportsAreCorrectAndAboveThreshold) {
     config.min_sup_rel = param.min_sup_rel;
     const std::size_t min_sup = ResolveMinSup(config, db.num_transactions());
 
-    auto mined = FpGrowthMiner().Mine(db, config);
+    auto mined = EclatMiner().Mine(db, config);
     ASSERT_TRUE(mined.ok());
     for (const auto& p : *mined) {
         EXPECT_GE(p.support, min_sup);
@@ -84,7 +100,7 @@ TEST_P(MinerAgreementTest, SupportIsAntiMonotone) {
     const auto db = RandomDb(param.seed, param.n, param.items, param.density);
     MinerConfig config;
     config.min_sup_rel = param.min_sup_rel;
-    auto mined = FpGrowthMiner().Mine(db, config);
+    auto mined = EclatMiner().Mine(db, config);
     ASSERT_TRUE(mined.ok());
     const auto by_items = ToMap(*mined);
     for (const auto& [items, support] : by_items) {
@@ -109,7 +125,7 @@ TEST_P(MinerAgreementTest, ClosedMinerMatchesBruteForce) {
     MinerConfig config;
     config.min_sup_rel = param.min_sup_rel;
     auto fast = ClosedMiner().Mine(db, config);
-    auto slow = BruteForceClosed(db, config);
+    auto slow = testutil::BruteForceClosed(db, config);
     ASSERT_TRUE(fast.ok()) << fast.status();
     ASSERT_TRUE(slow.ok()) << slow.status();
     EXPECT_EQ(ToMap(*fast), ToMap(*slow));

@@ -5,8 +5,8 @@
 
 #include "fpm/closed_miner.hpp"
 #include "fpm/eclat.hpp"
-#include "fpm/fpgrowth.hpp"
 #include "testutil/apriori.hpp"
+#include "testutil/brute_force_closed.hpp"
 
 namespace dfp {
 namespace {
@@ -35,7 +35,6 @@ class AllMinersTest : public ::testing::TestWithParam<const char*> {
   protected:
     std::unique_ptr<Miner> MakeNamed() const {
         const std::string name = GetParam();
-        if (name == "fpgrowth") return std::make_unique<FpGrowthMiner>();
         if (name == "apriori") return std::make_unique<testutil::AprioriMiner>();
         if (name == "eclat") return std::make_unique<EclatMiner>();
         return nullptr;
@@ -102,7 +101,7 @@ TEST_P(AllMinersTest, HighMinSupYieldsNothing) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Miners, AllMinersTest,
-                         ::testing::Values("fpgrowth", "apriori", "eclat"));
+                         ::testing::Values("apriori", "eclat"));
 
 TEST(ClosedMinerTest, HandCheckedClosedSets) {
     // T0{0,3} T1{0,1,3} T2{0,2,3} T3{1,2}: 0 and 3 always co-occur, so neither
@@ -126,7 +125,7 @@ TEST(ClosedMinerTest, ClosedSubsetOfFrequent) {
     MinerConfig config;
     config.min_sup_abs = 2;
     ClosedMiner closed;
-    FpGrowthMiner all;
+    EclatMiner all;
     auto closed_result = closed.Mine(db, config);
     auto all_result = all.Mine(db, config);
     ASSERT_TRUE(closed_result.ok());
@@ -160,10 +159,58 @@ TEST(ClosedMinerTest, MatchesBruteForceOnToy) {
     config.min_sup_abs = 2;
     ClosedMiner miner;
     auto fast = miner.Mine(db, config);
-    auto slow = BruteForceClosed(db, config);
+    auto slow = testutil::BruteForceClosed(db, config);
     ASSERT_TRUE(fast.ok());
     ASSERT_TRUE(slow.ok());
     EXPECT_EQ(ToMap(*fast), ToMap(*slow));
+}
+
+TEST(BruteForceClosedTest, HandCheckedClosedSets) {
+    // The reference itself, on ClosedMinerTest.HandCheckedClosedSets's
+    // database: {0} and {3} always co-occur, so only {0,3} is closed.
+    const auto db = TransactionDatabase::FromTransactions(
+        {{0, 3}, {0, 1, 3}, {0, 2, 3}, {1, 2}}, {0, 0, 1, 1}, 4, 2);
+    MinerConfig config;
+    config.min_sup_abs = 2;
+    auto result = testutil::BruteForceClosed(db, config);
+    ASSERT_TRUE(result.ok()) << result.status();
+    const std::map<Itemset, std::size_t> expected = {
+        {{0, 3}, 3}, {{1}, 2}, {{2}, 2},
+    };
+    EXPECT_EQ(ToMap(*result), expected);
+    for (const Pattern& p : *result) {
+        EXPECT_EQ(p.cover.Count(), p.support) << "metadata attached";
+    }
+}
+
+TEST(BruteForceClosedTest, KeepsExactlyTheSetsNoExtensionMatches) {
+    // The closed-set definition checked directly on Toy at min_sup 1: a
+    // frequent itemset is kept iff every one-item extension has a smaller
+    // support.
+    const auto db = Toy();
+    MinerConfig config;
+    config.min_sup_abs = 1;
+    const auto closed = testutil::BruteForceClosed(db, config);
+    const auto frequent = testutil::AprioriMiner().Mine(db, config);
+    ASSERT_TRUE(closed.ok()) << closed.status();
+    ASSERT_TRUE(frequent.ok()) << frequent.status();
+    const auto support = ToMap(*frequent);
+    const auto kept = ToMap(*closed);
+    for (const auto& [items, sup] : support) {
+        bool matched = false;
+        for (ItemId extra = 0; extra < db.num_items(); ++extra) {
+            if (std::binary_search(items.begin(), items.end(), extra)) continue;
+            Itemset bigger = items;
+            bigger.insert(std::upper_bound(bigger.begin(), bigger.end(), extra),
+                          extra);
+            const auto it = support.find(bigger);
+            if (it != support.end() && it->second == sup) matched = true;
+        }
+        EXPECT_EQ(kept.count(items), matched ? 0u : 1u) << ItemsetToString(items);
+    }
+    // T4 is the only row with item 3, so {0,1,2,3} is closed and {3} is not.
+    EXPECT_EQ(kept.count({0, 1, 2, 3}), 1u);
+    EXPECT_EQ(kept.count({3}), 0u);
 }
 
 TEST(MinerConfigTest, ResolveMinSup) {
@@ -195,6 +242,28 @@ TEST(PatternTest, AttachMetadata) {
     EXPECT_EQ(patterns[0].cover.ToIndices(),
               (std::vector<std::uint32_t>{0, 1, 4}));
     EXPECT_EQ(patterns[0].class_counts, (std::vector<std::size_t>{2, 1}));
+}
+
+TEST(PatternTest, PatternLessOrdersByLengthThenItems) {
+    auto pattern = [](Itemset items, std::size_t support) {
+        Pattern p;
+        p.items = std::move(items);
+        p.support = support;
+        return p;
+    };
+    std::vector<Pattern> patterns = {
+        pattern({0, 1, 2}, 1), pattern({2}, 9), pattern({0, 3}, 2),
+        pattern({1}, 1),       pattern({0, 1}, 5),
+    };
+    SortPatterns(patterns);
+    std::vector<Itemset> order;
+    for (const auto& p : patterns) order.push_back(p.items);
+    const std::vector<Itemset> expected = {{1}, {2}, {0, 1}, {0, 3}, {0, 1, 2}};
+    EXPECT_EQ(order, expected);
+    // Support plays no part: equal itemsets are equivalent either way.
+    EXPECT_FALSE(PatternLess(pattern({0, 1}, 5), pattern({0, 1}, 1)));
+    EXPECT_FALSE(PatternLess(pattern({0, 1}, 1), pattern({0, 1}, 5)));
+    EXPECT_TRUE(PatternLess(pattern({5}, 1), pattern({0, 1}, 1)));
 }
 
 TEST(ItemsetTest, SubsetAndToString) {

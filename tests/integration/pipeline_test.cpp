@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <vector>
 
@@ -87,7 +88,7 @@ TEST(PipelineTest, PerClassVsGlobalMining) {
 TEST(PipelineTest, AllMinerKindsWork) {
     const auto db = XorDb(150, 5);
     for (MinerKind kind :
-         {MinerKind::kClosed, MinerKind::kFpGrowth, MinerKind::kEclat}) {
+         {MinerKind::kClosed, MinerKind::kEclat}) {
         PipelineConfig config = DefaultConfig();
         config.miner_kind = kind;
         PatternClassifierPipeline pipeline(config);
@@ -218,6 +219,86 @@ TEST(PipelineTest, TrainWithCandidatesReportsCallerMineSeconds) {
             .ok());
     EXPECT_GE(fed.stats().mine_seconds, 0.0);
     EXPECT_LT(fed.stats().mine_seconds, 2.5);
+}
+
+TEST(PipelineTest, TrainWithCandidatesPoolsInPatternLessOrder) {
+    // The pool is canonical: sorted by PatternLess (length, then items),
+    // one entry per itemset, whatever order and repeats the caller gave.
+    const auto db = XorDb(300, 13);
+    PatternClassifierPipeline miner(DefaultConfig());
+    const auto mined = miner.MineCandidates(db);
+    ASSERT_TRUE(mined.ok()) << mined.status();
+    ASSERT_GT(mined->size(), 2u);
+    std::vector<Pattern> pool(mined->rbegin(), mined->rend());
+    pool.insert(pool.end(), mined->begin(), mined->end());
+
+    PatternClassifierPipeline fed(DefaultConfig());
+    ASSERT_TRUE(fed.TrainWithCandidates(db, std::move(pool),
+                                        std::make_unique<NaiveBayesClassifier>())
+                    .ok());
+    const auto& pooled = fed.candidates();
+    ASSERT_EQ(pooled.size(), mined->size());
+    for (std::size_t k = 1; k < pooled.size(); ++k) {
+        EXPECT_TRUE(PatternLess(pooled[k - 1], pooled[k]))
+            << ItemsetToString(pooled[k - 1].items) << " before "
+            << ItemsetToString(pooled[k].items);
+    }
+}
+
+TEST(PipelineTest, TrainWithCandidatesReplacesStaleMetadata) {
+    // Candidates carrying another database's support, cover and class counts
+    // are re-anchored on the training database.
+    const auto db = XorDb(200, 14);
+    PatternClassifierPipeline miner(DefaultConfig());
+    const auto mined = miner.MineCandidates(db);
+    ASSERT_TRUE(mined.ok()) << mined.status();
+    std::vector<Pattern> stale = *mined;
+    for (Pattern& p : stale) {
+        p.support = 1;
+        p.cover = BitVector(7);
+        p.class_counts = {1};
+    }
+    PatternClassifierPipeline fed(DefaultConfig());
+    ASSERT_TRUE(fed.TrainWithCandidates(db, std::move(stale),
+                                        std::make_unique<NaiveBayesClassifier>())
+                    .ok());
+    std::vector<Pattern> expected = *mined;
+    AttachMetadata(db, &expected);
+    std::map<Itemset, const Pattern*> by_items;
+    for (const Pattern& p : expected) by_items[p.items] = &p;
+    ASSERT_EQ(fed.candidates().size(), expected.size());
+    for (const Pattern& p : fed.candidates()) {
+        const Pattern& want = *by_items.at(p.items);
+        EXPECT_EQ(p.support, want.support) << ItemsetToString(p.items);
+        EXPECT_EQ(p.cover, want.cover) << ItemsetToString(p.items);
+        EXPECT_EQ(p.class_counts, want.class_counts) << ItemsetToString(p.items);
+    }
+}
+
+TEST(PipelineTest, TrainWithCandidatesWithoutPatternsLearnsOnItems) {
+    // An empty pool (or one of singletons only) leaves the item block alone.
+    const auto db = XorDb(200, 15);
+    std::vector<Pattern> singletons(1);
+    singletons[0].items = {0};
+    PatternClassifierPipeline pipeline(DefaultConfig());
+    ASSERT_TRUE(pipeline.TrainWithCandidates(db, std::move(singletons),
+                                             std::make_unique<C45Classifier>())
+                    .ok());
+    EXPECT_EQ(pipeline.stats().num_candidates, 0u);
+    EXPECT_EQ(pipeline.stats().num_selected, 0u);
+    EXPECT_EQ(pipeline.feature_space().dim(), db.num_items());
+    EXPECT_GT(pipeline.Accuracy(db), 0.0);
+}
+
+TEST(PipelineTest, TrainWithCandidatesRejectsMissingLearnerAndEmptyDb) {
+    const auto db = XorDb(100, 16);
+    PatternClassifierPipeline pipeline(DefaultConfig());
+    const Status no_learner = pipeline.TrainWithCandidates(db, {}, nullptr);
+    EXPECT_EQ(no_learner.code(), StatusCode::kInvalidArgument);
+    const auto empty = TransactionDatabase::FromTransactions({}, {}, 3, 2);
+    const Status no_rows = pipeline.TrainWithCandidates(
+        empty, {}, std::make_unique<C45Classifier>());
+    EXPECT_EQ(no_rows.code(), StatusCode::kInvalidArgument);
 }
 
 TEST(PipelineTest, PredictionOnUnseenTransactions) {

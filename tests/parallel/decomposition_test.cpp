@@ -15,7 +15,6 @@
 #include "common/rng.hpp"
 #include "fpm/closed_miner.hpp"
 #include "fpm/eclat.hpp"
-#include "fpm/fpgrowth.hpp"
 
 namespace dfp {
 namespace {
@@ -37,7 +36,6 @@ TransactionDatabase RandomDb(std::uint64_t seed, std::size_t n = 60,
 }
 
 std::unique_ptr<Miner> MakeMiner(const std::string& name) {
-    if (name == "fpgrowth") return std::make_unique<FpGrowthMiner>();
     if (name == "eclat") return std::make_unique<EclatMiner>();
     if (name == "closed") return std::make_unique<ClosedMiner>();
     return nullptr;
@@ -131,7 +129,7 @@ TEST_P(RecursiveSplitTest, MidSplitCancellationYieldsSerialSubsequence) {
 
 INSTANTIATE_TEST_SUITE_P(
     MinersByThreads, RecursiveSplitTest,
-    ::testing::Combine(::testing::Values("fpgrowth", "eclat", "closed"),
+    ::testing::Combine(::testing::Values("eclat", "closed"),
                        ::testing::Values(std::size_t{2}, std::size_t{3},
                                          std::size_t{8}, std::size_t{16})));
 

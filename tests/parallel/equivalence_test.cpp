@@ -13,7 +13,6 @@
 #include "common/rng.hpp"
 #include "fpm/closed_miner.hpp"
 #include "fpm/eclat.hpp"
-#include "fpm/fpgrowth.hpp"
 #include "ml/eval/cross_validation.hpp"
 #include "ml/svm/svm.hpp"
 #include "testutil/binary_clouds.hpp"
@@ -50,7 +49,6 @@ class MinerThreadEquivalenceTest : public ::testing::TestWithParam<const char*> 
   protected:
     std::unique_ptr<Miner> MakeNamed() const {
         const std::string name = GetParam();
-        if (name == "fpgrowth") return std::make_unique<FpGrowthMiner>();
         if (name == "eclat") return std::make_unique<EclatMiner>();
         if (name == "closed") return std::make_unique<ClosedMiner>();
         return nullptr;
@@ -105,7 +103,7 @@ TEST_P(MinerThreadEquivalenceTest, EmissionOrderMatchesSerial) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ParallelMiners, MinerThreadEquivalenceTest,
-                         ::testing::Values("fpgrowth", "eclat", "closed"));
+                         ::testing::Values("eclat", "closed"));
 
 // Three overlapping 0/1 clouds → 3 OvO binary subproblems per model.
 void MakeBlobs(std::uint64_t seed, std::size_t n_per_class, FeatureMatrix* x,

@@ -12,7 +12,6 @@
 #include "core/mmrfs.hpp"
 #include "fpm/closed_miner.hpp"
 #include "fpm/eclat.hpp"
-#include "fpm/fpgrowth.hpp"
 
 namespace dfp {
 namespace {
@@ -51,7 +50,6 @@ class ParallelMinerFaultTest : public ::testing::TestWithParam<FaultCase> {
   protected:
     std::unique_ptr<Miner> MakeNamed() const {
         const std::string name = std::get<0>(GetParam());
-        if (name == "fpgrowth") return std::make_unique<FpGrowthMiner>();
         if (name == "eclat") return std::make_unique<EclatMiner>();
         if (name == "closed") return std::make_unique<ClosedMiner>();
         return nullptr;
@@ -129,7 +127,7 @@ TEST_P(ParallelMinerFaultTest, StrictMineStillFailsClosedOnCancellation) {
 
 INSTANTIATE_TEST_SUITE_P(
     MinersByThreads, ParallelMinerFaultTest,
-    ::testing::Combine(::testing::Values("fpgrowth", "eclat", "closed"),
+    ::testing::Combine(::testing::Values("eclat", "closed"),
                        ::testing::Values(std::size_t{2}, std::size_t{8})));
 
 TEST(ParallelMmrfsFaultTest, CancellationKeepsValidPrefixOfSelections) {

@@ -1,17 +1,13 @@
 // Golden-equivalence certificates for the allocation-aware mining core.
 //
-// The arena FP-tree, the hybrid tidset/diffset Eclat and the scratch-backed
-// closed miner all claim "same patterns, same supports, same order" as the
-// pre-arena implementations. This suite pins that claim against *reference
+// The hybrid tidset/diffset Eclat and the scratch-backed closed miner both
+// claim "same patterns, same supports, same order" as their plain
+// copy-per-candidate forms. This suite pins that claim against *reference
 // miners written independently of the production data structures*:
 //
-//  * RefFpGrowth — the FP-growth enumeration over plain weighted transaction
-//    lists (a conditional FP-tree is just a compression of its conditional
-//    pattern base; emission order depends only on the per-level header order:
-//    support desc, item asc, mined in reverse).
-//  * RefEclat    — the plain copy-per-candidate tidset DFS (the pre-diffset
+//  * RefEclat  — the plain copy-per-candidate tidset DFS (the pre-diffset
 //    implementation).
-//  * RefClosed   — the LCM closure-extension DFS with copy-per-extension
+//  * RefClosed — the LCM closure-extension DFS with copy-per-extension
 //    covers (the pre-scratch implementation).
 //
 // Each runs across 20 seeded synthetic databases spanning sparse and dense
@@ -27,7 +23,7 @@
 #include "common/rng.hpp"
 #include "fpm/closed_miner.hpp"
 #include "fpm/eclat.hpp"
-#include "fpm/fpgrowth.hpp"
+#include "testutil/apriori.hpp"
 
 namespace dfp {
 namespace {
@@ -36,81 +32,6 @@ struct RefPattern {
     Itemset items;
     std::size_t support = 0;
 };
-
-// ---------------------------------------------------------------------------
-// Reference FP-growth over weighted transaction lists.
-
-struct WeightedTxn {
-    std::vector<ItemId> items;  // ordered by current-level rank
-    std::size_t count = 1;
-};
-
-void RefGrow(const std::vector<WeightedTxn>& txns, std::size_t min_sup,
-             std::size_t universe, Itemset& suffix,
-             std::vector<RefPattern>* out) {
-    std::vector<std::size_t> support(universe, 0);
-    for (const WeightedTxn& t : txns) {
-        for (ItemId i : t.items) support[i] += t.count;
-    }
-    // Header order: support desc, item asc.
-    std::vector<ItemId> freq;
-    for (ItemId i = 0; i < universe; ++i) {
-        if (support[i] >= min_sup) freq.push_back(i);
-    }
-    std::stable_sort(freq.begin(), freq.end(), [&](ItemId a, ItemId b) {
-        if (support[a] != support[b]) return support[a] > support[b];
-        return a < b;
-    });
-    std::vector<std::size_t> rank(universe, universe);
-    for (std::size_t r = 0; r < freq.size(); ++r) rank[freq[r]] = r;
-
-    // Mine least-frequent first (reverse header order).
-    for (std::size_t idx = freq.size(); idx-- > 0;) {
-        const ItemId item = freq[idx];
-        suffix.push_back(item);
-        RefPattern p;
-        p.items = suffix;
-        std::sort(p.items.begin(), p.items.end());
-        p.support = support[item];
-        out->push_back(std::move(p));
-
-        // Conditional base: the rank-ordered frequent prefix of every
-        // transaction containing `item` (exactly the tree's prefix paths).
-        std::vector<WeightedTxn> base;
-        for (const WeightedTxn& t : txns) {
-            std::vector<ItemId> kept;
-            for (ItemId i : t.items) {
-                if (rank[i] < idx) kept.push_back(i);
-            }
-            const bool has_item =
-                std::find(t.items.begin(), t.items.end(), item) != t.items.end();
-            if (has_item && !kept.empty()) {
-                std::sort(kept.begin(), kept.end(), [&](ItemId a, ItemId b) {
-                    return rank[a] < rank[b];
-                });
-                base.push_back(WeightedTxn{std::move(kept), t.count});
-            }
-        }
-        if (!base.empty()) RefGrow(base, min_sup, universe, suffix, out);
-        suffix.pop_back();
-    }
-}
-
-std::vector<RefPattern> RefFpGrowth(const TransactionDatabase& db,
-                                    std::size_t min_sup) {
-    std::vector<WeightedTxn> txns;
-    for (std::size_t t = 0; t < db.num_transactions(); ++t) {
-        std::vector<ItemId> items;
-        for (ItemId i = 0; i < db.num_items(); ++i) {
-            if (db.ItemCover(i).Test(t)) items.push_back(i);
-        }
-        txns.push_back(WeightedTxn{std::move(items), 1});
-    }
-    std::vector<RefPattern> out;
-    Itemset suffix;
-    RefGrow(txns, min_sup, db.num_items(), suffix, &out);
-    return out;
-}
 
 // ---------------------------------------------------------------------------
 // Reference Eclat: copy-per-candidate tidset DFS.
@@ -285,19 +206,6 @@ void ExpectSameStream(const std::vector<Pattern>& got,
     }
 }
 
-TEST(GoldenMinerTest, FpGrowthMatchesReferenceEnumeration) {
-    FpGrowthMiner miner;
-    for (const DbSpec& spec : GoldenSpecs()) {
-        const auto db = RandomDb(spec.seed, spec.rows, spec.items, spec.density);
-        MinerConfig config;
-        config.min_sup_rel = spec.min_sup_rel;
-        const auto got = miner.Mine(db, config);
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        const auto want = RefFpGrowth(db, ResolveMinSup(config, spec.rows));
-        ExpectSameStream(*got, want, "fpgrowth", spec.seed);
-    }
-}
-
 TEST(GoldenMinerTest, EclatMatchesReferenceTidsetDfs) {
     EclatMiner miner;
     for (const DbSpec& spec : GoldenSpecs()) {
@@ -324,16 +232,16 @@ TEST(GoldenMinerTest, ClosedMatchesReferenceLcm) {
     }
 }
 
-// The three production miners agree with each other on the *set* of frequent
-// patterns (orders differ by design: FP-growth is suffix-major).
+// Eclat agrees with the level-wise reference Apriori on the *set* of frequent
+// patterns (orders differ by design: Apriori is level-major).
 TEST(GoldenMinerTest, MinersAgreeOnPatternSets) {
-    FpGrowthMiner fp;
+    testutil::AprioriMiner ap;
     EclatMiner ec;
     for (const DbSpec& spec : GoldenSpecs()) {
         const auto db = RandomDb(spec.seed, spec.rows, spec.items, spec.density);
         MinerConfig config;
         config.min_sup_rel = spec.min_sup_rel;
-        auto a = fp.Mine(db, config);
+        auto a = ap.Mine(db, config);
         auto b = ec.Mine(db, config);
         ASSERT_TRUE(a.ok() && b.ok());
         std::map<Itemset, std::size_t> ma;

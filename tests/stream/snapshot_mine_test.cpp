@@ -1,4 +1,4 @@
-// Equivalence certificate for window mining: FP-growth over the stream's
+// Equivalence certificate for window mining: Eclat over the stream's
 // SnapshotWindow() — what ContinuousTrainer::RetrainNow mines — must return
 // exactly what mining an independently kept copy of the window returns, when
 // that copy is rebuilt the way the trainer's former shadow-window miner did
@@ -17,7 +17,7 @@
 #include <utility>
 #include <vector>
 
-#include "fpm/fpgrowth.hpp"
+#include "fpm/eclat.hpp"
 #include "stream/streaming_db.hpp"
 #include "testutil/drift_source.hpp"
 
@@ -64,10 +64,10 @@ void AppendRows(StreamingDatabase* db, std::vector<std::vector<ItemId>> rows) {
     ASSERT_TRUE(appended.ok()) << appended.status();
 }
 
-/// What ContinuousTrainer::RetrainNow mines: FP-growth over the snapshot.
+/// What ContinuousTrainer::RetrainNow mines: Eclat over the snapshot.
 std::vector<Pattern> MineWindow(const StreamingDatabase& db,
                                 const MinerConfig& config) {
-    const auto mined = FpGrowthMiner().Mine(*db.SnapshotWindow(), config);
+    const auto mined = EclatMiner().Mine(*db.SnapshotWindow(), config);
     EXPECT_TRUE(mined.ok()) << mined.status();
     return mined.ok() ? *mined : std::vector<Pattern>{};
 }
@@ -140,7 +140,7 @@ TEST(SnapshotMineTest, HeldSnapshotMinesItsOwnWindowAfterAppends) {
     MinerConfig config;
     config.min_sup_rel = -1.0;
     config.min_sup_abs = 1;
-    const auto before = FpGrowthMiner().Mine(*held, config);
+    const auto before = EclatMiner().Mine(*held, config);
     ASSERT_TRUE(before.ok()) << before.status();
     const std::map<Itemset, std::size_t> want_held = {
         {{0}, 3}, {{1}, 2}, {{2}, 1}, {{0, 1}, 2}, {{0, 2}, 1}};
@@ -151,7 +151,7 @@ TEST(SnapshotMineTest, HeldSnapshotMinesItsOwnWindowAfterAppends) {
     ASSERT_GT((*db)->compactions(), 0u);
     ASSERT_EQ((*db)->window_first_seq(), 3u);
 
-    const auto after = FpGrowthMiner().Mine(*held, config);
+    const auto after = EclatMiner().Mine(*held, config);
     ASSERT_TRUE(after.ok()) << after.status();
     EXPECT_EQ(ItemsAndSupport(*after), ItemsAndSupport(*before));
 
@@ -203,7 +203,7 @@ TEST(SnapshotMineTest, MatchesRebuiltWindowOn20SeededStreams) {
 
             const auto snapshot = (*db)->SnapshotWindow();
             ASSERT_EQ(snapshot->num_transactions(), shadow.size());
-            const auto from_snapshot = FpGrowthMiner().Mine(*snapshot, mine_config);
+            const auto from_snapshot = EclatMiner().Mine(*snapshot, mine_config);
             ASSERT_TRUE(from_snapshot.ok()) << from_snapshot.status();
 
             std::vector<std::vector<ItemId>> rows(shadow.begin(), shadow.end());
@@ -212,7 +212,7 @@ TEST(SnapshotMineTest, MatchesRebuiltWindowOn20SeededStreams) {
                 TransactionDatabase::FromTransactions(
                     std::move(rows), std::move(zeros), source.num_items(),
                     /*num_classes=*/1);
-            const auto reference = FpGrowthMiner().Mine(rebuilt, mine_config);
+            const auto reference = EclatMiner().Mine(rebuilt, mine_config);
             ASSERT_TRUE(reference.ok()) << reference.status();
 
             ASSERT_EQ(ItemsAndSupport(*from_snapshot), ItemsAndSupport(*reference))

@@ -1,28 +1,36 @@
 // ContinuousTrainer unit suite: config validation, bootstrap/schedule/drift
 // retrain triggers, prequential drift detection across a concept change,
 // failpoint-injected reload failure (previous model keeps serving, retry
-// armed and eventually succeeding), ingestion racing retrains, and the
-// retrain's window mine: its patterns and its share of the mine stage.
+// armed and eventually succeeding), ingestion racing retrains, the
+// retrain's window mine (its patterns and its share of the mine stage), the
+// save / reload / drift-baseline split of the rest of a retrain, and the
+// candidate-order independence of the model a retrain trains, for every
+// serializable learner.
 #include "stream/trainer.hpp"
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/failpoint.hpp"
-#include "fpm/fpgrowth.hpp"
+#include "common/rng.hpp"
+#include "core/model_io.hpp"
+#include "fpm/eclat.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/registry.hpp"
 #include "stream/drift.hpp"
 #include "stream/streaming_db.hpp"
+#include "testutil/apriori.hpp"
 #include "testutil/drift_source.hpp"
 
 namespace dfp::stream {
@@ -372,7 +380,7 @@ TEST_F(TrainerTest, RejectedBatchLeavesTrainerUntouched) {
 }
 
 TEST_F(TrainerTest, RetrainSelectsFromSnapshotPatterns) {
-    // The served patterns come from FP-growth over the window snapshot the
+    // The served patterns come from Eclat over the window snapshot the
     // retrain took, singletons dropped.
     testutil::DriftSource source(SourceConfig(12));
     auto db = StreamingDatabase::Create(StreamFor(source, 300));
@@ -388,7 +396,7 @@ TEST_F(TrainerTest, RetrainSelectsFromSnapshotPatterns) {
 
     MinerConfig mc = config.pipeline.miner;
     mc.include_singletons = false;
-    const auto mined = FpGrowthMiner().Mine(*(*db)->SnapshotWindow(), mc);
+    const auto mined = EclatMiner().Mine(*(*db)->SnapshotWindow(), mc);
     ASSERT_TRUE(mined.ok()) << mined.status();
     std::set<Itemset> window_patterns;
     for (const Pattern& p : *mined) window_patterns.insert(p.items);
@@ -441,6 +449,194 @@ TEST_F(TrainerTest, RetrainMineSecondsIncludeWindowMine) {
     EXPECT_GE(mine_seconds, window_mine_seconds);
     EXPECT_GE(mine_seconds, pool_seconds);
 }
+
+TEST_F(TrainerTest, RetrainSplitsSaveReloadAndDriftBaseline) {
+    // The rest of a retrain after train is timed in three spans, each
+    // mirrored by a dfp.stream.retrain.*_seconds gauge.
+    testutil::DriftSource source(SourceConfig(14));
+    auto db = StreamingDatabase::Create(StreamFor(source, 400));
+    ASSERT_TRUE(db.ok());
+    serve::ModelRegistry registry;
+    ContinuousTrainerConfig config = TrainerConfig(ModelDir("split"));
+    config.drift_trigger = false;
+    auto trainer = ContinuousTrainer::Create(config, db->get(), &registry);
+    ASSERT_TRUE(trainer.ok()) << trainer.status();
+    ASSERT_TRUE((*trainer)->Ingest(source.NextBatch(400)).ok());
+
+    auto& metrics = obs::Registry::Get();
+    for (const char* name : {"dfp.stream.retrain.save_seconds",
+                             "dfp.stream.retrain.reload_seconds",
+                             "dfp.stream.retrain.baseline_seconds"}) {
+        metrics.GetGauge(name).Set(-1.0);
+    }
+    obs::EnableTracing(true);
+    obs::Tracer::Get().Clear();
+    const Status retrained = (*trainer)->RetrainNow("test");
+    obs::EnableTracing(false);
+    const auto roots = obs::Tracer::Get().TakeRoots();
+    ASSERT_TRUE(retrained.ok()) << retrained;
+
+    const std::pair<const char*, const char*> stages[] = {
+        {"save", "dfp.stream.retrain.save_seconds"},
+        {"reload", "dfp.stream.retrain.reload_seconds"},
+        {"drift_baseline", "dfp.stream.retrain.baseline_seconds"},
+    };
+    for (const auto& [span, gauge] : stages) {
+        SCOPED_TRACE(span);
+        const auto it = std::find_if(
+            roots.begin(), roots.end(),
+            [&](const auto& root) { return root->name == span; });
+        ASSERT_NE(it, roots.end()) << "no " << span << " span";
+        const double seconds = metrics.GetGauge(gauge).value();
+        EXPECT_GE(seconds, 0.0);
+        EXPECT_LE(seconds, (*it)->seconds);
+    }
+}
+
+TEST_F(TrainerTest, RetrainMinesWindowWithEclatOnly) {
+    // A retrain mines its window once, with Eclat and without singletons;
+    // TrainWithCandidates mines nothing more (the closed miner stays idle).
+    testutil::DriftSource source(SourceConfig(15));
+    auto db = StreamingDatabase::Create(StreamFor(source, 300));
+    ASSERT_TRUE(db.ok());
+    serve::ModelRegistry registry;
+    ContinuousTrainerConfig config = TrainerConfig(ModelDir("eclatonly"));
+    config.drift_trigger = false;
+    auto trainer = ContinuousTrainer::Create(config, db->get(), &registry);
+    ASSERT_TRUE(trainer.ok()) << trainer.status();
+    ASSERT_TRUE((*trainer)->Ingest(source.NextBatch(400)).ok());
+
+    MinerConfig mc = config.pipeline.miner;
+    mc.include_singletons = false;
+    const auto expected = EclatMiner().Mine(*(*db)->SnapshotWindow(), mc);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    ASSERT_FALSE(expected->empty());
+
+    auto& metrics = obs::Registry::Get();
+    auto& eclat = metrics.GetCounter("dfp.fpm.eclat.patterns_emitted");
+    auto& closed = metrics.GetCounter("dfp.fpm.closed.patterns_emitted");
+    const std::uint64_t eclat_mark = eclat.value();
+    const std::uint64_t closed_mark = closed.value();
+    ASSERT_TRUE((*trainer)->RetrainNow("test").ok());
+    EXPECT_EQ(eclat.value() - eclat_mark, expected->size());
+    EXPECT_EQ(closed.value(), closed_mark);
+}
+
+// The golden trainer's first window (DriftSource seed 5, window 400,
+// min_sup 0.12, length ≤ 4, δ = 2), whose window mine gives different nb
+// bundles in different emission orders unless the pool is canonicalized.
+struct GoldenWindow {
+    std::shared_ptr<const TransactionDatabase> window;
+    PipelineConfig pipeline_config;
+    MinerConfig mine_config;  // the retrain's window mine
+};
+
+GoldenWindow MakeGoldenWindow() {
+    testutil::DriftSourceConfig source_config;
+    source_config.num_phases = 2;
+    source_config.rows_per_phase = 600;
+    source_config.eval_rows = 200;
+    source_config.seed = 5;
+    testutil::DriftSource source(source_config);
+    auto db = StreamingDatabase::Create(StreamFor(source, 400));
+    EXPECT_TRUE(db.ok());
+    EXPECT_TRUE((*db)->Append(source.NextBatch(600)).ok());
+
+    GoldenWindow golden;
+    golden.window = (*db)->SnapshotWindow();
+    golden.pipeline_config.miner.min_sup_rel = 0.12;
+    golden.pipeline_config.miner.max_pattern_len = 4;
+    golden.pipeline_config.mmrfs.coverage_delta = 2;
+    golden.mine_config = golden.pipeline_config.miner;
+    golden.mine_config.include_singletons = false;
+    return golden;
+}
+
+/// The serialized model TrainWithCandidates trains from `candidates`.
+std::string BundleOf(const GoldenWindow& golden, const std::string& learner_id,
+                     std::vector<Pattern> candidates) {
+    PatternClassifierPipeline pipeline(golden.pipeline_config);
+    auto learner = MakeLearnerByTypeId(learner_id);
+    EXPECT_TRUE(learner.ok()) << learner.status();
+    if (!learner.ok()) return {};
+    const Status trained = pipeline.TrainWithCandidates(
+        *golden.window, std::move(candidates), std::move(*learner));
+    EXPECT_TRUE(trained.ok()) << trained;
+    std::ostringstream out;
+    EXPECT_TRUE(SavePipelineModel(pipeline, out).ok());
+    return out.str();
+}
+
+TEST(TrainWithCandidatesOrderTest, BundleDependsOnlyOnCandidateSet) {
+    const GoldenWindow golden = MakeGoldenWindow();
+    const auto eclat = EclatMiner().Mine(*golden.window, golden.mine_config);
+    const auto apriori =
+        testutil::AprioriMiner().Mine(*golden.window, golden.mine_config);
+    ASSERT_TRUE(eclat.ok()) << eclat.status();
+    ASSERT_TRUE(apriori.ok()) << apriori.status();
+    std::vector<Pattern> reversed(eclat->rbegin(), eclat->rend());
+
+    auto items_of = [](const std::vector<Pattern>& patterns) {
+        std::vector<Itemset> items;
+        for (const Pattern& p : patterns) items.push_back(p.items);
+        return items;
+    };
+    // Same set, different sequences: otherwise the test proves nothing.
+    ASSERT_GT(eclat->size(), 2u);
+    auto eclat_items = items_of(*eclat);
+    auto apriori_items = items_of(*apriori);
+    ASSERT_NE(eclat_items, apriori_items);
+    std::sort(eclat_items.begin(), eclat_items.end());
+    std::sort(apriori_items.begin(), apriori_items.end());
+    ASSERT_EQ(eclat_items, apriori_items);
+
+    // Compared with EXPECT_TRUE so a failure reports sizes, not two bundles.
+    const std::string in_eclat_order = BundleOf(golden, "nb", *eclat);
+    ASSERT_FALSE(in_eclat_order.empty());
+    const std::string in_reverse = BundleOf(golden, "nb", reversed);
+    const std::string in_apriori_order = BundleOf(golden, "nb", *apriori);
+    EXPECT_TRUE(in_reverse == in_eclat_order)
+        << "reversed order: " << in_reverse.size() << " vs "
+        << in_eclat_order.size() << " bytes";
+    EXPECT_TRUE(in_apriori_order == in_eclat_order)
+        << "apriori order: " << in_apriori_order.size() << " vs "
+        << in_eclat_order.size() << " bytes";
+}
+
+// The same contract for every serializable learner: the window's
+// candidates reversed, then each again in a seeded shuffle, train the bundle
+// the Eclat order trains. (Pooled first-seen instead of canonically, this
+// pool trains a different bundle for each of the four learners.)
+class TrainWithCandidatesLearnerTest
+    : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(TrainWithCandidatesLearnerTest, ShuffledDuplicatedPoolGivesSameBundle) {
+    const GoldenWindow golden = MakeGoldenWindow();
+    const auto eclat = EclatMiner().Mine(*golden.window, golden.mine_config);
+    ASSERT_TRUE(eclat.ok()) << eclat.status();
+    ASSERT_GT(eclat->size(), 2u);
+    std::vector<Pattern> shuffled(eclat->rbegin(), eclat->rend());
+    std::vector<Pattern> again = *eclat;
+    Rng rng(17);
+    std::shuffle(again.begin(), again.end(), rng);
+    shuffled.insert(shuffled.end(), again.begin(), again.end());
+
+    const std::string in_eclat_order = BundleOf(golden, GetParam(), *eclat);
+    ASSERT_FALSE(in_eclat_order.empty());
+    const std::string in_shuffle = BundleOf(golden, GetParam(), shuffled);
+    EXPECT_TRUE(in_shuffle == in_eclat_order)
+        << "shuffled order: " << in_shuffle.size() << " vs "
+        << in_eclat_order.size() << " bytes";
+}
+
+INSTANTIATE_TEST_SUITE_P(Learners, TrainWithCandidatesLearnerTest,
+                         ::testing::Values("nb", "svm", "c4.5", "pegasos"),
+                         [](const auto& info) {
+                             std::string name = info.param;
+                             name.erase(std::remove(name.begin(), name.end(), '.'),
+                                        name.end());
+                             return name;
+                         });
 
 }  // namespace
 }  // namespace dfp::stream

@@ -1,9 +1,10 @@
 // Reference Apriori: level-wise frequent-itemset mining (Agrawal & Srikant,
 // VLDB'94).
 //
-// Not a product miner: it is the algorithm FP-growth improved upon, kept as
-// an independent second implementation so the miner tests can cross-validate
-// every miner's output (and its budget behaviour) on random databases.
+// Not a product miner: it is kept as an independent second implementation so
+// the miner tests can cross-validate Eclat's output (and every miner's budget
+// behaviour) on random databases, and the brute-force closed reference
+// enumerates with it.
 #pragma once
 
 #include "fpm/miner.hpp"
