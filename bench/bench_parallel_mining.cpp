@@ -87,7 +87,6 @@ int main(int argc, char** argv) {
         bench::FlagValue(argc, argv, "threads", 8));
     bench::BeginBenchObservability(max_threads);
     auto& registry = obs::Registry::Get();
-    registry.GetGauge("dfp.bench.parallel.hw_threads").Set(HardwareThreads());
 
     // 1 / 2 / 4 / 8 capped by --threads=, with the cap itself appended when
     // it is not a member (e.g. --threads=6 measures 1/2/4/6).

@@ -17,7 +17,8 @@
 //     retrain_seconds_threaded,retrain_threads_speedup,staleness_seconds,
 //     retrains}.
 //
-// The host's hardware thread count lands as dfp.bench.stream.hw_threads.
+// The host's hardware thread count lands as dfp.bench.hw_threads (every
+// bench report carries it).
 // tools/bench_diff gates these against bench/baselines/stream.json.
 #include <unistd.h>
 
@@ -25,7 +26,6 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.hpp"
@@ -59,9 +59,6 @@ int main(int argc, char** argv) {
         bench::FlagValue(argc, argv, "window", 2048));
     bench::BeginBenchObservability(1);
     auto& registry = obs::Registry::Get();
-    const unsigned hw_threads = std::thread::hardware_concurrency();
-    registry.GetGauge("dfp.bench.stream.hw_threads")
-        .Set(hw_threads == 0 ? 1.0 : static_cast<double>(hw_threads));
 
     bench::Section(StrFormat("Stream benchmark: %zu rows, window %zu",
                              stream_rows, window_capacity));

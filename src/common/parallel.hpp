@@ -7,8 +7,9 @@
 //    decided up front (each task writes only its own slot, results merged in
 //    task-index order) or emits into keyed shards merged in canonical key
 //    order (the recursive mining decomposition, DESIGN.md §17). With
-//    `num_threads == 1` callers bypass the pool entirely and run today's
-//    serial code, instruction for instruction.
+//    `num_threads == 1` callers build no pool and run the same code inline
+//    on the calling thread: ParallelFor with a null pool, a miner's root
+//    task at slot 0 with a null TaskGroup (which never splits).
 //  * Budget cooperation. Workers never block inside a task: each parallel
 //    region gives every task its own BudgetGuard built from one shared
 //    ExecutionBudget (same CancelToken, same wall-clock deadline, shared

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
-#include <unordered_set>
 
 #include "common/logging.hpp"
 #include "common/parallel.hpp"
@@ -15,44 +14,10 @@ namespace dfp {
 
 namespace {
 
-struct ClosedContext {
-    const TransactionDatabase* db;
-    std::vector<ItemId> frequent;  // ascending item ids, support >= min_sup
-    std::size_t min_sup;
-    std::size_t max_len;  // MinerConfig::max_pattern_len
-    std::size_t max_patterns;  // the pattern cap, checked at emission
-    bool capped = false;       // set when an emission found the cap full
-    // Deadline, cancel and memory; the pattern cap is MayEmit's.
-    BudgetGuard* guard = nullptr;
-    std::size_t est_bytes = 0;    // coarse output-memory estimate for the guard
-    std::vector<char> in_closed;  // membership of the current closed set
-    // Per-depth cover slots, written in place with AssignAnd: the DFS holds a
-    // reference to its depth's slot across the recursion, so this is sized to
-    // the maximum depth up front and never reallocated mid-mine.
-    std::vector<BitVector> cover_scratch;
-    std::vector<Pattern>* out;
-    // Instrumentation tallies, flushed to the registry once per Mine().
-    std::size_t nodes_expanded = 0;   // prefix extensions whose support we took
-    std::size_t closure_checks = 0;   // closure/subsumption scans
-};
-
 // The budget the per-node guards poll: the pattern cap moves to emission.
 ExecutionBudget WithoutPatternCap(ExecutionBudget budget) {
     budget.max_patterns = std::numeric_limits<std::size_t>::max();
     return budget;
-}
-
-// Emission-time pattern cap: false, and the run stops on kPatternCap, when
-// the cap is already full so one more pattern would exceed it. Checking here
-// rather than per node means a cap equal to the output size is no breach.
-bool MayEmit(ClosedContext& ctx) {
-    if (ctx.out->size() < ctx.max_patterns) return true;
-    ctx.capped = true;
-    return false;
-}
-
-void TallyEmission(ClosedContext& ctx, const Pattern& p) {
-    ctx.est_bytes += sizeof(Pattern) + p.items.capacity() * sizeof(ItemId);
 }
 
 void FlushClosedMetrics(std::size_t nodes_expanded, std::size_t closure_checks,
@@ -96,138 +61,60 @@ bool CloseExtension(const TransactionDatabase& db,
     return true;
 }
 
-// Prefix-preserving closure extension DFS (LCM). `closed` is the current
-// closed itemset (sorted), `tidset` its cover, `core` the extension item that
-// produced it. Returns false when the execution budget fires.
-bool ClosedDfs(ClosedContext& ctx, const Itemset& closed, const BitVector& tidset,
-               ItemId core, std::size_t depth) {
-    for (ItemId i : ctx.frequent) {
-        if (i <= core) continue;  // prefix-preserving: extend past the core only
-        if (ctx.in_closed[i]) continue;
-        // Fused count first: extensions that die on min_sup never materialize
-        // a cover (the common case), and survivors write into this depth's
-        // reusable slot instead of allocating a fresh vector.
-        const std::size_t support = tidset.AndCount(ctx.db->ItemCover(i));
-        ++ctx.nodes_expanded;
-        if (ctx.guard->Check(ctx.out->size(), ctx.est_bytes) !=
-            BudgetBreach::kNone) {
-            return false;
-        }
-        if (support < ctx.min_sup) continue;
-        BitVector& extended = ctx.cover_scratch[depth];
-        extended.AssignAnd(tidset, ctx.db->ItemCover(i));
-
-        ++ctx.closure_checks;
-        Itemset closure;
-        if (!CloseExtension(*ctx.db, ctx.frequent, ctx.in_closed, extended, i,
-                            ctx.max_len, &closure)) {
-            continue;
-        }
-        if (!MayEmit(ctx)) return false;
-        Pattern p;
-        p.items = closure;
-        p.support = support;
-        TallyEmission(ctx, p);
-        ctx.out->push_back(std::move(p));
-        if (closure.size() == ctx.max_len) continue;  // descendants are longer
-
-        // Note: recurse on the local `closure`, not out->back() — the output
-        // vector may reallocate during recursion.
-        for (ItemId j : closure) ctx.in_closed[j] = 1;
-        const bool ok = ClosedDfs(ctx, closure, extended, i, depth + 1);
-        // Restore membership to the parent closed set.
-        std::fill(ctx.in_closed.begin(), ctx.in_closed.end(), 0);
-        for (ItemId j : closed) ctx.in_closed[j] = 1;
-        if (!ok) return false;
-    }
-    return true;
-}
-
-// One top-level LCM subproblem: the prefix-preserving extension of the root
-// closure by item `i` and its whole DFS subtree. Requires ctx.in_closed ==
-// membership of `root_closed` on entry; leaves it restored on exit. Returns
-// false when the execution budget fires.
-bool ClosedTopLevel(ClosedContext& ctx, const Itemset& root_closed, ItemId i) {
-    const TransactionDatabase& db = *ctx.db;
-    // The top-level tidset is the item's own cover — borrow it, don't copy.
-    const BitVector& tidset = db.ItemCover(i);
-    const std::size_t support = tidset.Count();
-    ++ctx.nodes_expanded;
-    if (ctx.guard->Check(ctx.out->size(), ctx.est_bytes) !=
-        BudgetBreach::kNone) {
-        return false;
-    }
-    if (support < ctx.min_sup) return true;
-    ++ctx.closure_checks;
-    Itemset closure;
-    if (!CloseExtension(db, ctx.frequent, ctx.in_closed, tidset, i, ctx.max_len,
-                        &closure)) {
-        return true;
-    }
-    if (!MayEmit(ctx)) return false;
-    Pattern p;
-    p.items = closure;
-    p.support = support;
-    TallyEmission(ctx, p);
-    ctx.out->push_back(std::move(p));
-    if (closure.size() == ctx.max_len) return true;  // descendants are longer
-
-    for (ItemId j : closure) ctx.in_closed[j] = 1;
-    const bool ok = ClosedDfs(ctx, closure, tidset, i, /*depth=*/0);
-    std::fill(ctx.in_closed.begin(), ctx.in_closed.end(), 0);
-    for (ItemId j : root_closed) ctx.in_closed[j] = 1;
-    return ok;
-}
-
 // ---------------------------------------------------------------------------
-// Parallel path: recursive LCM decomposition with sharded emission
-// (DESIGN.md §17). The DFS mirrors ClosedDfs/ClosedTopLevel exactly — same
-// extension order, same closure/prefix-preservation scans, same guard
-// placement — but a closure subtree whose estimated work (tidset rows ×
-// remaining extension items) exceeds the split threshold is copied into a
-// heap-owned holder and re-submitted to the TaskGroup. Workers reuse
-// per-slot membership/cover scratch across tasks; emissions land in
-// DFS-position-keyed shards whose merge reproduces the serial emission
-// sequence bit for bit.
+// Recursive LCM decomposition with sharded emission (DESIGN.md §17). One DFS
+// serves every thread count: a closure subtree whose estimated work (cover
+// rows × extension items still ahead) exceeds the split threshold is copied
+// into a heap-owned holder and re-submitted to the TaskGroup when there is
+// one; at one thread the group is null and every subtree is mined inline.
+// Workers reuse per-slot membership/cover scratch across tasks; emissions
+// land in DFS-position-keyed shards whose merge is the serial emission
+// sequence.
 // ---------------------------------------------------------------------------
 
-// A spawned closure subtree: the closed set, its cover (copied — the
-// spawning task's per-depth cover slot is overwritten as it continues), and
-// the core item / depth the child DFS resumes from.
-struct ClosedSubtreeHolder {
+// A closure subtree to mine: the closed set, its cover (copied — a spawning
+// task's per-depth cover slot is overwritten as it continues), the first
+// index in `frequent` its prefix-preserving extensions may use, and the
+// cover-scratch depth of those extensions. The root holds the closure of the
+// empty set, an all-ones cover and start 0, and emits that closure itself
+// when it is a pattern; every other closed set was emitted by its spawner.
+struct ClosedSubtree {
     Itemset closed;
     BitVector tidset;
-    ItemId core = 0;
+    std::size_t start = 0;
     std::size_t depth = 0;
+    bool emit_closed = false;
 };
 
 // Per-slot scratch: closed-set membership and per-depth cover slots, both
 // re-initialized per task (membership from the task's holder, covers only
-// grown — the bit storage itself is reused).
-struct ParClosedScratch {
+// grown — the bit storage itself is reused). The DFS holds a reference to its
+// depth's cover slot across the recursion, so the slots are sized to the
+// maximum depth up front and never reallocated mid-task.
+struct ClosedScratch {
     std::vector<char> in_closed;
     std::vector<BitVector> cover_scratch;
 };
 
-struct ParClosedShared {
+struct ClosedShared {
     const TransactionDatabase* db = nullptr;
-    std::vector<ItemId> frequent;
+    std::vector<ItemId> frequent;  // ascending item ids, support >= min_sup
     std::size_t min_sup = 0;
-    std::size_t max_len = 0;
-    std::size_t max_patterns = 0;  // checked at emission (ParMayEmit)
+    std::size_t max_len = 0;       // MinerConfig::max_pattern_len
+    std::size_t max_patterns = 0;  // checked at emission (MayEmit)
     std::size_t split_threshold = 0;
     ExecutionBudget budget;  // without the pattern cap
     DeadlineTimer timer;
     SharedMineProgress progress;
     ShardCollector shards;
-    TaskGroup* group = nullptr;
-    WorkerLocal<ParClosedScratch>* scratch = nullptr;
+    TaskGroup* group = nullptr;  // null at one thread: nothing splits
+    WorkerLocal<ClosedScratch>* scratch = nullptr;
     std::size_t num_workers = 0;
     std::atomic<int> breach{static_cast<int>(BudgetBreach::kNone)};
     std::atomic<std::uint64_t> nodes{0};
     std::atomic<std::uint64_t> closures{0};
 
-    ParClosedShared(const MinerConfig& config, std::size_t min_sup_in)
+    ClosedShared(const MinerConfig& config, std::size_t min_sup_in)
         : min_sup(min_sup_in),
           max_len(config.max_pattern_len),
           max_patterns(
@@ -243,9 +130,12 @@ struct ParClosedShared {
     }
 };
 
-// MayEmit against the pool-wide tally. Concurrent emitters may overshoot the
-// cap by at most one pattern per worker before the breach lands.
-bool ParMayEmit(ParClosedShared& sh) {
+// Emission-time pattern cap: false, and the run stops on kPatternCap, when
+// the cap is already full so one more pattern would exceed it. Checking here
+// rather than per node means a cap equal to the output size is no breach.
+// Concurrent emitters may overshoot the cap by at most one pattern per
+// worker before the breach lands.
+bool MayEmit(ClosedShared& sh) {
     if (sh.progress.emitted.load(std::memory_order_relaxed) < sh.max_patterns) {
         return true;
     }
@@ -253,28 +143,35 @@ bool ParMayEmit(ParClosedShared& sh) {
     return false;
 }
 
-struct ParClosedCtx {
-    ParClosedShared* sh;
+struct ClosedCtx {
+    ClosedShared* sh;
     BudgetGuard* guard;
     ShardEmitter* emitter;
-    ParClosedScratch* scratch;
+    ClosedScratch* scratch;
     std::size_t slot;
-    std::size_t nodes = 0;
-    std::size_t closure_checks = 0;
+    std::size_t nodes = 0;           // prefix extensions whose support we took
+    std::size_t closure_checks = 0;  // closure/subsumption scans
 };
 
-void SpawnClosedSubtree(ParClosedCtx& ctx, const Itemset& closure,
-                        const BitVector& tidset, ItemId core,
+void SpawnClosedSubtree(ClosedCtx& ctx, const Itemset& closure,
+                        const BitVector& tidset, std::size_t start,
                         std::size_t depth);
 
-bool ParClosedDfs(ParClosedCtx& ctx, const Itemset& closed,
-                  const BitVector& tidset, ItemId core, std::size_t depth) {
-    ParClosedShared& sh = *ctx.sh;
+// Prefix-preserving closure extension DFS (LCM). `closed` is the current
+// closed itemset (sorted) and `tidset` its cover; it is extended by the
+// frequent items from index `start` on. Requires scratch membership ==
+// `closed` on entry and leaves it so. Returns false when the execution
+// budget fires.
+bool ClosedDfs(ClosedCtx& ctx, const Itemset& closed, const BitVector& tidset,
+               std::size_t start, std::size_t depth) {
+    ClosedShared& sh = *ctx.sh;
     std::vector<char>& in_closed = ctx.scratch->in_closed;
-    for (std::size_t fi = 0; fi < sh.frequent.size(); ++fi) {
+    for (std::size_t fi = start; fi < sh.frequent.size(); ++fi) {
         const ItemId i = sh.frequent[fi];
-        if (i <= core) continue;
         if (in_closed[i]) continue;
+        // Fused count first: extensions that die on min_sup never materialize
+        // a cover (the common case), and survivors write into this depth's
+        // reusable slot instead of allocating a fresh vector.
         const std::size_t support = tidset.AndCount(sh.db->ItemCover(i));
         ++ctx.nodes;
         if (ctx.guard->Check(
@@ -293,26 +190,26 @@ bool ParClosedDfs(ParClosedCtx& ctx, const Itemset& closed,
                             sh.max_len, &closure)) {
             continue;
         }
-        if (!ParMayEmit(sh)) return false;
+        if (!MayEmit(sh)) return false;
         ctx.emitter->PushRank(static_cast<std::uint32_t>(fi));
         Pattern p;
         p.items = closure;
         p.support = support;
-        const std::size_t bytes =
-            sizeof(Pattern) + p.items.capacity() * sizeof(ItemId);
         sh.progress.AddEmitted();
-        sh.progress.AddBytes(bytes);
+        sh.progress.AddBytes(sizeof(Pattern) +
+                             p.items.capacity() * sizeof(ItemId));
         ctx.emitter->Emit(std::move(p));
 
         // A closure at the length bound is a leaf: its descendants are longer.
         const bool leaf = closure.size() == sh.max_len;
         // Estimated subtree work: cover rows × extension items still ahead.
         const std::size_t est = support * (sh.frequent.size() - fi);
-        if (!leaf && est > sh.split_threshold) {
-            SpawnClosedSubtree(ctx, closure, extended, i, depth + 1);
+        if (!leaf && sh.group != nullptr && est > sh.split_threshold) {
+            SpawnClosedSubtree(ctx, closure, extended, fi + 1, depth + 1);
         } else if (!leaf) {
             for (ItemId j : closure) in_closed[j] = 1;
-            const bool ok = ParClosedDfs(ctx, closure, extended, i, depth + 1);
+            const bool ok = ClosedDfs(ctx, closure, extended, fi + 1, depth + 1);
+            // Restore membership to the parent closed set.
             std::fill(in_closed.begin(), in_closed.end(), 0);
             for (ItemId j : closed) in_closed[j] = 1;
             if (!ok) {
@@ -325,20 +222,33 @@ bool ParClosedDfs(ParClosedCtx& ctx, const Itemset& closed,
     return true;
 }
 
-void RunClosedSubtreeTask(ParClosedShared* sh,
-                          std::shared_ptr<ClosedSubtreeHolder> holder,
-                          ShardKey path, std::size_t slot) {
-    ParClosedScratch& scratch = sh->scratch->At(slot);
+void RunClosedSubtreeTask(ClosedShared* sh,
+                          std::shared_ptr<ClosedSubtree> holder, ShardKey path,
+                          std::size_t slot) {
+    ClosedScratch& scratch = sh->scratch->At(slot);
     scratch.in_closed.assign(sh->db->num_items(), 0);
     for (ItemId j : holder->closed) scratch.in_closed[j] = 1;
+    // Depth never exceeds the number of frequent items: each level adds at
+    // least one item to the closed set.
     if (scratch.cover_scratch.size() < sh->frequent.size()) {
         scratch.cover_scratch.resize(sh->frequent.size());
     }
     BudgetGuard guard(TaskBudget(sh->budget, sh->timer));
     ShardEmitter emitter(&sh->shards, std::move(path));
-    ParClosedCtx ctx{sh, &guard, &emitter, &scratch, slot};
-    if (!ParClosedDfs(ctx, holder->closed, holder->tidset, holder->core,
-                      holder->depth)) {
+    ClosedCtx ctx{sh, &guard, &emitter, &scratch, slot};
+    bool ok = true;
+    if (holder->emit_closed) {
+        ok = MayEmit(*sh);
+        if (ok) {
+            Pattern p;
+            p.items = holder->closed;
+            p.support = holder->tidset.Count();
+            sh->progress.AddEmitted();
+            emitter.Emit(std::move(p));
+        }
+    }
+    if (!ok || !ClosedDfs(ctx, holder->closed, holder->tidset, holder->start,
+                          holder->depth)) {
         sh->RecordFirstBreach(guard.breach());
     }
     emitter.Flush();
@@ -346,14 +256,14 @@ void RunClosedSubtreeTask(ParClosedShared* sh,
     sh->closures.fetch_add(ctx.closure_checks, std::memory_order_relaxed);
 }
 
-void SpawnClosedSubtree(ParClosedCtx& ctx, const Itemset& closure,
-                        const BitVector& tidset, ItemId core,
+void SpawnClosedSubtree(ClosedCtx& ctx, const Itemset& closure,
+                        const BitVector& tidset, std::size_t start,
                         std::size_t depth) {
-    ParClosedShared& sh = *ctx.sh;
-    auto holder = std::make_shared<ClosedSubtreeHolder>();
+    ClosedShared& sh = *ctx.sh;
+    auto holder = std::make_shared<ClosedSubtree>();
     holder->closed = closure;
     holder->tidset = tidset;
-    holder->core = core;
+    holder->start = start;
     holder->depth = depth;
     ctx.emitter->Flush();  // contiguity rule: shard ends at the spawn
     ShardKey child_path = ctx.emitter->path();
@@ -368,73 +278,6 @@ void SpawnClosedSubtree(ParClosedCtx& ctx, const Itemset& closure,
         from);
 }
 
-// The root task: iterates the top-level core items in serial order, emitting
-// each core's closure and descending (inline or via split) into its subtree.
-void RunClosedRootTask(ParClosedShared* sh, const Itemset& root_closed,
-                       const std::vector<ItemId>& cores, std::size_t slot) {
-    ParClosedScratch& scratch = sh->scratch->At(slot);
-    scratch.in_closed.assign(sh->db->num_items(), 0);
-    for (ItemId j : root_closed) scratch.in_closed[j] = 1;
-    if (scratch.cover_scratch.size() < sh->frequent.size()) {
-        scratch.cover_scratch.resize(sh->frequent.size());
-    }
-    BudgetGuard guard(TaskBudget(sh->budget, sh->timer));
-    ShardEmitter emitter(&sh->shards, {});
-    ParClosedCtx ctx{sh, &guard, &emitter, &scratch, slot};
-    const TransactionDatabase& db = *sh->db;
-    bool ok = true;
-    for (std::size_t k = 0; k < cores.size() && ok; ++k) {
-        const ItemId i = cores[k];
-        // Top-level tidset: the item's own cover — borrowed, not copied.
-        const BitVector& tidset = db.ItemCover(i);
-        const std::size_t support = tidset.Count();
-        ++ctx.nodes;
-        if (guard.Check(sh->progress.emitted.load(std::memory_order_relaxed),
-                        sh->progress.est_bytes.load(
-                            std::memory_order_relaxed)) !=
-            BudgetBreach::kNone) {
-            ok = false;
-            break;
-        }
-        if (support < sh->min_sup) continue;
-        ++ctx.closure_checks;
-        Itemset closure;
-        if (!CloseExtension(db, sh->frequent, scratch.in_closed, tidset, i,
-                            sh->max_len, &closure)) {
-            continue;
-        }
-        if (!ParMayEmit(*sh)) {
-            ok = false;
-            break;
-        }
-        emitter.PushRank(static_cast<std::uint32_t>(k));
-        Pattern p;
-        p.items = closure;
-        p.support = support;
-        const std::size_t bytes =
-            sizeof(Pattern) + p.items.capacity() * sizeof(ItemId);
-        sh->progress.AddEmitted();
-        sh->progress.AddBytes(bytes);
-        emitter.Emit(std::move(p));
-
-        const bool leaf = closure.size() == sh->max_len;
-        const std::size_t est = support * sh->frequent.size();
-        if (!leaf && est > sh->split_threshold) {
-            SpawnClosedSubtree(ctx, closure, tidset, i, /*depth=*/0);
-        } else if (!leaf) {
-            for (ItemId j : closure) scratch.in_closed[j] = 1;
-            ok = ParClosedDfs(ctx, closure, tidset, i, /*depth=*/0);
-            std::fill(scratch.in_closed.begin(), scratch.in_closed.end(), 0);
-            for (ItemId j : root_closed) scratch.in_closed[j] = 1;
-        }
-        emitter.PopRank();
-    }
-    if (!ok) sh->RecordFirstBreach(guard.breach());
-    emitter.Flush();
-    sh->nodes.fetch_add(ctx.nodes, std::memory_order_relaxed);
-    sh->closures.fetch_add(ctx.closure_checks, std::memory_order_relaxed);
-}
-
 }  // namespace
 
 Result<MineOutcome<Pattern>> ClosedMiner::MineBudgeted(
@@ -442,113 +285,58 @@ Result<MineOutcome<Pattern>> ClosedMiner::MineBudgeted(
     const std::size_t n = db.num_transactions();
     const std::size_t min_sup = ResolveMinSup(config, n);
 
-    BudgetGuard guard(WithoutPatternCap(config.budget));
-    MineOutcome<Pattern> outcome;
-    std::vector<Pattern>& out = outcome.patterns;
-    ClosedContext ctx;
-    ctx.db = &db;
-    ctx.min_sup = min_sup;
-    ctx.max_len = config.max_pattern_len;
-    ctx.max_patterns = std::min(config.max_patterns, config.budget.max_patterns);
-    ctx.guard = &guard;
-    ctx.in_closed.assign(db.num_items(), 0);
-    ctx.out = &out;
+    ClosedShared shared(config, min_sup);
+    shared.db = &db;
     for (ItemId i = 0; i < db.num_items(); ++i) {
-        if (db.ItemSupport(i) >= min_sup) ctx.frequent.push_back(i);
-    }
-    // Depth can never exceed the number of frequent items (each level adds at
-    // least one item to the closed set).
-    ctx.cover_scratch.assign(ctx.frequent.size(), BitVector());
-
-    // Closure of the empty set: items present in every transaction.
-    Itemset root_closed;
-    for (ItemId i : ctx.frequent) {
-        if (db.ItemSupport(i) == n) {
-            root_closed.push_back(i);
-            ctx.in_closed[i] = 1;
-        }
-    }
-    if (!root_closed.empty() && n >= min_sup &&
-        root_closed.size() <= config.max_pattern_len && MayEmit(ctx)) {
-        Pattern p;
-        p.items = root_closed;
-        p.support = n;
-        out.push_back(std::move(p));
+        if (db.ItemSupport(i) >= min_sup) shared.frequent.push_back(i);
     }
 
-    // Sentinel core: items are unsigned, so reuse the DFS with a "core" below
-    // every item by running extensions for all frequent items not in the root
-    // closure directly. Each top-level item spans an independent LCM
-    // subproblem — the parallel fan-out unit.
-    std::vector<ItemId> cores;
-    for (ItemId i : ctx.frequent) {
-        if (!ctx.in_closed[i]) cores.push_back(i);
+    // The DFS root: the closure of the empty set (items present in every
+    // transaction) over the all-ones cover. Each frequent item outside it
+    // spans an independent LCM subproblem below the root.
+    auto root = std::make_shared<ClosedSubtree>();
+    root->tidset = BitVector(n);
+    root->tidset.Fill();
+    for (ItemId i : shared.frequent) {
+        if (db.ItemSupport(i) == n) root->closed.push_back(i);
     }
+    root->emit_closed = !root->closed.empty() && n >= min_sup &&
+                        root->closed.size() <= config.max_pattern_len;
+
+    // Recursive decomposition (DESIGN.md §17): the root task walks the
+    // subproblems in serial order and, above one thread, re-submits any
+    // closure subtree over the split threshold, so parallelism follows the
+    // (exponentially skewed) subtree sizes instead of the first level's item
+    // count. At one thread there is no pool: the root task runs inline on
+    // this thread at slot 0 with a null group, which never splits.
     const std::size_t threads =
-        std::min(ResolveNumThreads(config.num_threads), cores.size());
-    std::size_t nodes = 0;
-    std::size_t closures = 0;
-
-    if (ctx.capped) {
-        outcome.breach = BudgetBreach::kPatternCap;  // a zero cap
-    } else if (threads <= 1) {
-        // Serial path.
-        bool ok = true;
-        for (std::size_t k = 0; k < cores.size() && ok; ++k) {
-            ok = ClosedTopLevel(ctx, root_closed, cores[k]);
-        }
-        if (!ok) {
-            outcome.breach =
-                ctx.capped ? BudgetBreach::kPatternCap : guard.breach();
-        }
-        nodes = ctx.nodes_expanded;
-        closures = ctx.closure_checks;
-    } else {
-        // Recursive decomposition (DESIGN.md §17): one root task walks the
-        // core items in serial order; any closure subtree whose estimated
-        // work exceeds the split threshold is copied into a holder and
-        // re-submitted to the TaskGroup, so parallelism follows the
-        // (exponentially skewed) subtree sizes instead of the first level's
-        // core count. Workers reuse per-slot membership/cover scratch across
-        // tasks; the DFS-keyed shard merge reproduces the serial emission
-        // sequence bit for bit, and a defensive dedup pass guards the
-        // closed-set uniqueness invariant under mid-task truncation.
-        ThreadPool pool(threads);
-        WorkerLocal<ParClosedScratch> scratch(pool.num_slots());
-        TaskGroup group(pool);
-        ParClosedShared shared(config, min_sup);
-        shared.db = &db;
-        shared.frequent = ctx.frequent;
-        shared.group = &group;
+        std::min(ResolveNumThreads(config.num_threads),
+                 shared.frequent.size() - root->closed.size());
+    if (threads <= 1) {
+        WorkerLocal<ClosedScratch> scratch(1);
         shared.scratch = &scratch;
+        RunClosedSubtreeTask(&shared, root, {}, /*slot=*/0);
+    } else {
+        ThreadPool pool(threads);
+        WorkerLocal<ClosedScratch> scratch(pool.num_slots());
+        TaskGroup group(pool);
+        shared.scratch = &scratch;
+        shared.group = &group;
         shared.num_workers = pool.num_workers();
-        shared.progress.AddEmitted(out.size());  // root-closure pattern, if any
-        group.SubmitSlotted([&shared, &root_closed, &cores](std::size_t slot) {
-            RunClosedRootTask(&shared, root_closed, cores, slot);
+        group.SubmitSlotted([&shared, root](std::size_t slot) {
+            RunClosedSubtreeTask(&shared, root, {}, slot);
         });
         group.Wait();
-
-        std::vector<Pattern> merged;
-        shared.shards.MergeInto(&merged);
-        // Dedup: with complete subtrees closed sets are unique (LCM's
-        // prefix-preservation), so this drops nothing; it guards the
-        // invariant when a budget truncated some tasks mid-subtree.
-        std::unordered_set<std::string> seen;
-        seen.reserve(out.size() + merged.size());
-        auto key = [](const Itemset& items) {
-            return std::string(reinterpret_cast<const char*>(items.data()),
-                               items.size() * sizeof(ItemId));
-        };
-        for (const Pattern& p : out) seen.insert(key(p.items));
-        out.reserve(out.size() + merged.size());
-        for (Pattern& p : merged) {
-            if (seen.insert(key(p.items)).second) out.push_back(std::move(p));
-        }
-        outcome.breach = static_cast<BudgetBreach>(
-            shared.breach.load(std::memory_order_relaxed));
-        nodes = shared.nodes.load(std::memory_order_relaxed);
-        closures = shared.closures.load(std::memory_order_relaxed);
     }
+    // Closed sets are emitted at unique DFS positions and a truncated task
+    // only drops the tail of its shards, so the merge needs no dedup.
+    MineOutcome<Pattern> outcome;
+    std::vector<Pattern>& out = outcome.patterns;
+    shared.shards.MergeInto(&out);
+    outcome.breach =
+        static_cast<BudgetBreach>(shared.breach.load(std::memory_order_relaxed));
+    const std::size_t nodes = shared.nodes.load(std::memory_order_relaxed);
+    const std::size_t closures = shared.closures.load(std::memory_order_relaxed);
 
     if (outcome.truncated()) {
         FlushClosedMetrics(nodes, closures, out.size(), /*budget_abort=*/true);

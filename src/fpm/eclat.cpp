@@ -39,32 +39,6 @@ struct EclatScratch {
     std::vector<EclatLevel> levels;
 };
 
-struct EclatContext {
-    std::size_t min_sup;
-    std::size_t max_len;
-    BudgetGuard* guard;
-    std::vector<Pattern>* out;
-    EclatScratch* scratch;
-    std::size_t est_bytes = 0;  // coarse output-memory estimate for the guard
-    // Set on parallel fan-out: pool-wide tallies so per-task guards enforce
-    // the global pattern/memory caps. Null on the serial path.
-    SharedMineProgress* shared = nullptr;
-    // Instrumentation tally, flushed to the registry once per Mine().
-    std::size_t intersections = 0;  // fused set-count kernels evaluated
-    std::size_t diffset_classes = 0;  // classes mined in diffset form
-};
-
-std::size_t GuardEmitted(const EclatContext& ctx) {
-    return ctx.shared != nullptr
-               ? ctx.shared->emitted.load(std::memory_order_relaxed)
-               : ctx.out->size();
-}
-std::size_t GuardBytes(const EclatContext& ctx) {
-    return ctx.shared != nullptr
-               ? ctx.shared->est_bytes.load(std::memory_order_relaxed)
-               : ctx.est_bytes;
-}
-
 void FlushEclatMetrics(std::size_t intersections, std::size_t diffset_classes,
                        std::size_t emitted, bool budget_abort) {
     static auto& nodes =
@@ -81,120 +55,21 @@ void FlushEclatMetrics(std::size_t intersections, std::size_t diffset_classes,
     if (budget_abort) aborts.Inc();
 }
 
-// Emits `prefix ∪ {members[k].item}` and mines its equivalence class (the
-// one first-level unit of the parallel fan-out). Returns false when the
-// execution budget fires.
-bool MineOne(EclatContext& ctx, Itemset& prefix, const Member* members,
-             std::size_t m, std::size_t k, bool diffset_form,
-             std::size_t depth);
-
-// Emits every member of a class and recurses. Members are in ascending item
-// order, which reproduces the candidate order (and therefore the emission
-// sequence) of the plain tidset DFS exactly.
-bool MineClass(EclatContext& ctx, Itemset& prefix, const Member* members,
-               std::size_t m, bool diffset_form, std::size_t depth) {
-    for (std::size_t k = 0; k < m; ++k) {
-        if (!MineOne(ctx, prefix, members, m, k, diffset_form, depth)) {
-            return false;
-        }
-    }
-    return true;
-}
-
-bool MineOne(EclatContext& ctx, Itemset& prefix, const Member* members,
-             std::size_t m, std::size_t k, bool diffset_form,
-             std::size_t depth) {
-    const Member& x = members[k];
-    if (ctx.guard->Check(GuardEmitted(ctx), GuardBytes(ctx)) !=
-        BudgetBreach::kNone) {
-        return false;
-    }
-
-    prefix.push_back(x.item);
-    Pattern p;
-    p.items = prefix;
-    p.support = x.support;
-    const std::size_t bytes = sizeof(Pattern) + p.items.capacity() * sizeof(ItemId);
-    ctx.est_bytes += bytes;
-    if (ctx.shared != nullptr) {
-        ctx.shared->AddEmitted();
-        ctx.shared->AddBytes(bytes);
-    }
-    ctx.out->push_back(std::move(p));
-
-    if (prefix.size() < ctx.max_len && k + 1 < m) {
-        // Stage the surviving siblings with fused count kernels — no set is
-        // materialized for an extension that dies on min_sup. Anti-monotone
-        // class pruning: siblings that failed min_sup at this class never
-        // re-enter deeper classes (the plain DFS re-tested them each level).
-        EclatLevel& lvl = ctx.scratch->levels[depth];
-        lvl.staged.clear();
-        std::size_t tidset_mass = 0;
-        std::size_t diffset_mass = 0;
-        for (std::size_t j = k + 1; j < m; ++j) {
-            const Member& y = members[j];
-            // Tidset pair:  sup = |t(PX) ∧ t(PY)|.
-            // Diffset pair: sup = sup(PX) − |d(PY) ∧ ¬d(PX)|  (dEclat).
-            const std::size_t support =
-                diffset_form ? x.support - y.set->AndNotCount(*x.set)
-                             : x.set->AndCount(*y.set);
-            ++ctx.intersections;
-            if (support < ctx.min_sup) continue;
-            lvl.staged.emplace_back(j, support);
-            tidset_mass += support;
-            diffset_mass += x.support - support;
-        }
-        if (!lvl.staged.empty()) {
-            // Once a class is in diffset form its children stay diffsets
-            // (reconstructing tidsets would need the whole ancestor chain);
-            // a tidset class switches when the diffsets are smaller in
-            // aggregate — on dense data that is almost immediately.
-            const bool child_diffsets =
-                diffset_form || diffset_mass < tidset_mass;
-            if (child_diffsets) ++ctx.diffset_classes;
-            if (lvl.pool.size() < lvl.staged.size()) {
-                lvl.pool.resize(lvl.staged.size());
-            }
-            lvl.members.clear();
-            for (std::size_t s = 0; s < lvl.staged.size(); ++s) {
-                const auto [j, support] = lvl.staged[s];
-                const Member& y = members[j];
-                BitVector& slot = lvl.pool[s];
-                if (diffset_form) {
-                    slot.AssignAndNot(*y.set, *x.set);  // d(PXY) = d(PY) ∧ ¬d(PX)
-                } else if (child_diffsets) {
-                    slot.AssignAndNot(*x.set, *y.set);  // d((PX)Y) = t(PX) ∧ ¬t(PY)
-                } else {
-                    slot.AssignAnd(*x.set, *y.set);  // t(PXY)
-                }
-                lvl.members.push_back(Member{y.item, support, &slot});
-            }
-            if (!MineClass(ctx, prefix, lvl.members.data(), lvl.members.size(),
-                           child_diffsets, depth + 1)) {
-                prefix.pop_back();
-                return false;
-            }
-        }
-    }
-    prefix.pop_back();
-    return true;
-}
-
 // ---------------------------------------------------------------------------
-// Parallel path: recursive equivalence-class decomposition with sharded
-// emission (DESIGN.md §17). The DFS mirrors MineClass/MineOne exactly —
-// identical candidate staging, identical tidset/diffset switching, identical
-// guard placement — but a child class whose estimated work (surviving
-// siblings × class-cover rows) exceeds the split threshold is copied into a
-// heap-owned holder and re-submitted to the TaskGroup. Workers reuse a
-// per-slot EclatScratch (the level pools that made per-task construction the
-// old fan-out's 0.91× regression), and emit into DFS-position-keyed shards
-// whose merge reproduces the serial emission sequence bit for bit.
+// Recursive equivalence-class decomposition with sharded emission
+// (DESIGN.md §17). One DFS serves every thread count: a child class whose
+// estimated work (surviving siblings × class-cover rows) exceeds the split
+// threshold is copied into a heap-owned holder and re-submitted to the
+// TaskGroup when there is one; at one thread the group is null and every
+// class is mined inline. Workers reuse a per-slot EclatScratch (the level
+// pools), and emit into DFS-position-keyed shards whose merge is the serial
+// emission sequence.
 // ---------------------------------------------------------------------------
 
-// A spawned class: its prefix, its members, and the bitvector storage the
+// A class to mine: its prefix, its members, and the bitvector storage the
 // members point into (copied out of the spawning task's level pool, which is
-// overwritten as that task continues mining its own siblings).
+// overwritten as that task continues mining its own siblings). The root
+// class has an empty prefix and members that borrow the database's covers.
 struct EclatClassHolder {
     Itemset prefix;
     std::vector<BitVector> sets;
@@ -203,7 +78,7 @@ struct EclatClassHolder {
     std::size_t depth = 0;
 };
 
-struct ParEclatShared {
+struct EclatShared {
     std::size_t min_sup = 0;
     std::size_t max_len = 0;
     std::size_t max_patterns = 0;
@@ -213,14 +88,14 @@ struct ParEclatShared {
     DeadlineTimer timer;
     SharedMineProgress progress;
     ShardCollector shards;
-    TaskGroup* group = nullptr;
+    TaskGroup* group = nullptr;  // null at one thread: nothing splits
     WorkerLocal<EclatScratch>* scratch = nullptr;
     std::size_t num_workers = 0;
     std::atomic<int> breach{static_cast<int>(BudgetBreach::kNone)};
     std::atomic<std::uint64_t> intersections{0};
     std::atomic<std::uint64_t> diffset_classes{0};
 
-    ParEclatShared(const MinerConfig& config, std::size_t min_sup_in)
+    EclatShared(const MinerConfig& config, std::size_t min_sup_in)
         : min_sup(min_sup_in),
           max_len(config.max_pattern_len),
           max_patterns(config.max_patterns),
@@ -235,38 +110,70 @@ struct ParEclatShared {
     }
 };
 
-struct ParEclatCtx {
-    ParEclatShared* sh;
+struct EclatCtx {
+    EclatShared* sh;
     BudgetGuard* guard;
     ShardEmitter* emitter;
     EclatScratch* scratch;
     std::size_t slot;
-    std::size_t intersections = 0;
-    std::size_t diffset_classes = 0;
+    std::size_t intersections = 0;    // fused set-count kernels evaluated
+    std::size_t diffset_classes = 0;  // classes mined in diffset form
 };
 
-void RunEclatClassTask(ParEclatShared* sh,
+// Writes the class of `x`'s staged siblings (indices into `members`) into
+// `sets` (grown, never shrunk) and `out`, in one of three forms:
+//   diffset parent:            d(PXY)  = d(PY) ∧ ¬d(PX)
+//   tidset parent, diffsets:   d((PX)Y) = t(PX) ∧ ¬t(PY)
+//   tidset parent and child:   t(PXY)  = t(PX) ∧ t(PY)
+void MaterializeClass(
+    const Member& x, const Member* members,
+    const std::vector<std::pair<std::size_t, std::size_t>>& staged,
+    bool diffset_form, bool child_diffsets, std::vector<BitVector>* sets,
+    std::vector<Member>* out) {
+    if (sets->size() < staged.size()) sets->resize(staged.size());
+    out->clear();
+    for (std::size_t s = 0; s < staged.size(); ++s) {
+        const auto [j, support] = staged[s];
+        const Member& y = members[j];
+        BitVector& set = (*sets)[s];
+        if (diffset_form) {
+            set.AssignAndNot(*y.set, *x.set);
+        } else if (child_diffsets) {
+            set.AssignAndNot(*x.set, *y.set);
+        } else {
+            set.AssignAnd(*x.set, *y.set);
+        }
+        out->push_back(Member{y.item, support, &set});
+    }
+}
+
+void RunEclatClassTask(EclatShared* sh,
                        std::shared_ptr<EclatClassHolder> holder, ShardKey path,
                        std::size_t slot);
 
-bool ParMineOne(ParEclatCtx& ctx, Itemset& prefix, const Member* members,
-                std::size_t m, std::size_t k, bool diffset_form,
-                std::size_t depth);
+bool MineOne(EclatCtx& ctx, Itemset& prefix, const Member* members,
+             std::size_t m, std::size_t k, bool diffset_form,
+             std::size_t depth);
 
-bool ParMineClass(ParEclatCtx& ctx, Itemset& prefix, const Member* members,
-                  std::size_t m, bool diffset_form, std::size_t depth) {
+// Emits every member of a class and mines its child classes. Members are in
+// ascending item order, which reproduces the candidate order (and therefore
+// the emission sequence) of the plain tidset DFS exactly. Returns false when
+// the execution budget fires.
+bool MineClass(EclatCtx& ctx, Itemset& prefix, const Member* members,
+               std::size_t m, bool diffset_form, std::size_t depth) {
     for (std::size_t k = 0; k < m; ++k) {
-        if (!ParMineOne(ctx, prefix, members, m, k, diffset_form, depth)) {
+        if (!MineOne(ctx, prefix, members, m, k, diffset_form, depth)) {
             return false;
         }
     }
     return true;
 }
 
-bool ParMineOne(ParEclatCtx& ctx, Itemset& prefix, const Member* members,
-                std::size_t m, std::size_t k, bool diffset_form,
-                std::size_t depth) {
-    ParEclatShared& sh = *ctx.sh;
+// Emits `prefix ∪ {members[k].item}` and mines (or splits off) its class.
+bool MineOne(EclatCtx& ctx, Itemset& prefix, const Member* members,
+             std::size_t m, std::size_t k, bool diffset_form,
+             std::size_t depth) {
+    EclatShared& sh = *ctx.sh;
     const Member& x = members[k];
     if (ctx.guard->Check(
             sh.progress.emitted.load(std::memory_order_relaxed),
@@ -280,20 +187,24 @@ bool ParMineOne(ParEclatCtx& ctx, Itemset& prefix, const Member* members,
     Pattern p;
     p.items = prefix;
     p.support = x.support;
-    const std::size_t bytes =
-        sizeof(Pattern) + p.items.capacity() * sizeof(ItemId);
     sh.progress.AddEmitted();
-    sh.progress.AddBytes(bytes);
+    sh.progress.AddBytes(sizeof(Pattern) + p.items.capacity() * sizeof(ItemId));
     ctx.emitter->Emit(std::move(p));
 
     bool ok = true;
     if (prefix.size() < sh.max_len && k + 1 < m) {
+        // Stage the surviving siblings with fused count kernels — no set is
+        // materialized for an extension that dies on min_sup. Anti-monotone
+        // class pruning: siblings that failed min_sup at this class never
+        // re-enter deeper classes.
         EclatLevel& lvl = ctx.scratch->levels[depth];
         lvl.staged.clear();
         std::size_t tidset_mass = 0;
         std::size_t diffset_mass = 0;
         for (std::size_t j = k + 1; j < m; ++j) {
             const Member& y = members[j];
+            // Tidset pair:  sup = |t(PX) ∧ t(PY)|.
+            // Diffset pair: sup = sup(PX) − |d(PY) ∧ ¬d(PX)|  (dEclat).
             const std::size_t support =
                 diffset_form ? x.support - y.set->AndNotCount(*x.set)
                              : x.set->AndCount(*y.set);
@@ -304,12 +215,16 @@ bool ParMineOne(ParEclatCtx& ctx, Itemset& prefix, const Member* members,
             diffset_mass += x.support - support;
         }
         if (!lvl.staged.empty()) {
+            // Once a class is in diffset form its children stay diffsets
+            // (reconstructing tidsets would need the whole ancestor chain);
+            // a tidset class switches when the diffsets are smaller in
+            // aggregate — on dense data that is almost immediately.
             const bool child_diffsets =
                 diffset_form || diffset_mass < tidset_mass;
             if (child_diffsets) ++ctx.diffset_classes;
             // Estimated class work: surviving siblings × class-cover rows.
             const std::size_t est = lvl.staged.size() * x.support;
-            if (est > sh.split_threshold) {
+            if (sh.group != nullptr && est > sh.split_threshold) {
                 // Split: materialize the child class into its own holder
                 // (this task's level pool is reused for its next sibling)
                 // and hand the whole class to the pool.
@@ -317,22 +232,9 @@ bool ParMineOne(ParEclatCtx& ctx, Itemset& prefix, const Member* members,
                 holder->prefix = prefix;
                 holder->diffset_form = child_diffsets;
                 holder->depth = depth + 1;
-                holder->sets.resize(lvl.staged.size());
-                holder->members.reserve(lvl.staged.size());
-                for (std::size_t s = 0; s < lvl.staged.size(); ++s) {
-                    const auto [j, support] = lvl.staged[s];
-                    const Member& y = members[j];
-                    BitVector& slot_set = holder->sets[s];
-                    if (diffset_form) {
-                        slot_set.AssignAndNot(*y.set, *x.set);
-                    } else if (child_diffsets) {
-                        slot_set.AssignAndNot(*x.set, *y.set);
-                    } else {
-                        slot_set.AssignAnd(*x.set, *y.set);
-                    }
-                    holder->members.push_back(
-                        Member{y.item, support, &slot_set});
-                }
+                MaterializeClass(x, members, lvl.staged, diffset_form,
+                                 child_diffsets, &holder->sets,
+                                 &holder->members);
                 ctx.emitter->Flush();  // contiguity: shard ends at the spawn
                 ShardKey child_path = ctx.emitter->path();
                 const std::size_t from = ctx.slot < sh.num_workers
@@ -347,26 +249,10 @@ bool ParMineOne(ParEclatCtx& ctx, Itemset& prefix, const Member* members,
                     },
                     from);
             } else {
-                if (lvl.pool.size() < lvl.staged.size()) {
-                    lvl.pool.resize(lvl.staged.size());
-                }
-                lvl.members.clear();
-                for (std::size_t s = 0; s < lvl.staged.size(); ++s) {
-                    const auto [j, support] = lvl.staged[s];
-                    const Member& y = members[j];
-                    BitVector& slot_set = lvl.pool[s];
-                    if (diffset_form) {
-                        slot_set.AssignAndNot(*y.set, *x.set);
-                    } else if (child_diffsets) {
-                        slot_set.AssignAndNot(*x.set, *y.set);
-                    } else {
-                        slot_set.AssignAnd(*x.set, *y.set);
-                    }
-                    lvl.members.push_back(Member{y.item, support, &slot_set});
-                }
-                ok = ParMineClass(ctx, prefix, lvl.members.data(),
-                                  lvl.members.size(), child_diffsets,
-                                  depth + 1);
+                MaterializeClass(x, members, lvl.staged, diffset_form,
+                                 child_diffsets, &lvl.pool, &lvl.members);
+                ok = MineClass(ctx, prefix, lvl.members.data(),
+                               lvl.members.size(), child_diffsets, depth + 1);
             }
         }
     }
@@ -375,7 +261,7 @@ bool ParMineOne(ParEclatCtx& ctx, Itemset& prefix, const Member* members,
     return ok;
 }
 
-void RunEclatClassTask(ParEclatShared* sh,
+void RunEclatClassTask(EclatShared* sh,
                        std::shared_ptr<EclatClassHolder> holder, ShardKey path,
                        std::size_t slot) {
     EclatScratch& scratch = sh->scratch->At(slot);
@@ -386,11 +272,10 @@ void RunEclatClassTask(ParEclatShared* sh,
     }
     BudgetGuard guard(TaskBudget(*sh->budget, sh->timer), sh->max_patterns);
     ShardEmitter emitter(&sh->shards, std::move(path));
-    ParEclatCtx ctx{sh, &guard, &emitter, &scratch, slot};
+    EclatCtx ctx{sh, &guard, &emitter, &scratch, slot};
     Itemset prefix = holder->prefix;
-    if (!ParMineClass(ctx, prefix, holder->members.data(),
-                      holder->members.size(), holder->diffset_form,
-                      holder->depth)) {
+    if (!MineClass(ctx, prefix, holder->members.data(), holder->members.size(),
+                   holder->diffset_form, holder->depth)) {
         sh->RecordFirstBreach(guard.breach());
     }
     emitter.Flush();
@@ -408,68 +293,49 @@ Result<MineOutcome<Pattern>> EclatMiner::MineBudgeted(
     std::vector<Pattern>& out = outcome.patterns;
 
     // Root class: the frequent singletons, with their covers *borrowed* from
-    // the database's vertical index — first-level tasks share these read-only
-    // views instead of copying tidset vectors per prefix.
-    std::vector<Member> root;
+    // the database's vertical index — first-level classes share these
+    // read-only views instead of copying tidset vectors per prefix.
+    auto root = std::make_shared<EclatClassHolder>();
     for (ItemId i = 0; i < db.num_items(); ++i) {
         const std::size_t support = db.ItemSupport(i);
         if (support >= min_sup) {
-            root.push_back(Member{i, support, &db.ItemCover(i)});
+            root->members.push_back(Member{i, support, &db.ItemCover(i)});
         }
     }
 
+    // Recursive decomposition (DESIGN.md §17): the root task walks the class
+    // tree in serial order and, above one thread, re-submits any child class
+    // over the split threshold, so parallelism follows the (exponentially
+    // skewed) class sizes instead of the first level's item count. At one
+    // thread there is no pool: the root task runs inline on this thread at
+    // slot 0 with a null group, which never splits.
+    EclatShared shared(config, min_sup);
+    shared.max_depth = root->members.size();
     const std::size_t threads =
-        std::min(ResolveNumThreads(config.num_threads), root.size());
-    std::size_t intersections = 0;
-    std::size_t diffset_classes = 0;
-
+        std::min(ResolveNumThreads(config.num_threads), root->members.size());
     if (threads <= 1) {
-        // Serial path: the parallel fan-out runs exactly this, split by k.
-        BudgetGuard guard(config.budget, config.max_patterns);
-        EclatScratch scratch;
-        scratch.levels.resize(root.size());
-        EclatContext ctx{min_sup, config.max_pattern_len, &guard, &out,
-                         &scratch};
-        Itemset prefix;
-        if (!MineClass(ctx, prefix, root.data(), root.size(),
-                       /*diffset_form=*/false, /*depth=*/0)) {
-            outcome.breach = guard.breach();
-        }
-        intersections = ctx.intersections;
-        diffset_classes = ctx.diffset_classes;
+        WorkerLocal<EclatScratch> scratch(1);
+        shared.scratch = &scratch;
+        RunEclatClassTask(&shared, root, {}, /*slot=*/0);
     } else {
-        // Recursive decomposition (DESIGN.md §17): one root task walks the
-        // class tree in serial order; any child class whose estimated work
-        // exceeds the split threshold is copied into a holder and
-        // re-submitted to the TaskGroup, so parallelism follows the
-        // (exponentially skewed) class sizes instead of the first level's
-        // item count. Workers reuse per-slot level pools across tasks —
-        // the per-task scratch construction of the old fan-out was the
-        // 0.91× regression — and emissions land in DFS-keyed shards whose
-        // merge reproduces the serial sequence bit for bit.
         ThreadPool pool(threads);
         WorkerLocal<EclatScratch> scratch(pool.num_slots());
         TaskGroup group(pool);
-        ParEclatShared shared(config, min_sup);
-        shared.max_depth = root.size();
-        shared.group = &group;
         shared.scratch = &scratch;
+        shared.group = &group;
         shared.num_workers = pool.num_workers();
-        // Root "class": members borrow the database's item covers (no copy).
-        auto root_holder = std::make_shared<EclatClassHolder>();
-        root_holder->members = root;
-        group.SubmitSlotted([&shared, root_holder](std::size_t slot) {
-            RunEclatClassTask(&shared, root_holder, {}, slot);
+        group.SubmitSlotted([&shared, root](std::size_t slot) {
+            RunEclatClassTask(&shared, root, {}, slot);
         });
         group.Wait();
-
-        shared.shards.MergeInto(&out);
-        outcome.breach = static_cast<BudgetBreach>(
-            shared.breach.load(std::memory_order_relaxed));
-        intersections = shared.intersections.load(std::memory_order_relaxed);
-        diffset_classes =
-            shared.diffset_classes.load(std::memory_order_relaxed);
     }
+    shared.shards.MergeInto(&out);
+    outcome.breach =
+        static_cast<BudgetBreach>(shared.breach.load(std::memory_order_relaxed));
+    const std::size_t intersections =
+        shared.intersections.load(std::memory_order_relaxed);
+    const std::size_t diffset_classes =
+        shared.diffset_classes.load(std::memory_order_relaxed);
 
     if (outcome.truncated()) {
         FlushEclatMetrics(intersections, diffset_classes, out.size(), true);

@@ -50,8 +50,9 @@ struct MinerConfig {
     bool include_singletons = true;
     /// Worker threads for the mining fan-out (Eclat and the closed miner
     /// decompose recursively over conditional subproblems; the reference
-    /// Apriori stays level-wise serial). 1 = today's serial code exactly;
-    /// 0 = hardware_concurrency. The complete pattern set — and its emission
+    /// Apriori stays level-wise serial). 1 = no pool: the same DFS runs
+    /// inline on the calling thread and never splits; 0 =
+    /// hardware_concurrency. The complete pattern set — and its emission
     /// order — is identical for every thread count; only budget-truncated
     /// runs may differ, and those are subsequences of the serial emission
     /// sequence (see DESIGN.md §17).

@@ -9,9 +9,9 @@
 // lexicographic order on the paths (a prefix sorts before its extensions) —
 // so `std::vector<std::uint32_t>` comparison *is* the serial emission order.
 //
-// A parallel mining task emits into an open shard: a run of patterns that is
-// contiguous in the serial emission sequence, keyed by the DFS position of
-// its *first* pattern (lazy stamping). Contiguity is maintained by one rule:
+// Every mining task, at any thread count, emits into an open shard: a run
+// of patterns that is contiguous in the serial emission sequence, keyed by
+// the DFS position of its *first* pattern (lazy stamping). Contiguity is maintained by one rule:
 // whenever a task hands a subtree to another task (a recursive split), it
 // flushes its open shard first — emissions after the spawn belong to a later
 // serial range than the spawned subtree, so they open a new shard stamped at
@@ -55,16 +55,25 @@ class ShardCollector {
     /// Sorts shards by key and appends their patterns to `out` — the serial
     /// emission order (see file comment). Call only after every emitting task
     /// finished. Keys are unique (a DFS position belongs to exactly one
-    /// shard), so the sort needs no tie-break.
+    /// shard), so the sort needs no tie-break. An empty `out` takes over the
+    /// first shard's storage, so a mine that never split (one shard) moves
+    /// no pattern.
     void MergeInto(std::vector<Pattern>* out) {
         std::lock_guard<std::mutex> lock(mu_);
         std::sort(shards_.begin(), shards_.end(),
                   [](const Shard& a, const Shard& b) { return a.key < b.key; });
+        std::size_t first = 0;
+        if (out->empty() && !shards_.empty()) {
+            *out = std::move(shards_.front().patterns);
+            first = 1;
+        }
         std::size_t total = 0;
-        for (const Shard& s : shards_) total += s.patterns.size();
+        for (std::size_t i = first; i < shards_.size(); ++i) {
+            total += shards_[i].patterns.size();
+        }
         out->reserve(out->size() + total);
-        for (Shard& s : shards_) {
-            for (Pattern& p : s.patterns) out->push_back(std::move(p));
+        for (std::size_t i = first; i < shards_.size(); ++i) {
+            for (Pattern& p : shards_[i].patterns) out->push_back(std::move(p));
         }
         shards_.clear();
     }

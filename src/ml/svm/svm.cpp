@@ -1,6 +1,9 @@
 #include "ml/svm/svm.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <limits>
+#include <memory>
 #include <ostream>
 
 #include "common/parallel.hpp"
@@ -126,24 +129,19 @@ Status SvmClassifier::Train(const FeatureMatrix& x, const std::vector<ClassLabel
 
     const std::size_t threads =
         std::min(ResolveNumThreads(config_.num_threads), pairs.size());
-    if (threads <= 1) {
-        // Serial path: stop at the first failing pair, like today.
-        for (std::size_t idx = 0; idx < pairs.size(); ++idx) {
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+    ParallelFor(pool.get(), pairs.size(), [&](std::size_t begin, std::size_t end) {
+        // A chunk stops at its first failing pair: every pair before the
+        // first failure in pair order still runs, so that failure is found.
+        for (std::size_t idx = begin; idx < end; ++idx) {
             solve_pair(idx);
-            if (!slots[idx].status.ok()) return slots[idx].status;
+            if (!slots[idx].status.ok()) return;
         }
-    } else {
-        ThreadPool pool(threads);
-        TaskGroup group(pool);
-        for (std::size_t idx = 0; idx < pairs.size(); ++idx) {
-            group.Submit([&, idx] { solve_pair(idx); });
-        }
-        group.Wait();
-        // Deterministic error surfacing: the first failing pair in pair
-        // order, matching the serial early-exit.
-        for (const PairSlot& slot : slots) {
-            if (!slot.status.ok()) return slot.status;
-        }
+    });
+    // Deterministic error surfacing: the first failing pair in pair order.
+    for (const PairSlot& slot : slots) {
+        if (!slot.status.ok()) return slot.status;
     }
 
     for (PairSlot& slot : slots) {
@@ -204,65 +202,38 @@ SmoConfig GridSearchSvm(const FeatureMatrix& x, const std::vector<ClassLabel>& y
     const std::size_t threads =
         std::min(ResolveNumThreads(grid.num_threads), candidates.size());
 
-    if (threads <= 1) {
-        // Every check covers a whole k-fold CV run, so read the clock each
-        // time.
-        BudgetGuard guard(grid.budget, std::numeric_limits<std::size_t>::max(),
-                          /*clock_stride=*/1);
-        std::size_t evaluated = 0;
-        for (SmoConfig& cfg : candidates) {
-            if (guard.Check(0) != BudgetBreach::kNone) {
-                RecordBreach("ml.svm.grid", guard.breach(),
-                             static_cast<double>(evaluated));
-                break;
-            }
-            cfg.budget = grid.budget;
-            const CvResult cv = CrossValidate(
-                x, y, num_classes,
-                [&cfg]() { return std::make_unique<SvmClassifier>(cfg); },
-                grid.folds, grid.seed);
-            ++evaluated;
-            if (cv.mean_accuracy > best_acc) {
-                best_acc = cv.mean_accuracy;
-                best = cfg;
-            }
-        }
-        return best;
-    }
-
-    // Parallel grid: every candidate's CV runs as an independent task (each
-    // checks the shared budget before starting; tasks that never ran stay at
-    // the -1 sentinel and cannot win). The winner is the first candidate, in
-    // grid order, with the maximal accuracy — the serial scan's choice.
+    // Every candidate's CV is independent: each checks the shared budget
+    // before starting (a whole k-fold run per check, so the clock is read
+    // each time) and a chunk stops at its first breach. Candidates that
+    // never ran stay at the -1 sentinel and cannot win; the winner is the
+    // first candidate, in grid order, with the maximal accuracy.
     std::vector<double> accuracies(candidates.size(), -1.0);
     std::atomic<std::size_t> evaluated{0};
     std::atomic<int> grid_breach{static_cast<int>(BudgetBreach::kNone)};
     DeadlineTimer timer(grid.budget.time_budget_ms);
-    {
-        ThreadPool pool(threads);
-        TaskGroup group(pool);
-        for (std::size_t i = 0; i < candidates.size(); ++i) {
-            candidates[i].budget = grid.budget;
-            group.Submit([&, i] {
-                BudgetGuard guard(TaskBudget(grid.budget, timer),
-                                  std::numeric_limits<std::size_t>::max(),
-                                  /*clock_stride=*/1);
-                if (guard.Check(0) != BudgetBreach::kNone) {
-                    grid_breach.store(static_cast<int>(guard.breach()),
-                                      std::memory_order_relaxed);
-                    return;
-                }
-                const SmoConfig& cfg = candidates[i];
-                const CvResult cv = CrossValidate(
-                    x, y, num_classes,
-                    [&cfg]() { return std::make_unique<SvmClassifier>(cfg); },
-                    grid.folds, grid.seed);
-                accuracies[i] = cv.mean_accuracy;
-                evaluated.fetch_add(1, std::memory_order_relaxed);
-            });
+    for (SmoConfig& cfg : candidates) cfg.budget = grid.budget;
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+    ParallelFor(pool.get(), candidates.size(), [&](std::size_t begin,
+                                                   std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+            BudgetGuard guard(TaskBudget(grid.budget, timer),
+                              std::numeric_limits<std::size_t>::max(),
+                              /*clock_stride=*/1);
+            if (guard.Check(0) != BudgetBreach::kNone) {
+                grid_breach.store(static_cast<int>(guard.breach()),
+                                  std::memory_order_relaxed);
+                return;
+            }
+            const SmoConfig& cfg = candidates[i];
+            const CvResult cv = CrossValidate(
+                x, y, num_classes,
+                [&cfg]() { return std::make_unique<SvmClassifier>(cfg); },
+                grid.folds, grid.seed);
+            accuracies[i] = cv.mean_accuracy;
+            evaluated.fetch_add(1, std::memory_order_relaxed);
         }
-        group.Wait();
-    }
+    });
     const auto breach =
         static_cast<BudgetBreach>(grid_breach.load(std::memory_order_relaxed));
     if (breach != BudgetBreach::kNone) {

@@ -1,20 +1,26 @@
 // Certificates for the recursive mining decomposition (DESIGN.md §17):
 //  * with the split threshold forced to 1 every conditional subproblem
 //    re-submits to the TaskGroup, and the sharded merge must still reproduce
-//    the serial pattern sequence byte for byte at every thread count;
+//    the one-thread pattern sequence byte for byte at every thread count,
+//    with the same work counters (nodes, closure checks, diffset classes,
+//    patterns emitted);
 //  * a budget cancelled mid-recursive-split must leave a well-formed partial
 //    MineOutcome that is a *subsequence* of the serial emission sequence.
 // The lazy-greedy MMRFS certificates live in mmrfs_lazy_test.cpp.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "fpm/closed_miner.hpp"
 #include "fpm/eclat.hpp"
+#include "obs/metrics.hpp"
 
 namespace dfp {
 namespace {
@@ -41,6 +47,34 @@ std::unique_ptr<Miner> MakeMiner(const std::string& name) {
     return nullptr;
 }
 
+// The work counters a miner flushes once per mine.
+std::vector<std::string> WorkCounters(const std::string& miner) {
+    const std::string prefix = "dfp.fpm." + miner + ".";
+    return {prefix + "nodes_expanded", prefix + "patterns_emitted",
+            prefix + (miner == "closed" ? "closure_checks" : "diffset_classes")};
+}
+
+// One mine's patterns and the registry delta of its work counters.
+struct CountedMine {
+    Result<std::vector<Pattern>> patterns;
+    std::map<std::string, std::uint64_t> counters;
+};
+
+CountedMine MineCounting(const Miner& miner, const TransactionDatabase& db,
+                         const MinerConfig& config) {
+    const std::vector<std::string> names = WorkCounters(miner.Name());
+    std::map<std::string, std::uint64_t> before;
+    for (const std::string& name : names) {
+        before[name] = obs::Registry::Get().GetCounter(name).value();
+    }
+    CountedMine mine{miner.Mine(db, config), {}};
+    for (const std::string& name : names) {
+        mine.counters[name] =
+            obs::Registry::Get().GetCounter(name).value() - before[name];
+    }
+    return mine;
+}
+
 using SplitCase = std::tuple<const char*, std::size_t>;  // miner × threads
 
 class RecursiveSplitTest : public ::testing::TestWithParam<SplitCase> {
@@ -53,7 +87,8 @@ class RecursiveSplitTest : public ::testing::TestWithParam<SplitCase> {
 
 // split_work_threshold = 1 forces a task split at every conditional
 // subproblem with any remaining work — the maximally decomposed schedule.
-// The DFS-keyed shard merge must still be the serial sequence, byte for byte.
+// The DFS-keyed shard merge must still be the serial sequence, byte for byte,
+// and every search node must be counted once, whichever task expanded it.
 TEST_P(RecursiveSplitTest, ForcedSplitsReproduceSerialEmissionOrder) {
     const auto miner = MakeNamed();
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
@@ -61,13 +96,21 @@ TEST_P(RecursiveSplitTest, ForcedSplitsReproduceSerialEmissionOrder) {
         MinerConfig config;
         config.min_sup_rel = 0.10;
         config.num_threads = 1;
-        const auto serial = miner->Mine(db, config);
+        const CountedMine one = MineCounting(*miner, db, config);
+        const auto& serial = one.patterns;
         ASSERT_TRUE(serial.ok()) << serial.status();
 
         config.num_threads = Threads();
         config.split_work_threshold = 1;
-        const auto parallel = miner->Mine(db, config);
+        const CountedMine many = MineCounting(*miner, db, config);
+        const auto& parallel = many.patterns;
         ASSERT_TRUE(parallel.ok()) << parallel.status();
+        EXPECT_EQ(one.counters, many.counters)
+            << miner->Name() << " work counters diverge under forced splits"
+            << " (seed " << seed << ", threads " << Threads() << ")";
+        EXPECT_EQ(
+            one.counters.at("dfp.fpm." + miner->Name() + ".patterns_emitted"),
+            serial->size());
         ASSERT_EQ(serial->size(), parallel->size())
             << miner->Name() << " pattern count diverges under forced splits"
             << " (seed " << seed << ", threads " << Threads() << ")";

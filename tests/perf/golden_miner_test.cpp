@@ -12,7 +12,10 @@
 //
 // Each runs across 20 seeded synthetic databases spanning sparse and dense
 // regimes, and the production miners must match item-for-item, support-for-
-// support, in emission order.
+// support, in emission order. The production miners run at the default one
+// thread: their one DFS (the same task code every thread count runs) mined
+// inline with no pool and no splits, so this pins its emission order; the
+// decomposition tests then pin every other thread count to it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
