@@ -28,16 +28,7 @@ double AccuracyWith(const TransactionDatabase& train,
              .ok()) {
         return 0.0;
     }
-    std::size_t correct = 0;
-    PatternMatchIndex::Scratch scratch;
-    for (std::size_t t = 0; t < test.num_transactions(); ++t) {
-        if (svm.Predict(space.Encode(test.transaction(t), &scratch)) ==
-            test.label(t)) {
-            ++correct;
-        }
-    }
-    return static_cast<double>(correct) /
-           static_cast<double>(test.num_transactions());
+    return svm.Accuracy(space.Transform(test), test.labels());
 }
 
 }  // namespace

@@ -65,16 +65,8 @@ double EvaluatePolicy(const TransactionDatabase& db,
                  .ok()) {
             continue;
         }
-        std::size_t correct = 0;
-        PatternMatchIndex::Scratch scratch;
-        for (std::size_t t : fold_rows[f]) {
-            if (svm.Predict(space.Encode(db.transaction(t), &scratch)) ==
-                db.label(t)) {
-                ++correct;
-            }
-        }
-        total += static_cast<double>(correct) /
-                 static_cast<double>(fold_rows[f].size());
+        const TransactionDatabase test = db.Subset(fold_rows[f]);
+        total += svm.Accuracy(space.Transform(test), test.labels());
         ++evaluated;
     }
     return evaluated == 0 ? 0.0 : total / static_cast<double>(evaluated);

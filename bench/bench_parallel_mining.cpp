@@ -10,7 +10,10 @@
 //   dfp.bench.parallel.mmrfs.t1.seconds / .speedup / .efficiency
 //     / .selected / .redundancy_evals
 // plus the usual dfp.parallel.* pool counters, so the perf trajectory of the
-// recursive fan-out is machine-tracked alongside the paper tables.
+// recursive fan-out is machine-tracked alongside the paper tables. Every
+// seconds cell is the median of kRuns timed runs after one warm-up run: a
+// single run of a ~10 ms mine can land anywhere in a 3× spread when the
+// scheduler deschedules it.
 //
 // Efficiency is speedup normalised by the *usable* hardware parallelism:
 //   efficiency(t) = speedup(t) / min(t, hardware_concurrency)
@@ -60,6 +63,22 @@ TransactionDatabase DenseCorpus(std::size_t rows, std::size_t items,
     }
     return TransactionDatabase::FromTransactions(std::move(txns),
                                                  std::move(labels), items, 2);
+}
+
+// Timed runs per cell (odd, so the median is one of them).
+constexpr std::size_t kRuns = 9;
+
+// Median wall-clock seconds of kRuns calls of run().
+template <typename Fn>
+double MedianSeconds(Fn&& run) {
+    std::vector<double> seconds;
+    for (std::size_t i = 0; i < kRuns; ++i) {
+        Stopwatch watch;
+        run();
+        seconds.push_back(watch.ElapsedSeconds());
+    }
+    std::nth_element(seconds.begin(), seconds.begin() + kRuns / 2, seconds.end());
+    return seconds[kRuns / 2];
 }
 
 struct MinerRow {
@@ -118,16 +137,15 @@ int main(int argc, char** argv) {
         double serial_seconds = 0.0;
         for (const std::size_t threads : thread_counts) {
             config.num_threads = threads;
-            // Warm-up pass (page cache, allocator), then the timed pass.
-            (void)row.miner->Mine(db, config);
-            Stopwatch watch;
+            // Warm-up pass (page cache, allocator), then the timed passes.
             const auto mined = row.miner->Mine(db, config);
-            const double seconds = watch.ElapsedSeconds();
             if (!mined.ok()) {
                 std::fprintf(stderr, "%s failed: %s\n", row.name.c_str(),
                              mined.status().ToString().c_str());
                 return 1;
             }
+            const double seconds =
+                MedianSeconds([&] { (void)row.miner->Mine(db, config); });
             if (threads == 1) serial_seconds = seconds;
             const double speedup = seconds > 0.0 ? serial_seconds / seconds : 1.0;
             const double efficiency = Efficiency(speedup, threads);
@@ -160,12 +178,11 @@ int main(int argc, char** argv) {
     MmrfsConfig select;
     select.coverage_delta = 3;
     const auto& evals = registry.GetCounter("dfp.core.mmrfs.redundancy_evals");
-    (void)RunMmrfs(db, candidates, select);  // warm-up
     const auto evals_before = evals.value();
-    Stopwatch watch;
-    const MmrfsResult result = RunMmrfs(db, candidates, select);
-    const double seconds = watch.ElapsedSeconds();
+    const MmrfsResult result = RunMmrfs(db, candidates, select);  // warm-up
     const auto run_evals = evals.value() - evals_before;
+    const double seconds =
+        MedianSeconds([&] { (void)RunMmrfs(db, candidates, select); });
     table.AddRow({"mmrfs", "1",
                   StrFormat("%zu selected", result.selected.size()),
                   StrFormat("%.3f", seconds), "1.00x", "1.00"});

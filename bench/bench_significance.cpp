@@ -57,7 +57,7 @@ TransactionDatabase Corpus() {
 
 std::string AlphaTag(double alpha) {
     // 0.05 -> "a0.05" (gauge-name friendly, no trailing zeros).
-    return "a" + StrFormat("%g", alpha);
+    return StrFormat("a%g", alpha);
 }
 
 }  // namespace

@@ -20,7 +20,7 @@ FeatureSpace FeatureSpace::ItemsOnly(std::size_t num_items) {
     return Build(num_items, {});
 }
 
-std::span<const double> FeatureSpace::Encode(
+std::span<const std::uint64_t> FeatureSpace::Encode(
     const std::vector<ItemId>& transaction,
     PatternMatchIndex::Scratch* scratch) const {
     matcher_.EncodeInto(transaction, scratch);

@@ -6,6 +6,7 @@
 // unseen instances at prediction time.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -40,9 +41,10 @@ class FeatureSpace {
     const PatternMatchIndex& matcher() const { return matcher_; }
 
     /// Encodes one transaction (sorted item list) into scratch->encoded and
-    /// returns it (size dim()). Items ≥ num_items() are ignored.
-    std::span<const double> Encode(const std::vector<ItemId>& transaction,
-                                   PatternMatchIndex::Scratch* scratch) const;
+    /// returns it: a packed row of dim() bits. Items ≥ num_items() are
+    /// ignored.
+    std::span<const std::uint64_t> Encode(const std::vector<ItemId>& transaction,
+                                          PatternMatchIndex::Scratch* scratch) const;
 
     /// Maps a whole database into B^{d'}, equal to encoding each row: item
     /// column i is db.ItemCover(i), and pattern column p is db.CoverOf(pattern

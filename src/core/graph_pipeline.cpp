@@ -77,50 +77,47 @@ Status GraphClassifierPipeline::Train(const GraphDatabase& train,
         features_.push_back({std::move(p), relevance[i]});
     }
 
-    // 3. Learn on vertex-label presence ∪ selected paths: a label's column
-    // holds the graphs with a vertex of that label, a path's column its cover.
-    std::vector<BitVector> columns(num_vertex_labels_, BitVector(train.size()));
-    for (std::size_t g = 0; g < train.size(); ++g) {
-        const LabeledGraph& graph = train.graph(g);
-        for (std::size_t v = 0; v < graph.num_vertices(); ++v) {
-            const VertexLabel vl = graph.vertex_label(v);
-            if (vl < num_vertex_labels_) columns[vl].Set(g);
-        }
-    }
-    for (std::size_t i : chosen) columns.push_back(std::move(covers[i]));
-    const FeatureMatrix x(train.size(), std::move(columns));
+    // 3. Learn on vertex-label presence ∪ selected paths, built by the same
+    // Columns that encodes the graphs Predict and Accuracy see.
+    const FeatureMatrix x =
+        Columns(train.size(), [&train](std::size_t g) -> const LabeledGraph& {
+            return train.graph(g);
+        });
     DFP_RETURN_NOT_OK(learner->Train(x, train.labels(), train.num_classes()));
     learner_ = std::move(learner);
     return Status::Ok();
 }
 
-void GraphClassifierPipeline::Encode(const LabeledGraph& graph,
-                                     std::vector<double>* out) const {
-    out->assign(num_vertex_labels_ + features_.size(), 0.0);
-    for (std::size_t v = 0; v < graph.num_vertices(); ++v) {
-        const VertexLabel vl = graph.vertex_label(v);
-        if (vl < num_vertex_labels_) (*out)[vl] = 1.0;
-    }
-    for (std::size_t f = 0; f < features_.size(); ++f) {
-        if (ContainsPath(graph, features_[f].pattern)) {
-            (*out)[num_vertex_labels_ + f] = 1.0;
+template <typename GraphOf>
+FeatureMatrix GraphClassifierPipeline::Columns(std::size_t count,
+                                               GraphOf graph_of) const {
+    FeatureMatrix x(count, num_vertex_labels_ + features_.size());
+    for (std::size_t g = 0; g < count; ++g) {
+        const LabeledGraph& graph = graph_of(g);
+        for (std::size_t v = 0; v < graph.num_vertices(); ++v) {
+            const VertexLabel vl = graph.vertex_label(v);
+            if (vl < num_vertex_labels_) x.Set(g, vl);
+        }
+        for (std::size_t f = 0; f < features_.size(); ++f) {
+            if (ContainsPath(graph, features_[f].pattern)) {
+                x.Set(g, num_vertex_labels_ + f);
+            }
         }
     }
+    return x;
 }
 
 ClassLabel GraphClassifierPipeline::Predict(const LabeledGraph& graph) const {
-    std::vector<double> encoded;
-    Encode(graph, &encoded);
-    return learner_->Predict(encoded);
+    const PackedRows row(
+        Columns(1, [&graph](std::size_t) -> const LabeledGraph& { return graph; }));
+    return learner_->Predict(row.Row(0));
 }
 
 double GraphClassifierPipeline::Accuracy(const GraphDatabase& test) const {
-    if (test.size() == 0) return 0.0;
-    std::size_t correct = 0;
-    for (std::size_t g = 0; g < test.size(); ++g) {
-        if (Predict(test.graph(g)) == test.label(g)) ++correct;
-    }
-    return static_cast<double>(correct) / static_cast<double>(test.size());
+    return learner_->Accuracy(
+        Columns(test.size(),
+                [&test](std::size_t g) -> const LabeledGraph& { return test.graph(g); }),
+        test.labels());
 }
 
 }  // namespace dfp

@@ -46,7 +46,10 @@ class GraphClassifierPipeline {
     std::size_t num_candidates() const { return num_candidates_; }
 
   private:
-    void Encode(const LabeledGraph& graph, std::vector<double>* out) const;
+    /// The learner's space over `count` graphs (graph_of(i) is graph i):
+    /// vertex-label presence, then the selected paths.
+    template <typename GraphOf>
+    FeatureMatrix Columns(std::size_t count, GraphOf graph_of) const;
 
     GraphPipelineConfig config_;
     std::vector<GraphFeature> features_;

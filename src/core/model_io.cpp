@@ -133,13 +133,7 @@ ClassLabel LoadedModel::Predict(const std::vector<ItemId>& transaction) const {
 }
 
 double LoadedModel::Accuracy(const TransactionDatabase& test) const {
-    if (test.num_transactions() == 0) return 0.0;
-    std::size_t correct = 0;
-    for (std::size_t t = 0; t < test.num_transactions(); ++t) {
-        if (Predict(test.transaction(t)) == test.label(t)) ++correct;
-    }
-    return static_cast<double>(correct) /
-           static_cast<double>(test.num_transactions());
+    return learner_->Accuracy(space_.Transform(test), test.labels());
 }
 
 Result<LoadedModel> LoadPipelineModel(std::istream& in) {
@@ -176,7 +170,7 @@ Result<LoadedModel> LoadPipelineModel(std::istream& in) {
     if (!space.ok()) return space.status();
     auto learner = MakeLearnerByTypeId(type_id);
     if (!learner.ok()) return learner.status();
-    DFP_RETURN_NOT_OK((*learner)->LoadModel(in));
+    DFP_RETURN_NOT_OK((*learner)->LoadModel(in, space->dim()));
     LoadedModel model(std::move(*space), std::move(*learner));
     model.set_provenance(std::move(provenance));
     return model;

@@ -48,6 +48,7 @@ class LoadedModel {
         : space_(std::move(space)), learner_(std::move(learner)) {}
 
     ClassLabel Predict(const std::vector<ItemId>& transaction) const;
+    /// Accuracy over `test`, scored as one transformed matrix.
     double Accuracy(const TransactionDatabase& test) const;
     const FeatureSpace& feature_space() const { return space_; }
     const Classifier& learner() const { return *learner_; }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "ml/feature_matrix.hpp"
+
 namespace dfp {
 
 PatternMatchIndex PatternMatchIndex::Build(std::size_t num_items,
@@ -44,7 +46,7 @@ void PatternMatchIndex::InitScratch(Scratch* scratch) const {
         scratch->stamp.assign(n, 0);
         scratch->generation = 0;
     }
-    if (scratch->encoded.size() != dim()) scratch->encoded.assign(dim(), 0.0);
+    scratch->encoded.resize(PackedWords(dim()));
 }
 
 void PatternMatchIndex::MatchInto(const std::vector<ItemId>& transaction,
@@ -83,14 +85,14 @@ void PatternMatchIndex::MatchInto(const std::vector<ItemId>& transaction,
 void PatternMatchIndex::EncodeInto(const std::vector<ItemId>& transaction,
                                    Scratch* scratch) const {
     InitScratch(scratch);
-    std::fill(scratch->encoded.begin(), scratch->encoded.end(), 0.0);
+    std::uint64_t* row = scratch->encoded.data();
+    std::fill(scratch->encoded.begin(), scratch->encoded.end(), 0);
+    auto set = [row](std::size_t c) { row[c / 64] |= std::uint64_t{1} << (c % 64); };
     for (ItemId item : transaction) {
-        if (item < num_items_) scratch->encoded[item] = 1.0;
+        if (item < num_items_) set(item);
     }
     MatchInto(transaction, scratch);
-    for (std::uint32_t p : scratch->matched) {
-        scratch->encoded[num_items_ + p] = 1.0;
-    }
+    for (std::uint32_t p : scratch->matched) set(num_items_ + p);
 }
 
 }  // namespace dfp

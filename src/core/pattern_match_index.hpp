@@ -33,7 +33,7 @@ class PatternMatchIndex {
         std::vector<std::uint32_t> stamp;    ///< generation of `hits[p]`
         std::uint32_t generation = 0;
         std::vector<std::uint32_t> matched;  ///< pattern ids contained
-        std::vector<double> encoded;         ///< dense dim() vector
+        std::vector<std::uint64_t> encoded;  ///< packed row of dim() bits
     };
 
     PatternMatchIndex() = default;
@@ -56,11 +56,12 @@ class PatternMatchIndex {
     /// Matching only: fills scratch->matched with the ids of all patterns
     /// contained in `transaction` (sorted; a repeated item counts once), in
     /// the order their last item is reached. This is the
-    /// O(items × postings) inner loop — no dense vector is touched.
+    /// O(items × postings) inner loop — the encoded row is not touched.
     void MatchInto(const std::vector<ItemId>& transaction, Scratch* scratch) const;
 
-    /// Encodes `transaction` (sorted) into scratch->encoded: item coordinates
-    /// below num_items(), then one 0/1 coordinate per pattern.
+    /// Encodes `transaction` (sorted) into scratch->encoded, a packed row
+    /// (ml/feature_matrix.hpp): item bits below num_items(), then one bit per
+    /// contained pattern.
     void EncodeInto(const std::vector<ItemId>& transaction, Scratch* scratch) const;
 
     /// Convenience for tests/benches: number of contained patterns.

@@ -482,12 +482,7 @@ ClassLabel PatternClassifierPipeline::Predict(
 }
 
 double PatternClassifierPipeline::Accuracy(const TransactionDatabase& test) const {
-    if (test.num_transactions() == 0) return 0.0;
-    std::size_t correct = 0;
-    for (std::size_t t = 0; t < test.num_transactions(); ++t) {
-        if (Predict(test.transaction(t)) == test.label(t)) ++correct;
-    }
-    return static_cast<double>(correct) / static_cast<double>(test.num_transactions());
+    return learner_->Accuracy(feature_space_.Transform(test), test.labels());
 }
 
 }  // namespace dfp

@@ -121,7 +121,8 @@ class PatternClassifierPipeline {
     /// Predicts the class of a raw transaction (sorted item list).
     ClassLabel Predict(const std::vector<ItemId>& transaction) const;
 
-    /// Accuracy over a held-out database.
+    /// Accuracy over a held-out database: the learner scores the rows of
+    /// its Transform, which equal encoding each transaction.
     double Accuracy(const TransactionDatabase& test) const;
 
     const PipelineStats& stats() const { return stats_; }

@@ -91,47 +91,44 @@ Status SequenceClassifierPipeline::Train(const SequenceDatabase& train,
                              candidates[i].relevance});
     }
 
-    // 3. Learn on item presence ∪ selected subsequences: an item's column
-    // holds the sequences containing it, a subsequence's column its cover.
-    std::vector<BitVector> columns(num_items_, BitVector(train.size()));
-    for (std::size_t t = 0; t < train.size(); ++t) {
-        for (ItemId item : train.sequence(t)) {
-            if (item < num_items_) columns[item].Set(t);
-        }
-    }
-    for (std::size_t i : chosen) columns.push_back(std::move(candidates[i].cover));
-    const FeatureMatrix x(train.size(), std::move(columns));
+    // 3. Learn on item presence ∪ selected subsequences, built by the same
+    // Columns that encodes the sequences Predict and Accuracy see.
+    const FeatureMatrix x =
+        Columns(train.size(), [&train](std::size_t t) -> const Sequence& {
+            return train.sequence(t);
+        });
     DFP_RETURN_NOT_OK(learner->Train(x, train.labels(), train.num_classes()));
     learner_ = std::move(learner);
     return Status::Ok();
 }
 
-void SequenceClassifierPipeline::Encode(const Sequence& sequence,
-                                        std::vector<double>* out) const {
-    out->assign(num_items_ + features_.size(), 0.0);
-    for (ItemId item : sequence) {
-        if (item < num_items_) (*out)[item] = 1.0;
-    }
-    for (std::size_t f = 0; f < features_.size(); ++f) {
-        if (IsSubsequence(features_[f].items, sequence)) {
-            (*out)[num_items_ + f] = 1.0;
+template <typename SequenceOf>
+FeatureMatrix SequenceClassifierPipeline::Columns(std::size_t count,
+                                                  SequenceOf sequence_of) const {
+    FeatureMatrix x(count, num_items_ + features_.size());
+    for (std::size_t t = 0; t < count; ++t) {
+        const Sequence& sequence = sequence_of(t);
+        for (ItemId item : sequence) {
+            if (item < num_items_) x.Set(t, item);
+        }
+        for (std::size_t f = 0; f < features_.size(); ++f) {
+            if (IsSubsequence(features_[f].items, sequence)) x.Set(t, num_items_ + f);
         }
     }
+    return x;
 }
 
 ClassLabel SequenceClassifierPipeline::Predict(const Sequence& sequence) const {
-    std::vector<double> encoded;
-    Encode(sequence, &encoded);
-    return learner_->Predict(encoded);
+    const PackedRows row(Columns(
+        1, [&sequence](std::size_t) -> const Sequence& { return sequence; }));
+    return learner_->Predict(row.Row(0));
 }
 
 double SequenceClassifierPipeline::Accuracy(const SequenceDatabase& test) const {
-    if (test.size() == 0) return 0.0;
-    std::size_t correct = 0;
-    for (std::size_t t = 0; t < test.size(); ++t) {
-        if (Predict(test.sequence(t)) == test.label(t)) ++correct;
-    }
-    return static_cast<double>(correct) / static_cast<double>(test.size());
+    return learner_->Accuracy(
+        Columns(test.size(),
+                [&test](std::size_t t) -> const Sequence& { return test.sequence(t); }),
+        test.labels());
 }
 
 }  // namespace dfp

@@ -49,7 +49,10 @@ class SequenceClassifierPipeline {
     std::size_t num_candidates() const { return num_candidates_; }
 
   private:
-    void Encode(const Sequence& sequence, std::vector<double>* out) const;
+    /// The learner's space over `count` sequences (sequence_of(i) is
+    /// sequence i): item presence, then the selected subsequences.
+    template <typename SequenceOf>
+    FeatureMatrix Columns(std::size_t count, SequenceOf sequence_of) const;
 
     SequencePipelineConfig config_;
     std::vector<SequenceFeature> features_;

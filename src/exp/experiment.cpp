@@ -109,20 +109,14 @@ double EvaluateItemFold(const TransactionDatabase& db,
         for (std::size_t i = 0; i < cols.size(); ++i) cols[i] = i;
     }
 
-    FeatureMatrix train_x = space.Transform(train).SelectCols(cols);
     auto model = MakeLearner(learner, variant, config, cols.size());
-    if (!model->Train(train_x, train.labels(), db.num_classes()).ok()) return 0.0;
-
-    std::size_t correct = 0;
-    PatternMatchIndex::Scratch scratch;
-    std::vector<double> projected(cols.size(), 0.0);
-    for (std::size_t t : test_rows) {
-        const std::span<const double> full =
-            space.Encode(db.transaction(t), &scratch);
-        for (std::size_t j = 0; j < cols.size(); ++j) projected[j] = full[cols[j]];
-        if (model->Predict(projected) == db.label(t)) ++correct;
+    if (!model->Train(space.Transform(train).SelectCols(cols), train.labels(),
+                      db.num_classes())
+             .ok()) {
+        return 0.0;
     }
-    return static_cast<double>(correct) / static_cast<double>(test_rows.size());
+    const TransactionDatabase test = db.Subset(test_rows);
+    return model->Accuracy(space.Transform(test).SelectCols(cols), test.labels());
 }
 
 // Evaluates a Pat_* variant on one train/test split; accumulates stats.
@@ -145,11 +139,7 @@ double EvaluatePatternFold(const TransactionDatabase& db,
     out->mine_select_seconds +=
         pipeline.stats().mine_seconds + pipeline.stats().select_seconds;
 
-    std::size_t correct = 0;
-    for (std::size_t t : test_rows) {
-        if (pipeline.Predict(db.transaction(t)) == db.label(t)) ++correct;
-    }
-    return static_cast<double>(correct) / static_cast<double>(test_rows.size());
+    return pipeline.Accuracy(db.Subset(test_rows));
 }
 
 }  // namespace

@@ -20,23 +20,13 @@ namespace dfp {
 
 namespace {
 
-// Trains one learner on the selected feature space and returns test accuracy.
-double EvaluateLearner(Classifier* learner, const FeatureSpace& space,
-                       const FeatureMatrix& train_x,
-                       const std::vector<ClassLabel>& train_y,
-                       const TransactionDatabase& db,
-                       const std::vector<std::size_t>& test_rows,
-                       std::size_t num_classes) {
-    if (!learner->Train(train_x, train_y, num_classes).ok()) return 0.0;
-    std::size_t correct = 0;
-    PatternMatchIndex::Scratch scratch;
-    for (std::size_t t : test_rows) {
-        if (learner->Predict(space.Encode(db.transaction(t), &scratch)) ==
-            db.label(t)) {
-            ++correct;
-        }
-    }
-    return static_cast<double>(correct) / static_cast<double>(test_rows.size());
+// Trains one learner on the training split and returns its test accuracy.
+double EvaluateLearner(Classifier&& learner, const FeatureMatrix& train_x,
+                       const TransactionDatabase& train,
+                       const FeatureMatrix& test_x, const TransactionDatabase& test) {
+    return learner.Train(train_x, train.labels(), train.num_classes()).ok()
+               ? learner.Accuracy(test_x, test.labels())
+               : 0.0;
 }
 
 }  // namespace
@@ -75,8 +65,8 @@ std::vector<ScalabilityRow> RunScalability(const TransactionDatabase& db,
         train_rows.insert(train_rows.end(), fold_rows[f].begin(),
                           fold_rows[f].end());
     }
-    const std::vector<std::size_t>& test_rows = fold_rows[0];
     const TransactionDatabase train = db.Subset(train_rows);
+    const TransactionDatabase test = db.Subset(fold_rows[0]);
 
     for (std::size_t min_sup : config.min_sups) {
         ScalabilityRow row;
@@ -132,15 +122,12 @@ std::vector<ScalabilityRow> RunScalability(const TransactionDatabase& db,
             const FeatureSpace space =
                 FeatureSpace::Build(db.num_items(), std::move(selected));
             const FeatureMatrix train_x = space.Transform(train);
+            const FeatureMatrix test_x = space.Transform(test);
 
-            PegasosClassifier svm;
-            row.svm_accuracy = EvaluateLearner(&svm, space, train_x,
-                                               train.labels(), db, test_rows,
-                                               db.num_classes());
-            C45Classifier c45;
-            row.c45_accuracy = EvaluateLearner(&c45, space, train_x,
-                                               train.labels(), db, test_rows,
-                                               db.num_classes());
+            row.svm_accuracy =
+                EvaluateLearner(PegasosClassifier(), train_x, train, test_x, test);
+            row.c45_accuracy =
+                EvaluateLearner(C45Classifier(), train_x, train, test_x, test);
         }
         row.feasible = true;
         rows.push_back(std::move(row));

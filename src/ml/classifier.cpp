@@ -8,7 +8,7 @@ Status Classifier::SaveModel(std::ostream&) const {
     return Status::FailedPrecondition("learner '" + Name() + "' is not serializable");
 }
 
-Status Classifier::LoadModel(std::istream&) {
+Status Classifier::LoadModel(std::istream&, std::size_t) {
     return Status::FailedPrecondition("learner '" + Name() + "' is not serializable");
 }
 

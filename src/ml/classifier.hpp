@@ -1,8 +1,12 @@
 // Learner interface: any model that trains on a FeatureMatrix plugs into the
 // frequent-pattern pipeline (one of the framework's selling points over
-// associative classification, which is tied to rule models).
+// associative classification, which is tied to rule models). A learner sees
+// only the 0/1 space B^{d'}: it trains on the matrix's covers and predicts one
+// packed row (ml/feature_matrix.hpp), so no instance is ever a vector of
+// doubles.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <memory>
@@ -18,7 +22,7 @@
 namespace dfp {
 
 /// Abstract supervised classifier: trains on the 0/1 FeatureMatrix of B^{d'}
-/// and predicts one encoded row given as doubles.
+/// and predicts one packed row of it.
 class Classifier {
   public:
     virtual ~Classifier() = default;
@@ -31,8 +35,11 @@ class Classifier {
 
     /// Persists the trained model. Default: not serializable.
     virtual Status SaveModel(std::ostream& out) const;
-    /// Restores a model saved by SaveModel. Default: not serializable.
-    virtual Status LoadModel(std::istream& in);
+    /// Restores a model saved by SaveModel for rows of `cols` features, and
+    /// rejects one that reads any other width or could not be evaluated
+    /// (Predict then never reads outside its row and always returns).
+    /// Default: not serializable.
+    virtual Status LoadModel(std::istream& in, std::size_t cols);
 
     /// Trains on X (one row per instance) with labels in [0, num_classes).
     virtual Status Train(const FeatureMatrix& x, const std::vector<ClassLabel>& y,
@@ -49,15 +56,18 @@ class Classifier {
     /// trained models identical across thread counts.
     virtual void SetNumThreads(std::size_t /*num_threads*/) {}
 
-    /// Predicts the label of one feature vector (dimension == training cols).
-    virtual ClassLabel Predict(std::span<const double> x) const = 0;
+    /// Predicts the label of one packed row of the training width
+    /// (PackedWords(cols) words).
+    virtual ClassLabel Predict(std::span<const std::uint64_t> row) const = 0;
 
-    /// Fraction of rows of `x` predicted as `y`.
+    /// Fraction of rows of `x` predicted as `y`: the matrix is packed once
+    /// and every row predicted.
     double Accuracy(const FeatureMatrix& x, const std::vector<ClassLabel>& y) const {
         if (x.rows() == 0) return 0.0;
+        const PackedRows rows(x);
         std::size_t correct = 0;
-        for (std::size_t r = 0; r < x.rows(); ++r) {
-            if (Predict(x.Row(r)) == y[r]) ++correct;
+        for (std::size_t r = 0; r < rows.rows(); ++r) {
+            if (Predict(rows.Row(r)) == y[r]) ++correct;
         }
         return static_cast<double>(correct) / static_cast<double>(x.rows());
     }

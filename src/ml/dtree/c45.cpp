@@ -164,11 +164,12 @@ double C45Classifier::PruneNode(std::int32_t idx) {
     return subtree_estimate;
 }
 
-ClassLabel C45Classifier::Predict(std::span<const double> x) const {
+ClassLabel C45Classifier::Predict(std::span<const std::uint64_t> row) const {
     std::int32_t idx = root_;
     while (idx >= 0 && !nodes_[idx].leaf) {
         const Node& node = nodes_[idx];
-        idx = (x[node.feature] <= node.threshold) ? node.left : node.right;
+        const double value = RowBit(row, node.feature) ? 1.0 : 0.0;
+        idx = (value <= node.threshold) ? node.left : node.right;
     }
     return idx >= 0 ? nodes_[idx].label : 0;
 }
@@ -243,7 +244,7 @@ Status C45Classifier::SaveModel(std::ostream& out) const {
     return Status::Ok();
 }
 
-Status C45Classifier::LoadModel(std::istream& in) {
+Status C45Classifier::LoadModel(std::istream& in, std::size_t cols) {
     TokenReader reader(in);
     DFP_RETURN_NOT_OK(reader.Expect("c45-model"));
     DFP_RETURN_NOT_OK(reader.ReadCount(&num_classes_));
@@ -262,11 +263,20 @@ Status C45Classifier::LoadModel(std::istream& in) {
         DFP_RETURN_NOT_OK(reader.Read(&node.threshold));
         DFP_RETURN_NOT_OK(reader.Read(&node.left));
         DFP_RETURN_NOT_OK(reader.Read(&node.right));
-        if (!node.leaf &&
-            (node.left < 0 || node.right < 0 ||
-             node.left >= static_cast<std::int32_t>(count) ||
-             node.right >= static_cast<std::int32_t>(count))) {
+        if (node.label >= num_classes_) {
+            return Status::InvalidArgument("C4.5 node label out of range");
+        }
+        if (node.leaf) continue;
+        // BuildNode allocates children after their parent, so every path
+        // from the root climbs in index and Predict ends at a leaf.
+        const auto parent = static_cast<std::int32_t>(&node - nodes_.data());
+        if (node.left <= parent || node.right <= parent ||
+            node.left >= static_cast<std::int32_t>(count) ||
+            node.right >= static_cast<std::int32_t>(count)) {
             return Status::ParseError("C4.5 model child index out of range");
+        }
+        if (node.feature >= cols) {
+            return Status::InvalidArgument("C4.5 split feature outside the space");
         }
     }
     if (root_ >= static_cast<std::int32_t>(count)) {

@@ -32,9 +32,9 @@ class C45Classifier : public Classifier {
     std::string TypeId() const override { return "c4.5"; }
     Status Train(const FeatureMatrix& x, const std::vector<ClassLabel>& y,
                  std::size_t num_classes) override;
-    ClassLabel Predict(std::span<const double> x) const override;
+    ClassLabel Predict(std::span<const std::uint64_t> row) const override;
     Status SaveModel(std::ostream& out) const override;
-    Status LoadModel(std::istream& in) override;
+    Status LoadModel(std::istream& in, std::size_t cols) override;
 
     std::size_t num_nodes() const { return nodes_.size(); }
     std::size_t num_leaves() const;
@@ -50,8 +50,8 @@ class C45Classifier : public Classifier {
         std::size_t count = 0;      ///< training instances reaching the node
         std::size_t errors = 0;     ///< training misclassifications as a leaf
         std::size_t feature = 0;    ///< split feature (internal nodes)
-        double threshold = 0.0;     ///< go left iff x[feature] <= threshold
-                                    ///< (kSplitThreshold on trained nodes)
+        double threshold = 0.0;     ///< go left iff the bit (0.0 / 1.0) <=
+                                    ///< threshold (kSplitThreshold if trained)
         std::int32_t left = -1;
         std::int32_t right = -1;
     };

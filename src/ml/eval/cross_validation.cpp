@@ -48,20 +48,19 @@ CvResult CrossValidate(const FeatureMatrix& x, const std::vector<ClassLabel>& y,
         }
         const auto& test_rows = fold_rows[f];
         if (test_rows.empty() || train_rows.empty()) return;
-        FeatureMatrix train_x = x.SelectRows(train_rows);
-        std::vector<ClassLabel> train_y;
-        train_y.reserve(train_rows.size());
-        for (std::size_t r : train_rows) train_y.push_back(y[r]);
+        auto labels_of = [&y](const std::vector<std::size_t>& rows) {
+            std::vector<ClassLabel> labels;
+            labels.reserve(rows.size());
+            for (std::size_t r : rows) labels.push_back(y[r]);
+            return labels;
+        };
 
         auto model = factory();
-        const Status st = model->Train(train_x, train_y, num_classes);
+        const Status st =
+            model->Train(x.SelectRows(train_rows), labels_of(train_rows), num_classes);
         if (!st.ok()) return;
-        std::size_t correct = 0;
-        for (std::size_t r : test_rows) {
-            if (model->Predict(x.Row(r)) == y[r]) ++correct;
-        }
-        result.fold_accuracies[f] = static_cast<double>(correct) /
-                                    static_cast<double>(test_rows.size());
+        result.fold_accuracies[f] =
+            model->Accuracy(x.SelectRows(test_rows), labels_of(test_rows));
     };
 
     const std::size_t threads = std::min(ResolveNumThreads(num_threads), folds);

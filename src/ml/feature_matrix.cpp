@@ -14,14 +14,6 @@ FeatureMatrix::FeatureMatrix(std::size_t rows, std::vector<BitVector> columns)
     }
 }
 
-std::vector<double> FeatureMatrix::Row(std::size_t r) const {
-    std::vector<double> row(cols(), 0.0);
-    for (std::size_t c = 0; c < row.size(); ++c) {
-        if (columns_[c].Test(r)) row[c] = 1.0;
-    }
-    return row;
-}
-
 FeatureMatrix FeatureMatrix::SelectRows(const std::vector<std::size_t>& rows) const {
     FeatureMatrix out(rows.size(), cols());
     for (std::size_t c = 0; c < cols(); ++c) {
@@ -43,7 +35,7 @@ FeatureMatrix FeatureMatrix::SelectCols(const std::vector<std::size_t>& cols) co
 
 PackedRows::PackedRows(const FeatureMatrix& x)
     : cols_(x.cols()),
-      stride_((x.cols() + 63) / 64),
+      stride_(PackedWords(x.cols())),
       words_(x.rows() * stride_, 0),
       counts_(x.rows(), 0) {
     for (std::size_t c = 0; c < cols_; ++c) {
@@ -56,15 +48,19 @@ PackedRows::PackedRows(const FeatureMatrix& x)
     }
 }
 
+PackedRows::PackedRows(std::size_t rows, std::size_t cols,
+                       std::vector<std::uint64_t> words)
+    : cols_(cols), stride_(PackedWords(cols)), words_(std::move(words)),
+      counts_(rows, 0) {
+    assert(words_.size() == rows * stride_);
+    for (std::size_t r = 0; r < rows; ++r) {
+        counts_[r] = Popcount(words_.data() + r * stride_, stride_);
+    }
+}
+
 std::size_t PackedRows::AndCount(std::size_t i, std::size_t j) const {
     return AndPopcount(words_.data() + i * stride_, words_.data() + j * stride_,
                        stride_);
-}
-
-std::vector<double> PackedRows::Dense(std::size_t r) const {
-    std::vector<double> row(cols_, 0.0);
-    ForEach(r, [&row](std::size_t c) { row[c] = 1.0; });
-    return row;
 }
 
 PackedRows PackedRows::SelectRows(const std::vector<std::size_t>& rows) const {

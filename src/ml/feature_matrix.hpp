@@ -4,19 +4,44 @@
 // column is a cover set — item i's column is the rows containing i, pattern
 // p's column the rows containing p. FeatureMatrix stores exactly that: one
 // packed BitVector per column, so building it from a TransactionDatabase is a
-// copy of covers and per-class feature counts are popcounts. Learners that
-// walk instances (the SVM solvers, C4.5's node splits) transpose the columns
-// once into PackedRows.
+// copy of covers and per-class feature counts are popcounts.
+//
+// An instance is a packed row: (cols + 63) / 64 words, bit c of the row at
+// bit c % 64 of word c / 64, every bit at or past cols zero. That is the one
+// row format — PackedRows (the transpose the SVM solvers and C4.5's node
+// splits walk) stores rows in it, the matcher encodes a transaction into it,
+// and Classifier::Predict reads it.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/bitvector.hpp"
 
 namespace dfp {
+
+/// Words in a packed row of `cols` features.
+inline std::size_t PackedWords(std::size_t cols) { return (cols + 63) / 64; }
+
+/// Bit c of a packed row.
+inline bool RowBit(std::span<const std::uint64_t> row, std::size_t c) {
+    return (row[c / 64] >> (c % 64)) & 1u;
+}
+
+/// Calls fn(column) for every set bit of a packed row, ascending.
+template <typename Fn>
+void ForEachRowBit(std::span<const std::uint64_t> row, Fn&& fn) {
+    for (std::size_t w = 0; w < row.size(); ++w) {
+        std::uint64_t bits = row[w];
+        while (bits != 0) {
+            fn(w * 64 + static_cast<std::size_t>(__builtin_ctzll(bits)));
+            bits &= bits - 1;
+        }
+    }
+}
 
 /// Column-major 0/1 matrix: column c is the cover of feature c over the rows.
 class FeatureMatrix {
@@ -36,10 +61,6 @@ class FeatureMatrix {
     void Set(std::size_t r, std::size_t c) { columns_[c].Set(r); }
     bool Test(std::size_t r, std::size_t c) const { return columns_[c].Test(r); }
 
-    /// Row r decoded as 0/1 doubles (the vector Classifier::Predict takes);
-    /// an allocation per call, for evaluation rather than training loops.
-    std::vector<double> Row(std::size_t r) const;
-
     /// Copies the selected rows (in the given order) into a new matrix.
     FeatureMatrix SelectRows(const std::vector<std::size_t>& rows) const;
     /// Copies the selected columns into a new matrix.
@@ -50,13 +71,15 @@ class FeatureMatrix {
     std::vector<BitVector> columns_;
 };
 
-/// Row-major transpose of a FeatureMatrix: each row packed into 64-bit
-/// words, with its popcount cached. Dot products and squared distances of 0/1
+/// Row-major transpose of a FeatureMatrix: each row a packed row, with its
+/// popcount cached. Dot products and squared distances of 0/1
 /// rows are exact integers: |a ∧ b| and |a| + |b| − 2|a ∧ b|.
 class PackedRows {
   public:
     PackedRows() = default;
     explicit PackedRows(const FeatureMatrix& x);
+    /// Adopts `words` as `rows` packed rows of `cols` features.
+    PackedRows(std::size_t rows, std::size_t cols, std::vector<std::uint64_t> words);
 
     std::size_t rows() const { return counts_.size(); }
     std::size_t cols() const { return cols_; }
@@ -64,9 +87,7 @@ class PackedRows {
     std::span<const std::uint64_t> Row(std::size_t r) const {
         return {words_.data() + r * stride_, stride_};
     }
-    bool Test(std::size_t r, std::size_t c) const {
-        return (words_[r * stride_ + c / 64] >> (c % 64)) & 1u;
-    }
+    bool Test(std::size_t r, std::size_t c) const { return RowBit(Row(r), c); }
     /// |row r|.
     std::size_t Count(std::size_t r) const { return counts_[r]; }
     /// |row i ∧ row j|.
@@ -75,18 +96,8 @@ class PackedRows {
     /// Calls fn(column) for every set bit of row r, ascending.
     template <typename Fn>
     void ForEach(std::size_t r, Fn&& fn) const {
-        const std::uint64_t* row = words_.data() + r * stride_;
-        for (std::size_t w = 0; w < stride_; ++w) {
-            std::uint64_t bits = row[w];
-            while (bits != 0) {
-                fn(w * 64 + static_cast<std::size_t>(__builtin_ctzll(bits)));
-                bits &= bits - 1;
-            }
-        }
+        ForEachRowBit(Row(r), std::forward<Fn>(fn));
     }
-
-    /// Row r decoded as 0/1 doubles.
-    std::vector<double> Dense(std::size_t r) const;
 
     /// Copies the selected rows (in the given order).
     PackedRows SelectRows(const std::vector<std::size_t>& rows) const;

@@ -46,13 +46,13 @@ Status NaiveBayesClassifier::Train(const FeatureMatrix& x,
     return Status::Ok();
 }
 
-ClassLabel NaiveBayesClassifier::Predict(std::span<const double> x) const {
+ClassLabel NaiveBayesClassifier::Predict(std::span<const std::uint64_t> row) const {
     ClassLabel best = 0;
     double best_score = -std::numeric_limits<double>::infinity();
     for (std::size_t c = 0; c < num_classes_; ++c) {
         double score = log_prior_[c];
         for (std::size_t f = 0; f < cols_; ++f) {
-            score += (x[f] > 0.5) ? log_on_[c * cols_ + f] : log_off_[c * cols_ + f];
+            score += RowBit(row, f) ? log_on_[c * cols_ + f] : log_off_[c * cols_ + f];
         }
         if (score > best_score) {
             best_score = score;
@@ -81,11 +81,14 @@ Status NaiveBayesClassifier::SaveModel(std::ostream& out) const {
     return Status::Ok();
 }
 
-Status NaiveBayesClassifier::LoadModel(std::istream& in) {
+Status NaiveBayesClassifier::LoadModel(std::istream& in, std::size_t cols) {
     TokenReader reader(in);
     DFP_RETURN_NOT_OK(reader.Expect("nb-model"));
     DFP_RETURN_NOT_OK(reader.ReadCount(&num_classes_));
     DFP_RETURN_NOT_OK(reader.ReadCount(&cols_));
+    if (cols_ != cols) {
+        return Status::InvalidArgument("NB width differs from the feature space");
+    }
     if (num_classes_ != 0 && cols_ > kMaxModelElements / num_classes_) {
         return Status::InvalidArgument(
             "NB parameter matrix exceeds the sanity cap");

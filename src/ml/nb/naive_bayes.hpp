@@ -10,8 +10,7 @@
 
 namespace dfp {
 
-/// Bernoulli NB with Laplace smoothing over 0/1 features (Predict binarizes
-/// its input at > 0.5).
+/// Bernoulli NB with Laplace smoothing over 0/1 features.
 class NaiveBayesClassifier : public Classifier {
   public:
     explicit NaiveBayesClassifier(double smoothing = 1.0) : smoothing_(smoothing) {}
@@ -20,9 +19,9 @@ class NaiveBayesClassifier : public Classifier {
     std::string TypeId() const override { return "nb"; }
     Status Train(const FeatureMatrix& x, const std::vector<ClassLabel>& y,
                  std::size_t num_classes) override;
-    ClassLabel Predict(std::span<const double> x) const override;
+    ClassLabel Predict(std::span<const std::uint64_t> row) const override;
     Status SaveModel(std::ostream& out) const override;
-    Status LoadModel(std::istream& in) override;
+    Status LoadModel(std::istream& in, std::size_t cols) override;
 
   private:
     double smoothing_;

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <string>
 
 namespace dfp {
@@ -17,14 +16,11 @@ struct KernelParams {
     int degree = 3;
 };
 
-/// Evaluates K(a, b) (prediction: a support vector against an encoded row).
-double KernelEval(const KernelParams& params, std::span<const double> a,
-                  std::span<const double> b);
-
 /// K(a, b) of two 0/1 vectors from dot = |a ∧ b| and their sizes |a|, |b|:
 /// the dot product is dot and the squared distance |a| + |b| − 2·dot, both
-/// exact integers, so the value equals KernelEval on the same vectors as
-/// doubles bit for bit (training: two rows of B^{d'}).
+/// exact integers, so the value equals the kernel summed over the same
+/// vectors as doubles bit for bit. Training pairs two rows of B^{d'},
+/// prediction a support vector and a packed row.
 double BinaryKernelEval(const KernelParams& params, std::size_t dot,
                         std::size_t size_a, std::size_t size_b);
 

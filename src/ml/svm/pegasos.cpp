@@ -112,18 +112,19 @@ Status PegasosClassifier::Train(const FeatureMatrix& x,
     return Status::Ok();
 }
 
-double PegasosClassifier::Decision(std::span<const double> x, ClassLabel c) const {
+double PegasosClassifier::Decision(std::span<const std::uint64_t> row,
+                                   ClassLabel c) const {
     const double* w = &weights_[c * cols_];
     double f = bias_[c];
-    for (std::size_t d = 0; d < cols_; ++d) f += w[d] * x[d];
+    ForEachRowBit(row, [w, &f](std::size_t d) { f += w[d]; });
     return f;
 }
 
-ClassLabel PegasosClassifier::Predict(std::span<const double> x) const {
+ClassLabel PegasosClassifier::Predict(std::span<const std::uint64_t> row) const {
     ClassLabel best = 0;
     double best_f = -1e300;
     for (std::size_t c = 0; c < num_classes_; ++c) {
-        const double f = Decision(x, static_cast<ClassLabel>(c));
+        const double f = Decision(row, static_cast<ClassLabel>(c));
         if (f > best_f) {
             best_f = f;
             best = static_cast<ClassLabel>(c);
@@ -149,11 +150,14 @@ Status PegasosClassifier::SaveModel(std::ostream& out) const {
     return Status::Ok();
 }
 
-Status PegasosClassifier::LoadModel(std::istream& in) {
+Status PegasosClassifier::LoadModel(std::istream& in, std::size_t cols) {
     TokenReader reader(in);
     DFP_RETURN_NOT_OK(reader.Expect("pegasos-model"));
     DFP_RETURN_NOT_OK(reader.ReadCount(&num_classes_));
     DFP_RETURN_NOT_OK(reader.ReadCount(&cols_));
+    if (cols_ != cols) {
+        return Status::InvalidArgument("pegasos width differs from the feature space");
+    }
     if (num_classes_ != 0 && cols_ > kMaxModelElements / num_classes_) {
         return Status::InvalidArgument(
             "pegasos weight matrix exceeds the sanity cap");

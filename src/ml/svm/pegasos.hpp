@@ -48,15 +48,16 @@ class PegasosClassifier : public Classifier {
     std::string TypeId() const override { return "pegasos"; }
     Status Train(const FeatureMatrix& x, const std::vector<ClassLabel>& y,
                  std::size_t num_classes) override;
-    ClassLabel Predict(std::span<const double> x) const override;
+    ClassLabel Predict(std::span<const std::uint64_t> row) const override;
     Status SaveModel(std::ostream& out) const override;
-    Status LoadModel(std::istream& in) override;
+    Status LoadModel(std::istream& in, std::size_t cols) override;
     void SetExecutionBudget(const ExecutionBudget& budget) override {
         config_.budget = budget;
     }
 
-    /// Decision value of the one-vs-rest machine for class c.
-    double Decision(std::span<const double> x, ClassLabel c) const;
+    /// Decision value of the one-vs-rest machine for class c: the bias plus
+    /// the weights of the row's set bits, in column order.
+    double Decision(std::span<const std::uint64_t> row, ClassLabel c) const;
 
   private:
     PegasosConfig config_;

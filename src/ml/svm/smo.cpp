@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/popcount.hpp"
 #include "common/rng.hpp"
 #include "obs/metrics.hpp"
 
@@ -464,11 +465,13 @@ class SmoSolver {
         if (!w_.empty()) {
             model.w = w_;
         }
+        std::vector<std::size_t> sv_rows;
         for (std::size_t i = 0; i < n_; ++i) {
             if (alpha_[i] <= 0.0) continue;
             model.sv_coef.push_back(alpha_[i] * y_[i]);
-            model.sv.push_back(x_.Dense(i));
+            sv_rows.push_back(i);
         }
+        model.sv = x_.SelectRows(sv_rows);
         return model;
     }
 
@@ -496,15 +499,17 @@ class SmoSolver {
 
 }  // namespace
 
-double SmoModel::Decision(std::span<const double> x) const {
+double SmoModel::Decision(std::span<const std::uint64_t> row) const {
     if (!w.empty()) {
         double dot = 0.0;
-        for (std::size_t d = 0; d < w.size(); ++d) dot += w[d] * x[d];
+        ForEachRowBit(row, [this, &dot](std::size_t d) { dot += w[d]; });
         return dot + bias;
     }
+    const std::size_t count = Popcount(row.data(), row.size());
     double f = bias;
-    for (std::size_t i = 0; i < sv.size(); ++i) {
-        f += sv_coef[i] * KernelEval(kernel, sv[i], x);
+    for (std::size_t i = 0; i < sv.rows(); ++i) {
+        const std::size_t dot = AndPopcount(sv.Row(i).data(), row.data(), row.size());
+        f += sv_coef[i] * BinaryKernelEval(kernel, dot, sv.Count(i), count);
     }
     return f;
 }
@@ -530,7 +535,7 @@ double MaxKktViolation(const SmoModel& model, const PackedRows& x,
     double worst = 0.0;
     for (std::size_t i = 0; i < x.rows(); ++i) {
         const double margin =
-            static_cast<double>(y[i]) * model.Decision(x.Dense(i));
+            static_cast<double>(y[i]) * model.Decision(x.Row(i));
         const double a = model.alpha[i];
         double violation = 0.0;
         if (a <= 1e-12) {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -62,8 +63,8 @@ struct SmoConfig {
 /// Trained binary SVM. Labels are {−1, +1}.
 struct SmoModel {
     KernelParams kernel;
-    /// Support vectors and their coefficients α_i·y_i.
-    std::vector<std::vector<double>> sv;
+    /// Support vectors (packed rows) and their coefficients α_i·y_i.
+    PackedRows sv;
     std::vector<double> sv_coef;
     double bias = 0.0;
     /// Primal weights (linear kernel only; empty otherwise).
@@ -80,13 +81,13 @@ struct SmoModel {
     /// stop was due to max_steps/max_passes or natural convergence).
     BudgetBreach breach = BudgetBreach::kNone;
 
-    /// Decision value f(x); classify by sign.
-    double Decision(std::span<const double> x) const;
+    /// Decision value f(x) of a packed row; classify by sign. K comes from
+    /// popcounts; w·x adds the weights of the set bits in column order.
+    double Decision(std::span<const std::uint64_t> row) const;
 };
 
 /// Trains on the 0/1 rows of `x` with labels y_i ∈ {−1, +1}. Kernel values
-/// come from row popcounts (BinaryKernelEval); support vectors are stored as
-/// doubles for Decision().
+/// come from row popcounts (BinaryKernelEval), in training and in Decision().
 Result<SmoModel> TrainSmo(const PackedRows& x, const std::vector<int>& y,
                           const SmoConfig& config);
 

@@ -153,16 +153,12 @@ Status SvmClassifier::Train(const FeatureMatrix& x, const std::vector<ClassLabel
     return Status::Ok();
 }
 
-ClassLabel SvmClassifier::Predict(std::span<const double> x) const {
+ClassLabel SvmClassifier::Predict(std::span<const std::uint64_t> row) const {
     std::vector<double> votes(num_classes_, 0.0);
     std::vector<double> margins(num_classes_, 0.0);
     for (const PairModel& pm : machines_) {
-        double f;
-        if (pm.model.sv.empty() && pm.model.w.empty()) {
-            f = pm.model.bias;  // degenerate constant machine
-        } else {
-            f = pm.model.Decision(x);
-        }
+        // A degenerate machine (no SVs, no w) decides by its bias alone.
+        const double f = pm.model.Decision(row);
         if (f >= 0.0) {
             votes[pm.positive] += 1.0;
         } else {
@@ -266,13 +262,15 @@ Status SvmClassifier::SaveModel(std::ostream& out) const {
             WriteDouble(out, w);
             out << ' ';
         }
-        const std::size_t dim = pm.model.sv.empty() ? 0 : pm.model.sv[0].size();
-        out << pm.model.sv.size() << ' ' << dim << '\n';
-        for (std::size_t i = 0; i < pm.model.sv.size(); ++i) {
+        // Each SV entry is written as the double 0 or 1.
+        const PackedRows& sv = pm.model.sv;
+        const std::size_t dim = sv.rows() == 0 ? 0 : sv.cols();
+        out << sv.rows() << ' ' << dim << '\n';
+        for (std::size_t i = 0; i < sv.rows(); ++i) {
             WriteDouble(out, pm.model.sv_coef[i]);
             out << ' ';
-            for (double v : pm.model.sv[i]) {
-                WriteDouble(out, v);
+            for (std::size_t c = 0; c < dim; ++c) {
+                WriteDouble(out, sv.Test(i, c) ? 1.0 : 0.0);
                 out << ' ';
             }
             out << '\n';
@@ -282,7 +280,7 @@ Status SvmClassifier::SaveModel(std::ostream& out) const {
     return Status::Ok();
 }
 
-Status SvmClassifier::LoadModel(std::istream& in) {
+Status SvmClassifier::LoadModel(std::istream& in, std::size_t cols) {
     TokenReader reader(in);
     DFP_RETURN_NOT_OK(reader.Expect("svm-model"));
     std::int32_t kernel_type = 0;
@@ -302,6 +300,9 @@ Status SvmClassifier::LoadModel(std::istream& in) {
     for (PairModel& pm : machines_) {
         DFP_RETURN_NOT_OK(reader.Read(&pm.positive));
         DFP_RETURN_NOT_OK(reader.Read(&pm.negative));
+        if (pm.positive >= num_classes_ || pm.negative >= num_classes_) {
+            return Status::InvalidArgument("SVM machine class out of range");
+        }
         DFP_RETURN_NOT_OK(reader.Read(&pm.model.bias));
         std::size_t w_size = 0;
         DFP_RETURN_NOT_OK(reader.ReadCount(&w_size));
@@ -314,13 +315,27 @@ Status SvmClassifier::LoadModel(std::istream& in) {
             return Status::InvalidArgument(
                 "SVM support-vector matrix exceeds the sanity cap");
         }
+        if ((w_size != 0 && w_size != cols) || (sv_count != 0 && dim != cols)) {
+            return Status::InvalidArgument("SVM width differs from the feature space");
+        }
         pm.model.kernel = config_.kernel;
         pm.model.sv_coef.resize(sv_count);
-        pm.model.sv.assign(sv_count, std::vector<double>(dim, 0.0));
+        const std::size_t stride = PackedWords(dim);
+        std::vector<std::uint64_t> words(sv_count * stride, 0);
         for (std::size_t i = 0; i < sv_count; ++i) {
             DFP_RETURN_NOT_OK(reader.Read(&pm.model.sv_coef[i]));
-            DFP_RETURN_NOT_OK(reader.ReadDoubles(dim, &pm.model.sv[i]));
+            for (std::size_t c = 0; c < dim; ++c) {
+                double entry = 0.0;
+                DFP_RETURN_NOT_OK(reader.Read(&entry));
+                if (entry == 1.0) {
+                    words[i * stride + c / 64] |= std::uint64_t{1} << (c % 64);
+                } else if (entry != 0.0) {
+                    return Status::InvalidArgument(
+                        "SVM support-vector entry is not 0 or 1");
+                }
+            }
         }
+        pm.model.sv = PackedRows(sv_count, dim, std::move(words));
     }
     return Status::Ok();
 }

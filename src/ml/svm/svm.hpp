@@ -20,9 +20,9 @@ class SvmClassifier : public Classifier {
     std::string TypeId() const override { return "svm"; }
     Status Train(const FeatureMatrix& x, const std::vector<ClassLabel>& y,
                  std::size_t num_classes) override;
-    ClassLabel Predict(std::span<const double> x) const override;
+    ClassLabel Predict(std::span<const std::uint64_t> row) const override;
     Status SaveModel(std::ostream& out) const override;
-    Status LoadModel(std::istream& in) override;
+    Status LoadModel(std::istream& in, std::size_t cols) override;
     void SetExecutionBudget(const ExecutionBudget& budget) override {
         config_.budget = budget;
     }

@@ -56,13 +56,14 @@ void WriteHdrJson(std::ostringstream& out, const HdrSnapshot& snap) {
 std::string PrometheusName(std::string_view name) {
     std::string out;
     out.reserve(name.size() + 1);
+    if (name.empty() || (name.front() >= '0' && name.front() <= '9')) {
+        out.push_back('_');
+    }
     for (char c : name) {
         const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                         (c >= '0' && c <= '9') || c == '_' || c == ':';
         out.push_back(ok ? c : '_');
     }
-    if (out.empty()) out = "_";
-    if (out.front() >= '0' && out.front() <= '9') out.insert(out.begin(), '_');
     return out;
 }
 

@@ -130,8 +130,8 @@ std::future<Result<Prediction>> ScoringEngine::Submit(std::vector<ItemId> items,
     if (deadline_ms < 0.0) deadline_ms = config_.default_deadline_ms;
 
     PendingRequest request{std::move(items), DeadlineTimer(deadline_ms), cancel,
-                           std::promise<Result<Prediction>>{}, Clock::now()};
-    request.external_trace = trace;
+                           std::promise<Result<Prediction>>{}, Clock::now(),
+                           trace, obs::RequestTrace{}};
     obs::RequestTrace* t = request.trace_target();
     if (t->id == 0) t->id = obs::RequestTrace::NextId();
     t->submit_tid = obs::CompressedThreadId();

@@ -19,7 +19,6 @@ namespace {
 ClassLabel ScoreWith(const serve::ServableModel& servable,
                      const std::vector<ItemId>& txn,
                      serve::PatternMatchIndex::Scratch* scratch) {
-    servable.index.InitScratch(scratch);
     servable.index.EncodeInto(txn, scratch);
     return servable.model.learner().Predict(scratch->encoded);
 }

@@ -254,5 +254,85 @@ TEST_F(CorruptModelTest, NegativeCountsRejected) {
                    "negative node count");
 }
 
+// Hand-made bundles over a 2-feature space ("feature-space 2 0": two items,
+// no patterns). Each learner section below loads clean; the mutations of it
+// must not.
+const std::string kTwoWide = "feature-space 2 0\n";
+const std::string kC45 =
+    "c45-model 2 0 3\n"
+    "0 0 10 2 1 0.5 1 2\n"
+    "1 0 5 1 0 0 -1 -1\n"
+    "1 1 5 1 0 0 -1 -1\n";
+const std::string kSvm =
+    "svm-model 1 0.5 0 3 1 2 1\n"
+    "0 1 0.25 0 2 2\n"
+    "0.5 1 0 \n"
+    "-0.5 0 1 \n";
+
+void ExpectLoads(const std::string& bundle) {
+    std::stringstream in(bundle);
+    auto loaded = LoadPipelineModel(in);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    EXPECT_LT(loaded->Predict({0, 1}), 2u);
+}
+
+TEST(CorruptModelWidthTest, LearnerWiderThanTheSpaceRejected) {
+    // 100 columns of NB parameters over a 2-wide space: Predict would read
+    // 98 columns past the encoded row.
+    std::string nb = "nb-model 2 100 1.0\n-0.7 -0.7\n";
+    for (int i = 0; i < 2 * 2 * 100; ++i) nb += "-0.5 ";
+    ExpectRejected("dfp-model v1 nb\n" + kTwoWide + nb + "\n", "NB cols 100 > dim 2");
+    ExpectRejected("dfp-model v1 pegasos\n" + kTwoWide +
+                       "pegasos-model 2 3\n1 2 3 4 5 6\n0 0\n",
+                   "pegasos cols 3 > dim 2");
+    ExpectRejected("dfp-model v1 pegasos\n" + kTwoWide +
+                       "pegasos-model 2 1\n1 2\n0 0\n",
+                   "pegasos cols 1 < dim 2");
+    // SVM: a primal weight vector or support vectors of another width.
+    ExpectRejected("dfp-model v1 svm\n" + kTwoWide +
+                       ReplaceFirst(kSvm, "0 1 0.25 0 2 2", "0 1 0.25 3 1 1 1 2 2"),
+                   "SVM w of width 3");
+    ExpectRejected("dfp-model v1 svm\n" + kTwoWide +
+                       ReplaceFirst(ReplaceFirst(ReplaceFirst(kSvm, "0 2 2", "0 2 3"),
+                                                 "0.5 1 0 ", "0.5 1 0 0 "),
+                                    "-0.5 0 1 ", "-0.5 0 1 0 "),
+                   "SVM support vectors of width 3");
+    // A C4.5 node testing feature 1,000,000 of the 2-wide space.
+    ExpectRejected("dfp-model v1 c4.5\n" + kTwoWide +
+                       ReplaceFirst(kC45, "0 0 10 2 1 0.5", "0 0 10 2 1000000 0.5"),
+                   "C4.5 split feature beyond the space");
+}
+
+TEST(CorruptModelWidthTest, HandMadeBundlesLoadClean) {
+    ExpectLoads("dfp-model v1 c4.5\n" + kTwoWide + kC45);
+    ExpectLoads("dfp-model v1 svm\n" + kTwoWide + kSvm);
+}
+
+TEST(CorruptModelWidthTest, C45TreeThatCannotTerminateRejected) {
+    // A non-leaf root whose children are itself: Predict would loop forever.
+    ExpectRejected("dfp-model v1 c4.5\n" + kTwoWide +
+                       ReplaceFirst(kC45, "0.5 1 2", "0.5 0 0"),
+                   "C4.5 root is its own child");
+    // A child at or above its parent's index, even one that is in range.
+    ExpectRejected("dfp-model v1 c4.5\n" + kTwoWide +
+                       "c45-model 2 0 3\n"
+                       "0 0 10 2 1 0.5 2 1\n"
+                       "0 0 5 1 0 0.5 0 2\n"
+                       "1 1 5 1 0 0 -1 -1\n",
+                   "C4.5 child points back to the root");
+    ExpectRejected("dfp-model v1 c4.5\n" + kTwoWide +
+                       ReplaceFirst(kC45, "1 1 5 1 0 0 -1 -1", "1 7 5 1 0 0 -1 -1"),
+                   "C4.5 leaf label beyond num_classes");
+}
+
+TEST(CorruptModelWidthTest, SvmNonBinarySupportVectorAndBadClassRejected) {
+    ExpectRejected("dfp-model v1 svm\n" + kTwoWide +
+                       ReplaceFirst(kSvm, "0.5 1 0 ", "0.5 0.5 0 "),
+                   "SVM support-vector entry 0.5");
+    ExpectRejected("dfp-model v1 svm\n" + kTwoWide +
+                       ReplaceFirst(kSvm, "0 1 0.25", "0 5 0.25"),
+                   "SVM machine class beyond num_classes");
+}
+
 }  // namespace
 }  // namespace dfp

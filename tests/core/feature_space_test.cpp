@@ -2,14 +2,26 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
+#include <vector>
+
 namespace dfp {
 namespace {
 
-std::vector<double> Encoded(const FeatureSpace& fs,
-                            const std::vector<ItemId>& transaction) {
+// The columns set in the packed row Encode writes.
+std::vector<std::size_t> SetColumns(std::span<const std::uint64_t> row) {
+    std::vector<std::size_t> cols;
+    ForEachRowBit(row, [&cols](std::size_t c) { cols.push_back(c); });
+    return cols;
+}
+
+std::vector<std::size_t> Encoded(const FeatureSpace& fs,
+                                 const std::vector<ItemId>& transaction) {
     PatternMatchIndex::Scratch scratch;
-    const std::span<const double> out = fs.Encode(transaction, &scratch);
-    return {out.begin(), out.end()};
+    const std::span<const std::uint64_t> row = fs.Encode(transaction, &scratch);
+    EXPECT_EQ(row.size(), PackedWords(fs.dim()));
+    return SetColumns(row);
 }
 
 TransactionDatabase Toy() {
@@ -46,15 +58,13 @@ TEST(FeatureSpaceTest, SingletonPatternsDropped) {
 TEST(FeatureSpaceTest, EncodeSetsItemAndPatternBits) {
     const auto db = Toy();
     const auto fs = FeatureSpace::Build(4, TwoPatterns(db));
-    EXPECT_EQ(Encoded(fs, {0, 1, 2}), (std::vector<double>{1, 1, 1, 0, 1, 0}));
-    EXPECT_EQ(Encoded(fs, {1, 3}), (std::vector<double>{0, 1, 0, 1, 0, 1}));
-    EXPECT_EQ(Encoded(fs, {3}), (std::vector<double>{0, 0, 0, 1, 0, 0}));
+    EXPECT_EQ(Encoded(fs, {0, 1, 2}), (std::vector<std::size_t>{0, 1, 2, 4}));
+    EXPECT_EQ(Encoded(fs, {1, 3}), (std::vector<std::size_t>{1, 3, 5}));
+    EXPECT_EQ(Encoded(fs, {3}), (std::vector<std::size_t>{3}));
     // One scratch reused across calls leaves nothing behind.
     PatternMatchIndex::Scratch scratch;
     fs.Encode({0, 1, 2}, &scratch);
-    const std::span<const double> reused = fs.Encode({3}, &scratch);
-    EXPECT_EQ(std::vector<double>(reused.begin(), reused.end()),
-              (std::vector<double>{0, 0, 0, 1, 0, 0}));
+    EXPECT_EQ(SetColumns(fs.Encode({3}, &scratch)), (std::vector<std::size_t>{3}));
 }
 
 TEST(FeatureSpaceTest, TransformMatchesRowwiseEncode) {
@@ -63,12 +73,10 @@ TEST(FeatureSpaceTest, TransformMatchesRowwiseEncode) {
     const FeatureMatrix x = fs.Transform(db);
     ASSERT_EQ(x.rows(), 3u);
     ASSERT_EQ(x.cols(), 6u);
+    const PackedRows rows(x);
     for (std::size_t t = 0; t < db.num_transactions(); ++t) {
-        const std::vector<double> expected = Encoded(fs, db.transaction(t));
-        EXPECT_EQ(x.Row(t), expected) << "row " << t;
-        for (std::size_t c = 0; c < fs.dim(); ++c) {
-            EXPECT_EQ(x.Test(t, c), expected[c] == 1.0);
-        }
+        EXPECT_EQ(SetColumns(rows.Row(t)), Encoded(fs, db.transaction(t)))
+            << "row " << t;
     }
 }
 
@@ -76,14 +84,14 @@ TEST(FeatureSpaceTest, ItemsOnly) {
     const auto fs = FeatureSpace::ItemsOnly(5);
     EXPECT_EQ(fs.dim(), 5u);
     EXPECT_EQ(fs.num_patterns(), 0u);
-    EXPECT_EQ(Encoded(fs, {1, 4}), (std::vector<double>{0, 1, 0, 0, 1}));
+    EXPECT_EQ(Encoded(fs, {1, 4}), (std::vector<std::size_t>{1, 4}));
 }
 
 TEST(FeatureSpaceTest, UnseenItemsIgnored) {
     // A transaction may carry item ids beyond the training universe (e.g. a
     // test-fold value bin never seen in training); they must be ignored.
     const auto fs = FeatureSpace::ItemsOnly(3);
-    EXPECT_EQ(Encoded(fs, {1, 7}), (std::vector<double>{0, 1, 0}));
+    EXPECT_EQ(Encoded(fs, {1, 7}), (std::vector<std::size_t>{1}));
 }
 
 }  // namespace

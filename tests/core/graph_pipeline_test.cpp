@@ -83,7 +83,7 @@ class RecordingClassifier : public Classifier {
   public:
     struct Log {
         FeatureMatrix train;
-        std::vector<std::vector<double>> predicted;
+        std::vector<std::vector<std::uint64_t>> predicted;
     };
     explicit RecordingClassifier(std::shared_ptr<Log> log) : log_(std::move(log)) {}
 
@@ -93,8 +93,8 @@ class RecordingClassifier : public Classifier {
         log_->train = x;
         return Status::Ok();
     }
-    ClassLabel Predict(std::span<const double> x) const override {
-        log_->predicted.emplace_back(x.begin(), x.end());
+    ClassLabel Predict(std::span<const std::uint64_t> row) const override {
+        log_->predicted.emplace_back(row.begin(), row.end());
         return 0;
     }
 
@@ -112,6 +112,7 @@ TEST(GraphPipelineTest, EncodesVertexLabelPresenceAlikeInTrainAndPredict) {
         pipeline.Train(db, std::make_unique<RecordingClassifier>(log)).ok());
     ASSERT_EQ(log->train.rows(), db.size());
     ASSERT_EQ(log->train.cols(), db.num_vertex_labels() + pipeline.features().size());
+    const PackedRows train_rows(log->train);
     bool saw_repeated_label = false;
     for (std::size_t g = 0; g < db.size(); ++g) {
         const LabeledGraph& graph = db.graph(g);
@@ -125,7 +126,8 @@ TEST(GraphPipelineTest, EncodesVertexLabelPresenceAlikeInTrainAndPredict) {
         }
         pipeline.Predict(graph);
         ASSERT_EQ(log->predicted.size(), g + 1);
-        EXPECT_EQ(log->predicted.back(), log->train.Row(g)) << "graph " << g;
+        EXPECT_TRUE(std::ranges::equal(log->predicted.back(), train_rows.Row(g)))
+            << "graph " << g;
     }
     EXPECT_TRUE(saw_repeated_label);
 }

@@ -15,7 +15,7 @@ Dataset NumericDataset(const std::vector<double>& values,
     Attribute a{"x", AttributeType::kNumeric, {}};
     std::vector<std::string> class_names;
     for (std::size_t c = 0; c < num_classes; ++c) {
-        class_names.push_back("c" + std::to_string(c));
+        class_names.push_back(std::string("c").append(std::to_string(c)));
     }
     Dataset data({a}, class_names);
     for (std::size_t i = 0; i < values.size(); ++i) {

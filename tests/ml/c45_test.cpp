@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "common/rng.hpp"
 
 namespace dfp {
@@ -25,9 +27,10 @@ TEST(C45Test, LearnsSimpleThreshold) {
     ASSERT_TRUE(tree.Train(x, y, 2).ok());
     EXPECT_DOUBLE_EQ(tree.Accuracy(x, y), 1.0);
     EXPECT_EQ(tree.num_leaves(), 2u);
-    std::vector<double> probe = {1.0, 1.0, 0.0, 1.0};
+    // Packed probes: bit f is feature f.
+    std::vector<std::uint64_t> probe = {0b1011};
     EXPECT_EQ(tree.Predict(probe), 0u);
-    probe = {0.0, 0.0, 1.0, 0.0};
+    probe = {0b0100};
     EXPECT_EQ(tree.Predict(probe), 1u);
 }
 
@@ -55,7 +58,7 @@ TEST(C45Test, PureDataYieldsSingleLeaf) {
     ASSERT_TRUE(tree.Train(x, y, 2).ok());
     EXPECT_EQ(tree.num_leaves(), 1u);
     EXPECT_EQ(tree.depth(), 0u);
-    std::vector<double> probe = {0.0, 0.0};
+    const std::vector<std::uint64_t> probe = {0};
     EXPECT_EQ(tree.Predict(probe), 1u);
 }
 

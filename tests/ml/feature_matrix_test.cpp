@@ -7,9 +7,12 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "testutil/dense_reference.hpp"
 
 namespace dfp {
 namespace {
+
+using testutil::DenseRow;
 
 // A seeded rows × cols 0/1 matrix, each cell set with probability `density`.
 FeatureMatrix RandomMatrix(std::size_t rows, std::size_t cols, double density,
@@ -32,7 +35,7 @@ TEST(FeatureMatrixTest, StartsAllZero) {
         EXPECT_EQ(x.Column(c).size(), 7u);
         EXPECT_EQ(x.Column(c).Count(), 0u);
     }
-    EXPECT_EQ(x.Row(4), std::vector<double>(3, 0.0));
+    EXPECT_EQ(DenseRow(x, 4), std::vector<double>(3, 0.0));
 }
 
 TEST(FeatureMatrixTest, SetMarksRowInColumnCover) {
@@ -58,8 +61,8 @@ TEST(FeatureMatrixTest, AdoptsCoversAsColumns) {
     ASSERT_EQ(x.cols(), 2u);
     EXPECT_EQ(x.Column(0), a);
     EXPECT_EQ(x.Column(1), b);
-    EXPECT_EQ(x.Row(2), (std::vector<double>{1.0, 0.0}));
-    EXPECT_EQ(x.Row(3), (std::vector<double>{0.0, 1.0}));
+    EXPECT_EQ(DenseRow(x, 2), (std::vector<double>{1.0, 0.0}));
+    EXPECT_EQ(DenseRow(x, 3), (std::vector<double>{0.0, 1.0}));
 }
 
 TEST(FeatureMatrixTest, SelectRowsAndCols) {
@@ -67,14 +70,14 @@ TEST(FeatureMatrixTest, SelectRowsAndCols) {
     m.Set(0, 0);
     m.Set(0, 2);
     m.Set(1, 1);
-    EXPECT_EQ(m.Row(0), (std::vector<double>{1, 0, 1}));
+    EXPECT_EQ(DenseRow(m, 0), (std::vector<double>{1, 0, 1}));
     const auto rows = m.SelectRows({1});
     EXPECT_EQ(rows.rows(), 1u);
-    EXPECT_EQ(rows.Row(0), (std::vector<double>{0, 1, 0}));
+    EXPECT_EQ(DenseRow(rows, 0), (std::vector<double>{0, 1, 0}));
     const auto cols = m.SelectCols({2, 0});
     EXPECT_EQ(cols.cols(), 2u);
-    EXPECT_EQ(cols.Row(0), (std::vector<double>{1, 1}));
-    EXPECT_EQ(cols.Row(1), (std::vector<double>{0, 0}));
+    EXPECT_EQ(DenseRow(cols, 0), (std::vector<double>{1, 1}));
+    EXPECT_EQ(DenseRow(cols, 1), (std::vector<double>{0, 0}));
 }
 
 TEST(FeatureMatrixTest, PackedRowsTransposeTheColumns) {
@@ -91,7 +94,7 @@ TEST(FeatureMatrixTest, PackedRowsTransposeTheColumns) {
     EXPECT_EQ(packed.AndCount(0, 1), 2u);  // columns 5 and 64
     EXPECT_EQ(packed.AndCount(0, 2), 0u);
     for (std::size_t r = 0; r < 3; ++r) {
-        EXPECT_EQ(packed.Dense(r), m.Row(r)) << "row " << r;
+        EXPECT_EQ(DenseRow(packed.Row(r), 70), DenseRow(m, r)) << "row " << r;
         for (std::size_t c = 0; c < 70; ++c) {
             EXPECT_EQ(packed.Test(r, c), m.Test(r, c));
         }
@@ -100,8 +103,8 @@ TEST(FeatureMatrixTest, PackedRowsTransposeTheColumns) {
     packed.ForEach(1, [&seen](std::size_t c) { seen.push_back(c); });
     EXPECT_EQ(seen, (std::vector<std::size_t>{5, 63, 64}));
     const PackedRows picked = packed.SelectRows({1, 0});
-    EXPECT_EQ(picked.Dense(0), m.Row(1));
-    EXPECT_EQ(picked.Dense(1), m.Row(0));
+    EXPECT_EQ(DenseRow(picked.Row(0), 70), DenseRow(m, 1));
+    EXPECT_EQ(DenseRow(picked.Row(1), 70), DenseRow(m, 0));
     EXPECT_EQ(picked.Count(1), 4u);
 }
 
@@ -113,7 +116,7 @@ TEST(FeatureMatrixTest, SelectRowsFollowsGivenOrder) {
     ASSERT_EQ(sub.rows(), pick.size());
     ASSERT_EQ(sub.cols(), x.cols());
     for (std::size_t i = 0; i < pick.size(); ++i) {
-        EXPECT_EQ(sub.Row(i), x.Row(pick[i])) << "row " << i;
+        EXPECT_EQ(DenseRow(sub, i), DenseRow(x, pick[i])) << "row " << i;
     }
 }
 
@@ -140,7 +143,7 @@ TEST(PackedRowsTest, TransposesColumnsAcrossWordBoundaries) {
         for (std::size_t c = 0; c < x.cols(); ++c) {
             ASSERT_EQ(rows.Test(r, c), x.Test(r, c)) << r << "," << c;
         }
-        EXPECT_EQ(rows.Dense(r), x.Row(r)) << "row " << r;
+        EXPECT_EQ(DenseRow(rows.Row(r), x.cols()), DenseRow(x, r)) << "row " << r;
         std::vector<std::size_t> seen;
         rows.ForEach(r, [&seen](std::size_t c) { seen.push_back(c); });
         std::vector<std::size_t> expected;
@@ -155,12 +158,12 @@ TEST(PackedRowsTest, CountAndAndCountAreExactDenseProducts) {
     const FeatureMatrix x = RandomMatrix(20, 100, 0.35, 14);
     const PackedRows rows(x);
     for (std::size_t i = 0; i < x.rows(); ++i) {
-        const std::vector<double> a = x.Row(i);
+        const std::vector<double> a = DenseRow(x, i);
         double self = 0.0;
         for (double v : a) self += v * v;
         EXPECT_EQ(static_cast<double>(rows.Count(i)), self);
         for (std::size_t j = 0; j < x.rows(); ++j) {
-            const std::vector<double> b = x.Row(j);
+            const std::vector<double> b = DenseRow(x, j);
             double dot = 0.0;
             double dist = 0.0;
             for (std::size_t c = 0; c < a.size(); ++c) {
@@ -186,7 +189,7 @@ TEST(PackedRowsTest, SelectRowsKeepsWordsAndCounts) {
     EXPECT_EQ(sub.cols(), rows.cols());
     for (std::size_t i = 0; i < pick.size(); ++i) {
         EXPECT_EQ(sub.Count(i), rows.Count(pick[i]));
-        EXPECT_EQ(sub.Dense(i), rows.Dense(pick[i]));
+        EXPECT_TRUE(std::ranges::equal(sub.Row(i), rows.Row(pick[i])));
     }
     // Selecting packed rows equals packing the selected matrix rows.
     const PackedRows repacked(x.SelectRows(pick));
@@ -204,7 +207,33 @@ TEST(PackedRowsTest, ZeroColumnsGiveEmptyRows) {
     EXPECT_TRUE(rows.Row(2).empty());
     EXPECT_EQ(rows.Count(2), 0u);
     EXPECT_EQ(rows.AndCount(0, 1), 0u);
-    EXPECT_TRUE(rows.Dense(1).empty());
+}
+
+TEST(PackedRowsTest, AdoptsWordsAndCountsThem) {
+    // Two rows of 65 features: two words each.
+    std::vector<std::uint64_t> words = {0b1011, 1, 0, 0};
+    const PackedRows rows(2, 65, words);
+    ASSERT_EQ(rows.rows(), 2u);
+    EXPECT_EQ(rows.cols(), 65u);
+    EXPECT_EQ(rows.Count(0), 4u);
+    EXPECT_EQ(rows.Count(1), 0u);
+    EXPECT_TRUE(rows.Test(0, 64));
+    EXPECT_TRUE(std::ranges::equal(rows.Row(0), std::span(words).first(2)));
+    EXPECT_EQ(PackedRows(0, 65, {}).rows(), 0u);
+}
+
+TEST(PackedRowTest, RowBitAndForEachRowBitReadTheLayout) {
+    // Bit c lives at bit c % 64 of word c / 64.
+    const std::vector<std::uint64_t> row = {(std::uint64_t{1} << 63) | 1u, 0b100};
+    EXPECT_EQ(PackedWords(0), 0u);
+    EXPECT_EQ(PackedWords(64), 1u);
+    EXPECT_EQ(PackedWords(65), 2u);
+    for (std::size_t c = 0; c < 128; ++c) {
+        EXPECT_EQ(RowBit(row, c), c == 0 || c == 63 || c == 66) << c;
+    }
+    std::vector<std::size_t> seen;
+    ForEachRowBit(row, [&seen](std::size_t c) { seen.push_back(c); });
+    EXPECT_EQ(seen, (std::vector<std::size_t>{0, 63, 66}));
 }
 
 }  // namespace

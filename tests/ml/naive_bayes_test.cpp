@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "common/rng.hpp"
 
 namespace dfp {
@@ -21,9 +23,10 @@ TEST(NaiveBayesTest, LearnsClassConditionalBits) {
     NaiveBayesClassifier nb;
     ASSERT_TRUE(nb.Train(x, y, 2).ok());
     EXPECT_GT(nb.Accuracy(x, y), 0.9);
-    std::vector<double> probe = {1.0, 0.0};
+    // Packed probes: bit f is feature f.
+    std::vector<std::uint64_t> probe = {0b01};
     EXPECT_EQ(nb.Predict(probe), 1u);
-    probe = {0.0, 1.0};
+    probe = {0b10};
     EXPECT_EQ(nb.Predict(probe), 0u);
 }
 
@@ -32,7 +35,7 @@ TEST(NaiveBayesTest, PriorDominatesWithoutEvidence) {
     std::vector<ClassLabel> y = {0, 0, 0, 0, 0, 0, 0, 0, 1, 1};
     NaiveBayesClassifier nb;
     ASSERT_TRUE(nb.Train(x, y, 2).ok());
-    std::vector<double> probe = {0.0};
+    const std::vector<std::uint64_t> probe = {0};
     EXPECT_EQ(nb.Predict(probe), 0u);  // 8:2 prior
 }
 
@@ -44,7 +47,7 @@ TEST(NaiveBayesTest, SmoothingHandlesUnseenCombination) {
     const std::vector<ClassLabel> y = {0, 0, 1, 1};
     NaiveBayesClassifier nb;
     ASSERT_TRUE(nb.Train(x, y, 2).ok());
-    std::vector<double> probe = {0.0};
+    const std::vector<std::uint64_t> probe = {0};
     const ClassLabel c = nb.Predict(probe);
     EXPECT_TRUE(c == 0 || c == 1);
 }

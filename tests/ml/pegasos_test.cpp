@@ -49,8 +49,9 @@ TEST(PegasosTest, DeterministicForSeed) {
     PegasosClassifier b;
     ASSERT_TRUE(a.Train(x, y, 2).ok());
     ASSERT_TRUE(b.Train(x, y, 2).ok());
+    const PackedRows rows(x);
     for (std::size_t i = 0; i < 100; ++i) {
-        EXPECT_EQ(a.Predict(x.Row(i)), b.Predict(x.Row(i)));
+        EXPECT_EQ(a.Predict(rows.Row(i)), b.Predict(rows.Row(i)));
     }
 }
 

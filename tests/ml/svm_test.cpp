@@ -6,6 +6,7 @@
 
 #include "ml/svm/smo.hpp"
 #include "testutil/binary_clouds.hpp"
+#include "testutil/dense_reference.hpp"
 
 namespace dfp {
 namespace {
@@ -25,10 +26,11 @@ TEST(SmoTest, SeparableDataClassifiedPerfectly) {
     MakeBlobs(40, 0.0, 1, &x, &y, &yc);
     SmoConfig config;
     config.c = 10.0;
-    auto model = TrainSmo(PackedRows(x), y, config);
+    const PackedRows rows(x);
+    auto model = TrainSmo(rows, y, config);
     ASSERT_TRUE(model.ok()) << model.status();
     for (std::size_t i = 0; i < x.rows(); ++i) {
-        EXPECT_GT(static_cast<double>(y[i]) * model->Decision(x.Row(i)), 0.0);
+        EXPECT_GT(static_cast<double>(y[i]) * model->Decision(rows.Row(i)), 0.0);
     }
 }
 
@@ -73,14 +75,16 @@ TEST(SmoTest, LinearWeightsAgreeWithSvExpansion) {
     std::vector<int> y;
     std::vector<ClassLabel> yc;
     MakeBlobs(30, 0.25, 4, &x, &y, &yc);
-    auto model = TrainSmo(PackedRows(x), y, SmoConfig{});
+    const PackedRows rows(x);
+    auto model = TrainSmo(rows, y, SmoConfig{});
     ASSERT_TRUE(model.ok());
     ASSERT_FALSE(model->w.empty());
     // f(x) via w must equal f(x) via the SV expansion.
     SmoModel expansion = *model;
     expansion.w.clear();
     for (std::size_t i = 0; i < x.rows(); i += 7) {
-        EXPECT_NEAR(model->Decision(x.Row(i)), expansion.Decision(x.Row(i)), 1e-6);
+        EXPECT_NEAR(model->Decision(rows.Row(i)), expansion.Decision(rows.Row(i)),
+                    1e-6);
     }
 }
 
@@ -106,10 +110,11 @@ TEST(SmoTest, RbfSolvesXor) {
     config.c = 100.0;
     config.kernel.type = KernelType::kRbf;
     config.kernel.gamma = 2.0;
-    auto model = TrainSmo(PackedRows(x), y, config);
+    const PackedRows rows(x);
+    auto model = TrainSmo(rows, y, config);
     ASSERT_TRUE(model.ok());
     for (std::size_t i = 0; i < 4; ++i) {
-        EXPECT_GT(static_cast<double>(y[i]) * model->Decision(x.Row(i)), 0.0)
+        EXPECT_GT(static_cast<double>(y[i]) * model->Decision(rows.Row(i)), 0.0)
             << "XOR corner " << i;
     }
 }
@@ -118,18 +123,18 @@ TEST(KernelTest, Values) {
     const std::vector<double> a = {1.0, 2.0};
     const std::vector<double> b = {3.0, -1.0};
     KernelParams linear;
-    EXPECT_DOUBLE_EQ(KernelEval(linear, a, b), 1.0);
+    EXPECT_DOUBLE_EQ(testutil::KernelEval(linear, a, b), 1.0);
     KernelParams rbf;
     rbf.type = KernelType::kRbf;
     rbf.gamma = 0.1;
-    EXPECT_NEAR(KernelEval(rbf, a, b), std::exp(-0.1 * (4.0 + 9.0)), 1e-12);
-    EXPECT_DOUBLE_EQ(KernelEval(rbf, a, a), 1.0);
+    EXPECT_NEAR(testutil::KernelEval(rbf, a, b), std::exp(-0.1 * (4.0 + 9.0)), 1e-12);
+    EXPECT_DOUBLE_EQ(testutil::KernelEval(rbf, a, a), 1.0);
     KernelParams poly;
     poly.type = KernelType::kPolynomial;
     poly.gamma = 1.0;
     poly.coef0 = 1.0;
     poly.degree = 2;
-    EXPECT_DOUBLE_EQ(KernelEval(poly, a, b), 4.0);  // (1+1)^2
+    EXPECT_DOUBLE_EQ(testutil::KernelEval(poly, a, b), 4.0);  // (1+1)^2
 }
 
 TEST(KernelTest, BinaryKernelEqualsDenseBitForBit) {
@@ -142,7 +147,7 @@ TEST(KernelTest, BinaryKernelEqualsDenseBitForBit) {
         params.type = type;
         params.gamma = 0.37;
         params.coef0 = 0.5;
-        EXPECT_EQ(BinaryKernelEval(params, 2, 4, 3), KernelEval(params, a, b))
+        EXPECT_EQ(BinaryKernelEval(params, 2, 4, 3), testutil::KernelEval(params, a, b))
             << KernelName(params);
     }
 }
@@ -173,8 +178,9 @@ TEST(SvmClassifierTest, MissingClassHandled) {
     const std::vector<ClassLabel> y = {0, 0, 1, 1};
     SvmClassifier svm;
     ASSERT_TRUE(svm.Train(x, y, 3).ok());
-    EXPECT_EQ(svm.Predict(x.Row(0)), 0u);
-    EXPECT_EQ(svm.Predict(x.Row(2)), 1u);
+    const PackedRows rows(x);
+    EXPECT_EQ(svm.Predict(rows.Row(0)), 0u);
+    EXPECT_EQ(svm.Predict(rows.Row(2)), 1u);
 }
 
 TEST(GridSearchTest, PicksAConfigFromGrid) {

@@ -121,10 +121,11 @@ TEST(SvmThreadEquivalenceTest, OvoPredictionsIdenticalForEveryThreadCount) {
         config.num_threads = 1;
         SvmClassifier serial(config);
         ASSERT_TRUE(serial.Train(x, y, 3).ok());
+        const PackedRows rows(x);
         std::vector<ClassLabel> want;
         want.reserve(x.rows());
         for (std::size_t r = 0; r < x.rows(); ++r) {
-            want.push_back(serial.Predict(x.Row(r)));
+            want.push_back(serial.Predict(rows.Row(r)));
         }
 
         for (const std::size_t threads : kThreadCounts) {
@@ -132,7 +133,7 @@ TEST(SvmThreadEquivalenceTest, OvoPredictionsIdenticalForEveryThreadCount) {
             SvmClassifier model(config);
             ASSERT_TRUE(model.Train(x, y, 3).ok());
             for (std::size_t r = 0; r < x.rows(); ++r) {
-                EXPECT_EQ(model.Predict(x.Row(r)), want[r])
+                EXPECT_EQ(model.Predict(rows.Row(r)), want[r])
                     << "prediction diverges at row " << r << " num_threads="
                     << threads << " (seed " << seed << ")";
             }

@@ -132,21 +132,22 @@ TEST(SmoCacheTest, ShrinkingConvergesToSameQuality) {
     SmoConfig shrunk = plain;
     shrunk.shrinking = true;
 
-    auto m_plain = TrainSmo(PackedRows(x), y, plain);
-    auto m_shrunk = TrainSmo(PackedRows(x), y, shrunk);
+    const PackedRows rows(x);
+    auto m_plain = TrainSmo(rows, y, plain);
+    auto m_shrunk = TrainSmo(rows, y, shrunk);
     ASSERT_TRUE(m_plain.ok() && m_shrunk.ok());
     ASSERT_TRUE(m_plain->converged);
     ASSERT_TRUE(m_shrunk->converged);
 
     // Shrinking reorders float updates, so no bit-identity claim — but both
     // solves must end KKT-clean to the same tolerance...
-    EXPECT_LT(MaxKktViolation(*m_shrunk, PackedRows(x), y, shrunk.c),
+    EXPECT_LT(MaxKktViolation(*m_shrunk, rows, y, shrunk.c),
               10 * shrunk.tol + 0.05);
     // ...and agree on nearly every training-set prediction.
     std::size_t disagree = 0;
     for (std::size_t i = 0; i < x.rows(); ++i) {
-        const bool a = m_plain->Decision(x.Row(i)) > 0.0;
-        const bool b = m_shrunk->Decision(x.Row(i)) > 0.0;
+        const bool a = m_plain->Decision(rows.Row(i)) > 0.0;
+        const bool b = m_shrunk->Decision(rows.Row(i)) > 0.0;
         if (a != b) ++disagree;
     }
     EXPECT_LE(disagree, x.rows() / 100 + 1);

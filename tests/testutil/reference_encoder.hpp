@@ -7,16 +7,18 @@
 // FeatureSpace::Transform and the serving index against it.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "core/feature_space.hpp"
 
 namespace dfp::testutil {
 
-/// Item coordinates (items < space.num_items()) then one 0/1 coordinate per
-/// pattern, set iff the pattern ⊆ `transaction` (sorted).
-std::vector<double> ScanEncode(const FeatureSpace& space,
-                               const std::vector<ItemId>& transaction);
+/// The packed row of `transaction` (sorted): item bits (items <
+/// space.num_items()) then one bit per pattern, set iff the pattern ⊆
+/// `transaction`.
+std::vector<std::uint64_t> ScanEncode(const FeatureSpace& space,
+                                      const std::vector<ItemId>& transaction);
 
 /// ScanEncode of every row of `db`, set bit by bit.
 FeatureMatrix ScanTransform(const FeatureSpace& space,
