@@ -30,8 +30,9 @@ int main(int argc, char** argv) {
 
         // Single features.
         double best_single = 0.0;
+        std::vector<std::size_t> class_support;
         for (ItemId i = 0; i < db.num_items(); ++i) {
-            const auto stats = StatsOfCover(db, db.ItemCover(i));
+            const auto stats = StatsOfCover(db, db.ItemCover(i), &class_support);
             best_single = std::max(best_single, InformationGain(stats));
         }
 

@@ -2,8 +2,9 @@
 //
 //  1. Inverted-index micro-bench — PatternMatchIndex::CountMatches vs a
 //     naive per-pattern std::includes scan (the encoder FeatureSpace ran
-//     before it compiled the index), on the trained feature space. The index
-//     must be ≥ 3× the naive matcher.
+//     before it compiled the index), on the trained feature space, timed in
+//     9 alternating scan/index rounds. The median round's speedup must be
+//     ≥ 3×.
 //  2. Closed-loop TCP load — dfp_serve's stack (registry → engine → server)
 //     on a loopback ephemeral port, hammered by 1 / 4 / 16 concurrent
 //     connections issuing predict_batch requests of 64 transactions.
@@ -201,40 +202,60 @@ int main(int argc, char** argv) {
     const FeatureSpace& space = pipeline.feature_space();
     const serve::PatternMatchIndex& index = space.matcher();
     serve::PatternMatchIndex::Scratch scratch;
-    constexpr std::size_t kMatchRounds = 20;
-
+    // Alternating rounds: each times kPassesPerRound naive passes over the
+    // corpus, then as many indexed passes. The reported speedup is the
+    // median of the rounds' ratios, so one preempted pass cannot move it.
+    constexpr std::size_t kRounds = 9;  // odd: the median is one round's
+    constexpr std::size_t kPassesPerRound = 4;
+    auto median = [](std::vector<double> v) {
+        std::nth_element(v.begin(), v.begin() + kRounds / 2, v.end());
+        return v[kRounds / 2];
+    };
     std::size_t naive_matches = 0;
-    Stopwatch naive_watch;
-    for (std::size_t round = 0; round < kMatchRounds; ++round) {
-        for (std::size_t t = 0; t < db.num_transactions(); ++t) {
-            naive_matches += NaiveCountMatches(space, db.transaction(t));
-        }
-    }
-    const double naive_seconds = naive_watch.ElapsedSeconds();
-
     std::size_t indexed_matches = 0;
-    Stopwatch indexed_watch;
-    for (std::size_t round = 0; round < kMatchRounds; ++round) {
-        for (std::size_t t = 0; t < db.num_transactions(); ++t) {
-            indexed_matches += index.CountMatches(db.transaction(t), &scratch);
+    std::vector<double> naive_rounds;
+    std::vector<double> indexed_rounds;
+    std::vector<double> speedups;
+    for (std::size_t round = 0; round < kRounds; ++round) {
+        Stopwatch naive_watch;
+        for (std::size_t pass = 0; pass < kPassesPerRound; ++pass) {
+            for (std::size_t t = 0; t < db.num_transactions(); ++t) {
+                naive_matches += NaiveCountMatches(space, db.transaction(t));
+            }
         }
+        naive_rounds.push_back(naive_watch.ElapsedSeconds());
+        Stopwatch indexed_watch;
+        for (std::size_t pass = 0; pass < kPassesPerRound; ++pass) {
+            for (std::size_t t = 0; t < db.num_transactions(); ++t) {
+                indexed_matches += index.CountMatches(db.transaction(t), &scratch);
+            }
+        }
+        indexed_rounds.push_back(indexed_watch.ElapsedSeconds());
+        speedups.push_back(indexed_rounds.back() > 0.0
+                               ? naive_rounds.back() / indexed_rounds.back()
+                               : 0.0);
     }
-    const double indexed_seconds = indexed_watch.ElapsedSeconds();
 
     if (naive_matches != indexed_matches) {
         std::fprintf(stderr, "MATCH MISMATCH: naive %zu vs indexed %zu\n",
                      naive_matches, indexed_matches);
         return 1;
     }
-    const double speedup =
-        indexed_seconds > 0.0 ? naive_seconds / indexed_seconds : 0.0;
+    const double naive_seconds = median(naive_rounds);
+    const double indexed_seconds = median(indexed_rounds);
+    const double speedup = median(speedups);
+    const double txns_per_round =
+        static_cast<double>(kPassesPerRound * db.num_transactions());
     std::printf("patterns=%zu postings=%zu matches=%zu\n", index.num_patterns(),
-                index.num_postings(), indexed_matches / kMatchRounds);
-    std::printf("naive   : %.3fs (%.0f txn/s)\n", naive_seconds,
-                kMatchRounds * db.num_transactions() / naive_seconds);
-    std::printf("indexed : %.3fs (%.0f txn/s)\n", indexed_seconds,
-                kMatchRounds * db.num_transactions() / indexed_seconds);
-    std::printf("speedup : %.1fx (acceptance floor 3x)\n", speedup);
+                index.num_postings(),
+                indexed_matches / (kRounds * kPassesPerRound));
+    std::printf("naive   : %.4fs per round, median of %zu (%.0f txn/s)\n",
+                naive_seconds, kRounds, txns_per_round / naive_seconds);
+    std::printf("indexed : %.4fs per round, median of %zu (%.0f txn/s)\n",
+                indexed_seconds, kRounds, txns_per_round / indexed_seconds);
+    std::printf("speedup : %.1fx median of %zu alternating rounds (acceptance "
+                "floor 3x)\n",
+                speedup, kRounds);
     registry.GetGauge("dfp.bench.serving.index_speedup").Set(speedup);
     registry.GetGauge("dfp.bench.serving.patterns")
         .Set(static_cast<double>(index.num_patterns()));

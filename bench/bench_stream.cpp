@@ -24,6 +24,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -180,6 +181,15 @@ int main(int argc, char** argv) {
         trainer_config.model_dir = "/tmp/dfp_bench_stream_" +
                                    std::to_string(::getpid()) + "_t" +
                                    std::to_string(threads);
+        // The phase's bundles go when the phase ends, on every return path
+        // (declared before the trainer, so it is destroyed after it).
+        struct RemoveDirAtExit {
+            std::string path;
+            ~RemoveDirAtExit() {
+                std::error_code ec;
+                std::filesystem::remove_all(path, ec);
+            }
+        } bundles{trainer_config.model_dir};
         auto trainer = stream::ContinuousTrainer::Create(
             trainer_config, db2->get(), &model_registry);
         if (!trainer.ok()) {

@@ -102,18 +102,12 @@ void BitVector::AssignAndNot(const BitVector& a, const BitVector& b) {
 
 bool BitVector::IsSubsetOf(const BitVector& other) const {
     assert(size_ == other.size_);
-    for (std::size_t i = 0; i < words_.size(); ++i) {
-        if ((words_[i] & ~other.words_[i]) != 0) return false;
-    }
-    return true;
+    return !AndNotAny(words_.data(), other.words_.data(), words_.size());
 }
 
 bool BitVector::IsDisjointWith(const BitVector& other) const {
     assert(size_ == other.size_);
-    for (std::size_t i = 0; i < words_.size(); ++i) {
-        if ((words_[i] & other.words_[i]) != 0) return false;
-    }
-    return true;
+    return !AndAny(words_.data(), other.words_.data(), words_.size());
 }
 
 std::vector<std::uint32_t> BitVector::ToIndices() const {

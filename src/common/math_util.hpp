@@ -33,14 +33,25 @@ inline double Entropy(const std::vector<double>& weights) {
     return h;
 }
 
-/// Entropy (bits) of a distribution given integer counts.
-inline double EntropyCounts(const std::vector<std::size_t>& counts) {
+/// Entropy (bits) of the m integer counts count_at(0), …, count_at(m − 1),
+/// read twice and never stored, so derived counts (say, totals minus a
+/// feature's counts) need no buffer. Returns 0 for an all-zero input.
+template <typename CountAt>
+inline double EntropyOfCounts(std::size_t m, CountAt count_at) {
     double total = 0.0;
-    for (auto c : counts) total += static_cast<double>(c);
+    for (std::size_t c = 0; c < m; ++c) total += static_cast<double>(count_at(c));
     if (total <= 0.0) return 0.0;
     double h = 0.0;
-    for (auto c : counts) h -= XLog2X(static_cast<double>(c) / total);
+    for (std::size_t c = 0; c < m; ++c) {
+        h -= XLog2X(static_cast<double>(count_at(c)) / total);
+    }
     return h;
+}
+
+/// Entropy (bits) of a distribution given integer counts.
+inline double EntropyCounts(const std::vector<std::size_t>& counts) {
+    return EntropyOfCounts(counts.size(),
+                           [&counts](std::size_t c) { return counts[c]; });
 }
 
 /// Approximate floating-point equality with absolute tolerance.

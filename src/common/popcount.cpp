@@ -36,6 +36,17 @@ std::size_t ScalarCount(const std::uint64_t* a, const std::uint64_t* b,
     return count;
 }
 
+// True iff some combined word in [begin, n) has a set bit; stops at the
+// first one.
+template <Combine C>
+bool ScalarAny(const std::uint64_t* a, const std::uint64_t* b,
+               std::size_t begin, std::size_t n) {
+    for (std::size_t i = begin; i < n; ++i) {
+        if (Word<C>(a, b, i) != 0) return true;
+    }
+    return false;
+}
+
 #if DFP_POPCOUNT_AVX512
 // Eight words per step into eight 64-bit lane counts; the last n % 8 words go
 // through the scalar loop, so no load reaches past word n − 1. The AND, the
@@ -63,6 +74,27 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) std::size_t Avx512Count(
     return count;
 }
 
+// Eight words per step, stopping at the first block with a set bit; the last
+// n % 8 words go through the scalar loop. Like Avx512Count it combines words
+// with vector operators and tests them with an intrinsic that takes no
+// pass-through operand.
+template <Combine C>
+__attribute__((target("avx512f"))) bool Avx512Any(const std::uint64_t* a,
+                                                  const std::uint64_t* b,
+                                                  std::size_t n) {
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        __m512i w = _mm512_loadu_si512(a + i);
+        if constexpr (C == Combine::kAnd) {
+            w &= _mm512_loadu_si512(b + i);
+        } else if constexpr (C == Combine::kAndNot) {
+            w &= ~_mm512_loadu_si512(b + i);
+        }
+        if (_mm512_test_epi64_mask(w, w) != 0) return true;
+    }
+    return ScalarAny<C>(a, b, i, n);
+}
+
 // __builtin_cpu_supports also requires the OS to have enabled the AVX-512
 // register state (XCR0), so a true answer means the body can run here.
 bool HostHasAvx512Popcount() {
@@ -84,6 +116,14 @@ std::size_t Count(const std::uint64_t* a, const std::uint64_t* b, std::size_t n)
     return ScalarCount<C>(a, b, 0, n);
 }
 
+template <Combine C>
+bool Any(const std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
+#if DFP_POPCOUNT_AVX512
+    if (HostHasAvx512Popcount()) return Avx512Any<C>(a, b, n);
+#endif
+    return ScalarAny<C>(a, b, 0, n);
+}
+
 const PopcountBody kScalarBody{
     "scalar",
     [](const std::uint64_t* a, std::size_t n) {
@@ -94,6 +134,12 @@ const PopcountBody kScalarBody{
     },
     [](const std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
         return ScalarCount<Combine::kAndNot>(a, b, 0, n);
+    },
+    [](const std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
+        return ScalarAny<Combine::kAnd>(a, b, 0, n);
+    },
+    [](const std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
+        return ScalarAny<Combine::kAndNot>(a, b, 0, n);
     },
 };
 
@@ -108,6 +154,12 @@ const PopcountBody kAvx512Body{
     },
     [](const std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
         return Avx512Count<Combine::kAndNot>(a, b, n);
+    },
+    [](const std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
+        return Avx512Any<Combine::kAnd>(a, b, n);
+    },
+    [](const std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
+        return Avx512Any<Combine::kAndNot>(a, b, n);
     },
 };
 #endif
@@ -126,6 +178,14 @@ std::size_t AndPopcount(const std::uint64_t* a, const std::uint64_t* b,
 std::size_t AndNotPopcount(const std::uint64_t* a, const std::uint64_t* b,
                            std::size_t n) {
     return Count<Combine::kAndNot>(a, b, n);
+}
+
+bool AndAny(const std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
+    return Any<Combine::kAnd>(a, b, n);
+}
+
+bool AndNotAny(const std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
+    return Any<Combine::kAndNot>(a, b, n);
 }
 
 const char* PopcountPath() {

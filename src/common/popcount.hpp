@@ -7,6 +7,11 @@
 // integers: a scalar loop and an AVX-512 VPOPCNTDQ loop (8 words per step,
 // scalar tail). The body is chosen once per process from the CPU's reported
 // features; no build option, flag or environment variable selects it.
+//
+// The same two bodies also answer the early-exit questions behind the cover
+// tests: does any word of a ∧ b (disjointness, MMRFS's needy-row test) or of
+// a ∧ ¬b (subset, the closed miner's closure scan) have a set bit. They stop
+// at the first word (scalar) or 8-word block (AVX-512) that answers yes.
 #pragma once
 
 #include <cstddef>
@@ -23,6 +28,11 @@ std::size_t AndPopcount(const std::uint64_t* a, const std::uint64_t* b,
 std::size_t AndNotPopcount(const std::uint64_t* a, const std::uint64_t* b,
                            std::size_t n);
 
+/// True iff a[i] ∧ b[i] ≠ 0 for some i < n.
+bool AndAny(const std::uint64_t* a, const std::uint64_t* b, std::size_t n);
+/// True iff a[i] ∧ ¬b[i] ≠ 0 for some i < n.
+bool AndNotAny(const std::uint64_t* a, const std::uint64_t* b, std::size_t n);
+
 /// Name of the body this process uses: "avx512-vpopcntdq" or "scalar".
 const char* PopcountPath();
 
@@ -36,6 +46,10 @@ struct PopcountBody {
                                 std::size_t n);
     std::size_t (*and_not_popcount)(const std::uint64_t* a,
                                     const std::uint64_t* b, std::size_t n);
+    bool (*and_any)(const std::uint64_t* a, const std::uint64_t* b,
+                    std::size_t n);
+    bool (*and_not_any)(const std::uint64_t* a, const std::uint64_t* b,
+                        std::size_t n);
 };
 
 /// The scalar body; every host runs it.

@@ -92,7 +92,7 @@ bool Search(SearchContext& ctx, Itemset& prefix, const BitVector& cover,
 double SubCoverIgBound(const TransactionDatabase& db, const BitVector& cover,
                        std::size_t min_sup) {
     const auto counts = db.ClassCountsOf(cover);
-    const auto totals = db.ClassCounts();
+    const std::vector<std::size_t>& totals = db.ClassCounts();
     const std::size_t n = db.num_transactions();
 
     double best = 0.0;

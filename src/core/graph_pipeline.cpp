@@ -13,12 +13,14 @@ namespace {
 
 // IG of a cover against the graph labels.
 double CoverInformationGain(const GraphDatabase& db, const BitVector& cover) {
+    const std::vector<std::size_t> totals = db.ClassCounts();
+    std::vector<std::size_t> support(db.num_classes(), 0);
+    cover.ForEach([&](std::uint32_t t) { support[db.label(t)]++; });
     FeatureStats stats;
     stats.n = db.size();
     stats.support = cover.Count();
-    stats.class_totals = db.ClassCounts();
-    stats.class_support.assign(db.num_classes(), 0);
-    cover.ForEach([&](std::uint32_t t) { stats.class_support[db.label(t)]++; });
+    stats.class_totals = totals;
+    stats.class_support = support;
     return InformationGain(stats);
 }
 

@@ -8,12 +8,24 @@
 
 namespace dfp {
 
-FeatureStats StatsOfCover(const TransactionDatabase& db, const BitVector& cover) {
+namespace {
+
+// Entropy of counts read in place, in EntropyCounts' order.
+double EntropyOfSpan(std::span<const std::size_t> counts) {
+    return EntropyOfCounts(counts.size(),
+                           [counts](std::size_t c) { return counts[c]; });
+}
+
+}  // namespace
+
+FeatureStats StatsOfCover(const TransactionDatabase& db, const BitVector& cover,
+                          std::vector<std::size_t>* class_support) {
+    *class_support = db.ClassCountsOf(cover);
     FeatureStats s;
     s.n = db.num_transactions();
     s.support = cover.Count();
     s.class_totals = db.ClassCounts();
-    s.class_support = db.ClassCountsOf(cover);
+    s.class_support = *class_support;
     return s;
 }
 
@@ -42,7 +54,7 @@ stats::Table2x2 OneVsRestTable(const FeatureStats& fs, ClassLabel c) {
 }
 
 double ClassEntropy(const FeatureStats& stats) {
-    return EntropyCounts(stats.class_totals);
+    return EntropyOfSpan(stats.class_totals);
 }
 
 double InformationGain(const FeatureStats& stats) {
@@ -51,12 +63,14 @@ double InformationGain(const FeatureStats& stats) {
     const double n1 = static_cast<double>(stats.support);
     const double n0 = n - n1;
 
-    std::vector<std::size_t> c0(stats.class_totals.size());
-    for (std::size_t c = 0; c < c0.size(); ++c) {
-        c0[c] = stats.class_totals[c] - stats.class_support[c];
-    }
-    const double h_cond = (n1 / n) * EntropyCounts(stats.class_support) +
-                          (n0 / n) * EntropyCounts(c0);
+    // H(C | X = 1) over the feature's class counts and H(C | X = 0) over
+    // their complements n_c − |X = 1 ∧ C = c|, taken as they are read.
+    const double h_on = EntropyOfSpan(stats.class_support);
+    const double h_off = EntropyOfCounts(
+        stats.class_totals.size(), [&stats](std::size_t c) {
+            return stats.class_totals[c] - stats.class_support[c];
+        });
+    const double h_cond = (n1 / n) * h_on + (n0 / n) * h_off;
     const double ig = ClassEntropy(stats) - h_cond;
     return ig < 0.0 ? 0.0 : ig;  // clamp away negative rounding noise
 }
@@ -82,23 +96,26 @@ double FisherScore(const FeatureStats& stats) {
 
 double GiniGain(const FeatureStats& stats) {
     if (stats.n == 0) return 0.0;
-    auto gini = [](const std::vector<double>& counts) {
+    // Gini impurity of the m weights weight_at(0), …, weight_at(m − 1).
+    const std::size_t m = stats.class_totals.size();
+    auto gini = [m](auto weight_at) {
         double total = 0.0;
-        for (double c : counts) total += c;
+        for (std::size_t c = 0; c < m; ++c) total += weight_at(c);
         if (total <= 0.0) return 0.0;
         double g = 1.0;
-        for (double c : counts) g -= (c / total) * (c / total);
+        for (std::size_t c = 0; c < m; ++c) {
+            const double w = weight_at(c);
+            g -= (w / total) * (w / total);
+        }
         return g;
     };
-    const std::size_t m = stats.class_totals.size();
-    std::vector<double> all(m);
-    std::vector<double> on(m);
-    std::vector<double> off(m);
-    for (std::size_t c = 0; c < m; ++c) {
-        all[c] = static_cast<double>(stats.class_totals[c]);
-        on[c] = static_cast<double>(stats.class_support[c]);
-        off[c] = all[c] - on[c];
-    }
+    auto all = [&stats](std::size_t c) {
+        return static_cast<double>(stats.class_totals[c]);
+    };
+    auto on = [&stats](std::size_t c) {
+        return static_cast<double>(stats.class_support[c]);
+    };
+    auto off = [&](std::size_t c) { return all(c) - on(c); };
     const double n = static_cast<double>(stats.n);
     const double n1 = static_cast<double>(stats.support);
     const double split = (n1 / n) * gini(on) + ((n - n1) / n) * gini(off);

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -16,12 +17,15 @@
 
 namespace dfp {
 
-/// Sufficient statistics of one binary feature vs. the class label.
+/// Sufficient statistics of one binary feature vs. the class label. The
+/// per-class counts are views: whoever builds the stats keeps the counts they
+/// point at alive (the database's cached totals and a pattern's attached
+/// counts do), so scoring a candidate copies nothing.
 struct FeatureStats {
     std::size_t n = 0;        ///< total transactions
     std::size_t support = 0;  ///< |X = 1|
-    std::vector<std::size_t> class_totals;   ///< n_c per class
-    std::vector<std::size_t> class_support;  ///< |X = 1 ∧ C = c| per class
+    std::span<const std::size_t> class_totals;   ///< n_c per class
+    std::span<const std::size_t> class_support;  ///< |X = 1 ∧ C = c| per class
 
     double theta() const {
         return n == 0 ? 0.0 : static_cast<double>(support) / static_cast<double>(n);
@@ -29,9 +33,13 @@ struct FeatureStats {
 };
 
 /// Builds FeatureStats for the feature "row ∈ cover" against db's labels.
-FeatureStats StatsOfCover(const TransactionDatabase& db, const BitVector& cover);
+/// The cover's per-class counts go to `*class_support`, which the result
+/// views; it must outlive the stats.
+FeatureStats StatsOfCover(const TransactionDatabase& db, const BitVector& cover,
+                          std::vector<std::size_t>* class_support);
 
-/// Builds FeatureStats for a mined pattern (requires attached metadata).
+/// Builds FeatureStats for a mined pattern (requires attached metadata). The
+/// result views db's class totals and the pattern's class counts.
 FeatureStats StatsOfPattern(const TransactionDatabase& db, const Pattern& pattern);
 
 /// One-vs-rest 2×2 contingency table of the binary feature against class

@@ -134,15 +134,20 @@ Result<MineOutcome<Pattern>> PatternClassifierPipeline::MineCandidatesBudgeted(
         DFP_RETURN_NOT_OK(mine_one(train, span));
     }
 
-    // Pool the per-class results, dropping itemsets already seen in an earlier
-    // partition, then re-anchor metadata (cover, per-class counts, support) on
-    // the full training database.
+    // Pool the results, then re-anchor metadata (cover, per-class counts,
+    // support) on the full training database. One mine emits each itemset at
+    // one DFS position, so its output moves in whole; only per-class
+    // partitions can repeat an itemset, and a later repeat is dropped.
     obs::Span pool_span("pool_dedup");
-    std::unordered_set<Itemset, ItemsetHash> seen;
-    for (auto& mined : partitions) {
-        for (Pattern& p : mined) {
-            if (seen.insert(p.items).second) {
-                outcome.patterns.push_back(std::move(p));
+    if (partitions.size() == 1) {
+        outcome.patterns = std::move(partitions.front());
+    } else {
+        std::unordered_set<Itemset, ItemsetHash> seen;
+        for (auto& mined : partitions) {
+            for (Pattern& p : mined) {
+                if (seen.insert(p.items).second) {
+                    outcome.patterns.push_back(std::move(p));
+                }
             }
         }
     }

@@ -38,7 +38,8 @@ void FlushClosedMetrics(std::size_t nodes_expanded, std::size_t closure_checks,
 
 // Closure of `tidset`, the cover of the current closed set extended by core
 // item `i`: the closed items plus every other frequent item whose cover
-// contains `tidset`, ascending because `frequent` is. Returns false (leaving
+// contains `tidset`, ascending because `frequent` is. Overwrites `closure`
+// (a per-depth scratch whose storage is reused). Returns false (leaving
 // `closure` partial) when the extension is not prefix-preserving, i.e. an
 // item below `i` enters (LCM), or when the closure outgrows `max_len`. Either
 // way the extension emits nothing and its subtree is skipped: closures only
@@ -47,6 +48,7 @@ bool CloseExtension(const TransactionDatabase& db,
                     const std::vector<ItemId>& frequent,
                     const std::vector<char>& in_closed, const BitVector& tidset,
                     ItemId i, std::size_t max_len, Itemset* closure) {
+    closure->clear();
     for (ItemId j : frequent) {
         if (in_closed[j]) {
             closure->push_back(j);  // closed ⊆ closure(tidset) always
@@ -86,14 +88,15 @@ struct ClosedSubtree {
     bool emit_closed = false;
 };
 
-// Per-slot scratch: closed-set membership and per-depth cover slots, both
-// re-initialized per task (membership from the task's holder, covers only
-// grown — the bit storage itself is reused). The DFS holds a reference to its
-// depth's cover slot across the recursion, so the slots are sized to the
-// maximum depth up front and never reallocated mid-task.
+// Per-slot scratch: closed-set membership and per-depth cover and closure
+// slots, all re-initialized per task (membership from the task's holder,
+// covers and closures only grown — their storage is reused). The DFS holds
+// references to its depth's slots across the recursion, so the slots are
+// sized to the maximum depth up front and never reallocated mid-task.
 struct ClosedScratch {
     std::vector<char> in_closed;
     std::vector<BitVector> cover_scratch;
+    std::vector<Itemset> closure_scratch;
 };
 
 struct ClosedShared {
@@ -185,7 +188,7 @@ bool ClosedDfs(ClosedCtx& ctx, const Itemset& closed, const BitVector& tidset,
         extended.AssignAnd(tidset, sh.db->ItemCover(i));
 
         ++ctx.closure_checks;
-        Itemset closure;
+        Itemset& closure = ctx.scratch->closure_scratch[depth];
         if (!CloseExtension(*sh.db, sh.frequent, in_closed, extended, i,
                             sh.max_len, &closure)) {
             continue;
@@ -232,6 +235,7 @@ void RunClosedSubtreeTask(ClosedShared* sh,
     // least one item to the closed set.
     if (scratch.cover_scratch.size() < sh->frequent.size()) {
         scratch.cover_scratch.resize(sh->frequent.size());
+        scratch.closure_scratch.resize(sh->frequent.size());
     }
     BudgetGuard guard(TaskBudget(sh->budget, sh->timer));
     ShardEmitter emitter(&sh->shards, std::move(path));

@@ -7,8 +7,10 @@ namespace dfp {
 std::vector<double> ItemRelevances(const TransactionDatabase& db,
                                    RelevanceMeasure measure) {
     std::vector<double> relevance(db.num_items(), 0.0);
+    std::vector<std::size_t> class_support;
     for (ItemId i = 0; i < db.num_items(); ++i) {
-        relevance[i] = Relevance(measure, StatsOfCover(db, db.ItemCover(i)));
+        relevance[i] = Relevance(
+            measure, StatsOfCover(db, db.ItemCover(i), &class_support));
     }
     return relevance;
 }

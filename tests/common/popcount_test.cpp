@@ -1,6 +1,7 @@
 // Certifies the word-array popcount kernel: every body this host can run must
-// return the bit-by-bit count, and the BitVector operations must keep the
-// bits past size() clear, since the whole-word kernels count them too.
+// return the bit-by-bit count and the bit-by-bit answer of the early-exit
+// AndAny/AndNotAny tests, and the BitVector operations must keep the bits
+// past size() clear, since the whole-word kernels count them too.
 #include "common/popcount.hpp"
 
 #include <gtest/gtest.h>
@@ -71,6 +72,94 @@ void ExpectBodyMatchesBitByBit(const PopcountBody& body) {
     }
 }
 
+// Bit-by-bit answers of the two early-exit tests over bits [first, size).
+struct BitAnys {
+    bool and_b = false;
+    bool and_not_b = false;
+};
+
+BitAnys AnyBitByBit(const BitVector& a, const BitVector& b, std::size_t first) {
+    BitAnys anys;
+    for (std::size_t i = first; i < a.size(); ++i) {
+        if (!a.Test(i)) continue;
+        if (b.Test(i)) {
+            anys.and_b = true;
+        } else {
+            anys.and_not_b = true;
+        }
+    }
+    return anys;
+}
+
+void ExpectAnysAt(const PopcountBody& body, const BitVector& a,
+                  const BitVector& b, std::size_t first) {
+    const BitAnys want = AnyBitByBit(a, b, first * 64);
+    const std::uint64_t* wa = a.words().data() + first;
+    const std::uint64_t* wb = b.words().data() + first;
+    const std::size_t n = a.words().size() - first;
+    ASSERT_EQ(body.and_any(wa, wb, n), want.and_b);
+    ASSERT_EQ(body.and_not_any(wa, wb, n), want.and_not_b);
+}
+
+// Lengths 0 to 1100 bits from word offsets 0..8, a at densities 0, 0.02, 0.5
+// and 1 against b random at ~0.5, equal to a, and a's complement (so both
+// answers occur at every length, not only "yes at the first word").
+void ExpectAnysMatchBitByBit(const PopcountBody& body) {
+    Rng rng(29);
+    for (const double density : {0.0, 0.02, 0.5, 1.0}) {
+        for (std::size_t size = 0; size <= 1100; ++size) {
+            const BitVector a = RandomBits(size, density, rng);
+            BitVector complement(size);
+            complement.Fill();
+            complement.AndNot(a);
+            const std::size_t words = a.words().size();
+            for (const BitVector& b : {RandomBits(size, 0.5, rng), a, complement}) {
+                for (std::size_t first = 0;
+                     first <= std::min<std::size_t>(words, 8); ++first) {
+                    SCOPED_TRACE(testing::Message()
+                                 << body.name << " size " << size << " density "
+                                 << density << " first word " << first);
+                    ExpectAnysAt(body, a, b, first);
+                }
+            }
+        }
+    }
+}
+
+// One witness bit and nothing else: for every word count up to 18 (every
+// block-and-tail split of the 8-word step) and every word position, each
+// answer turns on exactly one bit, so every early exit and the final "no"
+// are reached. Checked from word offsets 0..8 as well.
+void ExpectSingleWitnessFound(const PopcountBody& body) {
+    for (std::size_t words = 1; words <= 18; ++words) {
+        const std::size_t size = words * 64;
+        BitVector ones(size);
+        ones.Fill();
+        const BitVector zeros(size);
+        for (std::size_t w = 0; w < words; ++w) {
+            for (const std::size_t bit : {std::size_t{0}, std::size_t{37},
+                                          std::size_t{63}}) {
+                BitVector one_bit(size);
+                one_bit.Set(w * 64 + bit);
+                BitVector all_but_one = ones;
+                all_but_one.Clear(w * 64 + bit);
+                for (std::size_t first = 0; first <= std::min<std::size_t>(words, 8);
+                     ++first) {
+                    SCOPED_TRACE(testing::Message()
+                                 << body.name << " words " << words << " witness "
+                                 << w << ":" << bit << " first word " << first);
+                    ExpectAnysAt(body, ones, one_bit, first);      // and: w only
+                    ExpectAnysAt(body, ones, zeros, first);        // and: none
+                    ExpectAnysAt(body, ones, all_but_one, first);  // and-not: w
+                    ExpectAnysAt(body, ones, ones, first);         // and-not: none
+                    ExpectAnysAt(body, one_bit, zeros, first);
+                    ExpectAnysAt(body, one_bit, one_bit, first);
+                }
+            }
+        }
+    }
+}
+
 TEST(PopcountTest, ScalarBodyMatchesBitByBitCount) {
     ExpectBodyMatchesBitByBit(ScalarPopcountBody());
 }
@@ -79,6 +168,18 @@ TEST(PopcountTest, Avx512BodyMatchesBitByBitCount) {
     const PopcountBody* body = Avx512PopcountBody();
     if (body == nullptr) GTEST_SKIP() << "host lacks AVX-512 VPOPCNTDQ";
     ExpectBodyMatchesBitByBit(*body);
+}
+
+TEST(PopcountTest, ScalarBodyAnysMatchBitByBit) {
+    ExpectAnysMatchBitByBit(ScalarPopcountBody());
+    ExpectSingleWitnessFound(ScalarPopcountBody());
+}
+
+TEST(PopcountTest, Avx512BodyAnysMatchBitByBit) {
+    const PopcountBody* body = Avx512PopcountBody();
+    if (body == nullptr) GTEST_SKIP() << "host lacks AVX-512 VPOPCNTDQ";
+    ExpectAnysMatchBitByBit(*body);
+    ExpectSingleWitnessFound(*body);
 }
 
 TEST(PopcountTest, PathNamesTheChosenBody) {
@@ -101,6 +202,21 @@ TEST(PopcountTest, DispatchedKernelAndBitVectorCountsMatch) {
         EXPECT_EQ(a.Count(), want.a);
         EXPECT_EQ(a.AndCount(b), want.and_b);
         EXPECT_EQ(a.AndNotCount(b), want.and_not_b);
+
+        const BitAnys anys = AnyBitByBit(a, b, 0);
+        EXPECT_EQ(AndAny(a.words().data(), b.words().data(), n), anys.and_b);
+        EXPECT_EQ(AndNotAny(a.words().data(), b.words().data(), n),
+                  anys.and_not_b);
+        EXPECT_EQ(a.IsDisjointWith(b), !anys.and_b);
+        EXPECT_EQ(a.IsSubsetOf(b), !anys.and_not_b);
+        BitVector inside = b;
+        inside &= a;
+        EXPECT_TRUE(inside.IsSubsetOf(a));
+        EXPECT_TRUE(inside.IsSubsetOf(b));
+        BitVector outside = b;
+        outside.AndNot(a);
+        EXPECT_TRUE(outside.IsDisjointWith(a));
+        EXPECT_TRUE(outside.IsSubsetOf(b));
     }
 }
 

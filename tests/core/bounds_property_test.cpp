@@ -82,12 +82,15 @@ TEST_P(BoundHoldsTest, OneVsRestBoundHoldsMulticlass) {
         // For each class c, the IG of the pattern w.r.t. the indicator of c is
         // bounded by the binary bound with prior p_c (the provable statement).
         for (std::size_t c = 0; c < priors.size(); ++c) {
+            const std::size_t totals[2] = {stats.class_totals[c],
+                                           stats.n - stats.class_totals[c]};
+            const std::size_t support[2] = {stats.class_support[c],
+                                            stats.support - stats.class_support[c]};
             FeatureStats ovr;
             ovr.n = stats.n;
             ovr.support = stats.support;
-            ovr.class_totals = {stats.class_totals[c], stats.n - stats.class_totals[c]};
-            ovr.class_support = {stats.class_support[c],
-                                 stats.support - stats.class_support[c]};
+            ovr.class_totals = totals;
+            ovr.class_support = support;
             const double ig = InformationGain(ovr);
             EXPECT_LE(ig, IgUpperBoundOneVsRest(stats.theta(), priors[c]) + 1e-9)
                 << ItemsetToString(pat.items) << " class " << c;

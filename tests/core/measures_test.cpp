@@ -3,22 +3,34 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "common/math_util.hpp"
+#include "common/rng.hpp"
+#include "testutil/reference_measures.hpp"
 
 namespace dfp {
 namespace {
 
-// Balanced two-class dataset of 8 rows; feature covers rows {0,1,2,3}.
-FeatureStats MakeStats(std::size_t n, std::vector<std::size_t> class_totals,
-                       std::vector<std::size_t> class_support) {
-    FeatureStats s;
+// Owned counts that convert to the FeatureStats view the measures take.
+struct TestStats : testutil::OwnedFeatureStats {
+    operator FeatureStats() const { return View(); }
+};
+
+TestStats MakeStats(std::size_t n, std::vector<std::size_t> class_totals,
+                    std::vector<std::size_t> class_support) {
+    TestStats s;
     s.n = n;
     s.class_totals = std::move(class_totals);
     s.class_support = std::move(class_support);
     s.support = 0;
     for (auto c : s.class_support) s.support += c;
     return s;
+}
+
+std::vector<std::size_t> Copy(std::span<const std::size_t> counts) {
+    return {counts.begin(), counts.end()};
 }
 
 TEST(MeasuresTest, PerfectFeatureHasFullGain) {
@@ -85,11 +97,13 @@ TEST(MeasuresTest, RelevanceDispatch) {
 TEST(MeasuresTest, StatsOfCoverAgainstDatabase) {
     const auto db = TransactionDatabase::FromTransactions(
         {{0, 1}, {0}, {1}, {0, 1}}, {0, 0, 1, 1}, 2, 2);
-    const auto s = StatsOfCover(db, db.ItemCover(1));
+    std::vector<std::size_t> class_support;
+    const auto s = StatsOfCover(db, db.ItemCover(1), &class_support);
     EXPECT_EQ(s.n, 4u);
     EXPECT_EQ(s.support, 3u);
-    EXPECT_EQ(s.class_totals, (std::vector<std::size_t>{2, 2}));
-    EXPECT_EQ(s.class_support, (std::vector<std::size_t>{1, 2}));
+    EXPECT_EQ(Copy(s.class_totals), (std::vector<std::size_t>{2, 2}));
+    EXPECT_EQ(Copy(s.class_support), (std::vector<std::size_t>{1, 2}));
+    EXPECT_EQ(s.class_support.data(), class_support.data());
 }
 
 TEST(MeasuresTest, StatsOfPatternUsesAttachedMetadata) {
@@ -100,17 +114,112 @@ TEST(MeasuresTest, StatsOfPatternUsesAttachedMetadata) {
     AttachMetadata(db, &patterns);
     const auto s = StatsOfPattern(db, patterns[0]);
     EXPECT_EQ(s.support, 2u);
-    EXPECT_EQ(s.class_support, (std::vector<std::size_t>{1, 1}));
+    EXPECT_EQ(Copy(s.class_support), (std::vector<std::size_t>{1, 1}));
+    // Views, not copies: the database's totals and the pattern's counts.
+    EXPECT_EQ(s.class_totals.data(), db.ClassCounts().data());
+    EXPECT_EQ(s.class_support.data(), patterns[0].class_counts.data());
     EXPECT_NEAR(InformationGain(s), 0.0, 1e-12);
 }
 
 TEST(MeasuresTest, ZeroRowsAreSafe) {
+    const std::size_t zeros[2] = {0, 0};
     FeatureStats s;
-    s.class_totals = {0, 0};
-    s.class_support = {0, 0};
+    s.class_totals = zeros;
+    s.class_support = zeros;
     EXPECT_DOUBLE_EQ(InformationGain(s), 0.0);
     EXPECT_DOUBLE_EQ(FisherScore(s), 0.0);
     EXPECT_DOUBLE_EQ(GiniGain(s), 0.0);
+}
+
+// Certificate: the view-based measures return the owned-vector formulas
+// doubles bitwise (==) on seeded count tables. The tables cover 1 to 5
+// classes (one class is a single-class database), empty classes, a feature
+// that is never or always on (zero margins) and an empty database.
+TEST(MeasuresCertificateTest, ViewsEqualOwnedFormulasBitwise) {
+    Rng rng(41);
+    std::size_t tables = 0;
+    for (int round = 0; round < 400; ++round) {
+        const std::size_t m = 1 + rng.UniformInt(5);
+        TestStats s;
+        s.class_totals.resize(m);
+        s.class_support.resize(m);
+        const std::size_t shape = rng.UniformInt(4);  // 0 random, 1 none, 2 all, 3 empty db
+        for (std::size_t c = 0; c < m; ++c) {
+            // Roughly one class in four is empty.
+            s.class_totals[c] =
+                shape == 3 || rng.UniformInt(4) == 0 ? 0 : rng.UniformInt(60);
+            s.class_support[c] =
+                shape == 1 ? 0
+                : shape == 2 ? s.class_totals[c]
+                             : rng.UniformInt(s.class_totals[c] + 1);
+        }
+        s.n = 0;
+        s.support = 0;
+        for (std::size_t c = 0; c < m; ++c) {
+            s.n += s.class_totals[c];
+            s.support += s.class_support[c];
+        }
+        SCOPED_TRACE(testing::Message() << "round " << round << " classes " << m
+                                        << " n " << s.n << " support " << s.support);
+        const FeatureStats view = s;
+        EXPECT_EQ(InformationGain(view), testutil::ReferenceInformationGain(s));
+        EXPECT_EQ(FisherScore(view), testutil::ReferenceFisherScore(s));
+        EXPECT_EQ(GiniGain(view), testutil::ReferenceGiniGain(s));
+        EXPECT_EQ(ClassEntropy(view), EntropyCounts(s.class_totals));
+        for (ClassLabel c = 0; c <= m; ++c) {  // c == m is past the range
+            const stats::Table2x2 got = OneVsRestTable(view, c);
+            const stats::Table2x2 want = testutil::ReferenceOneVsRestTable(s, c);
+            EXPECT_EQ(got.a, want.a);
+            EXPECT_EQ(got.b, want.b);
+            EXPECT_EQ(got.c, want.c);
+            EXPECT_EQ(got.d, want.d);
+        }
+        ++tables;
+    }
+    EXPECT_EQ(tables, 400u);
+}
+
+// The same certificate over real patterns: every mined pattern's stats view
+// the database's totals and the pattern's counts, and score like the copies.
+TEST(MeasuresCertificateTest, PatternStatsEqualOwnedFormulasBitwise) {
+    for (const std::uint64_t seed : {3u, 17u, 29u}) {
+        const auto db = TransactionDatabase::FromTransactions(
+            [seed] {
+                Rng rng(seed);
+                std::vector<std::vector<ItemId>> rows(90);
+                for (auto& row : rows) {
+                    for (ItemId i = 0; i < 9; ++i) {
+                        if (rng.Bernoulli(0.45)) row.push_back(i);
+                    }
+                }
+                return rows;
+            }(),
+            [seed] {
+                Rng rng(seed + 1);
+                std::vector<ClassLabel> labels(90);
+                for (auto& l : labels) l = static_cast<ClassLabel>(rng.UniformInt(3));
+                return labels;
+            }(),
+            9, 3);
+        std::vector<Pattern> patterns;
+        for (ItemId a = 0; a < 9; ++a) {
+            for (ItemId b = a + 1; b < 9; ++b) {
+                Pattern p;
+                p.items = {a, b};
+                patterns.push_back(std::move(p));
+            }
+        }
+        AttachMetadata(db, &patterns);
+        for (const Pattern& p : patterns) {
+            const testutil::OwnedFeatureStats owned =
+                testutil::OwnedStatsOfPattern(db, p);
+            const FeatureStats view = StatsOfPattern(db, p);
+            EXPECT_EQ(InformationGain(view),
+                      testutil::ReferenceInformationGain(owned));
+            EXPECT_EQ(FisherScore(view), testutil::ReferenceFisherScore(owned));
+            EXPECT_EQ(GiniGain(view), testutil::ReferenceGiniGain(owned));
+        }
+    }
 }
 
 }  // namespace
