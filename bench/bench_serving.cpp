@@ -7,9 +7,11 @@
 //     ≥ 3×.
 //  2. Closed-loop TCP load — dfp_serve's stack (registry → engine → server)
 //     on a loopback ephemeral port, hammered by 1 / 4 / 16 concurrent
-//     connections issuing predict_batch requests of 64 transactions.
-//     Per-request latency quantiles (p50/p95/p99) and end-to-end prediction
-//     throughput land in the report as
+//     connections issuing predict_batch requests of 64 transactions, in 5
+//     alternating rounds over the three levels. Per-request latency
+//     quantiles (p50/p95/p99) and end-to-end prediction throughput are taken
+//     per run; the median of each over the 5 runs of a level lands in the
+//     report as
 //       dfp.bench.serving.c<k>.{p50_ms,p95_ms,p99_ms,preds_per_s}
 //     plus dfp.bench.serving.index_speedup for the micro-bench.
 //  3. Soak — sustained mixed traffic for --soak-seconds (default 4): 8
@@ -158,6 +160,24 @@ LoadResult RunLoadPhase(std::uint16_t port, const TransactionDatabase& db,
     return result;
 }
 
+/// Field-wise median of repeated runs of one load level (an odd count, so
+/// each median is one run's value); `predictions` is per run.
+LoadResult MedianOfRuns(const std::vector<LoadResult>& runs) {
+    auto median = [&runs](double LoadResult::*field) {
+        std::vector<double> values;
+        for (const LoadResult& run : runs) values.push_back(run.*field);
+        std::sort(values.begin(), values.end());
+        return values[values.size() / 2];
+    };
+    LoadResult result;
+    result.p50_ms = median(&LoadResult::p50_ms);
+    result.p95_ms = median(&LoadResult::p95_ms);
+    result.p99_ms = median(&LoadResult::p99_ms);
+    result.preds_per_s = median(&LoadResult::preds_per_s);
+    result.predictions = runs.front().predictions;
+    return result;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -285,11 +305,23 @@ int main(int argc, char** argv) {
         return 1;
     }
 
+    // One timed run per level swung c4 throughput 4x between runs of the
+    // same binary; the levels alternate so drift on the host spreads over
+    // all of them, and each statistic is the median of its level's runs.
+    constexpr std::size_t kLoadRounds = 5;
+    const std::vector<std::size_t> levels = {1, 4, 16};
+    std::vector<std::vector<LoadResult>> runs(levels.size());
+    for (std::size_t round = 0; round < kLoadRounds; ++round) {
+        for (std::size_t l = 0; l < levels.size(); ++l) {
+            runs[l].push_back(RunLoadPhase(server.port(), db, levels[l],
+                                           requests_per_conn, 64));
+        }
+    }
     TablePrinter table({"connections", "requests", "predictions", "p50 ms",
                         "p95 ms", "p99 ms", "preds/s"});
-    for (std::size_t connections : {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
-        const LoadResult result =
-            RunLoadPhase(server.port(), db, connections, requests_per_conn, 64);
+    for (std::size_t l = 0; l < levels.size(); ++l) {
+        const std::size_t connections = levels[l];
+        const LoadResult result = MedianOfRuns(runs[l]);
         table.AddRow({std::to_string(connections),
                       std::to_string(connections * requests_per_conn),
                       std::to_string(result.predictions),

@@ -64,20 +64,4 @@ inline double Clamp(double x, double lo, double hi) {
     return x < lo ? lo : (x > hi ? hi : x);
 }
 
-/// Median via nth_element, partially reordering `v` (callers pass scratch).
-/// Even sizes average the two middle order statistics; empty input gives 0.
-inline double MedianInPlace(std::vector<double>& v) {
-    if (v.empty()) return 0.0;
-    const std::size_t mid = v.size() / 2;
-    std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid),
-                     v.end());
-    double m = v[mid];
-    if (v.size() % 2 == 0) {
-        const double lo = *std::max_element(
-            v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid));
-        m = 0.5 * (lo + m);
-    }
-    return m;
-}
-
 }  // namespace dfp

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <memory>
 
 #include "common/logging.hpp"
@@ -37,19 +38,24 @@ void FlushClosedMetrics(std::size_t nodes_expanded, std::size_t closure_checks,
 }
 
 // Closure of `tidset`, the cover of the current closed set extended by core
-// item `i`: the closed items plus every other frequent item whose cover
-// contains `tidset`, ascending because `frequent` is. Overwrites `closure`
-// (a per-depth scratch whose storage is reused). Returns false (leaving
+// item `i`: the closed items plus every other item of the node's conditional
+// list `cond` (indices into `frequent`) whose cover contains `tidset`,
+// ascending because `cond` and `frequent` are. An item left off the list was
+// infrequent in an ancestor's cover T ⊇ tidset, so |tidset| ≥ min_sup >
+// |T ∧ cover_j| rules it out of the closure. Overwrites `closure` (a
+// per-depth scratch whose storage is reused). Returns false (leaving
 // `closure` partial) when the extension is not prefix-preserving, i.e. an
 // item below `i` enters (LCM), or when the closure outgrows `max_len`. Either
 // way the extension emits nothing and its subtree is skipped: closures only
 // grow down the DFS, so every pattern below a too-long closure is too long.
 bool CloseExtension(const TransactionDatabase& db,
                     const std::vector<ItemId>& frequent,
+                    const std::vector<std::uint32_t>& cond,
                     const std::vector<char>& in_closed, const BitVector& tidset,
                     ItemId i, std::size_t max_len, Itemset* closure) {
     closure->clear();
-    for (ItemId j : frequent) {
+    for (std::uint32_t fj : cond) {
+        const ItemId j = frequent[fj];
         if (in_closed[j]) {
             closure->push_back(j);  // closed ⊆ closure(tidset) always
         } else if (tidset.IsSubsetOf(db.ItemCover(j))) {
@@ -74,29 +80,34 @@ bool CloseExtension(const TransactionDatabase& db,
 // sequence.
 // ---------------------------------------------------------------------------
 
-// A closure subtree to mine: the closed set, its cover (copied — a spawning
-// task's per-depth cover slot is overwritten as it continues), the first
-// index in `frequent` its prefix-preserving extensions may use, and the
-// cover-scratch depth of those extensions. The root holds the closure of the
-// empty set, an all-ones cover and start 0, and emits that closure itself
-// when it is a pattern; every other closed set was emitted by its spawner.
+// A closure subtree to mine: the closed set, its cover and its conditional
+// item list (both copied — a spawning task's per-depth slots are overwritten
+// as it continues), the first index in `frequent` its prefix-preserving
+// extensions may use, and the scratch depth of those extensions. The root
+// holds the closure of the empty set, an all-ones cover, every index of
+// `frequent` and start 0, and emits that closure itself when it is a
+// pattern; every other closed set was emitted by its spawner.
 struct ClosedSubtree {
     Itemset closed;
     BitVector tidset;
+    std::vector<std::uint32_t> cond;
     std::size_t start = 0;
     std::size_t depth = 0;
     bool emit_closed = false;
 };
 
-// Per-slot scratch: closed-set membership and per-depth cover and closure
-// slots, all re-initialized per task (membership from the task's holder,
-// covers and closures only grown — their storage is reused). The DFS holds
-// references to its depth's slots across the recursion, so the slots are
-// sized to the maximum depth up front and never reallocated mid-task.
+// Per-slot scratch: closed-set membership and per-depth cover, closure,
+// conditional-list and support slots, all re-initialized per task
+// (membership from the task's holder, the rest only grown — their storage is
+// reused). The DFS holds references to its depth's slots across the
+// recursion, so the slots are sized to the maximum depth up front and never
+// reallocated mid-task.
 struct ClosedScratch {
     std::vector<char> in_closed;
     std::vector<BitVector> cover_scratch;
     std::vector<Itemset> closure_scratch;
+    std::vector<std::vector<std::uint32_t>> cond_scratch;
+    std::vector<std::vector<std::size_t>> support_scratch;
 };
 
 struct ClosedShared {
@@ -152,44 +163,77 @@ struct ClosedCtx {
     ShardEmitter* emitter;
     ClosedScratch* scratch;
     std::size_t slot;
-    std::size_t nodes = 0;           // prefix extensions whose support we took
+    std::size_t nodes = 0;           // extensions whose support we counted
     std::size_t closure_checks = 0;  // closure/subsumption scans
 };
 
 void SpawnClosedSubtree(ClosedCtx& ctx, const Itemset& closure,
-                        const BitVector& tidset, std::size_t start,
-                        std::size_t depth);
+                        const BitVector& tidset,
+                        const std::vector<std::uint32_t>& cond,
+                        std::size_t start, std::size_t depth);
 
-// Prefix-preserving closure extension DFS (LCM). `closed` is the current
-// closed itemset (sorted) and `tidset` its cover; it is extended by the
-// frequent items from index `start` on. Requires scratch membership ==
-// `closed` on entry and leaves it so. Returns false when the execution
-// budget fires.
+// Prefix-preserving closure extension DFS (LCM) over conditional item lists
+// (LCM's conditional database, without occurrence delivery). `closed` is the
+// current closed itemset (sorted), `tidset` its cover and `parent_cond` the
+// parent's conditional list: the indices into `frequent` not yet ruled out
+// by an ancestor's cover. The node counts only the listed non-closed items
+// from index `start` on and keeps the frequent ones; the listed items below
+// `start` and the closed items are kept uncounted. That kept list is what
+// the node's closures scan and what its children inherit. It then extends
+// by the kept items from `start` on, in ascending order. Requires scratch
+// membership == `closed` on entry and leaves it so. Returns false when the
+// execution budget fires.
 bool ClosedDfs(ClosedCtx& ctx, const Itemset& closed, const BitVector& tidset,
+               const std::vector<std::uint32_t>& parent_cond,
                std::size_t start, std::size_t depth) {
     ClosedShared& sh = *ctx.sh;
     std::vector<char>& in_closed = ctx.scratch->in_closed;
-    for (std::size_t fi = start; fi < sh.frequent.size(); ++fi) {
+    std::vector<std::uint32_t>& cond = ctx.scratch->cond_scratch[depth];
+    std::vector<std::size_t>& supports = ctx.scratch->support_scratch[depth];
+    // One allocation per depth slot and task at most: a node keeps at most
+    // its parent's list.
+    cond.reserve(parent_cond.size());
+    supports.reserve(parent_cond.size());
+    // The list is ascending, so the items below `start` are its prefix; they
+    // are kept as they are. supports[k] belongs to cond[first + k].
+    const auto tail =
+        std::lower_bound(parent_cond.begin(), parent_cond.end(), start);
+    cond.assign(parent_cond.begin(), tail);
+    const std::size_t first = cond.size();
+    supports.clear();
+    for (auto it = tail; it != parent_cond.end(); ++it) {
+        const ItemId i = sh.frequent[*it];
+        std::size_t support = 0;  // uncounted: closed
+        if (!in_closed[i]) {
+            // Fused count: extensions that die on min_sup never materialize
+            // a cover (the common case).
+            support = tidset.AndCount(sh.db->ItemCover(i));
+            ++ctx.nodes;
+            if (ctx.guard->Check(
+                    sh.progress.emitted.load(std::memory_order_relaxed),
+                    sh.progress.est_bytes.load(std::memory_order_relaxed)) !=
+                BudgetBreach::kNone) {
+                return false;
+            }
+            if (support < sh.min_sup) continue;
+        }
+        cond.push_back(*it);
+        supports.push_back(support);
+    }
+
+    for (std::size_t k = first; k < cond.size(); ++k) {
+        const std::size_t fi = cond[k];
         const ItemId i = sh.frequent[fi];
         if (in_closed[i]) continue;
-        // Fused count first: extensions that die on min_sup never materialize
-        // a cover (the common case), and survivors write into this depth's
-        // reusable slot instead of allocating a fresh vector.
-        const std::size_t support = tidset.AndCount(sh.db->ItemCover(i));
-        ++ctx.nodes;
-        if (ctx.guard->Check(
-                sh.progress.emitted.load(std::memory_order_relaxed),
-                sh.progress.est_bytes.load(std::memory_order_relaxed)) !=
-            BudgetBreach::kNone) {
-            return false;
-        }
-        if (support < sh.min_sup) continue;
+        const std::size_t support = supports[k - first];
+        // Survivors write into this depth's reusable slot instead of
+        // allocating a fresh vector.
         BitVector& extended = ctx.scratch->cover_scratch[depth];
         extended.AssignAnd(tidset, sh.db->ItemCover(i));
 
         ++ctx.closure_checks;
         Itemset& closure = ctx.scratch->closure_scratch[depth];
-        if (!CloseExtension(*sh.db, sh.frequent, in_closed, extended, i,
+        if (!CloseExtension(*sh.db, sh.frequent, cond, in_closed, extended, i,
                             sh.max_len, &closure)) {
             continue;
         }
@@ -208,10 +252,11 @@ bool ClosedDfs(ClosedCtx& ctx, const Itemset& closed, const BitVector& tidset,
         // Estimated subtree work: cover rows × extension items still ahead.
         const std::size_t est = support * (sh.frequent.size() - fi);
         if (!leaf && sh.group != nullptr && est > sh.split_threshold) {
-            SpawnClosedSubtree(ctx, closure, extended, fi + 1, depth + 1);
+            SpawnClosedSubtree(ctx, closure, extended, cond, fi + 1, depth + 1);
         } else if (!leaf) {
             for (ItemId j : closure) in_closed[j] = 1;
-            const bool ok = ClosedDfs(ctx, closure, extended, fi + 1, depth + 1);
+            const bool ok =
+                ClosedDfs(ctx, closure, extended, cond, fi + 1, depth + 1);
             // Restore membership to the parent closed set.
             std::fill(in_closed.begin(), in_closed.end(), 0);
             for (ItemId j : closed) in_closed[j] = 1;
@@ -232,10 +277,14 @@ void RunClosedSubtreeTask(ClosedShared* sh,
     scratch.in_closed.assign(sh->db->num_items(), 0);
     for (ItemId j : holder->closed) scratch.in_closed[j] = 1;
     // Depth never exceeds the number of frequent items: each level adds at
-    // least one item to the closed set.
-    if (scratch.cover_scratch.size() < sh->frequent.size()) {
-        scratch.cover_scratch.resize(sh->frequent.size());
-        scratch.closure_scratch.resize(sh->frequent.size());
+    // least one item to the closed set. A node at that depth (or the root
+    // when nothing is frequent) still writes its conditional-list slot.
+    const std::size_t depths = sh->frequent.size() + 1;
+    if (scratch.cover_scratch.size() < depths) {
+        scratch.cover_scratch.resize(depths);
+        scratch.closure_scratch.resize(depths);
+        scratch.cond_scratch.resize(depths);
+        scratch.support_scratch.resize(depths);
     }
     BudgetGuard guard(TaskBudget(sh->budget, sh->timer));
     ShardEmitter emitter(&sh->shards, std::move(path));
@@ -251,8 +300,8 @@ void RunClosedSubtreeTask(ClosedShared* sh,
             emitter.Emit(std::move(p));
         }
     }
-    if (!ok || !ClosedDfs(ctx, holder->closed, holder->tidset, holder->start,
-                          holder->depth)) {
+    if (!ok || !ClosedDfs(ctx, holder->closed, holder->tidset, holder->cond,
+                          holder->start, holder->depth)) {
         sh->RecordFirstBreach(guard.breach());
     }
     emitter.Flush();
@@ -261,12 +310,14 @@ void RunClosedSubtreeTask(ClosedShared* sh,
 }
 
 void SpawnClosedSubtree(ClosedCtx& ctx, const Itemset& closure,
-                        const BitVector& tidset, std::size_t start,
-                        std::size_t depth) {
+                        const BitVector& tidset,
+                        const std::vector<std::uint32_t>& cond,
+                        std::size_t start, std::size_t depth) {
     ClosedShared& sh = *ctx.sh;
     auto holder = std::make_shared<ClosedSubtree>();
     holder->closed = closure;
     holder->tidset = tidset;
+    holder->cond = cond;
     holder->start = start;
     holder->depth = depth;
     ctx.emitter->Flush();  // contiguity rule: shard ends at the spawn
@@ -301,8 +352,10 @@ Result<MineOutcome<Pattern>> ClosedMiner::MineBudgeted(
     auto root = std::make_shared<ClosedSubtree>();
     root->tidset = BitVector(n);
     root->tidset.Fill();
-    for (ItemId i : shared.frequent) {
+    for (std::size_t fi = 0; fi < shared.frequent.size(); ++fi) {
+        const ItemId i = shared.frequent[fi];
         if (db.ItemSupport(i) == n) root->closed.push_back(i);
+        root->cond.push_back(static_cast<std::uint32_t>(fi));
     }
     root->emit_closed = !root->closed.empty() && n >= min_sup &&
                         root->closed.size() <= config.max_pattern_len;

@@ -19,6 +19,14 @@ constexpr double kSqrt2Pi = 2.5066282746310005024;
 constexpr double kLnPi = 1.1447298858494001741;
 constexpr double kSqrt1_2 = 0.70710678118654752440;
 
+// lnΓ(a) of the gamma shape: the one-dof chi² shape a = 1/2 reads a value
+// set once from the same LogGamma(0.5) call, so every p-value is bitwise what
+// a per-call LogGamma gives, without its Lanczos sum on every call.
+double LogGammaOfShape(double a) {
+    static const double kLogGammaHalf = LogGamma(0.5);
+    return a == 0.5 ? kLogGammaHalf : LogGamma(a);
+}
+
 // Series expansion of P(a, x), convergent (and fast) for x < a + 1:
 // P(a, x) = x^a e^-x / Γ(a+1) · Σ_{n>=0} x^n / ((a+1)...(a+n)).
 double GammaPSeries(double a, double x) {
@@ -29,7 +37,7 @@ double GammaPSeries(double a, double x) {
         sum += term;
         if (std::fabs(term) < std::fabs(sum) * kConvergeEps) break;
     }
-    return sum * std::exp(a * std::log(x) - x - LogGamma(a));
+    return sum * std::exp(a * std::log(x) - x - LogGammaOfShape(a));
 }
 
 // Lentz's continued fraction for Q(a, x), convergent for x >= a + 1:
@@ -52,7 +60,7 @@ double GammaQContinuedFraction(double a, double x) {
         h *= delta;
         if (std::fabs(delta - 1.0) < kConvergeEps) break;
     }
-    return std::exp(a * std::log(x) - x - LogGamma(a)) * h;
+    return std::exp(a * std::log(x) - x - LogGammaOfShape(a)) * h;
 }
 
 }  // namespace

@@ -67,7 +67,49 @@ double OddsRatioPValue(const stats::Table2x2& t, double min_odds_ratio) {
     return stats::NormalSurvival(z);
 }
 
-void FlushSignificanceMetrics(const SignificanceResult& result) {
+std::vector<double> SortedCopy(const std::vector<double>& values) {
+    std::vector<double> sorted = values;
+    std::sort(sorted.begin(), sorted.end());
+    return sorted;
+}
+
+// Median of ascending `sorted`: the middle order statistic, or the mean of
+// the two middle ones for an even count (0 when empty).
+double SortedMedian(const std::vector<double>& sorted) {
+    if (sorted.empty()) return 0.0;
+    const std::size_t mid = sorted.size() / 2;
+    if (sorted.size() % 2 != 0) return sorted[mid];
+    return 0.5 * (sorted[mid - 1] + sorted[mid]);
+}
+
+// The threshold CorrectionThreshold documents, over p-values already sorted
+// ascending.
+double SortedCorrectionThreshold(const std::vector<double>& sorted,
+                                 Correction correction, double alpha) {
+    const double m = static_cast<double>(sorted.size());
+    switch (correction) {
+        case Correction::kNone:
+            return alpha;
+        case Correction::kBonferroni:
+            return sorted.empty() ? alpha : alpha / m;
+        case Correction::kBenjaminiHochberg: {
+            if (sorted.empty()) return alpha;
+            // Largest k with p_(k) <= k·alpha/m; every p at or below that
+            // order statistic is declared a discovery.
+            for (std::size_t k = sorted.size(); k-- > 0;) {
+                if (sorted[k] <= alpha * static_cast<double>(k + 1) / m) {
+                    return sorted[k];
+                }
+            }
+            return -std::numeric_limits<double>::infinity();
+        }
+    }
+    return alpha;
+}
+
+// `sorted` is result.p_values in ascending order.
+void FlushSignificanceMetrics(const SignificanceResult& result,
+                              const std::vector<double>& sorted) {
     auto& registry = obs::Registry::Get();
     static auto& tested_c = registry.GetCounter("dfp.stats.candidates_tested");
     static auto& rejected_c = registry.GetCounter("dfp.stats.rejected");
@@ -85,9 +127,8 @@ void FlushSignificanceMetrics(const SignificanceResult& result) {
         min_p = std::min(min_p, p);
         p_h.Observe(p);
     }
-    std::vector<double> scratch = result.p_values;
     min_p_g.Set(min_p);
-    median_p_g.Set(MedianInPlace(scratch));
+    median_p_g.Set(SortedMedian(sorted));
     // The raw threshold can be ±inf (BH with no discovery / fail-open);
     // clamp the gauge so report JSON stays finite. 0 = "rejects everything",
     // 1 = "keeps everything".
@@ -121,27 +162,7 @@ double PatternPValue(SigTest test, const TransactionDatabase& db,
 
 double CorrectionThreshold(const std::vector<double>& p_values,
                            Correction correction, double alpha) {
-    const double m = static_cast<double>(p_values.size());
-    switch (correction) {
-        case Correction::kNone:
-            return alpha;
-        case Correction::kBonferroni:
-            return p_values.empty() ? alpha : alpha / m;
-        case Correction::kBenjaminiHochberg: {
-            if (p_values.empty()) return alpha;
-            // Largest k with p_(k) <= k·alpha/m; every p at or below that
-            // order statistic is declared a discovery.
-            std::vector<double> sorted = p_values;
-            std::sort(sorted.begin(), sorted.end());
-            for (std::size_t k = sorted.size(); k-- > 0;) {
-                if (sorted[k] <= alpha * static_cast<double>(k + 1) / m) {
-                    return sorted[k];
-                }
-            }
-            return -std::numeric_limits<double>::infinity();
-        }
-    }
-    return alpha;
+    return SortedCorrectionThreshold(SortedCopy(p_values), correction, alpha);
 }
 
 SignificanceResult RunSignificanceFilter(const TransactionDatabase& db,
@@ -193,22 +214,24 @@ SignificanceResult RunSignificanceFilter(const TransactionDatabase& db,
         RecordBreach("stats.significance", breach,
                      static_cast<double>(candidates.size()));
         if (breach != BudgetBreach::kCancelled) {
-            FlushSignificanceMetrics(result);
+            FlushSignificanceMetrics(result, SortedCopy(result.p_values));
         }
         return result;
     }
 
     // The correction runs serially over the finished p-vector, so the keep
-    // mask is a deterministic function of the (deterministic) p-values.
+    // mask is a deterministic function of the (deterministic) p-values. One
+    // sorted copy serves the threshold and the median gauge.
+    const std::vector<double> sorted = SortedCopy(result.p_values);
     result.threshold =
-        CorrectionThreshold(result.p_values, config.correction, config.alpha);
+        SortedCorrectionThreshold(sorted, config.correction, config.alpha);
     for (std::size_t i = 0; i < candidates.size(); ++i) {
         if (!(result.p_values[i] <= result.threshold)) {
             result.keep[i] = 0;
             ++result.rejected;
         }
     }
-    FlushSignificanceMetrics(result);
+    FlushSignificanceMetrics(result, sorted);
     return result;
 }
 

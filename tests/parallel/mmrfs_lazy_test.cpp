@@ -5,7 +5,8 @@
 // with and without a feature cap, and over many-class pools whose covers span
 // more than 64 words (the one-pass redundancy kernel and the word-wise
 // coverage update). Focused cases pin the tie-break, the monotone needy
-// discard, budget truncation and the counters.
+// discard, budget truncation and the counters, and the two-tier queue's
+// tie-break across tiers and its discard-heavy path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -344,6 +345,75 @@ TEST(LazyMmrfsTest, CountersAddUpAndEvaluationsStayBelowEager) {
         EXPECT_LE(evals.value() - ev0,
                   got.selected.size() * candidates.size());
     }
+}
+
+// The two-tier queue: never-refreshed candidates in one sorted array,
+// refreshed ones in a heap, the front the leader of the two under (gain desc,
+// index asc).
+
+// Rows 0-3 are class 0 and rows 4-7 class 1. Items 0 and 1 share the cover
+// {0,1,2} (so a refresh of one against the other gives a gain of exactly
+// r − 1·r = 0), item 2 covers {4,5} with a lower relevance, and item 3
+// covers {3,7}, one row of each class, so its relevance is 0.
+TransactionDatabase TierDb() {
+    return TransactionDatabase::FromTransactions(
+        {{0, 1}, {0, 1}, {0, 1}, {3}, {2}, {2}, {}, {3}},
+        {0, 0, 0, 0, 1, 1, 1, 1}, 4, 2);
+}
+
+// Equal gains split across the tiers: once the first copy of {0,1,2} is
+// selected, its twin is refreshed to gain 0 and waits in the heap while the
+// zero-relevance candidate waits unrefreshed in the sorted tier. The tie
+// goes to the lower index, from the heap in one order and from the sorted
+// tier in the other.
+TEST(LazyMmrfsTierTest, EqualGainsAcrossTiersResolveToLowestIndex) {
+    const auto db = TierDb();
+    MmrfsConfig config;
+    config.coverage_delta = 100;  // never satisfied: every candidate is taken
+    // {P, D, Q, Z}: the refreshed twin D (index 1) beats Z (index 3).
+    const auto heap_wins = WithMetadata(db, {{0}, {1}, {2}, {3}});
+    // {P, Z, Q, D}: Z (index 1) beats the refreshed twin D (index 3).
+    const auto sorted_wins = WithMetadata(db, {{0}, {3}, {2}, {1}});
+    for (const auto* candidates : {&heap_wins, &sorted_wins}) {
+        const MmrfsResult got = RunMmrfs(db, *candidates, config);
+        const std::size_t twin = candidates == &heap_wins ? 1 : 3;
+        const std::size_t zero = candidates == &heap_wins ? 3 : 1;
+        ASSERT_EQ(got.relevance[0], got.relevance[twin]);
+        ASSERT_GT(got.relevance[0], got.relevance[2]);
+        ASSERT_GT(got.relevance[2], 0.0);
+        ASSERT_EQ(got.relevance[zero], 0.0);
+        EXPECT_EQ(got.selected, (std::vector<std::size_t>{0, 2, 1, 3}));
+        ASSERT_EQ(got.gains.size(), 4u);
+        EXPECT_EQ(got.gains[2], 0.0);
+        EXPECT_EQ(got.gains[3], 0.0);
+        ExpectSameSelection(got, testutil::NaiveMmrfs(db, *candidates, config),
+                            twin == 1 ? "heap wins" : "sorted tier wins");
+    }
+}
+
+// δ = 1 on a mined pool: after a few selections most candidates only cover
+// rows already covered, so most pops discard a candidate straight from the
+// sorted tier. The selection still equals the naive reference.
+TEST(LazyMmrfsTierTest, DiscardHeavyPoolMatchesNaive) {
+    auto& registry = obs::Registry::Get();
+    auto& accepted = registry.GetCounter("dfp.core.mmrfs.accepted");
+    auto& discarded = registry.GetCounter("dfp.core.mmrfs.discarded");
+    std::uint64_t total_accepted = 0;
+    std::uint64_t total_discarded = 0;
+    for (std::uint64_t seed = 1; seed <= kNumSeeds; ++seed) {
+        const auto db = SignalDb(seed);
+        const auto candidates = MinePool(db);
+        MmrfsConfig config;
+        config.coverage_delta = 1;
+        const auto acc0 = accepted.value();
+        const auto dis0 = discarded.value();
+        const MmrfsResult got = RunMmrfs(db, candidates, config);
+        total_accepted += accepted.value() - acc0;
+        total_discarded += discarded.value() - dis0;
+        ExpectSameSelection(got, testutil::NaiveMmrfs(db, candidates, config),
+                            "seed " + std::to_string(seed));
+    }
+    EXPECT_GT(total_discarded, 2 * total_accepted);
 }
 
 }  // namespace

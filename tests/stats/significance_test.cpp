@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -425,6 +427,43 @@ TEST(SignificanceReportTest, StatsMetricsFlowIntoReportsAndPrometheus) {
     EXPECT_NE(prom.find("dfp_stats_candidates_tested"), std::string::npos);
     EXPECT_NE(prom.find("dfp_stats_p_value_bucket"), std::string::npos);
     EXPECT_NE(prom.find("dfp_core_mmrfs_gain_bucket"), std::string::npos);
+}
+
+// The filter sorts one copy of the p-values for the BH threshold and the
+// dfp.stats.median_p gauge. Both must equal what they were computed from
+// separately: CorrectionThreshold over the raw vector, and the nth_element
+// median (the upper middle order statistic, averaged with the lower half's
+// maximum for an even count), bitwise, for odd and even pool sizes.
+TEST(SignificanceMedianTest, OneSortServesThresholdAndMedianGauge) {
+    const auto db = XorDb(300, 4, 11);
+    PatternClassifierPipeline miner(DefaultConfig());
+    auto mined = miner.MineCandidates(db);
+    ASSERT_TRUE(mined.ok());
+    ASSERT_GT(mined->size(), 8u);
+    auto& median_g = obs::Registry::Get().GetGauge("dfp.stats.median_p");
+    SignificanceConfig config;
+    config.test = SigTest::kChi2;
+    config.correction = Correction::kBenjaminiHochberg;
+    for (const std::size_t count :
+         {std::size_t{1}, std::size_t{2}, std::size_t{7}, std::size_t{8},
+          mined->size()}) {
+        const std::vector<Pattern> candidates(mined->begin(),
+                                              mined->begin() + count);
+        const SignificanceResult r =
+            RunSignificanceFilter(db, candidates, config);
+        EXPECT_EQ(r.threshold, CorrectionThreshold(r.p_values, config.correction,
+                                                   config.alpha))
+            << count << " candidates";
+        std::vector<double> v = r.p_values;
+        const auto mid = static_cast<std::ptrdiff_t>(v.size() / 2);
+        std::nth_element(v.begin(), v.begin() + mid, v.end());
+        double want = v[static_cast<std::size_t>(mid)];
+        if (v.size() % 2 == 0) {
+            const double lower = *std::max_element(v.begin(), v.begin() + mid);
+            want = 0.5 * (lower + want);
+        }
+        EXPECT_EQ(median_g.value(), want) << count << " candidates";
+    }
 }
 
 }  // namespace

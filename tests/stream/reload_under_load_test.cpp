@@ -4,8 +4,6 @@
 // registry/engine regression, not load.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -22,6 +20,7 @@
 #include "serve/registry.hpp"
 #include "serve/server.hpp"
 #include "testutil/drift_source.hpp"
+#include "testutil/scratch_path.hpp"
 
 namespace dfp::stream {
 namespace {
@@ -55,11 +54,10 @@ struct Harness {
     PredictionServer server;
 };
 
-/// Trains a pipeline model on `rows` and persists it under `tag`.
-std::string TrainModelFile(std::vector<std::vector<ItemId>> rows,
-                           std::vector<ClassLabel> labels,
-                           std::size_t num_items, std::size_t num_classes,
-                           const std::string& tag) {
+/// Trains a pipeline model on `rows` and persists it at `path`.
+void TrainModelFile(std::vector<std::vector<ItemId>> rows,
+                    std::vector<ClassLabel> labels, std::size_t num_items,
+                    std::size_t num_classes, const std::string& path) {
     for (auto& txn : rows) {
         std::sort(txn.begin(), txn.end());
         txn.erase(std::unique(txn.begin(), txn.end()), txn.end());
@@ -73,10 +71,7 @@ std::string TrainModelFile(std::vector<std::vector<ItemId>> rows,
     PatternClassifierPipeline pipeline(config);
     EXPECT_TRUE(
         pipeline.Train(db, std::make_unique<NaiveBayesClassifier>()).ok());
-    const std::string path = ::testing::TempDir() + "/dfp_reload_" + tag +
-                             "_" + std::to_string(::getpid()) + ".dfp";
     EXPECT_TRUE(SavePipelineModelToFile(pipeline, path).ok());
-    return path;
 }
 
 struct ClientLog {
@@ -126,12 +121,14 @@ TEST(ReloadUnderLoadTest, HundredHotReloadsUnderContinuousTraffic) {
 
     TransactionBatch phase0 = source.NextBatch(source_config.rows_per_phase);
     TransactionBatch phase1 = source.NextBatch(source_config.rows_per_phase);
-    const std::string path_a = TrainModelFile(
-        std::move(phase0.transactions), std::move(phase0.labels),
-        source.num_items(), source.num_classes(), "a");
-    const std::string path_b = TrainModelFile(
-        std::move(phase1.transactions), std::move(phase1.labels),
-        source.num_items(), source.num_classes(), "b");
+    const testutil::ScratchPath file_a("dfp_reload_a", ".dfp");
+    const testutil::ScratchPath file_b("dfp_reload_b", ".dfp");
+    const std::string& path_a = file_a.str();
+    const std::string& path_b = file_b.str();
+    TrainModelFile(std::move(phase0.transactions), std::move(phase0.labels),
+                   source.num_items(), source.num_classes(), path_a);
+    TrainModelFile(std::move(phase1.transactions), std::move(phase1.labels),
+                   source.num_items(), source.num_classes(), path_b);
 
     EngineConfig engine_config;
     engine_config.max_delay_ms = 0.0;

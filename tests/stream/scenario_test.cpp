@@ -12,8 +12,6 @@
 //    version serving with the trainer's retry armed; the next pump publishes.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -30,6 +28,7 @@
 #include "stream/streaming_db.hpp"
 #include "stream/trainer.hpp"
 #include "testutil/drift_source.hpp"
+#include "testutil/scratch_path.hpp"
 
 namespace dfp::stream {
 namespace {
@@ -179,8 +178,8 @@ TEST_F(DriftScenarioTest, LiveServerRecoversAcrossThreeDrifts) {
     trainer_config.drift.min_observations = 80;
     trainer_config.drift.accuracy_drop = 0.12;
     trainer_config.drift.class_shift = 0.35;
-    trainer_config.model_dir = ::testing::TempDir() + "/dfp_scenario_" +
-                               std::to_string(::getpid());
+    const testutil::ScratchPath model_dir("dfp_scenario");
+    trainer_config.model_dir = model_dir.str();
     auto trainer = ContinuousTrainer::Create(trainer_config, db->get(),
                                              &harness.registry);
     ASSERT_TRUE(trainer.ok()) << trainer.status();

@@ -10,8 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <memory>
@@ -32,6 +30,7 @@
 #include "stream/streaming_db.hpp"
 #include "testutil/apriori.hpp"
 #include "testutil/drift_source.hpp"
+#include "testutil/scratch_path.hpp"
 
 namespace dfp::stream {
 namespace {
@@ -41,10 +40,15 @@ class TrainerTest : public ::testing::Test {
     void SetUp() override { FailpointRegistry::Get().DisableAll(); }
     void TearDown() override { FailpointRegistry::Get().DisableAll(); }
 
-    static std::string ModelDir(const std::string& tag) {
-        return ::testing::TempDir() + "/dfp_stream_" + tag + "_" +
-               std::to_string(::getpid());
+    // A model directory the fixture removes when the test ends.
+    std::string ModelDir(const std::string& tag) {
+        dirs_.push_back(
+            std::make_unique<testutil::ScratchPath>("dfp_stream_" + tag));
+        return dirs_.back()->str();
     }
+
+  private:
+    std::vector<std::unique_ptr<testutil::ScratchPath>> dirs_;
 };
 
 testutil::DriftSourceConfig SourceConfig(std::uint64_t seed) {

@@ -14,6 +14,13 @@
 // documentation of what the serving stack is expected to sustain. Keep them
 // loose — this gate is for catching collapses (half the throughput, runaway
 // shed rate), not 2% noise.
+//
+// Host shape: a gauge whose name has a `.t<k>.` segment was measured at k
+// threads. When k exceeds the report's own dfp.bench.hw_threads, its bound
+// is reported as skipped, not judged — k threads on fewer hardware threads
+// measure time-slicing, not scaling. A report without dfp.bench.hw_threads
+// is judged in full.
+#include <cctype>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -31,6 +38,22 @@ dfp::Result<dfp::obs::JsonValue> LoadJsonFile(const std::string& path) {
     std::ostringstream buf;
     buf << in.rdbuf();
     return dfp::obs::ParseJson(buf.str());
+}
+
+// The k of the first `.t<k>.` segment of a gauge name, or 0 when it has none.
+double ThreadsNamed(const std::string& name) {
+    for (std::size_t pos = name.find(".t"); pos != std::string::npos;
+         pos = name.find(".t", pos + 2)) {
+        std::size_t end = pos + 2;
+        double k = 0.0;
+        while (end < name.size() &&
+               std::isdigit(static_cast<unsigned char>(name[end])) != 0) {
+            k = 10.0 * k + (name[end] - '0');
+            ++end;
+        }
+        if (end > pos + 2 && end < name.size() && name[end] == '.') return k;
+    }
+    return 0.0;
 }
 
 }  // namespace
@@ -85,9 +108,22 @@ int main(int argc, char** argv) {
         return 2;
     }
 
+    const dfp::obs::JsonValue* hw = gauges->Find("dfp.bench.hw_threads");
+    const double hw_threads =
+        hw != nullptr && hw->is_number() && hw->number() > 0.0 ? hw->number()
+                                                                : 0.0;
+
     int violations = 0;
     int checked = 0;
+    int skipped = 0;
     for (const auto& [name, bounds] : checks->object()) {
+        const double threads = ThreadsNamed(name);
+        if (hw_threads > 0.0 && threads > hw_threads) {
+            std::printf("skip  %-45s t%g > hw_threads %g\n", name.c_str(),
+                        threads, hw_threads);
+            ++skipped;
+            continue;
+        }
         const dfp::obs::JsonValue* actual = gauges->Find(name);
         if (actual == nullptr || !actual->is_number()) {
             std::printf("FAIL  %-45s missing from %s\n", name.c_str(),
@@ -116,10 +152,11 @@ int main(int argc, char** argv) {
             ++violations;
         }
     }
-    if (checked == 0 && violations == 0) {
+    if (checked == 0 && violations == 0 && skipped == 0) {
         std::fprintf(stderr, "error: baseline lists no metrics\n");
         return 2;
     }
-    std::printf("%d checked, %d violations\n", checked, violations);
+    std::printf("%d checked, %d skipped, %d violations\n", checked, skipped,
+                violations);
     return violations == 0 ? 0 : 1;
 }
