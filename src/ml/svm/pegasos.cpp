@@ -11,13 +11,20 @@ namespace dfp {
 
 namespace {
 
-// Pegasos SGD core shared by the one-vs-rest classifier and the binary
-// fallback solver. `target_of(i)` returns the ±1 label of row i; `rng` is
-// shared by callers training several machines so the sampling stream stays
-// reproducible. The budget is checked once per epoch: fine-grained enough
-// for deadlines without touching the inner loop. A step reads and updates w
-// only at the sampled row's set bits — the zero terms of the dense step add
-// nothing — so it costs O(|x_i|), not O(d).
+/// A binary linear decision function f(x) = w·x + bias (classify by sign).
+struct BinaryLinearModel {
+    std::vector<double> w;
+    double bias = 0.0;
+    /// Breach that stopped SGD early (kNone = ran all epochs).
+    BudgetBreach breach = BudgetBreach::kNone;
+};
+
+// Pegasos SGD for one one-vs-rest machine. `target_of(i)` returns the ±1
+// label of row i; `rng` is shared by the machines of one classifier so the
+// sampling stream stays reproducible. The budget is checked once per epoch:
+// fine-grained enough for deadlines without touching the inner loop. A step
+// reads and updates w only at the sampled row's set bits — the zero terms of
+// the dense step add nothing — so it costs O(|x_i|), not O(d).
 template <typename TargetFn>
 BinaryLinearModel PegasosSgd(const PackedRows& x, TargetFn target_of,
                              const PegasosConfig& config, Rng& rng) {
@@ -66,18 +73,6 @@ BinaryLinearModel PegasosSgd(const PackedRows& x, TargetFn target_of,
 }
 
 }  // namespace
-
-BinaryLinearModel TrainPegasosBinary(const PackedRows& x,
-                                     const std::vector<int>& y,
-                                     const PegasosConfig& config) {
-    Rng rng(config.seed);
-    BinaryLinearModel model = PegasosSgd(
-        x, [&y](std::size_t i) { return static_cast<double>(y[i]); }, config, rng);
-    if (model.breach != BudgetBreach::kNone) {
-        RecordBreach("ml.pegasos", model.breach, 0.0);
-    }
-    return model;
-}
 
 Status PegasosClassifier::Train(const FeatureMatrix& x,
                                 const std::vector<ClassLabel>& y,

@@ -25,20 +25,6 @@ struct PegasosConfig {
     ExecutionBudget budget;
 };
 
-/// A binary linear decision function f(x) = w·x + bias (classify by sign).
-struct BinaryLinearModel {
-    std::vector<double> w;
-    double bias = 0.0;
-    /// Breach that stopped SGD early (kNone = ran all epochs).
-    BudgetBreach breach = BudgetBreach::kNone;
-};
-
-/// Trains a binary (±1 labels) linear SVM with Pegasos SGD — the fallback
-/// solver used when SMO fails to converge on a pairwise subproblem.
-BinaryLinearModel TrainPegasosBinary(const PackedRows& x,
-                                     const std::vector<int>& y,
-                                     const PegasosConfig& config);
-
 /// One-vs-rest linear SVM trained with Pegasos SGD.
 class PegasosClassifier : public Classifier {
   public:

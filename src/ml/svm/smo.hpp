@@ -1,10 +1,11 @@
-// Binary soft-margin SVM trained with Platt's SMO (our LIBSVM substitute).
+// Binary soft-margin SVM trained with LIBSVM's SMO solver.
 //
-// Solves  max_α Σα_i − ½ΣΣ α_iα_j y_iy_j K(x_i,x_j)
+// Solves  min_α ½αᵀQα − eᵀα,  Q_ij = y_i y_j K(x_i, x_j)
 //         s.t. 0 ≤ α_i ≤ C, Σ α_i y_i = 0
-// with the classic two-variable analytic step, a full error cache, and the
-// max-|E1−E2| second-choice heuristic. For the linear kernel the primal
-// weight vector is maintained incrementally, making decision evaluation O(d).
+// as LIBSVM does (Fan, Chen & Lin, "Working Set Selection Using Second Order
+// Information", JMLR 6, 2005): keep the gradient of the dual, pick the
+// maximal violating pair by second-order gain, take the clipped two-variable
+// step and update the gradient from the pair's two kernel rows.
 #pragma once
 
 #include <cstddef>
@@ -22,42 +23,25 @@ namespace dfp {
 struct SmoConfig {
     double c = 1.0;  ///< soft-margin penalty
     KernelParams kernel;
-    double tol = 1e-3;       ///< KKT violation tolerance
-    double eps = 1e-8;       ///< minimal alpha step
-    std::size_t max_passes = 200;  ///< outer passes without progress cap
-    std::size_t max_steps = 2'000'000;  ///< total pair-update budget
-    /// Precompute the full Gram matrix when n ≤ this (memory: n² doubles).
-    std::size_t gram_limit = 3000;
-    /// Kernel-row LRU cache budget for solves too large for the full Gram
-    /// (n > gram_limit): TakeStep's O(n) error refresh re-reads the two
-    /// changed rows, so caching whole rows turns its 2n kernel evaluations
-    /// into 2n loads on a hit. Cached rows hold exactly the values direct
-    /// evaluation would produce (BinaryKernelEval is deterministic and
-    /// symmetric), so the optimization trajectory — and the trained model —
-    /// is bit-identical with the cache on or off. 0 disables the cache.
+    /// Stopping tolerance: the solve ends when the maximal violating pair's
+    /// gap m(α) − M(α) is below it (LIBSVM's ε).
+    double tol = 1e-3;
+    std::size_t max_steps = 2'000'000;  ///< pair-update cap
+    /// Memory bound of the kernel-row LRU cache the solver reads every
+    /// kernel row from (capacity = cache_bytes / (8n) rows, at least 2, at
+    /// most n). Cached rows hold exactly the values direct evaluation would
+    /// produce (BinaryKernelEval is deterministic and symmetric), so the
+    /// capacity never changes the trained model, only how often a row is
+    /// recomputed.
     std::size_t cache_bytes = 64ull << 20;
-    /// LIBSVM-style shrinking: bound multipliers that satisfy KKT beyond tol
-    /// are dropped from the error-cache refresh and the step-candidate scans
-    /// until the next full sweep, where their errors are reconstructed
-    /// exactly from the current iterate before re-examination. Cuts the
-    /// per-step O(n) work on mostly-converged solves, but reorders float
-    /// updates (the trajectory is no longer bit-identical to the unshrunk
-    /// solve, though both converge to tolerance), so it defaults to off.
-    bool shrinking = false;
-    std::uint64_t seed = 7;  ///< tie-breaking RNG
     /// SvmClassifier-level: worker threads for the one-vs-one pairwise
     /// solves (each binary subproblem is independent and deterministic, so
     /// predictions are identical for every thread count). TrainSmo itself is
     /// single-threaded. 1 = serial; 0 = hardware_concurrency.
     std::size_t num_threads = 1;
-    /// Wall-clock / cancellation limits for the solve (checked between
-    /// examine calls). A breach stops the solver with the current iterate.
+    /// Wall-clock / cancellation limits for the solve (checked once per
+    /// iteration). A breach stops the solver with the current iterate.
     ExecutionBudget budget;
-    /// SvmClassifier-level policy (ignored by TrainSmo itself): when SMO
-    /// exhausts max_steps/max_passes without converging, retrain the pair
-    /// with the Pegasos primal solver instead of keeping the dubious dual
-    /// iterate.
-    bool fallback_to_pegasos = true;
 };
 
 /// Trained binary SVM. Labels are {−1, +1}.
@@ -72,13 +56,12 @@ struct SmoModel {
     /// Training α per training row (kept for KKT certification in tests).
     std::vector<double> alpha;
     std::size_t iterations = 0;  ///< pair updates performed
-    /// False when the solver stopped before a full KKT-clean sweep: pair-
-    /// update budget (max_steps/max_passes) exhausted or execution budget
-    /// breached. The model is still usable — it is the current SMO iterate —
-    /// but callers may prefer a fallback solver.
+    /// False when the solver stopped before the maximal violation fell below
+    /// tol: max_steps exhausted or execution budget breached. The model is
+    /// still usable — it is the current iterate, a valid decision function.
     bool converged = true;
     /// The execution-budget breach that stopped the solve (kNone when the
-    /// stop was due to max_steps/max_passes or natural convergence).
+    /// stop was due to max_steps or natural convergence).
     BudgetBreach breach = BudgetBreach::kNone;
 
     /// Decision value f(x) of a packed row; classify by sign. K comes from
@@ -92,7 +75,8 @@ Result<SmoModel> TrainSmo(const PackedRows& x, const std::vector<int>& y,
                           const SmoConfig& config);
 
 /// Max KKT-condition violation of the trained model on its training set;
-/// used by the tests to certify convergence (should be ≤ config.tol + slack).
+/// used by the tests to certify convergence (≤ config.tol for a converged
+/// solve).
 double MaxKktViolation(const SmoModel& model, const PackedRows& x,
                        const std::vector<int>& y, double c);
 

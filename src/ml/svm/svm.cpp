@@ -10,7 +10,6 @@
 #include "common/serialize.hpp"
 #include "common/string_util.hpp"
 #include "ml/eval/cross_validation.hpp"
-#include "ml/svm/pegasos.hpp"
 
 namespace dfp {
 
@@ -97,29 +96,11 @@ Status SvmClassifier::Train(const FeatureMatrix& x, const std::vector<ClassLabel
             // Deadline/memory breach: keep the partial SMO iterate (it is
             // a valid, if suboptimal, decision function).
             RecordBreach("ml.svm", model.breach, static_cast<double>(idx));
-        } else if (!model.converged && config_.fallback_to_pegasos) {
-            // Pair-update budget (max_steps/max_passes) exhausted without
-            // KKT cleanliness: retrain the pair with the primal solver.
+        } else if (!model.converged) {
+            // max_steps exhausted before the violation fell below tol: the
+            // iterate is kept too, and the event is recorded.
             GuardLog::Get().Record("ml.svm", "smo_nonconverged",
                                    static_cast<double>(model.iterations));
-            PegasosConfig fallback;
-            fallback.lambda =
-                1.0 / (config_.c * static_cast<double>(sub.rows()));
-            fallback.budget = config_.budget;
-            fallback.budget.time_budget_ms = timer.remaining_ms();
-            const BinaryLinearModel linear =
-                TrainPegasosBinary(sub, labels, fallback);
-            if (linear.breach == BudgetBreach::kCancelled) {
-                slot.status = Status::Cancelled("SVM training cancelled");
-                return;
-            }
-            model = SmoModel{};
-            model.kernel.type = KernelType::kLinear;
-            model.w = linear.w;
-            model.bias = linear.bias;
-            model.converged = linear.breach == BudgetBreach::kNone;
-            GuardLog::Get().Record("ml.svm", "pegasos_fallback",
-                                   static_cast<double>(sub.rows()));
         }
         slot.present = true;
         slot.pm.positive = a;

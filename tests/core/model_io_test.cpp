@@ -10,6 +10,7 @@
 #include "ml/nb/naive_bayes.hpp"
 #include "ml/svm/pegasos.hpp"
 #include "ml/svm/svm.hpp"
+#include "testutil/scratch_path.hpp"
 
 namespace dfp {
 namespace {
@@ -124,9 +125,9 @@ TEST(ModelIoTest, FileRoundTrip) {
     const auto db = Db(7);
     PatternClassifierPipeline pipeline(SmallConfig());
     ASSERT_TRUE(pipeline.Train(db, std::make_unique<C45Classifier>()).ok());
-    const std::string path = ::testing::TempDir() + "/dfp_model_io_test.model";
-    ASSERT_TRUE(SavePipelineModelToFile(pipeline, path).ok());
-    auto loaded = LoadPipelineModelFromFile(path);
+    const testutil::ScratchPath path("dfp_model_io_test", ".model");
+    ASSERT_TRUE(SavePipelineModelToFile(pipeline, path.str()).ok());
+    auto loaded = LoadPipelineModelFromFile(path.str());
     ASSERT_TRUE(loaded.ok()) << loaded.status();
     EXPECT_NEAR(loaded->Accuracy(db), pipeline.Accuracy(db), 1e-12);
 }

@@ -1,7 +1,6 @@
-// SMO non-convergence detection and the Pegasos fallback path: exhausted
-// pair-update budgets must be detected (not silently shipped as "trained"),
-// the classifier must fall back to the primal solver, and the guard log must
-// record both events.
+// SMO non-convergence detection: an exhausted pair-update budget must be
+// detected (not silently shipped as "trained"), the classifier must keep the
+// iterate and the guard log must record the event.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
@@ -55,7 +54,7 @@ TEST(SmoGuardTest, ExhaustedStepBudgetDetectedAsNonConvergence) {
     EXPECT_LE(model->iterations, 3u);
 }
 
-TEST(SmoGuardTest, ClassifierFallsBackToPegasos) {
+TEST(SmoGuardTest, ClassifierKeepsIterateAndRecordsNonConvergence) {
     FeatureMatrix x;
     std::vector<int> y;
     std::vector<ClassLabel> yc;
@@ -65,35 +64,27 @@ TEST(SmoGuardTest, ClassifierFallsBackToPegasos) {
     const Status st = svm.Train(x, yc, 2);
     ASSERT_TRUE(st.ok()) << st;
 
-    const auto events = GuardLog::Get().Snapshot();
     bool saw_nonconverged = false;
-    bool saw_fallback = false;
-    for (const GuardEvent& e : events) {
+    for (const GuardEvent& e : GuardLog::Get().Snapshot()) {
         if (e.kind == "smo_nonconverged") saw_nonconverged = true;
-        if (e.kind == "pegasos_fallback") saw_fallback = true;
     }
     EXPECT_TRUE(saw_nonconverged);
-    EXPECT_TRUE(saw_fallback);
-
     const auto counters = obs::Registry::Get().Snapshot().counters;
     const auto it = counters.find("dfp.guard.smo_nonconverged");
     ASSERT_NE(it, counters.end());
     EXPECT_GE(it->second, 1u);
-}
 
-TEST(SmoGuardTest, FallbackCanBeDisabled) {
-    FeatureMatrix x;
-    std::vector<int> y;
-    std::vector<ClassLabel> yc;
-    MakeXor(40, 3, &x, &y, &yc);
-    GuardLog::Get().Clear();
-    SmoConfig config = HardRbfTinySteps();
-    config.fallback_to_pegasos = false;
-    SvmClassifier svm(config);
-    const Status st = svm.Train(x, yc, 2);
-    ASSERT_TRUE(st.ok()) << st;
-    for (const GuardEvent& e : GuardLog::Get().Snapshot()) {
-        EXPECT_NE(e.kind, "pegasos_fallback");
+    // The one pair (class 0 = +1, class 1 = −1) predicts with the SMO
+    // iterate itself: the sign of its decision value on every row.
+    const PackedRows rows(x);
+    std::vector<int> pair_labels;
+    for (ClassLabel c : yc) pair_labels.push_back(c == 0 ? 1 : -1);
+    const auto iterate = TrainSmo(rows, pair_labels, HardRbfTinySteps());
+    ASSERT_TRUE(iterate.ok()) << iterate.status();
+    ASSERT_FALSE(iterate->converged);
+    for (std::size_t i = 0; i < rows.rows(); ++i) {
+        const ClassLabel want = iterate->Decision(rows.Row(i)) >= 0.0 ? 0 : 1;
+        EXPECT_EQ(svm.Predict(rows.Row(i)), want) << "row " << i;
     }
 }
 

@@ -38,18 +38,16 @@ TEST(SmoTest, KktConditionsSatisfied) {
     FeatureMatrix x;
     std::vector<int> y;
     std::vector<ClassLabel> yc;
-    // Overlapping clouds that the solve converges on. On some overlapping
-    // 0/1 clouds Platt's loop exhausts max_passes instead (SvmClassifier
-    // then falls back to Pegasos; SmoGuardTest covers that path), and the
-    // KKT bound only holds for a converged solve.
+    // Overlapping clouds. The solver stops once the maximal violating pair's
+    // gap is below tol, which bounds every KKT violation by tol;
+    // SmoConvergenceTest holds that over a grid of clouds and seeds.
     MakeBlobs(50, 0.2, 2, &x, &y, &yc);
     SmoConfig config;
     config.c = 1.0;
     auto model = TrainSmo(PackedRows(x), y, config);
     ASSERT_TRUE(model.ok());
     ASSERT_TRUE(model->converged);
-    // Platt's loop terminates when no example violates KKT beyond tol; allow
-    // modest slack for the bias averaging.
+    // A loose bound; SmoConvergenceTest holds the tight one (≤ tol).
     EXPECT_LT(MaxKktViolation(*model, PackedRows(x), y, config.c), 10 * config.tol + 0.05);
 }
 
@@ -96,6 +94,25 @@ TEST(SmoTest, RejectsBadInput) {
     bad.c = -1.0;
     EXPECT_FALSE(TrainSmo(x, {1, -1}, bad).ok());
     EXPECT_FALSE(TrainSmo(PackedRows(FeatureMatrix()), {}, SmoConfig{}).ok());
+}
+
+TEST(SmoTest, OneClassGivesFiniteConstantSign) {
+    // With one label there is no violating pair: α stays 0 and ρ comes from
+    // the one finite side of the bound interval, so the decision is finite
+    // and carries that label's sign.
+    FeatureMatrix x(3, 2);
+    x.Set(0, 0);
+    x.Set(1, 1);
+    const PackedRows rows(x);
+    for (const int label : {1, -1}) {
+        const auto model = TrainSmo(rows, std::vector<int>(3, label), SmoConfig{});
+        ASSERT_TRUE(model.ok());
+        EXPECT_TRUE(model->converged);
+        EXPECT_TRUE(std::isfinite(model->bias));
+        for (std::size_t i = 0; i < rows.rows(); ++i) {
+            EXPECT_GT(label * model->Decision(rows.Row(i)), 0.0) << label;
+        }
+    }
 }
 
 TEST(SmoTest, RbfSolvesXor) {

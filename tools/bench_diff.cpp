@@ -16,10 +16,12 @@
 // shed rate), not 2% noise.
 //
 // Host shape: a gauge whose name has a `.t<k>.` segment was measured at k
-// threads. When k exceeds the report's own dfp.bench.hw_threads, its bound
-// is reported as skipped, not judged — k threads on fewer hardware threads
-// measure time-slicing, not scaling. A report without dfp.bench.hw_threads
-// is judged in full.
+// threads. When k exceeds the report's own dfp.bench.hw_threads and the
+// gauge is derived from time (its name ends in `.efficiency`, `.speedup` or
+// `.seconds`), its bound is reported as skipped, not judged — k threads on
+// fewer hardware threads measure time-slicing, not scaling. Counts such as
+// `.t8.patterns` read the same on any host and are always judged. A report
+// without dfp.bench.hw_threads is judged in full.
 #include <cctype>
 #include <cstdio>
 #include <cstring>
@@ -54,6 +56,12 @@ double ThreadsNamed(const std::string& name) {
         if (end > pos + 2 && end < name.size() && name[end] == '.') return k;
     }
     return 0.0;
+}
+
+// Whether a gauge measures time: only those depend on the host's shape.
+bool TimeDerived(const std::string& name) {
+    const std::string last = name.substr(name.rfind('.') + 1);
+    return last == "efficiency" || last == "speedup" || last == "seconds";
 }
 
 }  // namespace
@@ -118,7 +126,7 @@ int main(int argc, char** argv) {
     int skipped = 0;
     for (const auto& [name, bounds] : checks->object()) {
         const double threads = ThreadsNamed(name);
-        if (hw_threads > 0.0 && threads > hw_threads) {
+        if (hw_threads > 0.0 && threads > hw_threads && TimeDerived(name)) {
             std::printf("skip  %-45s t%g > hw_threads %g\n", name.c_str(),
                         threads, hw_threads);
             ++skipped;
