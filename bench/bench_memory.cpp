@@ -1,11 +1,11 @@
 // Memory-footprint bench for the mining core.
 //
 // Records, per miner, wall-clock and pattern throughput next to the process
-// peak RSS, plus an SMO section that trains the same solve with the
-// kernel-row cache at its 2-row minimum and with every row resident. Results
-// land in BENCH_memory.json:
+// peak RSS, plus an SMO section that trains the same letter-shaped solve with
+// the kernel-row cache at its 2-row minimum and with every row resident.
+// Results land in BENCH_memory.json:
 //   dfp.bench.memory.<miner>.seconds / .patterns
-//   dfp.bench.memory.smo.cache_{min,all}.seconds
+//   dfp.bench.memory.smo.cache_{min,all}.seconds, .smo.{rows,steps}
 //   dfp.bench.peak_rss_bytes, dfp.svm.cache.*
 #include <cstdio>
 #include <memory>
@@ -16,6 +16,9 @@
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
 #include "common/string_util.hpp"
+#include "core/feature_space.hpp"
+#include "data/synthetic.hpp"
+#include "exp/experiment.hpp"
 #include "exp/table_printer.hpp"
 #include "fpm/closed_miner.hpp"
 #include "fpm/eclat.hpp"
@@ -42,23 +45,24 @@ TransactionDatabase DenseCorpus(std::size_t rows, std::size_t items,
                                                  std::move(labels), items, 2);
 }
 
-// Two overlapping 0/1 clouds (the learners' input is binary): separable
-// enough that SMO converges, noisy enough that it takes real kernel work to
-// get there. Even features lean to the +1 class, odd ones to the −1 class.
-void TwoClassClouds(std::size_t n, std::size_t d, std::uint64_t seed,
-                    PackedRows* x, std::vector<int>* y) {
-    Rng rng(seed);
-    FeatureMatrix m(n, d);
-    y->assign(n, 1);
-    for (std::size_t r = 0; r < n; ++r) {
-        const int label = r % 2 == 0 ? 1 : -1;
-        (*y)[r] = label;
-        for (std::size_t c = 0; c < d; ++c) {
-            const bool leans = (c % 2 == 0) == (label == 1);
-            if (rng.Bernoulli(leans ? 0.6 : 0.3)) m.Set(r, c);
-        }
+// A letter-shaped SMO solve: the letter recognition shape (20000 rows, 26
+// classes, ~112 items) mapped to its item space, then the rows of the first
+// `classes` letters against the next `classes`. The classes overlap, so the
+// solve takes thousands of steps and revisits kernel rows, which is what the
+// row cache is for.
+void LetterPair(std::size_t classes, PackedRows* x, std::vector<int>* y) {
+    const TransactionDatabase db =
+        DatasetToTransactions(GenerateSynthetic(LetterSpec()));
+    const FeatureMatrix items = FeatureSpace::ItemsOnly(db.num_items()).Transform(db);
+    std::vector<std::size_t> rows;
+    y->clear();
+    for (std::size_t r = 0; r < db.num_transactions(); ++r) {
+        const ClassLabel c = db.label(r);
+        if (c >= 2 * classes) continue;
+        rows.push_back(r);
+        y->push_back(c < classes ? 1 : -1);
     }
-    *x = PackedRows(m);
+    *x = PackedRows(items).SelectRows(rows);
 }
 
 }  // namespace
@@ -105,11 +109,14 @@ int main(int argc, char** argv) {
     bench::Section("SMO kernel-row cache (rbf): 2 rows vs every row");
     PackedRows x;
     std::vector<int> y;
-    TwoClassClouds(/*n=*/900, /*d=*/24, /*seed=*/23, &x, &y);
+    LetterPair(/*classes=*/2, &x, &y);
+    registry.GetGauge("dfp.bench.memory.smo.rows")
+        .Set(static_cast<double>(x.rows()));
     SmoConfig smo;
     smo.kernel.type = KernelType::kRbf;
     smo.kernel.gamma = 0.05;
-    TablePrinter smo_table({"config", "seconds", "steps", "converged"});
+    smo.c = 10.0;  // a soft margin this hard takes ~3.7k steps on 3093 rows
+    TablePrinter smo_table({"config", "rows", "seconds", "steps", "converged"});
     for (const bool all_rows : {false, true}) {
         SmoConfig run = smo;
         // 0 clamps to the 2-row minimum.
@@ -123,11 +130,14 @@ int main(int argc, char** argv) {
             return 1;
         }
         const std::string label = all_rows ? "cache_all" : "cache_min";
-        smo_table.AddRow({label, StrFormat("%.3f", seconds),
+        smo_table.AddRow({label, StrFormat("%zu", x.rows()),
+                          StrFormat("%.3f", seconds),
                           StrFormat("%zu", model->iterations),
                           model->converged ? "yes" : "no"});
         registry.GetGauge("dfp.bench.memory.smo." + label + ".seconds")
             .Set(seconds);
+        registry.GetGauge("dfp.bench.memory.smo.steps")
+            .Set(static_cast<double>(model->iterations));
     }
     smo_table.Print();
 

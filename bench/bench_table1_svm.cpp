@@ -12,6 +12,9 @@
 // beats no selection); Pat_FS > Item_RBF. Absolute numbers differ (synthetic
 // data, our own SMO) — see EXPERIMENTS.md.
 //
+// Each cell's mean, fold standard error and guard event counts (SMO
+// non-convergence, budget breaches) also go to BENCH_table1.json.
+//
 // Flags: --folds=N (default 10)
 #include <cstdio>
 
@@ -29,6 +32,7 @@ int main(int argc, char** argv) {
     std::size_t pat_fs_wins = 0;
     std::size_t pat_fs_beats_pat_all = 0;
     std::size_t rows = 0;
+    std::vector<bench::TableCell> json_cells;
     for (const SyntheticSpec& spec : UciTableSpecs()) {
         const auto db = PrepareTransactions(spec);
         config.min_sup_rel = spec.bench_min_sup;
@@ -39,11 +43,13 @@ int main(int argc, char** argv) {
         double acc[5] = {0, 0, 0, 0, 0};
         std::vector<std::string> cells = {spec.name};
         for (int v = 0; v < 5; ++v) {
-            const auto outcome =
-                RunVariantCv(db, variants[v], LearnerKind::kSvmLinear, config);
+            bench::TableCell cell = bench::RunTableCell(
+                db, spec.name, variants[v], LearnerKind::kSvmLinear, config);
+            const VariantOutcome& outcome = cell.outcome;
             acc[v] = outcome.ok ? outcome.accuracy : 0.0;
             cells.push_back(outcome.ok ? FormatPercent(outcome.accuracy)
                                        : outcome.error);
+            json_cells.push_back(std::move(cell));
         }
         int best = 0;
         for (int v = 1; v < 5; ++v) {
@@ -60,5 +66,7 @@ int main(int argc, char** argv) {
     std::printf("\nshape: Pat_FS best on %zu/%zu datasets;"
                 " Pat_FS >= Pat_All on %zu/%zu\n",
                 pat_fs_wins, rows, pat_fs_beats_pat_all, rows);
+    bench::WriteTableJson("table1", LearnerKindName(LearnerKind::kSvmLinear),
+                          config.folds, json_cells);
     return 0;
 }

@@ -1,7 +1,8 @@
 // Table 2 — C4.5 accuracy on frequent combined features vs single features.
 //
 // Same protocol as Table 1 with the C4.5 learner and the paper's four columns
-// (Item_All, Item_FS, Pat_All, Pat_FS).
+// (Item_All, Item_FS, Pat_All, Pat_FS). Each cell's mean, fold standard
+// error and guard event counts also go to BENCH_table2.json.
 //
 // Flags: --folds=N (default 10)
 #include <cstdio>
@@ -19,6 +20,7 @@ int main(int argc, char** argv) {
         {"dataset", "Item_All", "Item_FS", "Pat_All", "Pat_FS", "best"});
     std::size_t pat_fs_wins = 0;
     std::size_t rows = 0;
+    std::vector<bench::TableCell> json_cells;
     for (const SyntheticSpec& spec : UciTableSpecs()) {
         const auto db = PrepareTransactions(spec);
         config.min_sup_rel = spec.bench_min_sup;
@@ -28,11 +30,13 @@ int main(int argc, char** argv) {
         double acc[4] = {0, 0, 0, 0};
         std::vector<std::string> cells = {spec.name};
         for (int v = 0; v < 4; ++v) {
-            const auto outcome =
-                RunVariantCv(db, variants[v], LearnerKind::kC45, config);
+            bench::TableCell cell = bench::RunTableCell(
+                db, spec.name, variants[v], LearnerKind::kC45, config);
+            const VariantOutcome& outcome = cell.outcome;
             acc[v] = outcome.ok ? outcome.accuracy : 0.0;
             cells.push_back(outcome.ok ? FormatPercent(outcome.accuracy)
                                        : outcome.error);
+            json_cells.push_back(std::move(cell));
         }
         int best = 0;
         for (int v = 1; v < 4; ++v) {
@@ -46,5 +50,7 @@ int main(int argc, char** argv) {
     }
     table.Print();
     std::printf("\nshape: Pat_FS best on %zu/%zu datasets\n", pat_fs_wins, rows);
+    bench::WriteTableJson("table2", LearnerKindName(LearnerKind::kC45),
+                          config.folds, json_cells);
     return 0;
 }

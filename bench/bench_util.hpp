@@ -4,15 +4,20 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/budget.hpp"
 #include "common/popcount.hpp"
 #include "common/string_util.hpp"
 #include "exp/experiment.hpp"
 #include "exp/table_printer.hpp"
+#include "obs/json.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 
@@ -62,6 +67,98 @@ inline void WriteBenchReport(const std::string& name) {
     } else {
         std::fprintf(stderr, "[bench] report failed: %s\n",
                      st.ToString().c_str());
+    }
+}
+
+/// One cell of a paper accuracy table: a variant's CV outcome on one dataset,
+/// with the guard events (SMO non-convergence, budget breaches) its folds
+/// recorded, counted by "<stage>.<kind>".
+struct TableCell {
+    std::string dataset;
+    std::string variant;
+    VariantOutcome outcome;
+    std::map<std::string, std::size_t> guard_events;
+};
+
+/// Runs one cell. The guard log is drained before and after, so the counts
+/// are exactly this cell's events.
+inline TableCell RunTableCell(const TransactionDatabase& db,
+                              const std::string& dataset, ModelVariant variant,
+                              LearnerKind learner, const ExperimentConfig& config) {
+    TableCell cell{dataset, ModelVariantName(variant), {}, {}};
+    (void)GuardLog::Get().Drain();
+    cell.outcome = RunVariantCv(db, variant, learner, config);
+    for (const GuardEvent& e : GuardLog::Get().Drain()) {
+        ++cell.guard_events[e.stage + "." + e.kind];
+    }
+    return cell;
+}
+
+/// Standard error of the mean fold accuracy: the sample standard deviation
+/// over folds divided by √k (0 with fewer than two folds).
+inline double FoldStandardError(const std::vector<double>& folds) {
+    const std::size_t k = folds.size();
+    if (k < 2) return 0.0;
+    double mean = 0.0;
+    for (double a : folds) mean += a;
+    mean /= static_cast<double>(k);
+    double ss = 0.0;
+    for (double a : folds) ss += (a - mean) * (a - mean);
+    return std::sqrt(ss / static_cast<double>(k - 1)) /
+           std::sqrt(static_cast<double>(k));
+}
+
+/// Writes BENCH_<name>.json in the working directory: the learner, fold
+/// count and host shape, then per cell its mean accuracy, fold standard
+/// error, per-fold accuracies and guard event counts.
+inline void WriteTableJson(const std::string& name, const char* learner,
+                           std::size_t folds, const std::vector<TableCell>& cells) {
+    const std::string path = "BENCH_" + name + ".json";
+    std::ofstream out(path);
+    out << "{\"bench\": ";
+    obs::WriteJsonString(out, name);
+    out << ", \"learner\": ";
+    obs::WriteJsonString(out, learner);
+    out << ", \"folds\": " << folds << ", \"hw_threads\": "
+        << std::max(1u, std::thread::hardware_concurrency())
+        << ", \"popcount\": ";
+    obs::WriteJsonString(out, PopcountPath());
+    out << ",\n \"cells\": [";
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const TableCell& cell = cells[i];
+        out << (i == 0 ? "\n  " : ",\n  ") << "{\"dataset\": ";
+        obs::WriteJsonString(out, cell.dataset);
+        out << ", \"variant\": ";
+        obs::WriteJsonString(out, cell.variant);
+        out << ", \"ok\": " << (cell.outcome.ok ? "true" : "false");
+        if (!cell.outcome.ok) {
+            out << ", \"error\": ";
+            obs::WriteJsonString(out, cell.outcome.error);
+        }
+        out << ", \"mean\": ";
+        obs::WriteJsonNumber(out, cell.outcome.accuracy);
+        out << ", \"fold_se\": ";
+        obs::WriteJsonNumber(out, FoldStandardError(cell.outcome.fold_accuracies));
+        out << ", \"fold_accuracies\": [";
+        for (std::size_t f = 0; f < cell.outcome.fold_accuracies.size(); ++f) {
+            if (f > 0) out << ", ";
+            obs::WriteJsonNumber(out, cell.outcome.fold_accuracies[f]);
+        }
+        out << "], \"guard_events\": {";
+        bool first = true;
+        for (const auto& [event, count] : cell.guard_events) {
+            out << (first ? "" : ", ");
+            first = false;
+            obs::WriteJsonString(out, event);
+            out << ": " << count;
+        }
+        out << "}}";
+    }
+    out << "\n]}\n";
+    if (out) {
+        std::printf("\n[bench] wrote %s (%zu cells)\n", path.c_str(), cells.size());
+    } else {
+        std::fprintf(stderr, "[bench] could not write %s\n", path.c_str());
     }
 }
 

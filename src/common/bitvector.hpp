@@ -8,11 +8,52 @@
 
 #include <cstdint>
 #include <cstddef>
+#include <limits>
+#include <new>
 #include <span>
 #include <string>
 #include <vector>
 
 namespace dfp {
+
+/// Allocator whose blocks start on a 64-byte (cache-line) boundary, so an
+/// 8-word vector load from the start of a cover never straddles two lines.
+/// It over-allocates by 64 bytes with plain operator new and keeps the raw
+/// pointer in the word just before the aligned block. (The aligned operator
+/// new goes through glibc's memalign, which costs more per allocation than
+/// the alignment saves on short covers.)
+template <typename T>
+struct CacheLineAllocator {
+    using value_type = T;
+    static constexpr std::size_t kAlign = 64;
+    static_assert(__STDCPP_DEFAULT_NEW_ALIGNMENT__ >= alignof(void*),
+                  "the raw pointer is stored in the bytes before the block");
+
+    CacheLineAllocator() = default;
+    template <typename U>
+    CacheLineAllocator(const CacheLineAllocator<U>&) noexcept {}
+
+    T* allocate(std::size_t n) {
+        if (n > (std::numeric_limits<std::size_t>::max() - kAlign) / sizeof(T)) {
+            throw std::bad_array_new_length();
+        }
+        // operator new's block is at least pointer-aligned, so the first
+        // 64-byte boundary past one stored pointer lies within kAlign bytes.
+        void* raw = ::operator new(n * sizeof(T) + kAlign);
+        const std::uintptr_t aligned =
+            (reinterpret_cast<std::uintptr_t>(raw) + sizeof(void*) + kAlign - 1) &
+            ~std::uintptr_t{kAlign - 1};
+        reinterpret_cast<void**>(aligned)[-1] = raw;
+        return reinterpret_cast<T*>(aligned);
+    }
+    void deallocate(T* p, std::size_t) noexcept {
+        ::operator delete(reinterpret_cast<void**>(p)[-1]);
+    }
+
+    friend bool operator==(const CacheLineAllocator&, const CacheLineAllocator&) {
+        return true;
+    }
+};
 
 /// Fixed-universe bit set. All binary operations require equal sizes.
 class BitVector {
@@ -23,9 +64,13 @@ class BitVector {
 
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
-    /// The packed words, bit i in word i / 64. Bits at and past size() in
-    /// the last word are always clear, so whole-word counts are exact.
+    /// The packed words, bit i in word i / 64, starting on a 64-byte
+    /// boundary. Bits at and past size() in the last word are always clear,
+    /// so whole-word counts are exact.
     std::span<const std::uint64_t> words() const { return words_; }
+    /// Writable words for word-wise updates outside this class (MMRFS's
+    /// coverage step). The caller keeps the bits past size() clear.
+    std::span<std::uint64_t> mutable_words() { return words_; }
 
     void Set(std::size_t i);
     void Clear(std::size_t i);
@@ -96,7 +141,7 @@ class BitVector {
     void MaskTail();
 
     std::size_t size_ = 0;
-    std::vector<std::uint64_t> words_;
+    std::vector<std::uint64_t, CacheLineAllocator<std::uint64_t>> words_;
 };
 
 }  // namespace dfp

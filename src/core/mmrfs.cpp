@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 
 #include "common/parallel.hpp"
 #include "core/redundancy.hpp"
@@ -34,7 +35,7 @@ void FlushMmrfsMetrics(std::size_t iterations, std::size_t accepted,
     accept_c.Inc(accepted);
     discard_c.Inc(discarded);
     red_c.Inc(redundancy_evals);
-    for (double g : gains) gain_h.Observe(g);
+    gain_h.ObserveBatch(gains);
     under_covered_g.Set(static_cast<double>(under_covered));
     pool_size_g.Set(static_cast<double>(pool_size));
 }
@@ -147,7 +148,13 @@ MmrfsResult RunMmrfs(const TransactionDatabase& db,
                (!heap.empty() && after(e, heap.front()));
     };
 
-    BitVector hits;  // scratch: the accepted cover's needy rows
+    // Coverage planes, one run-long scratch block of δ planes of `words`
+    // words: plane j holds the rows correctly covered at least j + 1 times,
+    // so the planes nest and a row's coverage is the number of planes that
+    // hold it. Plane δ − 1 is exactly the rows no longer needy.
+    const std::size_t delta = config.coverage_delta;
+    const std::size_t words = (n + 63) / 64;
+    std::vector<std::uint64_t> reached(delta * words, 0);
     std::size_t iterations = 0;  // accept + discard decisions
     std::size_t redundancy_evals = 0;
     while (under_covered > 0 && result.selected.size() < config.max_features) {
@@ -191,17 +198,33 @@ MmrfsResult RunMmrfs(const TransactionDatabase& db,
         ++iterations;
         result.selected.push_back(best);
         result.gains.push_back(fresh.gain);
-        // Word-wise: visit only the needy rows the cover hits. A bit is
-        // cleared only after it is visited, so the snapshot in `hits` visits
-        // exactly what a bit-by-bit Test over the cover would.
-        BitVector& best_needy = needy[majority[best]];
-        hits.AssignAnd(candidates[best].cover, best_needy);
-        hits.ForEach([&](std::uint32_t t) {
-            if (++result.coverage[t] == config.coverage_delta) {
-                best_needy.Clear(t);
-                --under_covered;
+        // One word at a time: `hit` is the needy rows the cover reaches, and
+        // each of them moves up one plane. Planes are raised top down, so
+        // plane j takes the hit rows plane j − 1 held before this accept;
+        // the hit rows that land on plane δ − 1 reach δ and stop being needy.
+        const std::span<const std::uint64_t> cover = candidates[best].cover.words();
+        const std::span<std::uint64_t> best_needy =
+            needy[majority[best]].mutable_words();
+        for (std::size_t w = 0; w < words; ++w) {
+            const std::uint64_t hit = cover[w] & best_needy[w];
+            if (hit == 0) continue;
+            for (std::size_t j = delta - 1; j > 0; --j) {
+                reached[j * words + w] |= reached[(j - 1) * words + w] & hit;
             }
-        });
+            reached[w] |= hit;
+            const std::uint64_t full = reached[(delta - 1) * words + w] & hit;
+            best_needy[w] &= ~full;
+            under_covered -= static_cast<std::size_t>(__builtin_popcountll(full));
+        }
+    }
+    for (std::size_t j = 0; j < delta; ++j) {
+        for (std::size_t w = 0; w < words; ++w) {
+            for (std::uint64_t bits = reached[j * words + w]; bits != 0;
+                 bits &= bits - 1) {
+                ++result.coverage[w * 64 + static_cast<std::size_t>(
+                                               __builtin_ctzll(bits))];
+            }
+        }
     }
     if (result.breach != BudgetBreach::kNone) {
         RecordBreach("core.mmrfs", result.breach,

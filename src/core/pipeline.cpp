@@ -378,7 +378,8 @@ Status PatternClassifierPipeline::FinishTrain(const TransactionDatabase& train,
         provenance_.emplace_back("sig_rejected", std::to_string(sig.rejected));
     }
 
-    std::vector<Pattern> features;
+    // The chosen candidates, as indices into candidates_ in feature order.
+    std::vector<std::size_t> chosen;
     {
         obs::Span select_span("mmrfs");
         if (config_.feature_selection) {
@@ -388,7 +389,7 @@ Status PatternClassifierPipeline::FinishTrain(const TransactionDatabase& train,
             }
             sc.budget.time_budget_ms = timer.remaining_ms();
             sc.candidate_mask = sig_mask;
-            const MmrfsResult selection = RunMmrfs(train, candidates_, sc);
+            MmrfsResult selection = RunMmrfs(train, candidates_, sc);
             if (selection.breach == BudgetBreach::kCancelled) {
                 budget_report_.select_breach = selection.breach;
                 FinalizeReport(guard_mark);
@@ -398,31 +399,43 @@ Status PatternClassifierPipeline::FinishTrain(const TransactionDatabase& train,
             // Deadline/cap breach: the greedily selected prefix is still a
             // valid (if smaller) feature set — keep it.
             budget_report_.select_breach = selection.breach;
-            features.reserve(selection.selected.size());
-            for (std::size_t i : selection.selected) {
-                features.push_back(candidates_[i]);
-            }
-        } else if (sig_mask != nullptr) {
-            // Pat_All with the filter on: the keep-mask is the whole story.
-            features.reserve(candidates_.size() - sig.rejected);
-            for (std::size_t i = 0; i < candidates_.size(); ++i) {
-                if ((*sig_mask)[i] != 0) features.push_back(candidates_[i]);
-            }
+            chosen = std::move(selection.selected);
         } else {
-            features = candidates_;
+            // Pat_All; with the filter on, the keep-mask is the whole story.
+            chosen.reserve(candidates_.size());
+            for (std::size_t i = 0; i < candidates_.size(); ++i) {
+                if (sig_mask == nullptr || (*sig_mask)[i] != 0) chosen.push_back(i);
+            }
         }
-        select_span.Annotate("selected", static_cast<double>(features.size()));
+        select_span.Annotate("selected", static_cast<double>(chosen.size()));
         stats_.select_seconds = select_span.ElapsedSeconds();
     }
-    stats_.num_selected = features.size();
+    stats_.num_selected = chosen.size();
 
     FeatureMatrix x;
     {
+        // The training matrix is Transform(train) without re-deriving a
+        // cover: item columns are train's item covers, and every candidate
+        // already carries its cover over train (AttachMetadata in Train and
+        // TrainWithCandidates). The space keeps itemsets and supports only.
         obs::Span transform_span("transform");
         const std::size_t items =
             config_.include_single_items ? train.num_items() : 0;
+        std::vector<BitVector> columns;
+        columns.reserve(items + chosen.size());
+        for (ItemId i = 0; i < items; ++i) columns.push_back(train.ItemCover(i));
+        std::vector<Pattern> features;
+        features.reserve(chosen.size());
+        for (std::size_t k : chosen) {
+            const Pattern& candidate = candidates_[k];
+            if (candidate.length() <= 1) continue;  // Build drops these too
+            columns.push_back(candidate.cover);
+            Pattern& feature = features.emplace_back();
+            feature.items = candidate.items;
+            feature.support = candidate.support;
+        }
         feature_space_ = FeatureSpace::Build(items, std::move(features));
-        x = feature_space_.Transform(train);
+        x = FeatureMatrix(train.num_transactions(), std::move(columns));
         transform_span.Annotate("dim", static_cast<double>(feature_space_.dim()));
         stats_.transform_seconds = transform_span.ElapsedSeconds();
     }

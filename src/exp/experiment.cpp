@@ -170,6 +170,7 @@ VariantOutcome RunVariantCv(const TransactionDatabase& db, ModelVariant variant,
         }
         total_acc += acc;
         ++evaluated;
+        outcome.fold_accuracies.push_back(acc);
     }
     if (evaluated == 0) {
         outcome.error = "no non-empty folds";

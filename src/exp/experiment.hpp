@@ -50,6 +50,8 @@ struct VariantOutcome {
     bool ok = false;
     std::string error;
     double accuracy = 0.0;
+    /// Accuracy on each evaluated fold, in fold order (accuracy is their mean).
+    std::vector<double> fold_accuracies;
     /// Mean pattern-candidate / selected-feature counts across folds
     /// (0 for Item variants).
     double mean_candidates = 0.0;

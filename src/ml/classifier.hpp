@@ -73,6 +73,13 @@ class Classifier {
     }
 };
 
+/// The input check every learner's Train runs first: one label per row of
+/// `x`, each in [0, num_classes). Returns InvalidArgument naming `learner`
+/// otherwise.
+Status ValidateTrainingInput(const char* learner, const FeatureMatrix& x,
+                             const std::vector<ClassLabel>& y,
+                             std::size_t num_classes);
+
 /// Factory so cross-validation can train a fresh model per fold.
 using ClassifierFactory = std::function<std::unique_ptr<Classifier>()>;
 

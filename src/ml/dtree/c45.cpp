@@ -45,9 +45,7 @@ double PessimisticErrorRate(double e, double n, double cf) {
 Status C45Classifier::Train(const FeatureMatrix& x, const std::vector<ClassLabel>& y,
                             std::size_t num_classes) {
     if (x.rows() == 0) return Status::InvalidArgument("empty training set");
-    if (x.rows() != y.size()) {
-        return Status::InvalidArgument("C4.5 label/row count mismatch");
-    }
+    DFP_RETURN_NOT_OK(ValidateTrainingInput("C4.5", x, y, num_classes));
     nodes_.clear();
     num_classes_ = num_classes;
     const PackedRows packed(x);

@@ -12,9 +12,7 @@ Status NaiveBayesClassifier::Train(const FeatureMatrix& x,
                                    const std::vector<ClassLabel>& y,
                                    std::size_t num_classes) {
     if (x.rows() == 0) return Status::InvalidArgument("empty training set");
-    if (x.rows() != y.size()) {
-        return Status::InvalidArgument("NB label/row count mismatch");
-    }
+    DFP_RETURN_NOT_OK(ValidateTrainingInput("NB", x, y, num_classes));
     num_classes_ = num_classes;
     cols_ = x.cols();
     // Per-class counts are popcounts: on_count[c][f] = |cover_f ∧ class_c|.

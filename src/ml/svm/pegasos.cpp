@@ -78,9 +78,7 @@ Status PegasosClassifier::Train(const FeatureMatrix& x,
                                 const std::vector<ClassLabel>& y,
                                 std::size_t num_classes) {
     if (x.rows() == 0) return Status::InvalidArgument("empty training set");
-    if (x.rows() != y.size()) {
-        return Status::InvalidArgument("pegasos label/row count mismatch");
-    }
+    DFP_RETURN_NOT_OK(ValidateTrainingInput("pegasos", x, y, num_classes));
     num_classes_ = num_classes;
     cols_ = x.cols();
     weights_.assign(num_classes * cols_, 0.0);

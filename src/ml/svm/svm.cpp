@@ -22,6 +22,7 @@ Status SvmClassifier::Train(const FeatureMatrix& x, const std::vector<ClassLabel
     if (num_classes < 2) {
         return Status::InvalidArgument("SVM needs at least two classes");
     }
+    DFP_RETURN_NOT_OK(ValidateTrainingInput("SVM", x, y, num_classes));
     machines_.clear();
     num_classes_ = num_classes;
 

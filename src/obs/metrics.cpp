@@ -20,6 +20,21 @@ void Histogram::Observe(double v) {
     AtomicAdd(sum_, v);
 }
 
+void Histogram::ObserveBatch(std::span<const double> values) {
+    if (values.empty()) return;
+    std::vector<std::uint64_t> local(counts_.size(), 0);
+    double sum = 0.0;
+    for (double v : values) {
+        const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
+        ++local[static_cast<std::size_t>(it - bounds_.begin())];
+        sum += v;
+    }
+    for (std::size_t b = 0; b < local.size(); ++b) {
+        if (local[b] != 0) counts_[b].fetch_add(local[b], std::memory_order_relaxed);
+    }
+    AtomicAdd(sum_, sum);
+}
+
 HistogramData Histogram::Read() const {
     HistogramData data;
     data.bounds = bounds_;

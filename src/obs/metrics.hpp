@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -75,6 +76,11 @@ class Histogram {
     explicit Histogram(std::vector<double> bounds);
 
     void Observe(double v);
+    /// Observes every value: the values are bucketed locally, then each
+    /// touched bucket takes one atomic add and the sum one. Bucket counts
+    /// equal those of one Observe per value; the sum is the batch's sum added
+    /// once, so its last bits may differ from a value-by-value sum.
+    void ObserveBatch(std::span<const double> values);
     HistogramData Read() const;
     void Reset();
 

@@ -123,10 +123,8 @@ void FlushSignificanceMetrics(const SignificanceResult& result,
     tested_c.Inc(result.tested);
     rejected_c.Inc(result.rejected);
     double min_p = 1.0;
-    for (double p : result.p_values) {
-        min_p = std::min(min_p, p);
-        p_h.Observe(p);
-    }
+    for (double p : result.p_values) min_p = std::min(min_p, p);
+    p_h.ObserveBatch(result.p_values);
     min_p_g.Set(min_p);
     median_p_g.Set(SortedMedian(sorted));
     // The raw threshold can be ±inf (BH with no discovery / fail-open);

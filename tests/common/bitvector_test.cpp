@@ -2,10 +2,68 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "common/rng.hpp"
 
 namespace dfp {
 namespace {
+
+// Words start on a 64-byte boundary (an empty vector has no block at all).
+void ExpectAligned(const BitVector& v, const char* path) {
+    if (v.words().empty()) return;
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v.words().data()) % 64, 0u)
+        << path << ", " << v.size() << " bits";
+}
+
+TEST(BitVectorTest, EveryStoragePathIsCacheLineAligned) {
+    for (const std::size_t bits : {1u, 63u, 64u, 65u, 100u, 511u, 512u, 513u,
+                                   3196u, 20000u}) {
+        BitVector a(bits);
+        ExpectAligned(a, "construction");
+        a.Set(bits - 1);
+        BitVector copy(a);
+        ExpectAligned(copy, "copy construction");
+        EXPECT_EQ(copy, a);
+        BitVector assigned(1);
+        assigned = a;  // grows
+        ExpectAligned(assigned, "copy assignment (grow)");
+        BitVector shrunk(40000);
+        shrunk = a;
+        ExpectAligned(shrunk, "copy assignment (shrink)");
+        BitVector moved(std::move(copy));
+        ExpectAligned(moved, "move construction");
+        BitVector move_assigned(7);
+        move_assigned = std::move(moved);
+        ExpectAligned(move_assigned, "move assignment");
+        EXPECT_EQ(move_assigned, a);
+
+        BitVector b(bits);
+        b.Fill();
+        BitVector scratch;  // default-constructed: no words until assigned
+        scratch.AssignAnd(a, b);
+        ExpectAligned(scratch, "AssignAnd (grow from empty)");
+        EXPECT_EQ(scratch, a);
+        BitVector wide(40000);
+        wide.AssignAnd(a, b);
+        ExpectAligned(wide, "AssignAnd (shrink)");
+        BitVector narrow(1);
+        narrow.AssignAndNot(b, a);
+        ExpectAligned(narrow, "AssignAndNot (grow)");
+        EXPECT_EQ(narrow.Count(), bits - 1);
+        ExpectAligned(a & b, "operator&");
+        ExpectAligned(a | b, "operator|");
+        ExpectAligned(a ^ b, "operator^");
+    }
+    // Reallocating a vector of covers moves every cover.
+    std::vector<BitVector> covers;
+    for (std::size_t i = 0; i < 40; ++i) {
+        covers.emplace_back(64 * i + 3);
+        for (const BitVector& v : covers) ExpectAligned(v, "vector growth");
+    }
+}
 
 TEST(BitVectorTest, StartsEmpty) {
     BitVector v(100);

@@ -50,6 +50,25 @@ TEST(ObsHistogramTest, BucketsObservationsByUpperBound) {
     EXPECT_EQ(h.Read().count, 0u);
 }
 
+TEST(ObsHistogramTest, ObserveBatchBucketsLikeObserve) {
+    const std::vector<double> bounds = {1e-10, 1e-6, 1e-4, 0.001, 0.01, 0.05,
+                                        0.1, 0.5};
+    // Values on, between and beyond the bounds, including repeats.
+    const std::vector<double> values = {0.0,  1e-10, 3e-7, 1e-4, 0.002, 0.05,
+                                        0.05, 0.07,  0.1,  0.3,  0.5,   0.9,
+                                        1.0,  2e-12, 0.01, 0.5};
+    Histogram one_by_one(bounds);
+    for (double v : values) one_by_one.Observe(v);
+    Histogram batched(bounds);
+    batched.ObserveBatch(values);
+    batched.ObserveBatch({});  // an empty batch changes nothing
+    const HistogramData want = one_by_one.Read();
+    const HistogramData got = batched.Read();
+    EXPECT_EQ(got.bucket_counts, want.bucket_counts);
+    EXPECT_EQ(got.count, values.size());
+    EXPECT_DOUBLE_EQ(got.sum, want.sum);
+}
+
 TEST(ObsHistogramTest, EmptyBoundsFallBackToDefaults) {
     Histogram h({});
     const HistogramData data = h.Read();

@@ -3,7 +3,10 @@
 // reference (testutil/reference_encoder), compared word for word, over 20 seeded
 // databases × include_single_items × per_class_mining, and on the edge
 // shapes (empty space, 0 rows, empty rows, row counts off the 64-row word
-// grid, pattern items beyond the database's universe).
+// grid, pattern items beyond the database's universe). Train builds its
+// learner's matrix from the covers it already holds, and that matrix must
+// equal Transform of the training database for Pat_FS, Pat_All and
+// significance-filtered Pat_All.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +17,9 @@
 #include "common/rng.hpp"
 #include "core/feature_space.hpp"
 #include "core/pipeline.hpp"
+#include "ml/classifier.hpp"
 #include "ml/nb/naive_bayes.hpp"
+#include "stats/significance.hpp"
 #include "testutil/reference_encoder.hpp"
 
 namespace dfp {
@@ -156,6 +161,100 @@ TEST(TransformCertificateTest, EncodeCountsRepeatedItemsOnce) {
         EXPECT_TRUE(std::ranges::equal(space.Encode(txn, &scratch),
                                        testutil::ScanEncode(space, txn)));
     }
+}
+
+/// A learner that keeps a copy of the matrix it is trained on.
+class RecordingLearner : public Classifier {
+  public:
+    explicit RecordingLearner(FeatureMatrix* seen) : seen_(seen) {}
+    std::string Name() const override { return "recording"; }
+    Status Train(const FeatureMatrix& x, const std::vector<ClassLabel>&,
+                 std::size_t) override {
+        *seen_ = x;
+        return Status::Ok();
+    }
+    ClassLabel Predict(std::span<const std::uint64_t>) const override { return 0; }
+
+  private:
+    FeatureMatrix* seen_;
+};
+
+/// Labels follow items 0 and 1 (with 20% noise), so a chi²-BH filter keeps
+/// some candidates and rejects others.
+TransactionDatabase SignalDb(std::uint64_t seed, std::size_t rows) {
+    Rng rng(seed);
+    std::vector<std::vector<ItemId>> transactions(rows);
+    std::vector<ClassLabel> labels(rows);
+    for (std::size_t t = 0; t < rows; ++t) {
+        for (ItemId i = 0; i < 10; ++i) {
+            if (rng.Bernoulli(0.4)) transactions[t].push_back(i);
+        }
+        const bool has0 = !transactions[t].empty() && transactions[t][0] == 0;
+        const bool has1 = std::ranges::find(transactions[t], ItemId{1}) !=
+                          transactions[t].end();
+        std::uint64_t y = has0 ? 0 : (has1 ? 1 : 2);
+        if (rng.Bernoulli(0.2)) y = rng.UniformInt(3);
+        labels[t] = static_cast<ClassLabel>(y);
+    }
+    return TransactionDatabase::FromTransactions(std::move(transactions),
+                                                 std::move(labels), 10, 3);
+}
+
+TEST(TransformCertificateTest, TrainAdoptsTransformOfTrain) {
+    enum class Mode { kPatFs, kPatAll, kPatAllFiltered };
+    std::size_t filtered_out = 0;
+    std::size_t pattern_columns = 0;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        const TransactionDatabase train = SignalDb(seed, 150 + 37 * seed);
+        for (const Mode mode : {Mode::kPatFs, Mode::kPatAll, Mode::kPatAllFiltered}) {
+            for (const bool single_items : {true, false}) {
+                for (const bool fed : {false, true}) {
+                    SCOPED_TRACE("seed " + std::to_string(seed) + " mode " +
+                                 std::to_string(static_cast<int>(mode)) +
+                                 " items " + std::to_string(single_items) +
+                                 " fed " + std::to_string(fed));
+                    PipelineConfig config;
+                    config.miner.min_sup_rel = 0.05;
+                    config.miner.max_pattern_len = 4;
+                    config.include_single_items = single_items;
+                    config.feature_selection = mode == Mode::kPatFs;
+                    if (mode == Mode::kPatAllFiltered) {
+                        config.significance.test = SigTest::kChi2;
+                    }
+                    PatternClassifierPipeline pipeline(config);
+                    FeatureMatrix seen;
+                    auto learner = std::make_unique<RecordingLearner>(&seen);
+                    if (fed) {
+                        // TrainWithCandidates anchors a caller-mined pool.
+                        auto pool = pipeline.MineCandidates(train);
+                        ASSERT_TRUE(pool.ok()) << pool.status();
+                        ASSERT_TRUE(pipeline
+                                        .TrainWithCandidates(
+                                            train, std::move(*pool),
+                                            std::move(learner))
+                                        .ok());
+                    } else {
+                        ASSERT_TRUE(pipeline.Train(train, std::move(learner)).ok());
+                    }
+                    const FeatureMatrix want =
+                        pipeline.feature_space().Transform(train);
+                    ASSERT_EQ(seen.rows(), want.rows());
+                    ASSERT_EQ(seen.cols(), want.cols());
+                    for (std::size_t c = 0; c < want.cols(); ++c) {
+                        ASSERT_EQ(seen.Column(c), want.Column(c)) << "column " << c;
+                    }
+                    // The space keeps itemsets, not covers.
+                    for (const Pattern& p : pipeline.feature_space().patterns()) {
+                        EXPECT_TRUE(p.cover.empty());
+                    }
+                    filtered_out += pipeline.stats().num_sig_rejected;
+                    pattern_columns += pipeline.feature_space().num_patterns();
+                }
+            }
+        }
+    }
+    EXPECT_GT(filtered_out, 0u) << "the filter never rejected a candidate";
+    EXPECT_GT(pattern_columns, 500u) << "the inputs exercise too few patterns";
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 // seeded pools, with and without the chi²-BH significance mask, δ ∈ {1, 3},
 // with and without a feature cap, and over many-class pools whose covers span
 // more than 64 words (the one-pass redundancy kernel and the word-wise
-// coverage update). Focused cases pin the tie-break, the monotone needy
+// coverage update), and the coverage planes at δ ∈ {0, 1, 2, 3, 5} against
+// the naive row-by-row counts. Focused cases pin the tie-break, the monotone needy
 // discard, budget truncation and the counters, and the two-tier queue's
 // tie-break across tiers and its discard-heavy path.
 #include <gtest/gtest.h>
@@ -201,6 +202,71 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Bool(),
                        ::testing::Values(std::numeric_limits<std::size_t>::max(),
                                          std::size_t{24})));
+
+// masked × δ, with no cap: the coverage planes (δ of them, raised word by
+// word on each accept, read into MmrfsResult::coverage once at the end)
+// against the naive reference's per-row counts, on the narrow seeded pools and
+// on one wide many-class pool.
+using PlaneCase = std::tuple<bool, std::size_t>;
+
+class MmrfsCoveragePlanesTest : public ::testing::TestWithParam<PlaneCase> {};
+
+TEST_P(MmrfsCoveragePlanesTest, PlanesMatchNaiveCoverageBitwise) {
+    const auto [masked, delta] = GetParam();
+    std::size_t rows_at_delta = 0;
+    std::size_t rows_below_delta = 0;
+    auto certify = [&](const TransactionDatabase& db,
+                       const std::vector<Pattern>& candidates,
+                       const std::string& where) {
+        const std::vector<char> mask =
+            masked ? Chi2BhMask(db, candidates) : std::vector<char>{};
+        MmrfsConfig config;
+        config.coverage_delta = delta;
+        config.candidate_mask = masked ? &mask : nullptr;
+        const MmrfsResult want = testutil::NaiveMmrfs(db, candidates, config);
+        const MmrfsResult got = RunMmrfs(db, candidates, config);
+        ExpectSameSelection(got, want, where);
+        ASSERT_EQ(got.coverage.size(), db.num_transactions()) << where;
+        for (std::size_t c : got.coverage) {
+            ASSERT_LE(c, delta) << where;
+            rows_at_delta += c == delta;
+            rows_below_delta += c < delta;
+        }
+        if (delta == 0) {
+            EXPECT_TRUE(got.selected.empty()) << where;
+        }
+    };
+    for (std::uint64_t seed = 1; seed <= kNumSeeds; ++seed) {
+        const auto db = SignalDb(seed);
+        const auto candidates = MinePool(db);
+        ASSERT_FALSE(candidates.empty());
+        certify(db, candidates, "seed " + std::to_string(seed));
+    }
+    {
+        const auto db = ManyClassDb(1);
+        MinerConfig mine_config;
+        mine_config.min_sup_rel = 0.01;
+        mine_config.max_pattern_len = 3;
+        auto mined = ClosedMiner().Mine(db, mine_config);
+        ASSERT_TRUE(mined.ok()) << mined.status();
+        std::vector<Pattern> candidates = std::move(*mined);
+        AttachMetadata(db, &candidates);
+        certify(db, candidates, "wide pool");
+    }
+    // Every δ > 0 run has rows that reached δ and rows that did not, so both
+    // the top plane and the lower ones are read.
+    if (delta > 0) {
+        EXPECT_GT(rows_at_delta, 0u);
+        EXPECT_GT(rows_below_delta, 0u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MaskDelta, MmrfsCoveragePlanesTest,
+    ::testing::Combine(::testing::Bool(),
+                       ::testing::Values(std::size_t{0}, std::size_t{1},
+                                         std::size_t{2}, std::size_t{3},
+                                         std::size_t{5})));
 
 // Rows 0-1 hold items {0,1} (class 0), rows 2-3 hold item {2} (class 1):
 // {2}, {0,1} and {0} split the classes perfectly, so all three score the
