@@ -6,14 +6,22 @@
 // equivalence + decomposition suites (ctest -L dfp_parallel) certify the
 // first half, this bench records the second. Results land in
 // BENCH_parallel.json as
-//   dfp.bench.parallel.<miner>.t<k>.seconds / .speedup / .efficiency
+//   dfp.bench.parallel.<miner>.t<k>.seconds / .spread_seconds / .speedup
+//     / .efficiency
 //   dfp.bench.parallel.mmrfs.t1.seconds / .speedup / .efficiency
 //     / .selected / .redundancy_evals
 // plus the usual dfp.parallel.* pool counters, so the perf trajectory of the
-// recursive fan-out is machine-tracked alongside the paper tables. Every
-// seconds cell is the median of kRuns timed runs after one warm-up run: a
-// single run of a ~10 ms mine can land anywhere in a 3× spread when the
-// scheduler deschedules it.
+// recursive fan-out is machine-tracked alongside the paper tables.
+//
+// A single run of a ~10 ms mine can land anywhere in a 3× spread when the
+// scheduler deschedules it, and on a shared host the median of many runs in
+// one process still moves between processes (one binary read the closed
+// miner's t2 speedup anywhere from 0.8× to 1.9×). So each miner cell is
+// timed in kProcesses forked child processes, one after another; each child
+// makes one warm-up run and reports the median of kRuns timed runs. The
+// cell's seconds is the median of the children's medians, and
+// .spread_seconds is their max − min. The MMRFS row is serial and timed in
+// process.
 //
 // Efficiency is speedup normalised by the *usable* hardware parallelism:
 //   efficiency(t) = speedup(t) / min(t, hardware_concurrency)
@@ -25,6 +33,9 @@
 // exactly this reason; the raw >=6x mining target at 8 threads corresponds
 // to efficiency >= 0.75 on >=8-way hardware. MMRFS is gated on its serial
 // seconds and its redundancy-evaluation count instead.
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -81,6 +92,47 @@ double MedianSeconds(Fn&& run) {
     return seconds[kRuns / 2];
 }
 
+// Child processes per miner cell (odd, so the median is one of them).
+constexpr std::size_t kProcesses = 5;
+
+// Runs run() once, then MedianSeconds(run), in each of kProcesses forked
+// children in turn, and returns the children's medians (empty if a child
+// failed). Fork only while this process runs no other thread: each Mine
+// call makes and joins its own pool, so none is alive between calls.
+template <typename Fn>
+std::vector<double> ChildMedians(Fn&& run) {
+    std::vector<double> medians;
+    for (std::size_t p = 0; p < kProcesses; ++p) {
+        int fds[2];
+        if (pipe(fds) != 0) return {};
+        const pid_t pid = fork();
+        if (pid < 0) {
+            close(fds[0]);
+            close(fds[1]);
+            return {};
+        }
+        if (pid == 0) {
+            close(fds[0]);
+            run();
+            const double median = MedianSeconds(run);
+            const bool sent = write(fds[1], &median, sizeof(median)) ==
+                              static_cast<ssize_t>(sizeof(median));
+            _exit(sent ? 0 : 1);  // no atexit handlers, no stdio flush
+        }
+        close(fds[1]);
+        double median = 0.0;
+        const bool got = read(fds[0], &median, sizeof(median)) ==
+                         static_cast<ssize_t>(sizeof(median));
+        close(fds[0]);
+        int status = 0;
+        const bool exited = waitpid(pid, &status, 0) == pid &&
+                            WIFEXITED(status) && WEXITSTATUS(status) == 0;
+        if (!got || !exited) return {};
+        medians.push_back(median);
+    }
+    return medians;
+}
+
 struct MinerRow {
     std::string name;
     std::unique_ptr<Miner> miner;
@@ -131,32 +183,43 @@ int main(int argc, char** argv) {
     miners.push_back({"eclat", std::make_unique<EclatMiner>()});
     miners.push_back({"closed", std::make_unique<ClosedMiner>()});
 
-    TablePrinter table({"stage", "threads", "output", "seconds", "speedup",
-                        "efficiency"});
+    TablePrinter table({"stage", "threads", "output", "seconds", "spread",
+                        "speedup", "efficiency"});
     for (const auto& row : miners) {
         double serial_seconds = 0.0;
         for (const std::size_t threads : thread_counts) {
             config.num_threads = threads;
-            // Warm-up pass (page cache, allocator), then the timed passes.
+            // One checked mine in process for the output, then the timed
+            // children.
             const auto mined = row.miner->Mine(db, config);
             if (!mined.ok()) {
                 std::fprintf(stderr, "%s failed: %s\n", row.name.c_str(),
                              mined.status().ToString().c_str());
                 return 1;
             }
-            const double seconds =
-                MedianSeconds([&] { (void)row.miner->Mine(db, config); });
+            std::vector<double> medians =
+                ChildMedians([&] { (void)row.miner->Mine(db, config); });
+            if (medians.size() != kProcesses) {
+                std::fprintf(stderr, "%s t%zu: a timing child failed\n",
+                             row.name.c_str(), threads);
+                return 1;
+            }
+            std::sort(medians.begin(), medians.end());
+            const double seconds = medians[kProcesses / 2];
+            const double spread = medians.back() - medians.front();
             if (threads == 1) serial_seconds = seconds;
             const double speedup = seconds > 0.0 ? serial_seconds / seconds : 1.0;
             const double efficiency = Efficiency(speedup, threads);
             table.AddRow({row.name, StrFormat("%zu", threads),
                           StrFormat("%zu patterns", mined->size()),
                           StrFormat("%.3f", seconds),
+                          StrFormat("%.3f", spread),
                           StrFormat("%.2fx", speedup),
                           StrFormat("%.2f", efficiency)});
             const std::string prefix =
                 "dfp.bench.parallel." + row.name + ".t" + std::to_string(threads);
             registry.GetGauge(prefix + ".seconds").Set(seconds);
+            registry.GetGauge(prefix + ".spread_seconds").Set(spread);
             registry.GetGauge(prefix + ".speedup").Set(speedup);
             registry.GetGauge(prefix + ".efficiency").Set(efficiency);
             registry.GetGauge(prefix + ".patterns")
@@ -185,7 +248,7 @@ int main(int argc, char** argv) {
         MedianSeconds([&] { (void)RunMmrfs(db, candidates, select); });
     table.AddRow({"mmrfs", "1",
                   StrFormat("%zu selected", result.selected.size()),
-                  StrFormat("%.3f", seconds), "1.00x", "1.00"});
+                  StrFormat("%.3f", seconds), "-", "1.00x", "1.00"});
     const std::string prefix = "dfp.bench.parallel.mmrfs.t1";
     registry.GetGauge(prefix + ".seconds").Set(seconds);
     registry.GetGauge(prefix + ".speedup").Set(1.0);

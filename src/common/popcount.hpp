@@ -1,7 +1,7 @@
 // Word-array popcount: the one counting kernel under every cover count.
 //
 // Support counting in the miners, per-class counts, MMRFS redundancy
-// (|T(α)∩T(β)|), naive Bayes counts and the SMO/Pegasos row dots all reduce
+// (|T(α)∩T(β)|), naive Bayes counts and the SMO row dots all reduce
 // to summing the popcounts of 64-bit words, optionally after an AND or an
 // AND-NOT with a second array. The kernel has two bodies that return the same
 // integers: a scalar loop and an AVX-512 VPOPCNTDQ loop (8 words per step,

@@ -11,7 +11,6 @@
 #include "common/serialize.hpp"
 #include "ml/dtree/c45.hpp"
 #include "ml/nb/naive_bayes.hpp"
-#include "ml/svm/pegasos.hpp"
 #include "ml/svm/svm.hpp"
 
 namespace dfp {
@@ -96,9 +95,6 @@ Result<std::unique_ptr<Classifier>> MakeLearnerByTypeId(const std::string& id) {
     if (id == "svm") return std::unique_ptr<Classifier>(new SvmClassifier());
     if (id == "c4.5") return std::unique_ptr<Classifier>(new C45Classifier());
     if (id == "nb") return std::unique_ptr<Classifier>(new NaiveBayesClassifier());
-    if (id == "pegasos") {
-        return std::unique_ptr<Classifier>(new PegasosClassifier());
-    }
     return Status::NotFound("unknown learner type id '" + id + "'");
 }
 

@@ -29,8 +29,8 @@ namespace dfp {
 Status SaveFeatureSpace(const FeatureSpace& space, std::ostream& out);
 Result<FeatureSpace> LoadFeatureSpace(std::istream& in);
 
-/// Creates an untrained learner from its TypeId ("svm", "c4.5", "nb",
-/// "pegasos"). Returns NotFound for unknown ids.
+/// Creates an untrained learner from its TypeId ("svm", "c4.5", "nb").
+/// Returns NotFound for unknown ids.
 Result<std::unique_ptr<Classifier>> MakeLearnerByTypeId(const std::string& id);
 
 /// Serializes a trained pipeline (feature space + learner).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/budget.hpp"
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
 #include "common/string_util.hpp"
@@ -13,20 +14,33 @@
 #include "fpm/eclat.hpp"
 #include "ml/dtree/c45.hpp"
 #include "ml/eval/cross_validation.hpp"
-#include "ml/svm/pegasos.hpp"
+#include "ml/svm/svm.hpp"
 #include "obs/trace.hpp"
 
 namespace dfp {
 
 namespace {
 
-// Trains one learner on the training split and returns its test accuracy.
+// Trains one learner on the training split and returns its test accuracy. A
+// failed Train scores 0 and leaves its Status in `note`.
 double EvaluateLearner(Classifier&& learner, const FeatureMatrix& train_x,
                        const TransactionDatabase& train,
-                       const FeatureMatrix& test_x, const TransactionDatabase& test) {
-    return learner.Train(train_x, train.labels(), train.num_classes()).ok()
-               ? learner.Accuracy(test_x, test.labels())
-               : 0.0;
+                       const FeatureMatrix& test_x, const TransactionDatabase& test,
+                       std::string* note) {
+    const Status st = learner.Train(train_x, train.labels(), train.num_classes());
+    if (st.ok()) return learner.Accuracy(test_x, test.labels());
+    if (!note->empty()) *note += "; ";
+    *note += learner.Name() + ": " + st.ToString();
+    return 0.0;
+}
+
+// Guard events of `kind` recorded since the log held `mark` events.
+std::size_t GuardEventsSince(std::size_t mark, const std::string& kind) {
+    const std::vector<GuardEvent> events = GuardLog::Get().Snapshot();
+    return static_cast<std::size_t>(
+        std::count_if(events.begin() + static_cast<std::ptrdiff_t>(mark),
+                      events.end(),
+                      [&kind](const GuardEvent& e) { return e.kind == kind; }));
 }
 
 }  // namespace
@@ -124,10 +138,17 @@ std::vector<ScalabilityRow> RunScalability(const TransactionDatabase& db,
             const FeatureMatrix train_x = space.Transform(train);
             const FeatureMatrix test_x = space.Transform(test);
 
-            row.svm_accuracy =
-                EvaluateLearner(PegasosClassifier(), train_x, train, test_x, test);
-            row.c45_accuracy =
-                EvaluateLearner(C45Classifier(), train_x, train, test_x, test);
+            // The paper's LIBSVM setting: linear, C = 1 (Table 1's svm_c). The
+            // OvO solves are independent, so every thread count gives the
+            // same model.
+            SmoConfig smo;
+            smo.num_threads = 0;
+            const std::size_t mark = GuardLog::Get().size();
+            row.svm_accuracy = EvaluateLearner(SvmClassifier(smo), train_x, train,
+                                               test_x, test, &row.note);
+            row.smo_nonconverged = GuardEventsSince(mark, "smo_nonconverged");
+            row.c45_accuracy = EvaluateLearner(C45Classifier(), train_x, train,
+                                               test_x, test, &row.note);
         }
         row.feasible = true;
         rows.push_back(std::move(row));
@@ -140,17 +161,17 @@ void PrintScalability(const std::string& dataset, const TransactionDatabase& db,
     std::printf("%s: %zu instances, %zu classes, %zu items\n", dataset.c_str(),
                 db.num_transactions(), db.num_classes(), db.num_items());
     TablePrinter table({"min_sup", "#Patterns", "#Selected", "Time (s)",
-                        "SVM (%)", "C4.5 (%)"});
+                        "SVM (%)", "C4.5 (%)", "SMO unconv."});
     for (const auto& row : rows) {
         if (!row.feasible && row.patterns == 0) {
             table.AddRow({StrFormat("%zu", row.min_sup), "N/A", "N/A", "N/A",
-                          "N/A", "N/A"});
+                          "N/A", "N/A", "N/A"});
             continue;
         }
         if (!row.feasible) continue;
         if (row.min_sup == 1 && row.svm_accuracy == 0.0) {
             table.AddRow({"1", StrFormat("%zu", row.patterns), "-",
-                          StrFormat("%.3f", row.time_seconds), "-", "-"});
+                          StrFormat("%.3f", row.time_seconds), "-", "-", "-"});
             continue;
         }
         table.AddRow({StrFormat("%zu", row.min_sup),
@@ -158,7 +179,8 @@ void PrintScalability(const std::string& dataset, const TransactionDatabase& db,
                       StrFormat("%zu", row.selected),
                       StrFormat("%.3f", row.time_seconds),
                       FormatPercent(row.svm_accuracy),
-                      FormatPercent(row.c45_accuracy)});
+                      FormatPercent(row.c45_accuracy),
+                      StrFormat("%zu", row.smo_nonconverged)});
     }
     table.Print();
     for (const auto& row : rows) {

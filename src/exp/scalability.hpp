@@ -25,7 +25,6 @@ struct ScalabilityConfig {
     std::size_t coverage_delta = 3;
     std::size_t max_features = 400;
     std::size_t max_pattern_len = 6;
-    double train_fraction = 0.8;
     std::uint64_t seed = 77;
     /// Try full enumeration at min_sup = 1 first (paper row).
     bool probe_min_sup_one = true;
@@ -34,11 +33,15 @@ struct ScalabilityConfig {
 struct ScalabilityRow {
     std::size_t min_sup = 0;
     bool feasible = false;
-    std::string note;         ///< set when infeasible ("budget exceeded ...")
+    /// Set when infeasible ("budget exceeded ...") or when a learner's Train
+    /// failed (its Status; that learner's accuracy reads 0).
+    std::string note;
     std::size_t patterns = 0;  ///< closed pattern count
     double time_seconds = 0.0;  ///< mining + feature selection
     double svm_accuracy = 0.0;
     double c45_accuracy = 0.0;
+    /// smo_nonconverged guard events the SVM column's one-vs-one solves raised.
+    std::size_t smo_nonconverged = 0;
     std::size_t selected = 0;  ///< |Fs| after MMRFS
 };
 

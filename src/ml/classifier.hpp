@@ -30,7 +30,7 @@ class Classifier {
     virtual std::string Name() const = 0;
 
     /// Stable identifier used by model (de)serialization ("svm", "c4.5",
-    /// "nb", "pegasos"); empty when the learner is not serializable.
+    /// "nb"); empty when the learner is not serializable.
     virtual std::string TypeId() const { return ""; }
 
     /// Persists the trained model. Default: not serializable.
@@ -46,7 +46,7 @@ class Classifier {
                          std::size_t num_classes) = 0;
 
     /// Installs execution limits for subsequent Train() calls. Budget-aware
-    /// learners (SVM grid search, Pegasos) honour the deadline / cancel token
+    /// learners (the SVM's SMO solves) honour the deadline / cancel token
     /// cooperatively; the default ignores it.
     virtual void SetExecutionBudget(const ExecutionBudget& /*budget*/) {}
 

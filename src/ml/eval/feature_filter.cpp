@@ -15,17 +15,6 @@ std::vector<double> ItemRelevances(const TransactionDatabase& db,
     return relevance;
 }
 
-std::vector<std::size_t> SelectItemsByRelevance(const TransactionDatabase& db,
-                                                RelevanceMeasure measure,
-                                                double threshold) {
-    const auto relevance = ItemRelevances(db, measure);
-    std::vector<std::size_t> selected;
-    for (std::size_t i = 0; i < relevance.size(); ++i) {
-        if (relevance[i] >= threshold) selected.push_back(i);
-    }
-    return selected;
-}
-
 std::vector<std::size_t> TopKItems(const TransactionDatabase& db,
                                    RelevanceMeasure measure, std::size_t k) {
     const auto relevance = ItemRelevances(db, measure);

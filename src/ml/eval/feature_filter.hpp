@@ -10,11 +10,6 @@
 
 namespace dfp {
 
-/// Items whose one-item-feature relevance meets `threshold`, ascending ids.
-std::vector<std::size_t> SelectItemsByRelevance(const TransactionDatabase& db,
-                                                RelevanceMeasure measure,
-                                                double threshold);
-
 /// The k most relevant items (ties → smaller id), ascending ids.
 std::vector<std::size_t> TopKItems(const TransactionDatabase& db,
                                    RelevanceMeasure measure, std::size_t k);

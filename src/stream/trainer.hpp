@@ -46,7 +46,7 @@ struct ContinuousTrainerConfig {
     /// Selection / transform / learn knobs; `pipeline.miner` also supplies
     /// the window-mining parameters (min_sup, max_pattern_len, ...).
     PipelineConfig pipeline;
-    /// Learner TypeId for every retrain ("nb", "svm", "c4.5", "pegasos").
+    /// Learner TypeId for every retrain ("nb", "svm", "c4.5").
     std::string learner_type = "nb";
     /// Scheduled retraining: rows ingested between retrains (0 = drift/
     /// bootstrap only). Row counts, not wall clock, keep tests deterministic.

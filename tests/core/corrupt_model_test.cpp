@@ -19,7 +19,6 @@
 #include "data/synthetic.hpp"
 #include "ml/dtree/c45.hpp"
 #include "ml/nb/naive_bayes.hpp"
-#include "ml/svm/pegasos.hpp"
 #include "ml/svm/svm.hpp"
 
 namespace dfp {
@@ -71,29 +70,24 @@ class CorruptModelTest : public ::testing::Test {
         svm_bundle_ = new std::string(TrainedBundle<SvmClassifier>(31));
         nb_bundle_ = new std::string(TrainedBundle<NaiveBayesClassifier>(32));
         c45_bundle_ = new std::string(TrainedBundle<C45Classifier>(33));
-        pegasos_bundle_ = new std::string(TrainedBundle<PegasosClassifier>(34));
     }
     static void TearDownTestSuite() {
         delete svm_bundle_;
         delete nb_bundle_;
         delete c45_bundle_;
-        delete pegasos_bundle_;
     }
 
     static std::string* svm_bundle_;
     static std::string* nb_bundle_;
     static std::string* c45_bundle_;
-    static std::string* pegasos_bundle_;
 };
 
 std::string* CorruptModelTest::svm_bundle_ = nullptr;
 std::string* CorruptModelTest::nb_bundle_ = nullptr;
 std::string* CorruptModelTest::c45_bundle_ = nullptr;
-std::string* CorruptModelTest::pegasos_bundle_ = nullptr;
 
 TEST_F(CorruptModelTest, SanityBundlesLoadClean) {
-    for (const std::string* bundle :
-         {svm_bundle_, nb_bundle_, c45_bundle_, pegasos_bundle_}) {
+    for (const std::string* bundle : {svm_bundle_, nb_bundle_, c45_bundle_}) {
         std::stringstream in(*bundle);
         auto loaded = LoadPipelineModel(in);
         ASSERT_TRUE(loaded.ok()) << loaded.status();
@@ -215,8 +209,7 @@ TEST_F(CorruptModelTest, LearnerWeightMutations) {
     // Non-numeric weights in each learner's parameter block: corrupt the
     // final token of the bundle (deep inside the learner section) from its
     // FIRST character, so no parseable numeric prefix survives.
-    for (const std::string* bundle :
-         {svm_bundle_, nb_bundle_, c45_bundle_, pegasos_bundle_}) {
+    for (const std::string* bundle : {svm_bundle_, nb_bundle_, c45_bundle_}) {
         std::string bad = *bundle;
         const auto last_token_char = bad.find_last_not_of(" \n");
         ASSERT_NE(last_token_char, std::string::npos);
@@ -232,9 +225,6 @@ TEST_F(CorruptModelTest, HostileLearnerCounts) {
     ExpectRejected("dfp-model v1 nb\n" + space +
                        "nb-model 99999999 99999999 1.0\n",
                    "NB matrix above cap");
-    ExpectRejected("dfp-model v1 pegasos\n" + space +
-                       "pegasos-model 99999999 99999999\n",
-                   "pegasos matrix above cap");
     ExpectRejected("dfp-model v1 c4.5\n" + space +
                        "c45-model 2 0 184467440737095516\n",
                    "c4.5 node count above cap");
@@ -282,12 +272,6 @@ TEST(CorruptModelWidthTest, LearnerWiderThanTheSpaceRejected) {
     std::string nb = "nb-model 2 100 1.0\n-0.7 -0.7\n";
     for (int i = 0; i < 2 * 2 * 100; ++i) nb += "-0.5 ";
     ExpectRejected("dfp-model v1 nb\n" + kTwoWide + nb + "\n", "NB cols 100 > dim 2");
-    ExpectRejected("dfp-model v1 pegasos\n" + kTwoWide +
-                       "pegasos-model 2 3\n1 2 3 4 5 6\n0 0\n",
-                   "pegasos cols 3 > dim 2");
-    ExpectRejected("dfp-model v1 pegasos\n" + kTwoWide +
-                       "pegasos-model 2 1\n1 2\n0 0\n",
-                   "pegasos cols 1 < dim 2");
     // SVM: a primal weight vector or support vectors of another width.
     ExpectRejected("dfp-model v1 svm\n" + kTwoWide +
                        ReplaceFirst(kSvm, "0 1 0.25 0 2 2", "0 1 0.25 3 1 1 1 2 2"),

@@ -8,7 +8,6 @@
 #include "data/synthetic.hpp"
 #include "ml/dtree/c45.hpp"
 #include "ml/nb/naive_bayes.hpp"
-#include "ml/svm/pegasos.hpp"
 #include "ml/svm/svm.hpp"
 #include "testutil/scratch_path.hpp"
 
@@ -98,11 +97,6 @@ TEST(ModelIoTest, NaiveBayesRoundTripMatrix) {
         RoundTripPredictions<NaiveBayesClassifier>(seed);
     }
 }
-TEST(ModelIoTest, PegasosRoundTripMatrix) {
-    for (std::uint64_t seed : kMatrixSeeds) {
-        RoundTripPredictions<PegasosClassifier>(seed);
-    }
-}
 
 TEST(ModelIoTest, RbfSvmRoundTrip) {
     const auto db = Db(6);
@@ -141,6 +135,16 @@ TEST(ModelIoTest, LoadRejectsGarbage) {
     EXPECT_FALSE(LoadPipelineModel(unknown).ok());
 }
 
+TEST(ModelIoTest, RemovedLearnerIdFailsWithNotFound) {
+    // A well-formed bundle naming a learner id the program no longer has.
+    std::stringstream in(
+        "dfp-model v1 pegasos\nfeature-space 2 0\npegasos-model 2 2\n"
+        "0.5 -0.5 -0.5 0.5\n0 0\n");
+    const auto loaded = LoadPipelineModel(in);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound) << loaded.status();
+}
+
 TEST(ModelIoTest, SaveWithoutTrainingFails) {
     PatternClassifierPipeline pipeline(SmallConfig());
     std::stringstream stream;
@@ -151,7 +155,6 @@ TEST(ModelIoTest, MakeLearnerByTypeId) {
     EXPECT_TRUE(MakeLearnerByTypeId("svm").ok());
     EXPECT_TRUE(MakeLearnerByTypeId("c4.5").ok());
     EXPECT_TRUE(MakeLearnerByTypeId("nb").ok());
-    EXPECT_TRUE(MakeLearnerByTypeId("pegasos").ok());
     EXPECT_FALSE(MakeLearnerByTypeId("nope").ok());
 }
 

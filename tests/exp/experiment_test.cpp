@@ -4,7 +4,12 @@
 
 #include <set>
 
+#include "common/rng.hpp"
+#include "core/feature_space.hpp"
+#include "core/mmrfs.hpp"
 #include "exp/scalability.hpp"
+#include "fpm/closed_miner.hpp"
+#include "ml/eval/cross_validation.hpp"
 #include "ml/svm/svm.hpp"
 
 namespace dfp {
@@ -103,12 +108,95 @@ TEST(ScalabilityTest, SweepRowsAreWellFormed) {
     ASSERT_EQ(rows.size(), 2u);
     for (const auto& row : rows) {
         EXPECT_TRUE(row.feasible) << row.note;
+        EXPECT_TRUE(row.note.empty()) << row.note;
+        EXPECT_EQ(row.smo_nonconverged, 0u);
         EXPECT_GE(row.svm_accuracy, 0.3);
         EXPECT_GE(row.c45_accuracy, 0.3);
         EXPECT_LE(row.selected, config.max_features);
     }
     // Fewer patterns at the higher threshold (anti-monotonicity).
     EXPECT_GE(rows[0].patterns, rows[1].patterns);
+}
+
+TEST(ScalabilityTest, SvmColumnEqualsSvmTrainedOnTheSameSplit) {
+    const auto db = PrepareTransactions(TinySpec());
+    ScalabilityConfig config;
+    config.min_sups = {60};
+    config.probe_min_sup_one = false;
+    config.max_features = 50;
+    const auto rows = RunScalability(db, config);
+    ASSERT_EQ(rows.size(), 1u);
+    ASSERT_TRUE(rows[0].feasible) << rows[0].note;
+
+    // The harness's split (fold 0 of 5 held out) and selection, rebuilt here.
+    Rng rng(config.seed);
+    const auto folds = StratifiedFolds(db.labels(), 5, rng);
+    std::vector<std::size_t> train_rows;
+    for (std::size_t f = 1; f < folds.size(); ++f) {
+        train_rows.insert(train_rows.end(), folds[f].begin(), folds[f].end());
+    }
+    const TransactionDatabase train = db.Subset(train_rows);
+    const TransactionDatabase test = db.Subset(folds[0]);
+    MinerConfig mc;
+    mc.min_sup_abs = 60;
+    mc.max_pattern_len = config.max_pattern_len;
+    mc.max_patterns = config.pattern_budget;
+    mc.include_singletons = false;
+    auto patterns = ClosedMiner().Mine(db, mc);
+    ASSERT_TRUE(patterns.ok()) << patterns.status();
+    AttachMetadata(db, &*patterns);
+    MmrfsConfig fs;
+    fs.coverage_delta = config.coverage_delta;
+    fs.max_features = config.max_features;
+    const MmrfsResult selection = RunMmrfs(db, *patterns, fs);
+    std::vector<Pattern> selected;
+    for (std::size_t idx : selection.selected) selected.push_back((*patterns)[idx]);
+    ASSERT_EQ(selected.size(), rows[0].selected);
+    const FeatureSpace space = FeatureSpace::Build(db.num_items(), selected);
+
+    SvmClassifier svm;
+    ASSERT_TRUE(svm.Train(space.Transform(train), train.labels(),
+                          train.num_classes())
+                    .ok());
+    EXPECT_EQ(rows[0].svm_accuracy,
+              svm.Accuracy(space.Transform(test), test.labels()));
+}
+
+TEST(ScalabilityTest, LearnerFailureLandsInNote) {
+    // One class: the SVM cannot train, and its Status must reach the row.
+    std::vector<std::vector<ItemId>> rows;
+    for (std::size_t t = 0; t < 40; ++t) {
+        rows.push_back({0, static_cast<ItemId>(1 + t % 3)});
+    }
+    const auto db = TransactionDatabase::FromTransactions(
+        std::move(rows), std::vector<ClassLabel>(40, 0), 4, 1);
+    ScalabilityConfig config;
+    config.min_sups = {10};
+    config.probe_min_sup_one = false;
+    const auto sweep = RunScalability(db, config);
+    ASSERT_EQ(sweep.size(), 1u);
+    EXPECT_TRUE(sweep[0].feasible);
+    EXPECT_EQ(sweep[0].svm_accuracy, 0.0);
+    EXPECT_NE(sweep[0].note.find("at least two classes"), std::string::npos)
+        << sweep[0].note;
+}
+
+TEST(ScalabilityTest, PrintShowsSmoCountAndNotes) {
+    const auto db = PrepareTransactions(TinySpec());
+    ScalabilityRow row;
+    row.min_sup = 60;
+    row.feasible = true;
+    row.patterns = 12;
+    row.selected = 5;
+    row.smo_nonconverged = 7;
+    row.note = "svm-linear: Cancelled";
+    ::testing::internal::CaptureStdout();
+    PrintScalability("tiny", db, {row});
+    const std::string out = ::testing::internal::GetCapturedStdout();
+    EXPECT_NE(out.find("SMO unconv."), std::string::npos) << out;
+    EXPECT_NE(out.find("| 7"), std::string::npos) << out;
+    EXPECT_NE(out.find("min_sup=60: svm-linear: Cancelled"), std::string::npos)
+        << out;
 }
 
 TEST(ScalabilityTest, MinSupOneProbeReportsBudget) {

@@ -1,7 +1,7 @@
 // Golden-bundle certificate for the learners and the streaming retrainer.
 //
 // Retrains small seeded pipelines with every serializable learner (naive
-// Bayes, linear and RBF one-vs-one SVM, C4.5, Pegasos) and a few
+// Bayes, linear and RBF one-vs-one SVM, C4.5) and a few
 // ContinuousTrainer retrains, then compares each model bundle's bytes and its
 // held-out predictions with the goldens committed under tests/golden/bundles/:
 //
@@ -182,7 +182,7 @@ std::unique_ptr<Classifier> MakeLearner(const std::string& kind) {
 
 const std::vector<std::string>& LearnerKinds() {
     static const std::vector<std::string> kinds = {"nb", "svm-linear", "svm-rbf",
-                                                   "c4.5", "pegasos"};
+                                                   "c4.5"};
     return kinds;
 }
 
@@ -244,7 +244,7 @@ TEST(GoldenBundleTest, OneVsOneSvmMatchesGoldenAtEveryThreadCount) {
 
 TEST(GoldenBundleTest, ContinuousTrainerBundlesMatchGoldens) {
     FailpointRegistry::Get().DisableAll();
-    for (const std::string learner : {"nb", "svm", "c4.5", "pegasos"}) {
+    for (const std::string learner : {"nb", "svm", "c4.5"}) {
         SCOPED_TRACE(learner);
         testutil::DriftSourceConfig source_config;
         source_config.num_phases = 2;

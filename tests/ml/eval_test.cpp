@@ -99,13 +99,23 @@ TEST(FeatureFilterTest, RelevancesAndSelection) {
     EXPECT_NEAR(rel[0], 1.0, 1e-12);
     EXPECT_NEAR(rel[1], 0.0, 1e-12);
 
-    const auto strong = SelectItemsByRelevance(db, RelevanceMeasure::kInfoGain, 0.5);
-    EXPECT_EQ(strong, (std::vector<std::size_t>{0}));
-
     const auto top1 = TopKItems(db, RelevanceMeasure::kInfoGain, 1);
     EXPECT_EQ(top1, (std::vector<std::size_t>{0}));
     const auto top5 = TopKItems(db, RelevanceMeasure::kInfoGain, 5);
     EXPECT_EQ(top5.size(), 2u);  // capped at the universe size
+}
+
+TEST(FeatureFilterTest, TopKBreaksTiesBySmallerId) {
+    // Items 0 and 2 are both the class; item 1 is noise. The tie on relevance
+    // keeps the smaller id.
+    const auto db = TransactionDatabase::FromTransactions(
+        {{0, 1, 2}, {0, 2}, {1}, {}}, {1, 1, 0, 0}, 3, 2);
+    const auto rel = ItemRelevances(db, RelevanceMeasure::kInfoGain);
+    ASSERT_EQ(rel[0], rel[2]);
+    EXPECT_EQ(TopKItems(db, RelevanceMeasure::kInfoGain, 1),
+              (std::vector<std::size_t>{0}));
+    EXPECT_EQ(TopKItems(db, RelevanceMeasure::kInfoGain, 2),
+              (std::vector<std::size_t>{0, 2}));
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 #include "ml/classifier.hpp"
 #include "ml/dtree/c45.hpp"
 #include "ml/nb/naive_bayes.hpp"
-#include "ml/svm/pegasos.hpp"
 #include "ml/svm/svm.hpp"
 
 namespace dfp {
@@ -68,11 +67,6 @@ TEST(LearnerInputTest, C45RejectsMalformedLabels) {
 
 TEST(LearnerInputTest, SvmRejectsMalformedLabels) {
     SvmClassifier learner;
-    ExpectRejectsMalformedLabels(learner);
-}
-
-TEST(LearnerInputTest, PegasosRejectsMalformedLabels) {
-    PegasosClassifier learner;
     ExpectRejectsMalformedLabels(learner);
 }
 

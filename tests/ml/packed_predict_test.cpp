@@ -12,7 +12,6 @@
 #include "common/rng.hpp"
 #include "ml/dtree/c45.hpp"
 #include "ml/nb/naive_bayes.hpp"
-#include "ml/svm/pegasos.hpp"
 #include "ml/svm/svm.hpp"
 #include "testutil/dense_reference.hpp"
 
@@ -43,7 +42,6 @@ std::vector<std::pair<std::string, std::unique_ptr<Classifier>>> Learners() {
     std::vector<std::pair<std::string, std::unique_ptr<Classifier>>> learners;
     learners.emplace_back("nb", std::make_unique<NaiveBayesClassifier>());
     learners.emplace_back("c4.5", std::make_unique<C45Classifier>());
-    learners.emplace_back("pegasos", std::make_unique<PegasosClassifier>());
     SmoConfig config;
     learners.emplace_back("svm-linear", std::make_unique<SvmClassifier>(config));
     config.kernel.type = KernelType::kRbf;

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 
+#include "common/rng.hpp"
+#include "core/feature_space.hpp"
 #include "ml/svm/smo.hpp"
 #include "testutil/binary_clouds.hpp"
 #include "testutil/dense_reference.hpp"
@@ -198,6 +201,56 @@ TEST(SvmClassifierTest, MissingClassHandled) {
     const PackedRows rows(x);
     EXPECT_EQ(svm.Predict(rows.Row(0)), 0u);
     EXPECT_EQ(svm.Predict(rows.Row(2)), 1u);
+}
+
+TEST(SvmClassifierTest, LearnsOnTransformedTransactions) {
+    // The pipeline's regime: I ∪ Fs columns from FeatureSpace::Transform of a
+    // transaction database, items 0–2 and the pattern {0, 1} marking class 1.
+    Rng rng(3);
+    std::vector<std::vector<ItemId>> rows;
+    std::vector<ClassLabel> labels;
+    for (std::size_t i = 0; i < 500; ++i) {
+        const ClassLabel c = i % 2;
+        std::vector<ItemId> row;
+        for (ItemId item = 0; item < 20; ++item) {
+            if (rng.Bernoulli((item < 3 && c == 1) ? 0.8 : 0.2)) row.push_back(item);
+        }
+        rows.push_back(std::move(row));
+        labels.push_back(c);
+    }
+    const auto db = TransactionDatabase::FromTransactions(std::move(rows),
+                                                          std::move(labels), 20, 2);
+    Pattern pair;
+    pair.items = {0, 1};
+    const FeatureSpace space = FeatureSpace::Build(db.num_items(), {pair});
+    const FeatureMatrix x = space.Transform(db);
+    ASSERT_EQ(x.cols(), 21u);
+    SvmClassifier svm;
+    ASSERT_TRUE(svm.Train(x, db.labels(), 2).ok());
+    EXPECT_GT(svm.Accuracy(x, db.labels()), 0.85);
+}
+
+TEST(SvmClassifierTest, RetrainingSavesIdenticalBytes) {
+    std::vector<ClassLabel> y;
+    const FeatureMatrix x = testutil::BinaryClouds(3, 50, 8, 0.5, 0.3, 4, &y);
+    std::string saved[2];
+    for (std::string& bytes : saved) {
+        SvmClassifier svm;
+        ASSERT_TRUE(svm.Train(x, y, 3).ok());
+        std::ostringstream out;
+        ASSERT_TRUE(svm.SaveModel(out).ok());
+        bytes = out.str();
+    }
+    ASSERT_FALSE(saved[0].empty());
+    EXPECT_EQ(saved[0], saved[1]);
+}
+
+TEST(SvmClassifierTest, RejectsBadInput) {
+    SvmClassifier svm;
+    EXPECT_EQ(svm.Train(FeatureMatrix(), {}, 2).code(),
+              StatusCode::kFailedPrecondition);
+    FeatureMatrix x(2, 1);
+    EXPECT_EQ(svm.Train(x, {0, 0}, 1).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(GridSearchTest, PicksAConfigFromGrid) {

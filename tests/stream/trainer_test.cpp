@@ -121,6 +121,9 @@ TEST_F(TrainerTest, CreateValidatesConfig) {
     bad_learner.learner_type = "no-such-learner";
     EXPECT_FALSE(
         ContinuousTrainer::Create(bad_learner, db->get(), &registry).ok());
+    bad_learner.learner_type = "pegasos";  // a learner id since removed
+    EXPECT_FALSE(
+        ContinuousTrainer::Create(bad_learner, db->get(), &registry).ok());
     ContinuousTrainerConfig decayed = TrainerConfig("/tmp/x");
     decayed.use_decayed_snapshot = true;  // stream has no decay configured
     EXPECT_FALSE(
@@ -610,7 +613,7 @@ TEST(TrainWithCandidatesOrderTest, BundleDependsOnlyOnCandidateSet) {
 // The same contract for every serializable learner: the window's
 // candidates reversed, then each again in a seeded shuffle, train the bundle
 // the Eclat order trains. (Pooled first-seen instead of canonically, this
-// pool trains a different bundle for each of the four learners.)
+// pool trains a different bundle for each of the three learners.)
 class TrainWithCandidatesLearnerTest
     : public ::testing::TestWithParam<const char*> {};
 
@@ -634,7 +637,7 @@ TEST_P(TrainWithCandidatesLearnerTest, ShuffledDuplicatedPoolGivesSameBundle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Learners, TrainWithCandidatesLearnerTest,
-                         ::testing::Values("nb", "svm", "c4.5", "pegasos"),
+                         ::testing::Values("nb", "svm", "c4.5"),
                          [](const auto& info) {
                              std::string name = info.param;
                              name.erase(std::remove(name.begin(), name.end(), '.'),

@@ -75,27 +75,6 @@ DensePredictor C45Reference(std::istream& in) {
     };
 }
 
-DensePredictor PegasosReference(std::istream& in) {
-    std::size_t k = 0;
-    std::size_t cols = 0;
-    in >> k >> cols;
-    const std::vector<double> weights = ReadDoubles(in, k * cols);
-    const std::vector<double> bias = ReadDoubles(in, k);
-    return [=](std::span<const double> x) {
-        ClassLabel best = 0;
-        double best_f = -1e300;
-        for (std::size_t c = 0; c < k; ++c) {
-            double f = bias[c];
-            for (std::size_t d = 0; d < cols; ++d) f += weights[c * cols + d] * x[d];
-            if (f > best_f) {
-                best_f = f;
-                best = static_cast<ClassLabel>(c);
-            }
-        }
-        return best;
-    };
-}
-
 DensePredictor SvmReference(std::istream& in) {
     struct Machine {
         ClassLabel positive = 0;
@@ -207,7 +186,6 @@ DensePredictor DenseReference(const Classifier& learner) {
     saved >> tag;
     if (tag == "nb-model") return NaiveBayesReference(saved);
     if (tag == "c45-model") return C45Reference(saved);
-    if (tag == "pegasos-model") return PegasosReference(saved);
     if (tag == "svm-model") return SvmReference(saved);
     throw std::runtime_error("no dense reference for '" + tag + "'");
 }

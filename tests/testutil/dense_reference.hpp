@@ -32,8 +32,7 @@ std::vector<double> DenseRow(const FeatureMatrix& x, std::size_t r);
 /// Predicts a dense 0/1 row.
 using DensePredictor = std::function<ClassLabel(std::span<const double>)>;
 
-/// The dense predictor of `learner`'s saved model ("nb", "c4.5", "pegasos"
-/// or "svm").
+/// The dense predictor of `learner`'s saved model ("nb", "c4.5" or "svm").
 DensePredictor DenseReference(const Classifier& learner);
 
 }  // namespace dfp::testutil
