@@ -18,6 +18,7 @@ int main(int, char**) {
     config.coverage_delta = 3;
     const auto rows = RunScalability(db, config);
     PrintScalability("chess", db, rows);
+    bench::RecordScalabilityRows("table3", rows);
     bench::WriteBenchReport("table3_chess");
     return 0;
 }

@@ -19,6 +19,7 @@ int main(int, char**) {
     config.coverage_delta = 3;
     const auto rows = RunScalability(db, config);
     PrintScalability("waveform", db, rows);
+    bench::RecordScalabilityRows("table4", rows);
     bench::WriteBenchReport("table4_waveform");
     return 0;
 }

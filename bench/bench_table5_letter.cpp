@@ -22,6 +22,7 @@ int main(int, char**) {
     config.max_features = 600;
     const auto rows = RunScalability(db, config);
     PrintScalability("letter", db, rows);
+    bench::RecordScalabilityRows("table5", rows);
     bench::WriteBenchReport("table5_letter");
     return 0;
 }

@@ -16,6 +16,7 @@
 #include "common/popcount.hpp"
 #include "common/string_util.hpp"
 #include "exp/experiment.hpp"
+#include "exp/scalability.hpp"
 #include "exp/table_printer.hpp"
 #include "obs/json.hpp"
 #include "obs/report.hpp"
@@ -67,6 +68,30 @@ inline void WriteBenchReport(const std::string& name) {
     } else {
         std::fprintf(stderr, "[bench] report failed: %s\n",
                      st.ToString().c_str());
+    }
+}
+
+/// Records each row of a Tables 3–5 sweep as gauges
+/// dfp.bench.<table>.min_sup_<min_sup>.<field>, so the BENCH_<name>.json that
+/// WriteBenchReport writes carries the table: feasible (0/1), patterns,
+/// selected, time_seconds (mining + selection), svm_accuracy, c45_accuracy
+/// and smo_nonconverged.
+inline void RecordScalabilityRows(const std::string& table,
+                                  const std::vector<ScalabilityRow>& rows) {
+    auto& registry = dfp::obs::Registry::Get();
+    for (const ScalabilityRow& row : rows) {
+        const std::string prefix =
+            StrFormat("dfp.bench.%s.min_sup_%zu.", table.c_str(), row.min_sup);
+        auto set = [&](const char* field, double value) {
+            registry.GetGauge(prefix + field).Set(value);
+        };
+        set("feasible", row.feasible ? 1.0 : 0.0);
+        set("patterns", static_cast<double>(row.patterns));
+        set("selected", static_cast<double>(row.selected));
+        set("time_seconds", row.time_seconds);
+        set("svm_accuracy", row.svm_accuracy);
+        set("c45_accuracy", row.c45_accuracy);
+        set("smo_nonconverged", static_cast<double>(row.smo_nonconverged));
     }
 }
 

@@ -15,18 +15,14 @@ Status NaiveBayesClassifier::Train(const FeatureMatrix& x,
     DFP_RETURN_NOT_OK(ValidateTrainingInput("NB", x, y, num_classes));
     num_classes_ = num_classes;
     cols_ = x.cols();
-    // Per-class counts are popcounts: on_count[c][f] = |cover_f ∧ class_c|.
-    std::vector<BitVector> class_rows(num_classes, BitVector(x.rows()));
-    for (std::size_t r = 0; r < x.rows(); ++r) class_rows[y[r]].Set(r);
-    std::vector<double> class_count(num_classes, 0.0);
-    std::vector<double> on_count(num_classes * cols_, 0.0);
-    for (std::size_t c = 0; c < num_classes; ++c) {
-        class_count[c] = static_cast<double>(class_rows[c].Count());
-        for (std::size_t f = 0; f < cols_; ++f) {
-            on_count[c * cols_ + f] =
-                static_cast<double>(x.Column(f).AndCount(class_rows[c]));
-        }
-    }
+    // on_count[f · k + c] = |cover_f ∧ class_c|: the counts x carries when it
+    // has a full table (the pipeline's training matrix), else counted here.
+    const bool supplied = x.HasClassCounts(num_classes);
+    std::vector<std::size_t> counted;
+    if (!supplied) counted = ColumnClassCounts(x, y, num_classes);
+    const std::vector<std::size_t>& on_count = supplied ? x.class_counts() : counted;
+    std::vector<double> class_count(num_classes, 0.0);  // exact below 2^53
+    for (ClassLabel label : y) class_count[label] += 1.0;
     const double n = static_cast<double>(x.rows());
     log_prior_.assign(num_classes, 0.0);
     log_on_.assign(num_classes * cols_, 0.0);
@@ -35,8 +31,8 @@ Status NaiveBayesClassifier::Train(const FeatureMatrix& x,
         log_prior_[c] = std::log((class_count[c] + smoothing_) /
                                  (n + smoothing_ * static_cast<double>(num_classes)));
         for (std::size_t f = 0; f < cols_; ++f) {
-            const double p_on = (on_count[c * cols_ + f] + smoothing_) /
-                                (class_count[c] + 2.0 * smoothing_);
+            const double on = static_cast<double>(on_count[f * num_classes + c]);
+            const double p_on = (on + smoothing_) / (class_count[c] + 2.0 * smoothing_);
             log_on_[c * cols_ + f] = std::log(p_on);
             log_off_[c * cols_ + f] = std::log(1.0 - p_on);
         }

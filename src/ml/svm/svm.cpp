@@ -1,15 +1,12 @@
 #include "ml/svm/svm.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <limits>
 #include <memory>
 #include <ostream>
 
 #include "common/parallel.hpp"
 #include "common/serialize.hpp"
 #include "common/string_util.hpp"
-#include "ml/eval/cross_validation.hpp"
 
 namespace dfp {
 
@@ -158,75 +155,6 @@ ClassLabel SvmClassifier::Predict(std::span<const std::uint64_t> row) const {
     }
     return static_cast<ClassLabel>(best);
 }
-
-SmoConfig GridSearchSvm(const FeatureMatrix& x, const std::vector<ClassLabel>& y,
-                        std::size_t num_classes, const SmoConfig& base,
-                        const SvmGrid& grid) {
-    std::vector<SmoConfig> candidates;
-    std::vector<double> gammas = grid.gamma_values;
-    if (gammas.empty() || base.kernel.type == KernelType::kLinear) {
-        gammas = {base.kernel.gamma};
-    }
-    for (double c : grid.c_values) {
-        for (double gamma : gammas) {
-            SmoConfig cfg = base;
-            cfg.c = c;
-            cfg.kernel.gamma = gamma;
-            candidates.push_back(cfg);
-        }
-    }
-    SmoConfig best = candidates.front();
-    double best_acc = -1.0;
-    const std::size_t threads =
-        std::min(ResolveNumThreads(grid.num_threads), candidates.size());
-
-    // Every candidate's CV is independent: each checks the shared budget
-    // before starting (a whole k-fold run per check, so the clock is read
-    // each time) and a chunk stops at its first breach. Candidates that
-    // never ran stay at the -1 sentinel and cannot win; the winner is the
-    // first candidate, in grid order, with the maximal accuracy.
-    std::vector<double> accuracies(candidates.size(), -1.0);
-    std::atomic<std::size_t> evaluated{0};
-    std::atomic<int> grid_breach{static_cast<int>(BudgetBreach::kNone)};
-    DeadlineTimer timer(grid.budget.time_budget_ms);
-    for (SmoConfig& cfg : candidates) cfg.budget = grid.budget;
-    std::unique_ptr<ThreadPool> pool;
-    if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-    ParallelFor(pool.get(), candidates.size(), [&](std::size_t begin,
-                                                   std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-            BudgetGuard guard(TaskBudget(grid.budget, timer),
-                              std::numeric_limits<std::size_t>::max(),
-                              /*clock_stride=*/1);
-            if (guard.Check(0) != BudgetBreach::kNone) {
-                grid_breach.store(static_cast<int>(guard.breach()),
-                                  std::memory_order_relaxed);
-                return;
-            }
-            const SmoConfig& cfg = candidates[i];
-            const CvResult cv = CrossValidate(
-                x, y, num_classes,
-                [&cfg]() { return std::make_unique<SvmClassifier>(cfg); },
-                grid.folds, grid.seed);
-            accuracies[i] = cv.mean_accuracy;
-            evaluated.fetch_add(1, std::memory_order_relaxed);
-        }
-    });
-    const auto breach =
-        static_cast<BudgetBreach>(grid_breach.load(std::memory_order_relaxed));
-    if (breach != BudgetBreach::kNone) {
-        RecordBreach("ml.svm.grid", breach,
-                     static_cast<double>(evaluated.load(std::memory_order_relaxed)));
-    }
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-        if (accuracies[i] > best_acc) {
-            best_acc = accuracies[i];
-            best = candidates[i];
-        }
-    }
-    return best;
-}
-
 
 Status SvmClassifier::SaveModel(std::ostream& out) const {
     out << "svm-model " << static_cast<int>(config_.kernel.type) << ' ';

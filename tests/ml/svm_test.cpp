@@ -253,17 +253,5 @@ TEST(SvmClassifierTest, RejectsBadInput) {
     EXPECT_EQ(svm.Train(x, {0, 0}, 1).code(), StatusCode::kInvalidArgument);
 }
 
-TEST(GridSearchTest, PicksAConfigFromGrid) {
-    FeatureMatrix x;
-    std::vector<int> y;
-    std::vector<ClassLabel> yc;
-    MakeBlobs(30, 0.45, 7, &x, &y, &yc);
-    SvmGrid grid;
-    grid.c_values = {0.01, 1.0};
-    grid.folds = 3;
-    const SmoConfig best = GridSearchSvm(x, yc, 2, SmoConfig{}, grid);
-    EXPECT_TRUE(best.c == 0.01 || best.c == 1.0);
-}
-
 }  // namespace
 }  // namespace dfp
