@@ -7,6 +7,7 @@
 // on a subset of the UCI-shaped datasets with a linear SVM. Paper's claim:
 // redundancy-aware selection beats relevance-only and no-selection.
 #include <cstdio>
+#include <functional>
 
 #include "common/rng.hpp"
 #include "core/feature_space.hpp"

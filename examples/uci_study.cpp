@@ -27,6 +27,10 @@ int main(int argc, char** argv) {
 
     ExperimentConfig config;
     config.folds = argc > 2 ? static_cast<std::size_t>(std::atol(argv[2])) : 10;
+    if (config.folds < 2) {
+        std::fprintf(stderr, "folds must be at least 2 (got %s)\n", argv[2]);
+        return 1;
+    }
 
     const auto db = PrepareTransactions(*spec);
     std::printf("dataset %s: %zu rows, %zu items, %zu classes\n\n",

@@ -62,10 +62,6 @@ double FisherUpperBound(double theta, double p) {
     return z / (y - z);
 }
 
-double IgUpperBoundOneVsRest(double theta, double class_prior) {
-    return IgUpperBound(theta, class_prior);
-}
-
 double IgUpperBoundMulticlass(double theta, const std::vector<double>& priors) {
     const std::size_t m = priors.size();
     if (m == 0) return 0.0;

@@ -35,9 +35,4 @@ double FisherUpperBound(double theta, double p);
 /// Practical IG upper bound for an m-class prior. Exact for m = 2.
 double IgUpperBoundMulticlass(double theta, const std::vector<double>& priors);
 
-/// One-vs-rest IG bound certificate for multiclass data: the IG of X w.r.t.
-/// the indicator of any single class c is ≤ IgUpperBound(θ, p_c). This is the
-/// rigorously provable multiclass statement used by the property tests.
-double IgUpperBoundOneVsRest(double theta, double class_prior);
-
 }  // namespace dfp

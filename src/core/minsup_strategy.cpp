@@ -116,18 +116,4 @@ std::vector<MinSupRecommendation> MinSupEscalationLadder(
     return ladder;
 }
 
-std::vector<std::pair<double, double>> IgBoundCurve(
-    const std::vector<double>& priors, std::size_t points) {
-    std::vector<std::pair<double, double>> curve;
-    curve.reserve(points);
-    for (std::size_t i = 0; i < points; ++i) {
-        const double theta =
-            static_cast<double>(i) / static_cast<double>(points - 1);
-        double b = 0.0;
-        for (double p : priors) b = std::max(b, IgUpperBound(theta, p));
-        curve.emplace_back(theta, b);
-    }
-    return curve;
-}
-
 }  // namespace dfp

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 namespace dfp {
@@ -38,12 +37,6 @@ MinSupRecommendation RecommendMinSup(double ig0, const std::vector<double>& prio
 MinSupRecommendation RecommendMinSupFisher(double fisher0,
                                            const std::vector<double>& priors,
                                            std::size_t n);
-
-/// Samples IG_ub(θ) (binary / one-vs-rest-max) at `points` equally spaced
-/// supports — the "compute the bound as a function of θ" step of the strategy,
-/// also used to print the Figure 2 curve.
-std::vector<std::pair<double, double>> IgBoundCurve(
-    const std::vector<double>& priors, std::size_t points);
 
 /// Principled degradation ladder for budget-exhausted mining: starting from
 /// the threshold θ_start that proved too explosive, returns up to `rungs`

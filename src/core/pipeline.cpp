@@ -24,6 +24,11 @@ std::unique_ptr<Miner> MakeMiner(MinerKind kind) {
 
 namespace {
 
+// Budgeted mining re-mines at most this many times after the first attempt,
+// each at the next of this many rungs of the IG_ub escalation ladder.
+constexpr std::size_t kMaxMineRetries = 3;
+constexpr std::size_t kLadderRungs = 4;
+
 // Hash of a sorted itemset for candidate dedup across class partitions.
 struct ItemsetHash {
     std::size_t operator()(const Itemset& items) const {
@@ -238,8 +243,7 @@ Status PatternClassifierPipeline::Train(const TransactionDatabase& train,
                                 outcome.breach == BudgetBreach::kMemoryCap;
             const bool retry =
                 capped && config_.degrade.escalate_min_sup &&
-                budget_report_.mine_attempts <=
-                    config_.degrade.max_mine_retries &&
+                budget_report_.mine_attempts <= kMaxMineRetries &&
                 !timer.expired();
             if (retry && ladder.empty()) {
                 std::vector<double> priors(train.num_classes(), 0.0);
@@ -251,7 +255,7 @@ Status PatternClassifierPipeline::Train(const TransactionDatabase& train,
                     static_cast<double>(ResolveMinSup(mc, n)) /
                     static_cast<double>(n);
                 ladder = MinSupEscalationLadder(theta_start, priors, n,
-                                                config_.degrade.ladder_rungs);
+                                                kLadderRungs);
             }
             if (!retry || rung >= ladder.size()) {
                 // Accept the (possibly truncated) pool.

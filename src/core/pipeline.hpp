@@ -57,12 +57,9 @@ struct PipelineConfig {
     struct DegradePolicy {
         /// Escalate min_sup along the IG_ub ladder (core/minsup_strategy) and
         /// re-mine when the pattern/memory cap fires; otherwise (or once the
-        /// ladder/retries are exhausted) accept the truncated candidate set.
+        /// ladder's rungs or the re-mines run out) accept the truncated
+        /// candidate set.
         bool escalate_min_sup = true;
-        /// Re-mines allowed after the initial attempt.
-        std::size_t max_mine_retries = 3;
-        /// Rungs requested from MinSupEscalationLadder.
-        std::size_t ladder_rungs = 4;
     } degrade;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 
 #include "common/math_util.hpp"
 #include "common/string_util.hpp"
@@ -16,7 +15,7 @@ std::uint32_t DiscretizationModel::BinOf(std::size_t attr, double value) const {
     return static_cast<std::uint32_t>(it - cuts.begin());
 }
 
-DiscretizationModel Discretizer::Fit(const Dataset& data) const {
+DiscretizationModel MdlDiscretizer::Fit(const Dataset& data) const {
     DiscretizationModel model;
     model.cut_points.resize(data.num_attributes());
     for (std::size_t a = 0; a < data.num_attributes(); ++a) {
@@ -28,7 +27,7 @@ DiscretizationModel Discretizer::Fit(const Dataset& data) const {
     return model;
 }
 
-Dataset Discretizer::Apply(const DiscretizationModel& model, const Dataset& data) {
+Dataset MdlDiscretizer::Apply(const DiscretizationModel& model, const Dataset& data) {
     std::vector<Attribute> schema = data.attributes();
     for (std::size_t a = 0; a < schema.size(); ++a) {
         if (schema[a].type != AttributeType::kNumeric) continue;
@@ -57,51 +56,8 @@ Dataset Discretizer::Apply(const DiscretizationModel& model, const Dataset& data
     return out;
 }
 
-Dataset Discretizer::FitApply(const Dataset& data) const {
+Dataset MdlDiscretizer::FitApply(const Dataset& data) const {
     return Apply(Fit(data), data);
-}
-
-std::string EqualWidthDiscretizer::Name() const {
-    return StrFormat("equal-width:%zu", bins_);
-}
-
-std::vector<double> EqualWidthDiscretizer::FindCutPoints(
-    const std::vector<double>& values, const std::vector<ClassLabel>&,
-    std::size_t) const {
-    if (values.empty() || bins_ <= 1) return {};
-    const auto [mn_it, mx_it] = std::minmax_element(values.begin(), values.end());
-    const double mn = *mn_it;
-    const double mx = *mx_it;
-    if (mn == mx) return {};
-    std::vector<double> cuts;
-    cuts.reserve(bins_ - 1);
-    for (std::size_t b = 1; b < bins_; ++b) {
-        cuts.push_back(mn + (mx - mn) * static_cast<double>(b) /
-                                static_cast<double>(bins_));
-    }
-    return cuts;
-}
-
-std::string EqualFrequencyDiscretizer::Name() const {
-    return StrFormat("equal-freq:%zu", bins_);
-}
-
-std::vector<double> EqualFrequencyDiscretizer::FindCutPoints(
-    const std::vector<double>& values, const std::vector<ClassLabel>&,
-    std::size_t) const {
-    if (values.empty() || bins_ <= 1) return {};
-    std::vector<double> sorted = values;
-    std::sort(sorted.begin(), sorted.end());
-    std::vector<double> cuts;
-    for (std::size_t b = 1; b < bins_; ++b) {
-        const std::size_t idx = b * sorted.size() / bins_;
-        const double cut = sorted[idx];
-        // Skip duplicate cut points caused by ties in the data.
-        if (cuts.empty() || cut > cuts.back()) cuts.push_back(cut);
-    }
-    // Drop a final cut equal to the max (would create an empty top bin).
-    while (!cuts.empty() && cuts.back() >= sorted.back()) cuts.pop_back();
-    return cuts;
 }
 
 namespace {

@@ -1,19 +1,15 @@
 // Discretization of numeric attributes into categorical bins.
 //
 // The paper states "continuous attributes are discretized first" before the
-// (attribute, value) → item mapping. We provide the three standard schemes:
-//  * EqualWidth     — unsupervised, fixed number of equal-width intervals.
-//  * EqualFrequency — unsupervised, quantile cut points.
-//  * MDL (Fayyad–Irani 1993) — supervised recursive entropy minimization with
-//    the MDL stopping criterion; this is what Weka applies by default and the
-//    usual choice for associative classification preprocessing.
+// (attribute, value) → item mapping. The scheme is Fayyad–Irani MDL (1993):
+// supervised recursive entropy minimization with the MDL stopping criterion,
+// what Weka applies by default and the usual choice for associative
+// classification preprocessing.
 //
-// A Discretizer is fit on training data only and then applied to train and
+// The discretizer is fit on training data only and then applied to train and
 // test alike (cut points are part of the learned model, so no test leakage).
 #pragma once
 
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "common/status.hpp"
@@ -31,20 +27,16 @@ struct DiscretizationModel {
     std::uint32_t BinOf(std::size_t attr, double value) const;
 };
 
-/// Strategy interface: computes cut points for one numeric column.
-class Discretizer {
+/// Fayyad–Irani recursive minimal-entropy partitioning with the MDL stopping
+/// criterion. Supervised; may return zero cut points for a column (the
+/// attribute collapses to a single bin) when no split passes the MDL test.
+class MdlDiscretizer {
   public:
-    virtual ~Discretizer() = default;
-
-    /// Human-readable scheme name ("mdl", "equal-width:5", ...).
-    virtual std::string Name() const = 0;
-
     /// Computes ascending cut points for one column. `values` and `labels`
-    /// are parallel; unsupervised schemes ignore `labels`.
-    virtual std::vector<double> FindCutPoints(
-        const std::vector<double>& values,
-        const std::vector<ClassLabel>& labels,
-        std::size_t num_classes) const = 0;
+    /// are parallel.
+    std::vector<double> FindCutPoints(const std::vector<double>& values,
+                                      const std::vector<ClassLabel>& labels,
+                                      std::size_t num_classes) const;
 
     /// Fits a model over all numeric attributes of `data`.
     DiscretizationModel Fit(const Dataset& data) const;
@@ -53,45 +45,8 @@ class Discretizer {
     /// named "[a,b)"-style; categorical attributes pass through.
     static Dataset Apply(const DiscretizationModel& model, const Dataset& data);
 
-    /// Fit + Apply on the same data (convenience for unsupervised pipelines).
+    /// Fit + Apply on the same data.
     Dataset FitApply(const Dataset& data) const;
-};
-
-/// Fixed number of equal-width intervals over [min, max].
-class EqualWidthDiscretizer : public Discretizer {
-  public:
-    explicit EqualWidthDiscretizer(std::size_t bins) : bins_(bins) {}
-    std::string Name() const override;
-    std::vector<double> FindCutPoints(const std::vector<double>& values,
-                                      const std::vector<ClassLabel>& labels,
-                                      std::size_t num_classes) const override;
-
-  private:
-    std::size_t bins_;
-};
-
-/// Quantile-based bins with (approximately) equal populations.
-class EqualFrequencyDiscretizer : public Discretizer {
-  public:
-    explicit EqualFrequencyDiscretizer(std::size_t bins) : bins_(bins) {}
-    std::string Name() const override;
-    std::vector<double> FindCutPoints(const std::vector<double>& values,
-                                      const std::vector<ClassLabel>& labels,
-                                      std::size_t num_classes) const override;
-
-  private:
-    std::size_t bins_;
-};
-
-/// Fayyad–Irani recursive minimal-entropy partitioning with the MDL stopping
-/// criterion. Supervised; may return zero cut points (attribute collapses to
-/// a single bin) when no split passes the MDL test.
-class MdlDiscretizer : public Discretizer {
-  public:
-    std::string Name() const override { return "mdl"; }
-    std::vector<double> FindCutPoints(const std::vector<double>& values,
-                                      const std::vector<ClassLabel>& labels,
-                                      std::size_t num_classes) const override;
 };
 
 }  // namespace dfp

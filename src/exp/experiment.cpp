@@ -5,6 +5,7 @@
 
 #include "common/rng.hpp"
 #include "common/stopwatch.hpp"
+#include "common/string_util.hpp"
 #include "core/feature_space.hpp"
 #include "data/discretizer.hpp"
 #include "ml/dtree/c45.hpp"
@@ -89,12 +90,13 @@ PipelineConfig MakePipelineConfig(const ExperimentConfig& config,
 
 namespace {
 
-// Evaluates an Item_* variant on one train/test split.
+// Evaluates an Item_* variant on one train/test split; a learner failure
+// lands in out->error.
 double EvaluateItemFold(const TransactionDatabase& db,
                         const std::vector<std::size_t>& train_rows,
                         const std::vector<std::size_t>& test_rows,
                         ModelVariant variant, LearnerKind learner,
-                        const ExperimentConfig& config) {
+                        const ExperimentConfig& config, VariantOutcome* out) {
     const TransactionDatabase train = db.Subset(train_rows);
     const FeatureSpace space = FeatureSpace::ItemsOnly(db.num_items());
 
@@ -110,9 +112,10 @@ double EvaluateItemFold(const TransactionDatabase& db,
     }
 
     auto model = MakeLearner(learner, variant, config, cols.size());
-    if (!model->Train(space.Transform(train).SelectCols(cols), train.labels(),
-                      db.num_classes())
-             .ok()) {
+    const Status st = model->Train(space.Transform(train).SelectCols(cols),
+                                   train.labels(), db.num_classes());
+    if (!st.ok()) {
+        out->error = st.ToString();
         return 0.0;
     }
     const TransactionDatabase test = db.Subset(test_rows);
@@ -147,6 +150,11 @@ double EvaluatePatternFold(const TransactionDatabase& db,
 VariantOutcome RunVariantCv(const TransactionDatabase& db, ModelVariant variant,
                             LearnerKind learner, const ExperimentConfig& config) {
     VariantOutcome outcome;
+    if (config.folds < 2) {
+        outcome.error = StrFormat(
+            "cross-validation needs at least 2 folds, got %zu", config.folds);
+        return outcome;
+    }
     Rng rng(config.seed);
     const auto folds = StratifiedFolds(db.labels(), config.folds, rng);
 
@@ -159,15 +167,15 @@ VariantOutcome RunVariantCv(const TransactionDatabase& db, ModelVariant variant,
             if (g == f) continue;
             train_rows.insert(train_rows.end(), folds[g].begin(), folds[g].end());
         }
-        double acc = 0.0;
-        if (variant == ModelVariant::kPatAll || variant == ModelVariant::kPatFs) {
-            acc = EvaluatePatternFold(db, train_rows, folds[f], variant, learner,
-                                      config, &outcome);
-            if (!outcome.error.empty()) return outcome;  // mining blew the budget
-        } else {
-            acc = EvaluateItemFold(db, train_rows, folds[f], variant, learner,
-                                   config);
-        }
+        const bool pattern_variant =
+            variant == ModelVariant::kPatAll || variant == ModelVariant::kPatFs;
+        const double acc =
+            pattern_variant
+                ? EvaluatePatternFold(db, train_rows, folds[f], variant,
+                                      learner, config, &outcome)
+                : EvaluateItemFold(db, train_rows, folds[f], variant, learner,
+                                   config, &outcome);
+        if (!outcome.error.empty()) return outcome;  // the fold failed to train
         total_acc += acc;
         ++evaluated;
         outcome.fold_accuracies.push_back(acc);

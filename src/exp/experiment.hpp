@@ -73,7 +73,9 @@ TransactionDatabase PrepareTransactions(const SyntheticSpec& spec);
 /// Discretizes + encodes an already-materialized dataset.
 TransactionDatabase DatasetToTransactions(const Dataset& data);
 
-/// Runs stratified k-fold CV of one variant with one learner.
+/// Runs stratified k-fold CV of one variant with one learner. Fewer than 2
+/// folds, or a fold whose mining or learner fails, leaves `ok` false and says
+/// why in `error`.
 VariantOutcome RunVariantCv(const TransactionDatabase& db, ModelVariant variant,
                             LearnerKind learner, const ExperimentConfig& config);
 

@@ -7,9 +7,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -79,8 +77,5 @@ class Classifier {
 Status ValidateTrainingInput(const char* learner, const FeatureMatrix& x,
                              const std::vector<ClassLabel>& y,
                              std::size_t num_classes);
-
-/// Factory so cross-validation can train a fresh model per fold.
-using ClassifierFactory = std::function<std::unique_ptr<Classifier>()>;
 
 }  // namespace dfp

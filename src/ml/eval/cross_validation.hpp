@@ -1,32 +1,17 @@
 // Stratified k-fold cross validation (the paper's evaluation protocol).
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "data/dataset.hpp"
-#include "ml/classifier.hpp"
 
 namespace dfp {
 
 /// Splits row indices into k folds preserving the class distribution. Every
 /// row lands in exactly one fold; fold sizes differ by at most one per class.
+/// k = 0 yields no folds.
 std::vector<std::vector<std::size_t>> StratifiedFolds(
     const std::vector<ClassLabel>& y, std::size_t k, Rng& rng);
-
-struct CvResult {
-    double mean_accuracy = 0.0;
-    std::vector<double> fold_accuracies;
-};
-
-/// Trains a fresh model per fold on the complement and scores it on the fold.
-/// `num_threads` > 1 trains the folds concurrently (0 = hardware_concurrency);
-/// the fold split is fixed by `seed` before the fan-out and each fold's model
-/// is independent, so accuracies are identical for every thread count.
-CvResult CrossValidate(const FeatureMatrix& x, const std::vector<ClassLabel>& y,
-                       std::size_t num_classes, const ClassifierFactory& factory,
-                       std::size_t folds, std::uint64_t seed,
-                       std::size_t num_threads = 1);
 
 }  // namespace dfp

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <iterator>
 #include <sstream>
 
@@ -15,7 +13,7 @@ namespace dfp::obs {
 
 namespace {
 
-void WriteNumber(std::ostringstream& out, double v) { WriteJsonNumber(out, v); }
+void WriteNumber(std::ostream& out, double v) { WriteJsonNumber(out, v); }
 
 const double kSummaryQuantiles[] = {0.5, 0.9, 0.95, 0.99, 0.999};
 const char* const kSummaryQuantileLabels[] = {"0.5", "0.9", "0.95", "0.99",
@@ -37,7 +35,7 @@ void RenderHdrSummary(std::ostringstream& out, const std::string& name,
     out << '\n' << prom << "_count " << snap.count << '\n';
 }
 
-void WriteHdrJson(std::ostringstream& out, const HdrSnapshot& snap) {
+void WriteHdrJson(std::ostream& out, const HdrSnapshot& snap) {
     out << "{\"count\":" << snap.count << ",\"sum\":";
     WriteJsonNumber(out, snap.sum);
     out << ",\"mean\":";
@@ -49,6 +47,23 @@ void WriteHdrJson(std::ostringstream& out, const HdrSnapshot& snap) {
     out << ",\"rel_error\":";
     WriteJsonNumber(out, snap.layout.RelativeErrorBound());
     out << '}';
+}
+
+void WriteHistogramJson(std::ostream& out, const HistogramData& data) {
+    out << "{\"count\":" << data.count << ",\"sum\":";
+    WriteJsonNumber(out, data.sum);
+    out << ",\"buckets\":[";
+    for (std::size_t i = 0; i < data.bucket_counts.size(); ++i) {
+        if (i > 0) out << ',';
+        out << "{\"le\":";
+        if (i < data.bounds.size()) {
+            WriteJsonNumber(out, data.bounds[i]);
+        } else {
+            out << "null";  // the overflow bucket
+        }
+        out << ",\"count\":" << data.bucket_counts[i] << '}';
+    }
+    out << "]}";
 }
 
 }  // namespace
@@ -126,8 +141,7 @@ std::string RenderPrometheus(const MetricsSnapshot& snapshot) {
     return out.str();
 }
 
-std::string RenderSnapshotJson(const MetricsSnapshot& snapshot) {
-    std::ostringstream out;
+void WriteSnapshotJson(std::ostream& out, const MetricsSnapshot& snapshot) {
     out << "{\"counters\":{";
     bool first = true;
     for (const auto& [name, value] : snapshot.counters) {
@@ -151,9 +165,8 @@ std::string RenderSnapshotJson(const MetricsSnapshot& snapshot) {
         if (!first) out << ',';
         first = false;
         WriteJsonString(out, name);
-        out << ":{\"count\":" << data.count << ",\"sum\":";
-        WriteJsonNumber(out, data.sum);
-        out << '}';
+        out << ':';
+        WriteHistogramJson(out, data);
     }
     out << "},\"hdr\":{";
     first = true;
@@ -174,6 +187,11 @@ std::string RenderSnapshotJson(const MetricsSnapshot& snapshot) {
         WriteHdrJson(out, snap);
     }
     out << "}}";
+}
+
+std::string RenderSnapshotJson(const MetricsSnapshot& snapshot) {
+    std::ostringstream out;
+    WriteSnapshotJson(out, snapshot);
     return out.str();
 }
 

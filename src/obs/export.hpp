@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -49,13 +50,12 @@ std::string PrometheusHelpEscape(std::string_view text);
 /// Renders the full snapshot as Prometheus text exposition (version 0.0.4).
 std::string RenderPrometheus(const MetricsSnapshot& snapshot);
 
-/// Renders the full snapshot as a JSON document (counters/gauges/histograms
-/// plus HDR quantile summaries).
+/// Writes the full snapshot as one JSON object: counters, gauges,
+/// histograms (count, sum and buckets) and HDR quantile summaries (with the
+/// layout's rel_error). Run reports (obs/report.hpp) embed the same object as
+/// their "metrics" member.
+void WriteSnapshotJson(std::ostream& out, const MetricsSnapshot& snapshot);
 std::string RenderSnapshotJson(const MetricsSnapshot& snapshot);
-
-/// The one WriteFileAtomic implementation lives in common/fileio; re-exported
-/// here because every exporter call site predates the move.
-using ::dfp::WriteFileAtomic;
 
 /// Snapshot of the global registry rendered as Prometheus text, written
 /// atomically to `path`.

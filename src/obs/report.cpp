@@ -1,10 +1,11 @@
 #include "obs/report.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <iomanip>
 #include <sstream>
 
+#include "common/fileio.hpp"
+#include "obs/export.hpp"
 #include "obs/json.hpp"
 
 namespace dfp::obs {
@@ -38,97 +39,12 @@ void WriteSpanJson(std::ostream& out, const SpanNode& node) {
     out << "]}";
 }
 
-namespace {
-
-void WriteHdrSummaryJson(std::ostream& out, const HdrSnapshot& snap) {
-    static const double kQ[] = {0.5, 0.9, 0.95, 0.99, 0.999};
-    static const char* const kLabels[] = {"0.5", "0.9", "0.95", "0.99",
-                                          "0.999"};
-    out << "{\"count\":";
-    WriteJsonNumber(out, static_cast<double>(snap.count));
-    out << ",\"sum\":";
-    WriteJsonNumber(out, snap.sum);
-    out << ",\"mean\":";
-    WriteJsonNumber(out, snap.mean());
-    for (std::size_t i = 0; i < 5; ++i) {
-        out << ",\"p" << kLabels[i] << "\":";
-        WriteJsonNumber(out, snap.ValueAtQuantile(kQ[i]));
-    }
-    out << '}';
-}
-
-void WriteHistogramJson(std::ostream& out, const HistogramData& data) {
-    out << "{\"count\":";
-    WriteJsonNumber(out, static_cast<double>(data.count));
-    out << ",\"sum\":";
-    WriteJsonNumber(out, data.sum);
-    out << ",\"buckets\":[";
-    for (std::size_t i = 0; i < data.bucket_counts.size(); ++i) {
-        if (i > 0) out << ',';
-        out << "{\"le\":";
-        if (i < data.bounds.size()) {
-            WriteJsonNumber(out, data.bounds[i]);
-        } else {
-            out << "null";  // the overflow bucket
-        }
-        out << ",\"count\":";
-        WriteJsonNumber(out, static_cast<double>(data.bucket_counts[i]));
-        out << '}';
-    }
-    out << "]}";
-}
-
-}  // namespace
-
 void WriteReportJson(std::ostream& out, const RunReport& report) {
     out << "{\"name\":";
     WriteJsonString(out, report.name);
-    out << ",\"metrics\":{\"counters\":{";
-    bool first = true;
-    for (const auto& [name, value] : report.metrics.counters) {
-        if (!first) out << ',';
-        first = false;
-        WriteJsonString(out, name);
-        out << ':';
-        WriteJsonNumber(out, static_cast<double>(value));
-    }
-    out << "},\"gauges\":{";
-    first = true;
-    for (const auto& [name, value] : report.metrics.gauges) {
-        if (!first) out << ',';
-        first = false;
-        WriteJsonString(out, name);
-        out << ':';
-        WriteJsonNumber(out, value);
-    }
-    out << "},\"histograms\":{";
-    first = true;
-    for (const auto& [name, data] : report.metrics.histograms) {
-        if (!first) out << ',';
-        first = false;
-        WriteJsonString(out, name);
-        out << ':';
-        WriteHistogramJson(out, data);
-    }
-    out << "},\"hdr\":{";
-    first = true;
-    for (const auto& [name, snap] : report.metrics.hdrs) {
-        if (!first) out << ',';
-        first = false;
-        WriteJsonString(out, name);
-        out << ':';
-        WriteHdrSummaryJson(out, snap);
-    }
-    out << "},\"windows\":{";
-    first = true;
-    for (const auto& [name, snap] : report.metrics.windows) {
-        if (!first) out << ',';
-        first = false;
-        WriteJsonString(out, name);
-        out << ':';
-        WriteHdrSummaryJson(out, snap);
-    }
-    out << "}},\"guard\":[";
+    out << ",\"metrics\":";
+    WriteSnapshotJson(out, report.metrics);
+    out << ",\"guard\":[";
     for (std::size_t i = 0; i < report.guard.size(); ++i) {
         if (i > 0) out << ',';
         const GuardEvent& event = report.guard[i];
@@ -155,17 +71,7 @@ std::string ReportToJsonString(const RunReport& report) {
 }
 
 Status WriteReportJsonFile(const RunReport& report, const std::string& path) {
-    std::ofstream out(path, std::ios::trunc);
-    if (!out) {
-        return Status::Internal("cannot open report file: " + path);
-    }
-    WriteReportJson(out, report);
-    out << '\n';
-    out.flush();
-    if (!out) {
-        return Status::Internal("failed writing report file: " + path);
-    }
-    return Status::Ok();
+    return WriteFileAtomic(path, ReportToJsonString(report) + "\n");
 }
 
 namespace {

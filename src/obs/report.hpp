@@ -14,9 +14,12 @@
 //                                       {"le": null, "count": 0} ] } },
 //       "hdr":        { "dfp.serve.latency.total": {
 //                          "count": 9, "sum": 1.5, "mean": 0.16,
-//                          "p0.5": 0.1, ..., "p0.999": 1.4 } },
+//                          "p0.5": 0.1, ..., "p0.999": 1.4,
+//                          "rel_error": 0.01 } },
 //       "windows":    { ... same shape, trailing-window snapshots ... }
 //     },
+//   The "metrics" object is obs::WriteSnapshotJson's, the same document the
+//   periodic snapshot file and GET /metrics.json serve.
 //     "guard": [ { "stage": "fpm.closed", "kind": "deadline",
 //                  "value": 1234 }, ... ],
 //     "spans": [ { "name": "train", "seconds": 0.5,
@@ -60,7 +63,8 @@ void WriteSpanJson(std::ostream& out, const SpanNode& node);
 void WriteReportJson(std::ostream& out, const RunReport& report);
 std::string ReportToJsonString(const RunReport& report);
 
-/// Writes the JSON document to `path` (overwrites).
+/// Writes the JSON document to `path`, replacing it atomically
+/// (WriteFileAtomic).
 Status WriteReportJsonFile(const RunReport& report, const std::string& path);
 
 /// Human-readable dump: indented span tree + aligned metric table.

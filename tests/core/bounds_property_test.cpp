@@ -92,7 +92,7 @@ TEST_P(BoundHoldsTest, OneVsRestBoundHoldsMulticlass) {
             ovr.class_totals = totals;
             ovr.class_support = support;
             const double ig = InformationGain(ovr);
-            EXPECT_LE(ig, IgUpperBoundOneVsRest(stats.theta(), priors[c]) + 1e-9)
+            EXPECT_LE(ig, IgUpperBound(stats.theta(), priors[c]) + 1e-9)
                 << ItemsetToString(pat.items) << " class " << c;
         }
     }

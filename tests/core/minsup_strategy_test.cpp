@@ -87,16 +87,5 @@ TEST(MinSupStrategyTest, SafetyGuarantee) {
     }
 }
 
-TEST(IgBoundCurveTest, CurveShape) {
-    const auto curve = IgBoundCurve({0.5, 0.5}, 101);
-    ASSERT_EQ(curve.size(), 101u);
-    EXPECT_DOUBLE_EQ(curve.front().first, 0.0);
-    EXPECT_DOUBLE_EQ(curve.back().first, 1.0);
-    EXPECT_NEAR(curve.front().second, 0.0, 1e-9);
-    EXPECT_NEAR(curve.back().second, 0.0, 1e-9);
-    // Peak of 1 bit at θ = 0.5 for balanced binary classes.
-    EXPECT_NEAR(curve[50].second, 1.0, 1e-9);
-}
-
 }  // namespace
 }  // namespace dfp

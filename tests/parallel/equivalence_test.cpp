@@ -1,7 +1,7 @@
 // Determinism certificates for the parallel layer: every parallel call site
 // must produce results identical to the serial path (num_threads == 1) for
-// every thread count — miners' pattern sets (sorted, with supports), OvO SVM
-// predictions and CV fold accuracies. 20 random databases × threads ∈ {1, 2, 3, 5, 8, 16}
+// every thread count — miners' pattern sets (sorted, with supports) and OvO
+// SVM predictions. 20 random databases × threads ∈ {1, 2, 3, 5, 8, 16}
 // (non-power-of-two and oversubscribed counts included).
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include "common/rng.hpp"
 #include "fpm/closed_miner.hpp"
 #include "fpm/eclat.hpp"
-#include "ml/eval/cross_validation.hpp"
 #include "ml/svm/svm.hpp"
 #include "testutil/binary_clouds.hpp"
 
@@ -137,24 +136,6 @@ TEST(SvmThreadEquivalenceTest, OvoPredictionsIdenticalForEveryThreadCount) {
                     << threads << " (seed " << seed << ")";
             }
         }
-    }
-}
-
-TEST(CvThreadEquivalenceTest, FoldAccuraciesIdenticalForEveryThreadCount) {
-    FeatureMatrix x;
-    std::vector<ClassLabel> y;
-    MakeBlobs(/*seed=*/3, 20, &x, &y);
-    const ClassifierFactory factory = [] {
-        return std::make_unique<SvmClassifier>();
-    };
-    const CvResult want = CrossValidate(x, y, 3, factory, /*folds=*/5,
-                                        /*seed=*/17, /*num_threads=*/1);
-    for (const std::size_t threads : kThreadCounts) {
-        const CvResult got =
-            CrossValidate(x, y, 3, factory, /*folds=*/5, /*seed=*/17, threads);
-        EXPECT_EQ(got.fold_accuracies, want.fold_accuracies)
-            << "folds diverge at num_threads=" << threads;
-        EXPECT_DOUBLE_EQ(got.mean_accuracy, want.mean_accuracy);
     }
 }
 

@@ -1,8 +1,8 @@
-// Certificate for the one-dof chi² shape: ChiSquareSurvival(x, 1) and
-// ChiSquareCdf(x, 1) read lnΓ(1/2) from a value set once, and must stay
-// bitwise equal to the incomplete-gamma formulas evaluated with a LogGamma
-// call on every evaluation. The test-side copy below is that per-call form,
-// the same series and continued fraction as stats/dist.cpp. It is checked
+// Certificate for the one-dof chi² shape: ChiSquareSurvival(x, 1) reads
+// lnΓ(1/2) from a value set once, and must stay bitwise equal to the
+// incomplete-gamma formula evaluated with a LogGamma call on every
+// evaluation. The test-side copy below is that per-call form, the same
+// series and continued fraction as stats/dist.cpp. It is checked
 // across the series / continued-fraction boundary (x/2 = a + 1 = 1.5) and
 // into the deep tails, where the p-values the significance filter ranks
 // live.
@@ -53,19 +53,12 @@ double PerCallContinuedFraction(double a, double x) {
     return std::exp(a * std::log(x) - x - LogGamma(a)) * h;
 }
 
-// Q(1/2, x/2) and P(1/2, x/2) for x > 0, LogGamma called on every evaluation.
+// Q(1/2, x/2) for x > 0, LogGamma called on every evaluation.
 double PerCallSurvival(double x) {
     const double a = 0.5;
     const double half = 0.5 * x;
     if (half < a + 1.0) return 1.0 - PerCallSeries(a, half);
     return PerCallContinuedFraction(a, half);
-}
-
-double PerCallCdf(double x) {
-    const double a = 0.5;
-    const double half = 0.5 * x;
-    if (half < a + 1.0) return PerCallSeries(a, half);
-    return 1.0 - PerCallContinuedFraction(a, half);
 }
 
 std::vector<double> Statistics() {
@@ -92,13 +85,9 @@ TEST(ChiSquareShapeCertificateTest, OneDofEqualsPerCallLogGammaBitwise) {
     std::size_t deep = 0;
     for (const double x : Statistics()) {
         const double q = ChiSquareSurvival(x, 1.0);
-        const double p = ChiSquareCdf(x, 1.0);
         EXPECT_EQ(std::bit_cast<std::uint64_t>(q),
                   std::bit_cast<std::uint64_t>(PerCallSurvival(x)))
             << "survival at x = " << x;
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(p),
-                  std::bit_cast<std::uint64_t>(PerCallCdf(x)))
-            << "cdf at x = " << x;
         (0.5 * x < 1.5 ? series : fraction) += 1;
         if (q > 0.0 && q < 1e-100) ++deep;
     }

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/failpoint.hpp"
+#include "common/fileio.hpp"
 #include "data/encoder.hpp"
 #include "data/synthetic.hpp"
 #include "obs/export.hpp"
@@ -388,7 +389,7 @@ int main(int argc, char** argv) {
     if (snapshot_writer != nullptr) snapshot_writer->Stop();
     if (!trace_out.empty()) {
         const auto traces = engine.trace_ring().Dump();
-        const Status written = dfp::obs::WriteFileAtomic(
+        const Status written = dfp::WriteFileAtomic(
             trace_out, dfp::obs::RenderChromeTrace(traces) + "\n");
         if (written.ok()) {
             std::printf("dfp_serve: wrote %zu request traces to %s\n",
