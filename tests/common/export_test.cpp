@@ -110,6 +110,37 @@ TEST(RenderSnapshotJsonTest, ParsesBackAndCarriesQuantiles) {
     ASSERT_NE(win->Find("rel_error"), nullptr);
 }
 
+TEST(RenderSnapshotJsonTest, HistogramsCarryBucketsAndHdrsCarryRelError) {
+    MetricsSnapshot snap = HandBuiltSnapshot();
+    HdrHistogram hist{HdrConfig{}};
+    for (int i = 1; i <= 10; ++i) hist.Record(0.5 * i);
+    snap.hdrs["dfp.test.hdr"] = hist.Snapshot();
+    auto parsed = ParseJson(RenderSnapshotJson(snap));
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+
+    const JsonValue* latency = parsed->Find("histograms")->Find("dfp.test.latency");
+    ASSERT_NE(latency, nullptr);
+    EXPECT_EQ(latency->Find("count")->number(), 6.0);
+    EXPECT_DOUBLE_EQ(latency->Find("sum")->number(), 4.2);
+    // Per-bucket (not cumulative) counts; the overflow bucket's bound is null.
+    const JsonValue* buckets = latency->Find("buckets");
+    ASSERT_NE(buckets, nullptr);
+    ASSERT_EQ(buckets->array().size(), 3u);
+    EXPECT_DOUBLE_EQ(buckets->array()[0].Find("le")->number(), 0.1);
+    EXPECT_EQ(buckets->array()[0].Find("count")->number(), 3.0);
+    EXPECT_DOUBLE_EQ(buckets->array()[1].Find("le")->number(), 1.0);
+    EXPECT_EQ(buckets->array()[1].Find("count")->number(), 2.0);
+    EXPECT_TRUE(buckets->array()[2].Find("le")->is_null());
+    EXPECT_EQ(buckets->array()[2].Find("count")->number(), 1.0);
+
+    const JsonValue* hdr = parsed->Find("hdr")->Find("dfp.test.hdr");
+    ASSERT_NE(hdr, nullptr);
+    EXPECT_EQ(hdr->Find("count")->number(), 10.0);
+    ASSERT_NE(hdr->Find("rel_error"), nullptr);
+    EXPECT_GT(hdr->Find("rel_error")->number(), 0.0);
+    EXPECT_LT(hdr->Find("rel_error")->number(), 0.1);
+}
+
 TEST(WriteFileAtomicTest, WritesContentAndLeavesNoTmp) {
     const std::string path = ::testing::TempDir() + "dfp_export_atomic.txt";
     ASSERT_TRUE(WriteFileAtomic(path, "hello\n").ok());

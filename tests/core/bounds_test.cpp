@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/math_util.hpp"
 
@@ -87,6 +88,24 @@ TEST(IgBoundTest, MonotoneIncreasingBelowP) {
         const double bound = IgUpperBound(theta, p);
         EXPECT_GE(bound, prev - 1e-12) << "theta=" << theta;
         prev = bound;
+    }
+}
+
+TEST(IgBoundTest, CurveOverThetaRisesToPAndFallsAfter) {
+    // Balanced binary classes: the curve over θ ∈ [0, 1] is 0 at both ends,
+    // peaks at 1 bit at θ = p = 0.5 and mirrors around it.
+    std::vector<double> curve;
+    for (int i = 0; i <= 100; ++i) curve.push_back(IgUpperBound(i / 100.0, 0.5));
+    EXPECT_NEAR(curve.front(), 0.0, 1e-9);
+    EXPECT_NEAR(curve.back(), 0.0, 1e-9);
+    EXPECT_NEAR(curve[50], 1.0, 1e-9);
+    for (int i = 0; i < 100; ++i) {
+        if (i < 50) {
+            EXPECT_GE(curve[i + 1], curve[i] - 1e-12) << "i=" << i;
+        } else {
+            EXPECT_LE(curve[i + 1], curve[i] + 1e-12) << "i=" << i;
+        }
+        EXPECT_NEAR(curve[i], curve[100 - i], 1e-9) << "i=" << i;
     }
 }
 

@@ -13,6 +13,8 @@
 #include "data/encoder.hpp"
 #include "data/synthetic.hpp"
 #include "ml/svm/svm.hpp"
+#include "obs/export.hpp"
+#include "obs/hdr.hpp"
 #include "obs/json.hpp"
 #include "obs/report.hpp"
 
@@ -146,6 +148,57 @@ TEST(ReportSmokeTest, TableRenderingDoesNotThrow) {
     std::ostringstream out;
     obs::WriteReportTable(out, report);
     EXPECT_NE(out.str().find("dfp.test.table.counter"), std::string::npos);
+}
+
+obs::RunReport HandBuiltReport() {
+    obs::RunReport report;
+    report.name = "hand_built";
+    report.metrics.counters["dfp.test.requests"] = 12;
+    report.metrics.gauges["dfp.test.depth"] = 2.5;
+    obs::HistogramData hist;
+    hist.bounds = {0.1, 1.0};
+    hist.bucket_counts = {3, 2, 1};
+    hist.count = 6;
+    hist.sum = 4.2;
+    report.metrics.histograms["dfp.test.latency"] = hist;
+    obs::HdrHistogram hdr{obs::HdrConfig{}};
+    hdr.Record(1.0);
+    hdr.Record(2.0);
+    report.metrics.hdrs["dfp.test.hdr"] = hdr.Snapshot();
+    return report;
+}
+
+TEST(ReportSmokeTest, MetricsMemberIsTheSnapshotDocument) {
+    // The report embeds the one snapshot writer's output verbatim.
+    const obs::RunReport report = HandBuiltReport();
+    const std::string json = obs::ReportToJsonString(report);
+    EXPECT_NE(json.find("\"metrics\":" + obs::RenderSnapshotJson(report.metrics) +
+                        ",\"guard\":"),
+              std::string::npos)
+        << json;
+}
+
+TEST(ReportSmokeTest, WriteReportJsonFileReplacesAndReportsFailure) {
+    const obs::RunReport report = HandBuiltReport();
+    const std::filesystem::path path =
+        std::filesystem::temp_directory_path() / "dfp_report_replace.json";
+    {
+        std::ofstream stale(path);
+        stale << "stale and longer than nothing\n";
+    }
+    ASSERT_TRUE(obs::WriteReportJsonFile(report, path.string()).ok());
+    std::ifstream in(path);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    EXPECT_EQ(buffer.str(), obs::ReportToJsonString(report) + "\n");
+    EXPECT_FALSE(std::filesystem::exists(path.string() + ".tmp"));
+    std::filesystem::remove(path);
+
+    // A missing directory is an error, and nothing is created.
+    const std::filesystem::path missing =
+        std::filesystem::temp_directory_path() / "dfp_no_such_dir" / "r.json";
+    EXPECT_FALSE(obs::WriteReportJsonFile(report, missing.string()).ok());
+    EXPECT_FALSE(std::filesystem::exists(missing));
 }
 
 }  // namespace
