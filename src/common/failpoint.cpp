@@ -17,20 +17,6 @@ std::atomic<bool> g_failpoints_enabled{false};
 
 }  // namespace
 
-const char* FailpointKindName(FailpointKind kind) {
-    switch (kind) {
-        case FailpointKind::kNone: return "none";
-        case FailpointKind::kError: return "error";
-        case FailpointKind::kShortWrite: return "short";
-        case FailpointKind::kEintr: return "eintr";
-        case FailpointKind::kTimeout: return "timeout";
-        case FailpointKind::kAllocFail: return "alloc";
-        case FailpointKind::kDelay: return "delay";
-        case FailpointKind::kAbort: return "abort";
-    }
-    return "unknown";
-}
-
 const FailpointAction& FailpointAction::Sleep() const {
     if (delay_ms > 0.0) {
         std::this_thread::sleep_for(

@@ -67,8 +67,6 @@ enum class FailpointKind : std::uint8_t {
     kAbort,       ///< std::abort() — crash rehearsal for external harnesses
 };
 
-const char* FailpointKindName(FailpointKind kind);
-
 /// The evaluated outcome of one DFP_FAILPOINT hit. Falsy = proceed normally.
 struct FailpointAction {
     FailpointKind kind = FailpointKind::kNone;

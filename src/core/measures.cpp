@@ -123,15 +123,6 @@ double GiniGain(const FeatureStats& stats) {
     return gain < 0.0 ? 0.0 : gain;
 }
 
-const char* RelevanceMeasureName(RelevanceMeasure m) {
-    switch (m) {
-        case RelevanceMeasure::kInfoGain: return "info-gain";
-        case RelevanceMeasure::kFisher: return "fisher";
-        case RelevanceMeasure::kGini: return "gini";
-    }
-    return "?";
-}
-
 double Relevance(RelevanceMeasure measure, const FeatureStats& stats) {
     switch (measure) {
         case RelevanceMeasure::kInfoGain: return InformationGain(stats);

@@ -66,8 +66,6 @@ double GiniGain(const FeatureStats& stats);
 /// Relevance measure selector for MMRFS (Definition 3).
 enum class RelevanceMeasure { kInfoGain, kFisher, kGini };
 
-const char* RelevanceMeasureName(RelevanceMeasure m);
-
 /// Dispatches to the chosen measure.
 double Relevance(RelevanceMeasure measure, const FeatureStats& stats);
 

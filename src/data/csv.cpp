@@ -136,10 +136,4 @@ Status WriteCsv(const Dataset& data, std::ostream& out, char delimiter) {
     return Status::Ok();
 }
 
-Status SaveCsvFile(const Dataset& data, const std::string& path, char delimiter) {
-    std::ofstream out(path);
-    if (!out) return Status::NotFound("cannot open file for writing: " + path);
-    return WriteCsv(data, out, delimiter);
-}
-
 }  // namespace dfp

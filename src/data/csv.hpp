@@ -29,8 +29,4 @@ Result<Dataset> LoadCsvFile(const std::string& path, const CsvOptions& options =
 /// Writes a Dataset as CSV (class label in the last column, header included).
 Status WriteCsv(const Dataset& data, std::ostream& out, char delimiter = ',');
 
-/// Saves a Dataset to a CSV file.
-Status SaveCsvFile(const Dataset& data, const std::string& path,
-                   char delimiter = ',');
-
 }  // namespace dfp

@@ -47,11 +47,6 @@ class ShardCollector {
         shards_.push_back({std::move(key), std::move(patterns)});
     }
 
-    std::size_t shard_count() const {
-        std::lock_guard<std::mutex> lock(mu_);
-        return shards_.size();
-    }
-
     /// Sorts shards by key and appends their patterns to `out` — the serial
     /// emission order (see file comment). Call only after every emitting task
     /// finished. Keys are unique (a DFS position belongs to exactly one
@@ -84,7 +79,7 @@ class ShardCollector {
         std::vector<Pattern> patterns;
     };
 
-    mutable std::mutex mu_;
+    std::mutex mu_;
     std::vector<Shard> shards_;
 };
 

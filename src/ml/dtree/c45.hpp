@@ -36,7 +36,6 @@ class C45Classifier : public Classifier {
     Status SaveModel(std::ostream& out) const override;
     Status LoadModel(std::istream& in, std::size_t cols) override;
 
-    std::size_t num_nodes() const { return nodes_.size(); }
     std::size_t num_leaves() const;
     std::size_t depth() const;
 

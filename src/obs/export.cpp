@@ -20,10 +20,10 @@ const char* const kSummaryQuantileLabels[] = {"0.5", "0.9", "0.95", "0.99",
                                               "0.999"};
 
 void RenderHdrSummary(std::ostringstream& out, const std::string& name,
-                      const HdrSnapshot& snap, const char* kind) {
+                      const HdrSnapshot& snap) {
     const std::string prom = PrometheusName(name);
     out << "# HELP " << prom << ' '
-        << PrometheusHelpEscape(std::string(kind) + " of " + name) << '\n';
+        << PrometheusHelpEscape("trailing-window summary of " + name) << '\n';
     out << "# TYPE " << prom << " summary\n";
     for (std::size_t q = 0; q < std::size(kSummaryQuantiles); ++q) {
         out << prom << "{quantile=\"" << kSummaryQuantileLabels[q] << "\"} ";
@@ -132,11 +132,8 @@ std::string RenderPrometheus(const MetricsSnapshot& snapshot) {
         WriteNumber(out, data.sum);
         out << '\n' << prom << "_count " << data.count << '\n';
     }
-    for (const auto& [name, snap] : snapshot.hdrs) {
-        RenderHdrSummary(out, name, snap, "hdr summary");
-    }
     for (const auto& [name, snap] : snapshot.windows) {
-        RenderHdrSummary(out, name, snap, "trailing-window summary");
+        RenderHdrSummary(out, name, snap);
     }
     return out.str();
 }
@@ -167,15 +164,6 @@ void WriteSnapshotJson(std::ostream& out, const MetricsSnapshot& snapshot) {
         WriteJsonString(out, name);
         out << ':';
         WriteHistogramJson(out, data);
-    }
-    out << "},\"hdr\":{";
-    first = true;
-    for (const auto& [name, snap] : snapshot.hdrs) {
-        if (!first) out << ',';
-        first = false;
-        WriteJsonString(out, name);
-        out << ':';
-        WriteHdrJson(out, snap);
     }
     out << "},\"windows\":{";
     first = true;

@@ -132,7 +132,6 @@ class HdrHistogram {
     void Reset();
 
     const HdrLayout& layout() const { return layout_; }
-    std::size_t num_shards() const { return shards_.size(); }
 
   private:
     struct alignas(64) Shard {
@@ -174,9 +173,6 @@ class WindowedHdrHistogram {
 
     std::size_t epochs() const { return ring_.size(); }
     double epoch_seconds() const { return epoch_seconds_; }
-    double window_seconds() const {
-        return epoch_seconds_ * static_cast<double>(ring_.size());
-    }
     const HdrLayout& layout() const { return ring_.front()->layout(); }
 
   private:

@@ -96,17 +96,6 @@ Histogram& Registry::GetHistogram(std::string_view name,
     return *it->second;
 }
 
-HdrHistogram& Registry::GetHdr(std::string_view name, HdrConfig config) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = hdrs_.find(name);
-    if (it == hdrs_.end()) {
-        it = hdrs_.emplace(std::string(name),
-                           std::make_unique<HdrHistogram>(config))
-                 .first;
-    }
-    return *it->second;
-}
-
 WindowedHdrHistogram& Registry::GetWindowedHdr(std::string_view name,
                                                HdrConfig config,
                                                std::size_t epochs,
@@ -135,9 +124,6 @@ MetricsSnapshot Registry::Snapshot() const {
     for (const auto& [name, hist] : histograms_) {
         snap.histograms.emplace(name, hist->Read());
     }
-    for (const auto& [name, hdr] : hdrs_) {
-        snap.hdrs.emplace(name, hdr->Snapshot());
-    }
     for (const auto& [name, window] : windows_) {
         snap.windows.emplace(name, window->TrailingSnapshot());
     }
@@ -149,7 +135,6 @@ void Registry::ResetValues() {
     for (auto& [name, counter] : counters_) counter->Reset();
     for (auto& [name, gauge] : gauges_) gauge->Reset();
     for (auto& [name, hist] : histograms_) hist->Reset();
-    for (auto& [name, hdr] : hdrs_) hdr->Reset();
     for (auto& [name, window] : windows_) window->Reset();
 }
 

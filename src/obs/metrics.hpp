@@ -98,14 +98,12 @@ struct MetricsSnapshot {
     std::map<std::string, std::uint64_t> counters;
     std::map<std::string, double> gauges;
     std::map<std::string, HistogramData> histograms;
-    /// Cumulative HDR histograms (merged over shards).
-    std::map<std::string, HdrSnapshot> hdrs;
     /// Windowed HDR histograms: the TRAILING-WINDOW merge, not all-time.
     std::map<std::string, HdrSnapshot> windows;
 
     std::size_t TotalMetrics() const {
         return counters.size() + gauges.size() + histograms.size() +
-               hdrs.size() + windows.size();
+               windows.size();
     }
 };
 
@@ -121,9 +119,6 @@ class Registry {
     /// `bounds` is only consulted on first registration of `name`.
     Histogram& GetHistogram(std::string_view name,
                             std::vector<double> bounds = {});
-    /// Sharded log-linear HDR histogram; `config` is only consulted on first
-    /// registration of `name`.
-    HdrHistogram& GetHdr(std::string_view name, HdrConfig config = {});
     /// Trailing-window HDR histogram (ring of `epochs` shards rotated every
     /// `epoch_seconds` by whoever drives rotation — see WindowFlusher).
     /// Config/epoch parameters are only consulted on first registration.
@@ -149,7 +144,6 @@ class Registry {
     std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
     std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
     std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
-    std::map<std::string, std::unique_ptr<HdrHistogram>, std::less<>> hdrs_;
     std::map<std::string, std::unique_ptr<WindowedHdrHistogram>, std::less<>>
         windows_;
 };

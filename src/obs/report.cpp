@@ -114,9 +114,6 @@ void WriteReportTable(std::ostream& out, const RunReport& report) {
     for (const auto& [name, data] : report.metrics.histograms) {
         width = std::max(width, name.size());
     }
-    for (const auto& [name, snap] : report.metrics.hdrs) {
-        width = std::max(width, name.size());
-    }
     for (const auto& [name, snap] : report.metrics.windows) {
         width = std::max(width, name.size());
     }
@@ -133,12 +130,6 @@ void WriteReportTable(std::ostream& out, const RunReport& report) {
         out << "  " << std::left << std::setw(static_cast<int>(width)) << name
             << "  count=" << data.count << " sum=" << std::defaultfloat
             << data.sum << '\n';
-    }
-    for (const auto& [name, snap] : report.metrics.hdrs) {
-        out << "  " << std::left << std::setw(static_cast<int>(width)) << name
-            << "  count=" << snap.count << " p50=" << std::defaultfloat
-            << snap.ValueAtQuantile(0.5) << " p99=" << snap.ValueAtQuantile(0.99)
-            << '\n';
     }
     for (const auto& [name, snap] : report.metrics.windows) {
         out << "  " << std::left << std::setw(static_cast<int>(width)) << name

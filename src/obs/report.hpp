@@ -12,11 +12,10 @@
 //                          "count": 9, "sum": 1.5,
 //                          "buckets": [ {"le": 0.01, "count": 2}, ...,
 //                                       {"le": null, "count": 0} ] } },
-//       "hdr":        { "dfp.serve.latency.total": {
+//       "windows":    { "dfp.serve.latency.total": {
 //                          "count": 9, "sum": 1.5, "mean": 0.16,
 //                          "p0.5": 0.1, ..., "p0.999": 1.4,
-//                          "rel_error": 0.01 } },
-//       "windows":    { ... same shape, trailing-window snapshots ... }
+//                          "rel_error": 0.01 } }
 //     },
 //   The "metrics" object is obs::WriteSnapshotJson's, the same document the
 //   periodic snapshot file and GET /metrics.json serve.

@@ -7,6 +7,24 @@
 
 namespace dfp::stream {
 
+namespace {
+
+// The drift gauges Check() exports, resolved once per process.
+struct DriftMeters {
+    obs::Gauge& recent_accuracy;
+    obs::Gauge& class_shift;
+};
+
+const DriftMeters& Meters() {
+    static const DriftMeters meters{
+        obs::Registry::Get().GetGauge("dfp.stream.recent_accuracy"),
+        obs::Registry::Get().GetGauge("dfp.stream.class_shift"),
+    };
+    return meters;
+}
+
+}  // namespace
+
 DriftDetector::DriftDetector(DriftDetectorConfig config, std::size_t num_classes)
     : config_(config),
       num_classes_(num_classes),
@@ -83,10 +101,8 @@ DriftVerdict DriftDetector::Check() const {
     verdict.recent_accuracy = recent_accuracy();
     verdict.class_shift = ClassShiftLocked();
 
-    auto& registry = obs::Registry::Get();
-    registry.GetGauge("dfp.stream.recent_accuracy")
-        .Set(verdict.recent_accuracy);
-    registry.GetGauge("dfp.stream.class_shift").Set(verdict.class_shift);
+    Meters().recent_accuracy.Set(verdict.recent_accuracy);
+    Meters().class_shift.Set(verdict.class_shift);
 
     if (!has_baseline_ || recent_labels_.size() < config_.min_observations) {
         return verdict;

@@ -76,8 +76,6 @@ class DriftDetector {
     double recent_accuracy() const;
     /// Rolling label histogram, normalized (all zeros when empty).
     std::vector<double> RecentClassDistribution() const;
-    std::size_t labels_observed() const { return recent_labels_.size(); }
-    bool has_baseline() const { return has_baseline_; }
 
   private:
     double ClassShiftLocked() const;

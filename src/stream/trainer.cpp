@@ -81,15 +81,8 @@ Result<std::unique_ptr<ContinuousTrainer>> ContinuousTrainer::Create(
     if (config.model_dir.empty()) {
         return Status::InvalidArgument("trainer needs a model_dir");
     }
-    if (config.max_reload_attempts == 0) {
-        return Status::InvalidArgument("max_reload_attempts must be > 0");
-    }
     if (config.min_window == 0) {
         return Status::InvalidArgument("min_window must be > 0");
-    }
-    if (config.use_decayed_snapshot && db->config().decay_half_life <= 0.0) {
-        return Status::InvalidArgument(
-            "use_decayed_snapshot requires decay_half_life > 0");
     }
     // Fail fast on an unknown learner id instead of on the first retrain.
     DFP_RETURN_NOT_OK(MakeLearnerByTypeId(config.learner_type).status());
@@ -115,13 +108,13 @@ Result<AppendResult> ContinuousTrainer::Ingest(TransactionBatch batch) {
 
     std::lock_guard<std::mutex> lock(mu_);
     // Prequential scoring BEFORE the rows become training data: the served
-    // model predicts each incoming row, and correctness feeds the drift
-    // detector. Skipped until a model is serving.
+    // model predicts each incoming row. Skipped until a model is serving.
+    std::vector<std::uint8_t> correct;
     if (const serve::ServablePtr snap = registry_->Snapshot()) {
+        correct.reserve(batch.size());
         for (std::size_t t = 0; t < batch.size(); ++t) {
-            const ClassLabel predicted =
-                ScoreWith(*snap, batch.transactions[t], &scratch_);
-            drift_.ObservePrediction(predicted == batch.labels[t]);
+            correct.push_back(ScoreWith(*snap, batch.transactions[t],
+                                        &scratch_) == batch.labels[t]);
         }
     }
 
@@ -130,6 +123,7 @@ Result<AppendResult> ContinuousTrainer::Ingest(TransactionBatch batch) {
     auto appended = db_->Append(std::move(batch));
     if (!appended.ok()) return appended.status();  // drift untouched
 
+    for (const std::uint8_t bit : correct) drift_.ObservePrediction(bit != 0);
     for (const ClassLabel label : labels) drift_.ObserveLabel(label);
     rows_since_retrain_ += labels.size();
     stats_.ingested += labels.size();
@@ -214,19 +208,11 @@ Status ContinuousTrainer::RetrainNow(const std::string& trigger) {
     auto learner = MakeLearnerByTypeId(config_.learner_type);
     if (!learner.ok()) return fail(learner.status());
     PatternClassifierPipeline pipeline(config_.pipeline);
-    Status trained = Status::Ok();
-    if (config_.use_decayed_snapshot) {
-        auto decayed = db_->SnapshotDecayed();
-        if (!decayed.ok()) return fail(decayed.status());
-        trained = pipeline.TrainWithCandidates(*decayed, std::move(*mined),
-                                               std::move(*learner),
-                                               mine_seconds);
-    } else {
-        trained = pipeline.TrainWithCandidates(*window, std::move(*mined),
-                                               std::move(*learner),
-                                               mine_seconds);
+    if (const Status trained = pipeline.TrainWithCandidates(
+            *window, std::move(*mined), std::move(*learner), mine_seconds);
+        !trained.ok()) {
+        return fail(trained);
     }
-    if (!trained.ok()) return fail(trained);
 
     const TrainerMeters& meters = Meters();
     const std::string path = ModelPath(stream_version);
@@ -241,16 +227,12 @@ Status ContinuousTrainer::RetrainNow(const std::string& trigger) {
 
     // Staleness of the model being replaced, measured at swap time.
     const double staleness = registry_->SecondsSinceLastPublish();
-    Result<serve::ServablePtr> published =
-        Status::Internal("no reload attempted");
+    serve::ServablePtr published;
     {
         obs::Span reload_span("reload");
-        for (std::size_t attempt = 0; attempt < config_.max_reload_attempts;
-             ++attempt) {
-            published = registry_->Reload(path);
-            if (published.ok()) break;
-        }
-        if (!published.ok()) return fail(published.status());
+        auto reloaded = registry_->Reload(path);
+        if (!reloaded.ok()) return fail(reloaded.status());
+        published = std::move(*reloaded);
         meters.reload_seconds.Set(reload_span.ElapsedSeconds());
     }
 
@@ -277,7 +259,7 @@ Status ContinuousTrainer::RetrainNow(const std::string& trigger) {
         ++stats_.retrains;
         stats_.retry_pending = false;
         stats_.last_stream_version = stream_version;
-        stats_.last_model_version = (*published)->version;
+        stats_.last_model_version = published->version;
         stats_.last_sig_rejected = pipeline.stats().num_sig_rejected;
         stats_.last_retrain_seconds = seconds;
         drift_.SetBaseline(baseline_accuracy, std::move(baseline_mix));
@@ -291,13 +273,8 @@ Status ContinuousTrainer::RetrainNow(const std::string& trigger) {
         "v%llu in %.3fs",
         trigger.c_str(), static_cast<unsigned long long>(stream_version),
         window->num_transactions(),
-        static_cast<unsigned long long>((*published)->version), seconds));
+        static_cast<unsigned long long>(published->version), seconds));
     return Status::Ok();
-}
-
-DriftVerdict ContinuousTrainer::CheckDrift() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return drift_.Check();
 }
 
 TrainerStats ContinuousTrainer::stats() const {

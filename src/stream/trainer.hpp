@@ -56,13 +56,8 @@ struct ContinuousTrainerConfig {
     /// Consult the DriftDetector in MaybeRetrain().
     bool drift_trigger = true;
     DriftDetectorConfig drift;
-    /// Train on SnapshotDecayed() instead of the plain window (requires
-    /// decay_half_life > 0 in the stream config).
-    bool use_decayed_snapshot = false;
     /// Directory for versioned model bundles (stream_model_v<N>.dfp).
     std::string model_dir;
-    /// ModelRegistry::Reload attempts per retrain before arming a retry.
-    std::size_t max_reload_attempts = 1;
 };
 
 struct TrainerStats {
@@ -89,7 +84,8 @@ class ContinuousTrainer {
         serve::ModelRegistry* registry);
 
     /// Appends one labelled batch. Scores each row against the served model
-    /// first (prequential drift signal), then appends it to the stream.
+    /// first (prequential drift signal), then appends it to the stream; the
+    /// drift detector sees the batch only if the append accepts it.
     /// Returns the stream's AppendResult.
     Result<AppendResult> Ingest(TransactionBatch batch);
 
@@ -101,9 +97,6 @@ class ContinuousTrainer {
 
     /// Unconditional retrain; `trigger` labels the run in logs/metrics.
     Status RetrainNow(const std::string& trigger);
-
-    /// Current drift verdict (also exports the drift gauges).
-    DriftVerdict CheckDrift() const;
 
     TrainerStats stats() const;
     const ContinuousTrainerConfig& config() const { return config_; }

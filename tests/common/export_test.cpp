@@ -76,8 +76,11 @@ TEST(RenderPrometheusTest, HdrRendersAsQuantileSummary) {
     MetricsSnapshot snap;
     HdrHistogram hist{HdrConfig{}};
     for (int i = 1; i <= 100; ++i) hist.Record(0.1 * i);
-    snap.hdrs["dfp.test.hdr"] = hist.Snapshot();
+    snap.windows["dfp.test.hdr"] = hist.Snapshot();
     const std::string text = RenderPrometheus(snap);
+    EXPECT_NE(text.find("# HELP dfp_test_hdr trailing-window summary of "
+                        "dfp.test.hdr\n"),
+              std::string::npos);
     EXPECT_NE(text.find("# TYPE dfp_test_hdr summary\n"), std::string::npos);
     EXPECT_NE(text.find("dfp_test_hdr{quantile=\"0.5\"} "), std::string::npos);
     EXPECT_NE(text.find("dfp_test_hdr{quantile=\"0.999\"} "), std::string::npos);
@@ -114,7 +117,7 @@ TEST(RenderSnapshotJsonTest, HistogramsCarryBucketsAndHdrsCarryRelError) {
     MetricsSnapshot snap = HandBuiltSnapshot();
     HdrHistogram hist{HdrConfig{}};
     for (int i = 1; i <= 10; ++i) hist.Record(0.5 * i);
-    snap.hdrs["dfp.test.hdr"] = hist.Snapshot();
+    snap.windows["dfp.test.hdr"] = hist.Snapshot();
     auto parsed = ParseJson(RenderSnapshotJson(snap));
     ASSERT_TRUE(parsed.ok()) << parsed.status();
 
@@ -133,7 +136,9 @@ TEST(RenderSnapshotJsonTest, HistogramsCarryBucketsAndHdrsCarryRelError) {
     EXPECT_TRUE(buckets->array()[2].Find("le")->is_null());
     EXPECT_EQ(buckets->array()[2].Find("count")->number(), 1.0);
 
-    const JsonValue* hdr = parsed->Find("hdr")->Find("dfp.test.hdr");
+    // HDR snapshots live only under "windows"; there is no "hdr" member.
+    EXPECT_EQ(parsed->Find("hdr"), nullptr);
+    const JsonValue* hdr = parsed->Find("windows")->Find("dfp.test.hdr");
     ASSERT_NE(hdr, nullptr);
     EXPECT_EQ(hdr->Find("count")->number(), 10.0);
     ASSERT_NE(hdr->Find("rel_error"), nullptr);

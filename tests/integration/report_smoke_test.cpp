@@ -164,7 +164,7 @@ obs::RunReport HandBuiltReport() {
     obs::HdrHistogram hdr{obs::HdrConfig{}};
     hdr.Record(1.0);
     hdr.Record(2.0);
-    report.metrics.hdrs["dfp.test.hdr"] = hdr.Snapshot();
+    report.metrics.windows["dfp.test.hdr"] = hdr.Snapshot();
     return report;
 }
 
@@ -176,6 +176,13 @@ TEST(ReportSmokeTest, MetricsMemberIsTheSnapshotDocument) {
                         ",\"guard\":"),
               std::string::npos)
         << json;
+}
+
+TEST(ReportSmokeTest, TableRendersWindowQuantiles) {
+    std::ostringstream out;
+    obs::WriteReportTable(out, HandBuiltReport());
+    EXPECT_NE(out.str().find("dfp.test.hdr"), std::string::npos) << out.str();
+    EXPECT_NE(out.str().find("count=2 p50="), std::string::npos) << out.str();
 }
 
 TEST(ReportSmokeTest, WriteReportJsonFileReplacesAndReportsFailure) {

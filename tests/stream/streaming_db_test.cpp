@@ -1,12 +1,11 @@
 // StreamingDatabase unit suite: sequencing/versioning, canonicalization,
-// all-or-nothing validation, FIFO window eviction, snapshot caching,
-// compaction, replay, and the decay-weighted view.
+// all-or-nothing validation, FIFO window eviction and snapshot caching.
 #include "stream/streaming_db.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
-#include <numeric>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -38,12 +37,6 @@ TEST(StreamingDbTest, ValidatesConfig) {
     config.num_classes = 2;
     EXPECT_TRUE(StreamingDatabase::ValidateConfig(config).ok());
     config.window_capacity = 0;
-    EXPECT_FALSE(StreamingDatabase::ValidateConfig(config).ok());
-    config.window_capacity = 8;
-    config.decay_half_life = -1.0;
-    EXPECT_FALSE(StreamingDatabase::ValidateConfig(config).ok());
-    config.decay_half_life = 4.0;
-    config.decay_quantum = 0;
     EXPECT_FALSE(StreamingDatabase::ValidateConfig(config).ok());
 }
 
@@ -138,6 +131,26 @@ TEST(StreamingDbTest, EvictedTotalCountsEvictedRows) {
     EXPECT_EQ((*db)->window_first_seq(), 7u);
 }
 
+TEST(StreamingDbTest, WindowSizeAndVersionGaugesTrackAppends) {
+    auto& window_size = obs::Registry::Get().GetGauge("dfp.stream.window_size");
+    auto& version = obs::Registry::Get().GetGauge("dfp.stream.version");
+
+    auto db = StreamingDatabase::Create(SmallConfig());  // capacity 4
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE((*db)->Append(Batch({{0}, {1}, {2}}, {0, 0, 0})).ok());
+    EXPECT_EQ(window_size.value(), 3.0);
+    EXPECT_EQ(version.value(), 1.0);
+    ASSERT_TRUE((*db)->Append(Batch({{3}, {4}}, {1, 1})).ok());
+    EXPECT_EQ(window_size.value(), 4.0);  // capped at the window capacity
+    EXPECT_EQ(version.value(), 2.0);
+
+    // A rejected batch publishes nothing.
+    EXPECT_FALSE((*db)->Append(Batch({{1}}, {2})).ok());
+    EXPECT_EQ(window_size.value(), 4.0);
+    EXPECT_EQ(version.value(), 2.0);
+    EXPECT_EQ((*db)->version(), 2u);
+}
+
 TEST(StreamingDbTest, SnapshotWindowIsCachedBetweenAppends) {
     auto db = StreamingDatabase::Create(SmallConfig());
     ASSERT_TRUE(db.ok());
@@ -167,82 +180,45 @@ TEST(StreamingDbTest, SnapshotWindowMatchesContents) {
     EXPECT_EQ(snap->label(1), 1);
 }
 
-TEST(StreamingDbTest, CompactionTrimsRetainedRows) {
+TEST(StreamingDbTest, WindowIsTheLastCapacityRowsAcrossStraddlingBatches) {
+    // Batch sizes below, at and above the capacity, so batches straddle the
+    // window edge in every way; after each append the window must be the
+    // last window_capacity appended rows, in order.
     StreamConfig config = SmallConfig();
-    config.window_capacity = 4;
-    config.compact_every = 6;
+    config.window_capacity = 5;
     auto db = StreamingDatabase::Create(config);
     ASSERT_TRUE(db.ok());
-    // 5 appends: retained grows past the window (evicted prefix kept).
-    for (ItemId i = 0; i < 5; ++i) {
-        ASSERT_TRUE((*db)->Append(Batch({{i % 8}}, {0})).ok());
-    }
-    EXPECT_EQ((*db)->compactions(), 0u);
-    EXPECT_EQ((*db)->retained_rows(), 5u);
-    // The 6th row crosses compact_every: the evicted prefix is dropped.
-    ASSERT_TRUE((*db)->Append(Batch({{5}}, {0})).ok());
-    EXPECT_EQ((*db)->compactions(), 1u);
-    EXPECT_EQ((*db)->retained_rows(), 4u);
-    EXPECT_EQ((*db)->window_size(), 4u);
-}
+    std::vector<std::vector<ItemId>> appended;
+    std::vector<ClassLabel> appended_labels;
+    ItemId next_item = 0;
+    for (const std::size_t size : {1, 3, 2, 4, 5, 7, 1, 6, 2, 9}) {
+        TransactionBatch batch;
+        for (std::size_t r = 0; r < size; ++r) {
+            const ItemId a = next_item++ % 10;
+            std::vector<ItemId> txn = {a, static_cast<ItemId>((a + 3) % 10)};
+            std::sort(txn.begin(), txn.end());
+            const auto label = static_cast<ClassLabel>(appended.size() % 2);
+            batch.transactions.push_back(txn);
+            batch.labels.push_back(label);
+            appended.push_back(txn);
+            appended_labels.push_back(label);
+        }
+        ASSERT_TRUE((*db)->Append(std::move(batch)).ok());
 
-TEST(StreamingDbTest, ReplaySinceReturnsSuffixAndFailsWhenCompacted) {
-    StreamConfig config = SmallConfig();
-    config.window_capacity = 3;
-    config.compact_every = 100;  // no compaction during this test
-    auto db = StreamingDatabase::Create(config);
-    ASSERT_TRUE(db.ok());
-    for (ItemId i = 0; i < 5; ++i) {
-        ASSERT_TRUE((*db)->Append(Batch({{i}}, {0})).ok());
+        const std::size_t n = std::min<std::size_t>(5, appended.size());
+        const std::size_t first = appended.size() - n;
+        EXPECT_EQ((*db)->total_appended(), appended.size());
+        EXPECT_EQ((*db)->window_size(), n);
+        EXPECT_EQ((*db)->window_first_seq(), first);
+        const auto window = (*db)->SnapshotWindow();
+        ASSERT_EQ(window->num_transactions(), n);
+        for (std::size_t t = 0; t < n; ++t) {
+            EXPECT_EQ(window->transaction(t), appended[first + t])
+                << "row " << t << " after " << appended.size() << " rows";
+            EXPECT_EQ(window->label(t), appended_labels[first + t])
+                << "row " << t << " after " << appended.size() << " rows";
+        }
     }
-    auto replay = (*db)->ReplaySince(2);
-    ASSERT_TRUE(replay.ok());
-    ASSERT_EQ(replay->size(), 3u);
-    EXPECT_EQ(replay->transactions[0], (std::vector<ItemId>{2}));
-    // Past the end: empty, not an error.
-    auto empty = (*db)->ReplaySince(100);
-    ASSERT_TRUE(empty.ok());
-    EXPECT_TRUE(empty->empty());
-
-    // Force a compaction, then ask for a compacted-away seq.
-    StreamConfig tight = SmallConfig();
-    tight.window_capacity = 2;
-    tight.compact_every = 3;
-    auto db2 = StreamingDatabase::Create(tight);
-    ASSERT_TRUE(db2.ok());
-    for (ItemId i = 0; i < 6; ++i) {
-        ASSERT_TRUE((*db2)->Append(Batch({{i}}, {0})).ok());
-    }
-    ASSERT_GT((*db2)->compactions(), 0u);
-    const auto gone = (*db2)->ReplaySince(0);
-    EXPECT_EQ(gone.status().code(), StatusCode::kOutOfRange);
-}
-
-TEST(StreamingDbTest, DecayedSnapshotReplicatesByAge) {
-    StreamConfig config = SmallConfig();
-    config.window_capacity = 8;
-    config.decay_half_life = 1.0;  // weight halves every row of age
-    config.decay_quantum = 4;
-    auto db = StreamingDatabase::Create(config);
-    ASSERT_TRUE(db.ok());
-    // Ages 2, 1, 0 → weights 0.25, 0.5, 1.0 → replicas 1, 2, 4.
-    ASSERT_TRUE((*db)->Append(Batch({{0}, {1}, {2}}, {0, 0, 0})).ok());
-    auto decayed = (*db)->SnapshotDecayed();
-    ASSERT_TRUE(decayed.ok());
-    EXPECT_EQ(decayed->num_transactions(), 7u);
-    std::size_t newest = 0;
-    for (std::size_t t = 0; t < decayed->num_transactions(); ++t) {
-        if (decayed->transaction(t) == std::vector<ItemId>{2}) ++newest;
-    }
-    EXPECT_EQ(newest, 4u);
-}
-
-TEST(StreamingDbTest, DecayedSnapshotRequiresHalfLife) {
-    auto db = StreamingDatabase::Create(SmallConfig());
-    ASSERT_TRUE(db.ok());
-    ASSERT_TRUE((*db)->Append(Batch({{1}}, {0})).ok());
-    EXPECT_EQ((*db)->SnapshotDecayed().status().code(),
-              StatusCode::kFailedPrecondition);
 }
 
 }  // namespace

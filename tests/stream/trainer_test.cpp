@@ -5,7 +5,7 @@
 // retrain's window mine (its patterns and its share of the mine stage), the
 // save / reload / drift-baseline split of the rest of a retrain, and the
 // candidate-order independence of the model a retrain trains, for every
-// serializable learner.
+// serializable learner, and the drift detector's verdicts and gauges.
 #include "stream/trainer.hpp"
 
 #include <gtest/gtest.h>
@@ -124,10 +124,10 @@ TEST_F(TrainerTest, CreateValidatesConfig) {
     bad_learner.learner_type = "pegasos";  // a learner id since removed
     EXPECT_FALSE(
         ContinuousTrainer::Create(bad_learner, db->get(), &registry).ok());
-    ContinuousTrainerConfig decayed = TrainerConfig("/tmp/x");
-    decayed.use_decayed_snapshot = true;  // stream has no decay configured
+    ContinuousTrainerConfig no_window = TrainerConfig("/tmp/x");
+    no_window.min_window = 0;
     EXPECT_FALSE(
-        ContinuousTrainer::Create(decayed, db->get(), &registry).ok());
+        ContinuousTrainer::Create(no_window, db->get(), &registry).ok());
 }
 
 TEST_F(TrainerTest, BootstrapsFirstModelOnceWindowFills) {
@@ -261,26 +261,6 @@ TEST_F(TrainerTest, ReloadFailureLeavesPreviousModelServingAndRetries) {
     EXPECT_EQ(stats.retrains, 2u);
 }
 
-TEST_F(TrainerTest, DecayedSnapshotTrainingWorksEndToEnd) {
-    testutil::DriftSource source(SourceConfig(8));
-    StreamConfig stream_config = StreamFor(source, 400);
-    stream_config.decay_half_life = 200.0;
-    stream_config.decay_quantum = 4;
-    auto db = StreamingDatabase::Create(stream_config);
-    ASSERT_TRUE(db.ok());
-    serve::ModelRegistry registry;
-    ContinuousTrainerConfig config = TrainerConfig(ModelDir("decay"));
-    config.use_decayed_snapshot = true;
-    auto trainer = ContinuousTrainer::Create(config, db->get(), &registry);
-    ASSERT_TRUE(trainer.ok()) << trainer.status();
-
-    ASSERT_TRUE((*trainer)->Ingest(source.NextBatch(400)).ok());
-    auto pumped = (*trainer)->MaybeRetrain();
-    ASSERT_TRUE(pumped.ok()) << pumped.status();
-    EXPECT_TRUE(*pumped);
-    EXPECT_GE(ServedAccuracy(registry, source.EvalSet(0)), 0.65);
-}
-
 TEST_F(TrainerTest, IngestKeepsRunningWhileRetrainsMine) {
     // RetrainNow holds the ingest mutex only to take the window snapshot:
     // mining, training and the reload race a writer that keeps appending.
@@ -384,6 +364,38 @@ TEST_F(TrainerTest, RejectedBatchLeavesTrainerUntouched) {
     EXPECT_TRUE(*pumped);
     EXPECT_EQ((*trainer)->stats().schedule_triggers, 1u);
     EXPECT_EQ(registry.current_version(), 2u);
+}
+
+TEST_F(TrainerTest, RejectedBatchLeavesDriftSignalUntouched) {
+    // The served model scores a batch before the stream validates it. A
+    // rejected batch must not reach the drift detector: its out-of-range
+    // labels would all count as wrong predictions.
+    testutil::DriftSource source(SourceConfig(13));
+    auto db = StreamingDatabase::Create(StreamFor(source, 400));
+    ASSERT_TRUE(db.ok());
+    serve::ModelRegistry registry;
+    auto trainer = ContinuousTrainer::Create(TrainerConfig(ModelDir("rejdrift")),
+                                             db->get(), &registry);
+    ASSERT_TRUE(trainer.ok()) << trainer.status();
+    ASSERT_TRUE((*trainer)->Ingest(source.NextBatch(300)).ok());
+    auto pumped = (*trainer)->MaybeRetrain();  // bootstrap
+    ASSERT_TRUE(pumped.ok()) << pumped.status();
+    ASSERT_TRUE(*pumped);
+
+    TransactionBatch bad = source.NextBatch(150);
+    for (ClassLabel& label : bad.labels) {
+        label = static_cast<ClassLabel>(source.num_classes());
+    }
+    EXPECT_FALSE((*trainer)->Ingest(std::move(bad)).ok());
+
+    // Enough good rows from the same concept to pass min_observations.
+    for (int i = 0; i < 6; ++i) {
+        ASSERT_TRUE((*trainer)->Ingest(source.NextBatch(20)).ok());
+        pumped = (*trainer)->MaybeRetrain();
+        ASSERT_TRUE(pumped.ok()) << pumped.status();
+    }
+    EXPECT_EQ((*trainer)->stats().drift_triggers, 0u);
+    EXPECT_EQ(registry.current_version(), 1u);
 }
 
 TEST_F(TrainerTest, RetrainSelectsFromSnapshotPatterns) {
@@ -572,6 +584,56 @@ std::string BundleOf(const GoldenWindow& golden, const std::string& learner_id,
     std::ostringstream out;
     EXPECT_TRUE(SavePipelineModel(pipeline, out).ok());
     return out.str();
+}
+
+TEST(DriftDetectorTest, CheckPublishesRecentAccuracyAndClassShift) {
+    auto& accuracy =
+        obs::Registry::Get().GetGauge("dfp.stream.recent_accuracy");
+    auto& shift = obs::Registry::Get().GetGauge("dfp.stream.class_shift");
+    DriftDetector detector(DriftDetectorConfig{}, 2);
+
+    // Nothing observed: accuracy reads -1 and there is no shift.
+    DriftVerdict verdict = detector.Check();
+    EXPECT_EQ(verdict.recent_accuracy, -1.0);
+    EXPECT_EQ(accuracy.value(), -1.0);
+    EXPECT_EQ(shift.value(), 0.0);
+
+    detector.SetBaseline(0.9, {1.0, 1.0});
+    for (int i = 0; i < 4; ++i) {
+        detector.ObservePrediction(i != 0);  // 3 of 4 right
+        detector.ObserveLabel(0);            // all class 0 vs a 50/50 baseline
+    }
+    verdict = detector.Check();
+    EXPECT_DOUBLE_EQ(verdict.recent_accuracy, 0.75);
+    EXPECT_DOUBLE_EQ(verdict.class_shift, 0.5);
+    EXPECT_DOUBLE_EQ(accuracy.value(), 0.75);
+    EXPECT_DOUBLE_EQ(shift.value(), 0.5);
+}
+
+TEST(DriftDetectorTest, TriggersOnlyAfterMinObservations) {
+    DriftDetectorConfig config;
+    config.window = 16;
+    config.min_observations = 8;
+    config.accuracy_drop = 0.15;
+    config.class_shift = -1.0;  // accuracy signal only
+    DriftDetector detector(config, 2);
+    detector.SetBaseline(0.9, {1.0, 1.0});
+
+    // Every prediction wrong, yet below min_observations nothing fires.
+    for (int i = 0; i < 7; ++i) {
+        detector.ObservePrediction(false);
+        detector.ObserveLabel(static_cast<ClassLabel>(i % 2));
+        EXPECT_FALSE(detector.Check().drifted) << "after " << i + 1;
+    }
+    detector.ObservePrediction(false);
+    detector.ObserveLabel(1);
+    const DriftVerdict verdict = detector.Check();
+    EXPECT_TRUE(verdict.drifted);
+    EXPECT_EQ(verdict.reason, "accuracy_drop");
+
+    // Re-arming clears the rolling window.
+    detector.ResetRecent();
+    EXPECT_FALSE(detector.Check().drifted);
 }
 
 TEST(TrainWithCandidatesOrderTest, BundleDependsOnlyOnCandidateSet) {
