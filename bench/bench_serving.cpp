@@ -13,7 +13,9 @@
 //     per run; the median of each over the 5 runs of a level lands in the
 //     report as
 //       dfp.bench.serving.c<k>.{p50_ms,p95_ms,p99_ms,preds_per_s}
-//     plus dfp.bench.serving.index_speedup for the micro-bench.
+//     plus dfp.bench.serving.index_speedup for the micro-bench and
+//     dfp.bench.serving.score_us, the per-row time of EncodeInto plus the
+//     learner's Predict on the same corpus (median of 9 passes).
 //  3. Soak — sustained mixed traffic for --soak-seconds (default 4): 8
 //     connections of single-predict requests (the traced, micro-batched
 //     path) while a control thread hot-reloads the model twice a second.
@@ -279,6 +281,28 @@ int main(int argc, char** argv) {
     registry.GetGauge("dfp.bench.serving.index_speedup").Set(speedup);
     registry.GetGauge("dfp.bench.serving.patterns")
         .Set(static_cast<double>(index.num_patterns()));
+
+    // Per-row score time, the engine's work for one request: EncodeInto plus
+    // the learner's Predict, median of kRounds passes over the corpus.
+    const Classifier& learner = *pipeline.learner();
+    std::vector<double> score_rounds;
+    std::size_t predicted_ones = 0;
+    for (std::size_t round = 0; round < kRounds; ++round) {
+        Stopwatch score_watch;
+        for (std::size_t t = 0; t < db.num_transactions(); ++t) {
+            index.EncodeInto(db.transaction(t), &scratch);
+            predicted_ones += learner.Predict(scratch.encoded);
+        }
+        score_rounds.push_back(score_watch.ElapsedSeconds());
+    }
+    const double score_us = median(score_rounds) * 1e6 /
+                            static_cast<double>(db.num_transactions());
+    std::printf("score   : %.3f us per row (encode + predict), median of %zu "
+                "passes; %.3f of rows predicted class 1\n",
+                score_us, kRounds,
+                static_cast<double>(predicted_ones) /
+                    static_cast<double>(kRounds * db.num_transactions()));
+    registry.GetGauge("dfp.bench.serving.score_us").Set(score_us);
 
     // --- Phase 2: closed-loop TCP load at 1 / 4 / 16 connections -----------
     bench::Section("TCP load (predict_batch of 64 per request)");

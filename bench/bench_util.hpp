@@ -49,8 +49,9 @@ inline void BeginBenchObservability(std::size_t threads = 1) {
 /// (git-ignored — the numbers live in EXPERIMENTS.md / CI artifacts).
 inline void WriteBenchReport(const std::string& name) {
     // Every bench report carries the memory footprint alongside the timing
-    // spans (process peak RSS), and the host shape its numbers came from: hardware threads and whether
-    // the cover counts ran the AVX-512 popcount body.
+    // spans (process peak RSS), and the host shape its numbers came from:
+    // the CPU model, hardware threads and whether the cover counts ran the
+    // AVX-512 popcount body.
     auto& registry = dfp::obs::Registry::Get();
     registry.GetGauge("dfp.bench.peak_rss_bytes").Set(
         static_cast<double>(PeakRssBytes()));
@@ -58,7 +59,8 @@ inline void WriteBenchReport(const std::string& name) {
         static_cast<double>(std::max(1u, std::thread::hardware_concurrency())));
     registry.GetGauge("dfp.bench.popcount_avx512").Set(
         dfp::Avx512PopcountBody() != nullptr ? 1.0 : 0.0);
-    const dfp::obs::RunReport report = dfp::obs::CollectRunReport(name);
+    dfp::obs::RunReport report = dfp::obs::CollectRunReport(name);
+    report.cpu_model = dfp::obs::HostCpuModel();
     const std::string path = "BENCH_" + name + ".json";
     const Status st = dfp::obs::WriteReportJsonFile(report, path);
     if (st.ok()) {

@@ -1,7 +1,6 @@
 #include "core/pattern_match_index.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "ml/feature_matrix.hpp"
 
@@ -40,59 +39,61 @@ PatternMatchIndex PatternMatchIndex::Build(std::size_t num_items,
 }
 
 void PatternMatchIndex::InitScratch(Scratch* scratch) const {
-    const std::size_t n = num_patterns();
-    if (scratch->hits.size() != n) {
-        scratch->hits.assign(n, 0);
-        scratch->stamp.assign(n, 0);
-        scratch->generation = 0;
-    }
+    scratch->hits.resize(num_patterns());
     scratch->encoded.resize(PackedWords(dim()));
 }
 
-void PatternMatchIndex::MatchInto(const std::vector<ItemId>& transaction,
+void PatternMatchIndex::CountHits(const std::vector<ItemId>& transaction,
                                   Scratch* scratch) const {
-    scratch->matched.clear();
-    if (scratch->generation == std::numeric_limits<std::uint32_t>::max()) {
-        // Generation wrap: one real clear every 2^32 - 1 calls.
-        std::fill(scratch->stamp.begin(), scratch->stamp.end(), 0);
-        scratch->generation = 0;
-    }
-    const std::uint32_t gen = ++scratch->generation;
+    scratch->hits.assign(num_patterns(), 0);
+    std::uint32_t* hits = scratch->hits.data();
     const std::size_t universe = offsets_.size() - 1;
     for (std::size_t t = 0; t < transaction.size(); ++t) {
         const ItemId item = transaction[t];
         if (item >= universe) continue;  // in no pattern
         if (t > 0 && transaction[t - 1] == item) continue;  // counted once
-        const std::uint32_t begin = offsets_[item];
         const std::uint32_t end = offsets_[item + 1];
-        for (std::uint32_t k = begin; k < end; ++k) {
-            const std::uint32_t p = postings_[k];
-            std::uint32_t hits;
-            if (scratch->stamp[p] != gen) {
-                scratch->stamp[p] = gen;
-                hits = scratch->hits[p] = 1;
-            } else {
-                hits = ++scratch->hits[p];
-            }
-            // Each distinct transaction item touches a pattern at most once,
-            // so the counter reaches the length exactly when the whole
-            // pattern is contained.
-            if (hits == pattern_len_[p]) scratch->matched.push_back(p);
+        for (std::uint32_t k = offsets_[item]; k < end; ++k) ++hits[postings_[k]];
+    }
+}
+
+void PatternMatchIndex::MatchInto(const std::vector<ItemId>& transaction,
+                                  Scratch* scratch) const {
+    CountHits(transaction, scratch);
+    scratch->matched.clear();
+    for (std::size_t p = 0; p < num_patterns(); ++p) {
+        if (scratch->hits[p] == pattern_len_[p]) {
+            scratch->matched.push_back(static_cast<std::uint32_t>(p));
         }
     }
 }
 
 void PatternMatchIndex::EncodeInto(const std::vector<ItemId>& transaction,
                                    Scratch* scratch) const {
-    InitScratch(scratch);
+    scratch->encoded.assign(PackedWords(dim()), 0);
     std::uint64_t* row = scratch->encoded.data();
-    std::fill(scratch->encoded.begin(), scratch->encoded.end(), 0);
-    auto set = [row](std::size_t c) { row[c / 64] |= std::uint64_t{1} << (c % 64); };
     for (ItemId item : transaction) {
-        if (item < num_items_) set(item);
+        if (item < num_items_) row[item / 64] |= std::uint64_t{1} << (item % 64);
     }
-    MatchInto(transaction, scratch);
-    for (std::uint32_t p : scratch->matched) set(num_items_ + p);
+    CountHits(transaction, scratch);
+    // Pattern p is column num_items_ + p. Each row word is built in a
+    // register and stored once: bit-by-bit stores would each wait on the
+    // one before.
+    const std::uint32_t* hits = scratch->hits.data();
+    const std::uint32_t* len = pattern_len_.data();
+    const std::size_t n = num_patterns();
+    std::size_t col = num_items_;
+    for (std::size_t p = 0; p < n;) {
+        const std::size_t shift = col % 64;
+        const std::size_t take = std::min(64 - shift, n - p);
+        std::uint64_t word = 0;
+        for (std::size_t j = 0; j < take; ++j) {
+            word |= std::uint64_t{hits[p + j] == len[p + j]} << (shift + j);
+        }
+        row[col / 64] |= word;
+        p += take;
+        col += take;
+    }
 }
 
 }  // namespace dfp

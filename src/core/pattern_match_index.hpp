@@ -3,9 +3,10 @@
 // Testing every pattern against a transaction with a subset scan costs
 // O(|Fs| × pattern length) per row. PatternMatchIndex compiles the patterns
 // once into an inverted item → pattern-id index (CSR layout) with per-pattern
-// hit counters, so matching is O(items-in-txn × avg postings): walk the
-// transaction, bump the counter of every pattern containing each item, and a
-// pattern matches exactly when its counter reaches its length.
+// hit counters, so matching is O(items-in-txn × avg postings + |Fs|): clear
+// the counters, walk the transaction bumping the counter of every pattern
+// containing each item, then read off the patterns whose counter reached
+// their length.
 //
 // FeatureSpace owns one (FeatureSpace::Encode runs through it) and the
 // serving path scores through the same object (serve/registry.hpp). Its
@@ -26,12 +27,10 @@ namespace dfp {
 
 class PatternMatchIndex {
   public:
-    /// Per-thread matching state. Counters are invalidated lazily via a
-    /// generation stamp, so consecutive matches never pay an O(|Fs|) clear.
+    /// Per-thread matching state. MatchInto and EncodeInto size it for the
+    /// index they run on, so one Scratch serves indexes of any size in turn.
     struct Scratch {
         std::vector<std::uint32_t> hits;     ///< per-pattern item hits
-        std::vector<std::uint32_t> stamp;    ///< generation of `hits[p]`
-        std::uint32_t generation = 0;
         std::vector<std::uint32_t> matched;  ///< pattern ids contained
         std::vector<std::uint64_t> encoded;  ///< packed row of dim() bits
     };
@@ -50,13 +49,13 @@ class PatternMatchIndex {
     /// Total posting entries (= sum of pattern lengths).
     std::size_t num_postings() const { return postings_.size(); }
 
-    /// Sizes `scratch` for this index (idempotent; cheap when already sized).
+    /// Sizes `scratch` for this index ahead of a first call (idempotent;
+    /// cheap when already sized).
     void InitScratch(Scratch* scratch) const;
 
     /// Matching only: fills scratch->matched with the ids of all patterns
     /// contained in `transaction` (sorted; a repeated item counts once), in
-    /// the order their last item is reached. This is the
-    /// O(items × postings) inner loop — the encoded row is not touched.
+    /// ascending id order. The encoded row is not touched.
     void MatchInto(const std::vector<ItemId>& transaction, Scratch* scratch) const;
 
     /// Encodes `transaction` (sorted) into scratch->encoded, a packed row
@@ -67,12 +66,16 @@ class PatternMatchIndex {
     /// Convenience for tests/benches: number of contained patterns.
     std::size_t CountMatches(const std::vector<ItemId>& transaction,
                              Scratch* scratch) const {
-        InitScratch(scratch);
         MatchInto(transaction, scratch);
         return scratch->matched.size();
     }
 
   private:
+    /// Sizes and zeroes scratch->hits, then adds one hit per posting of each distinct
+    /// in-universe item of `transaction`: hits[p] == length of p exactly
+    /// when pattern p is contained.
+    void CountHits(const std::vector<ItemId>& transaction, Scratch* scratch) const;
+
     std::size_t num_items_ = 0;
     /// CSR: postings_[offsets_[i] .. offsets_[i+1]) = patterns containing i,
     /// for every item i below the largest pattern item + 1.

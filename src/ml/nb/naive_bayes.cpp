@@ -1,6 +1,11 @@
 #include "ml/nb/naive_bayes.hpp"
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <limits>
 #include <ostream>
 
@@ -40,22 +45,68 @@ Status NaiveBayesClassifier::Train(const FeatureMatrix& x,
     return Status::Ok();
 }
 
+namespace {
+
+/// `on` when `mask` is all ones, `off` when it is zero, without a branch.
+double Select(std::uint64_t mask, double on, double off) {
+    return std::bit_cast<double>((std::bit_cast<std::uint64_t>(on) & mask) |
+                                 (std::bit_cast<std::uint64_t>(off) & ~mask));
+}
+
+/// Scores classes c0 .. c0 + L - 1 (L ≤ 4) into score[0 .. L): each class's
+/// prior plus one term per feature, added in feature order, so every score
+/// is bitwise the one-class-at-a-time sum. The L add chains are independent,
+/// each in its own register, so they overlap in the pipeline.
+template <std::size_t L>
+void ScoreClasses(std::span<const std::uint64_t> row, std::size_t cols,
+                  std::size_t c0, const double* log_prior, const double* log_on,
+                  const double* log_off, double* score) {
+    const double* on = log_on + c0 * cols;
+    const double* off = log_off + c0 * cols;
+    std::array<double, L> s;
+    for (std::size_t l = 0; l < L; ++l) s[l] = log_prior[c0 + l];
+    for (std::size_t f0 = 0; f0 < cols; f0 += 64) {
+        const std::uint64_t word = row[f0 / 64];
+        const std::size_t width = std::min<std::size_t>(64, cols - f0);
+        for (std::size_t j = 0; j < width; ++j) {
+            const std::uint64_t mask = std::uint64_t{0} - ((word >> j) & 1);
+            const std::size_t f = f0 + j;
+            for (std::size_t l = 0; l < L; ++l) {
+                s[l] += Select(mask, on[l * cols + f], off[l * cols + f]);
+            }
+        }
+    }
+    std::copy_n(s.begin(), L, score);
+}
+
+using ScoreClassesFn = void (*)(std::span<const std::uint64_t>, std::size_t,
+                                std::size_t, const double*, const double*,
+                                const double*, double*);
+constexpr ScoreClassesFn kScoreClasses[] = {ScoreClasses<1>, ScoreClasses<2>,
+                                            ScoreClasses<3>, ScoreClasses<4>};
+
+}  // namespace
+
 ClassLabel NaiveBayesClassifier::Predict(std::span<const std::uint64_t> row) const {
+    constexpr std::size_t kLanes = std::size(kScoreClasses);
     ClassLabel best = 0;
     double best_score = -std::numeric_limits<double>::infinity();
-    for (std::size_t c = 0; c < num_classes_; ++c) {
-        double score = log_prior_[c];
-        for (std::size_t f = 0; f < cols_; ++f) {
-            score += RowBit(row, f) ? log_on_[c * cols_ + f] : log_off_[c * cols_ + f];
-        }
-        if (score > best_score) {
-            best_score = score;
-            best = static_cast<ClassLabel>(c);
+    for (std::size_t c0 = 0; c0 < num_classes_; c0 += kLanes) {
+        const std::size_t lanes = std::min(kLanes, num_classes_ - c0);
+        double score[kLanes];
+        kScoreClasses[lanes - 1](row, cols_, c0, log_prior_.data(), log_on_.data(),
+                                 log_off_.data(), score);
+        // Strict > in class order: the smallest class wins a tie, and a NaN
+        // score never wins.
+        for (std::size_t l = 0; l < lanes; ++l) {
+            if (score[l] > best_score) {
+                best_score = score[l];
+                best = static_cast<ClassLabel>(c0 + l);
+            }
         }
     }
     return best;
 }
-
 
 Status NaiveBayesClassifier::SaveModel(std::ostream& out) const {
     out << "nb-model " << num_classes_ << ' ' << cols_ << ' ';

@@ -78,13 +78,11 @@ Status CbaClassifier::Train(const TransactionDatabase& train) {
 }
 
 ClassLabel CbaClassifier::Predict(const std::vector<ItemId>& transaction) const {
-    matcher_.InitScratch(&scratch_);
     matcher_.MatchInto(transaction, &scratch_);
     if (scratch_.matched.empty()) return default_class_;
-    // Rule ids are rank positions: the lowest matching id fires.
-    return rules_[*std::min_element(scratch_.matched.begin(),
-                                    scratch_.matched.end())]
-        .consequent;
+    // Rule ids are rank positions: the lowest matching id fires, and
+    // MatchInto lists the ids in ascending order.
+    return rules_[scratch_.matched.front()].consequent;
 }
 
 double CbaClassifier::Accuracy(const TransactionDatabase& test) const {

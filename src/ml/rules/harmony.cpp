@@ -95,10 +95,9 @@ ClassLabel HarmonyClassifier::Predict(const std::vector<ItemId>& transaction) co
     score.assign(num_classes, 0.0);
     used.assign(num_classes, 0);
 
-    matcher_.InitScratch(&scratch_);
     matcher_.MatchInto(transaction, &scratch_);
-    // Rule ids ascend in confidence-descending order.
-    std::sort(scratch_.matched.begin(), scratch_.matched.end());
+    // MatchInto lists the ids ascending, which is confidence-descending
+    // order.
     bool any = false;
     for (std::uint32_t id : scratch_.matched) {
         const HarmonyRule& r = rules_[id];

@@ -1,6 +1,11 @@
 #include "obs/report.hpp"
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#endif
+
 #include <algorithm>
+#include <cstring>
 #include <iomanip>
 #include <sstream>
 
@@ -17,6 +22,26 @@ RunReport CollectRunReport(std::string name) {
     report.guard = GuardLog::Get().Drain();
     report.spans = Tracer::Get().TakeRoots();
     return report;
+}
+
+std::string HostCpuModel() {
+#if defined(__x86_64__) || defined(__i386__)
+    unsigned regs[12] = {};
+    if (__get_cpuid_max(0x80000000u, nullptr) < 0x80000004u) return "unknown";
+    for (unsigned leaf = 0; leaf < 3; ++leaf) {
+        __get_cpuid(0x80000002u + leaf, &regs[4 * leaf], &regs[4 * leaf + 1],
+                    &regs[4 * leaf + 2], &regs[4 * leaf + 3]);
+    }
+    char brand[49] = {};
+    std::memcpy(brand, regs, 48);
+    const std::string model(brand);
+    const auto first = model.find_first_not_of(' ');
+    const auto last = model.find_last_not_of(' ');
+    return first == std::string::npos ? "unknown"
+                                      : model.substr(first, last - first + 1);
+#else
+    return "unknown";
+#endif
 }
 
 void WriteSpanJson(std::ostream& out, const SpanNode& node) {
@@ -42,7 +67,12 @@ void WriteSpanJson(std::ostream& out, const SpanNode& node) {
 void WriteReportJson(std::ostream& out, const RunReport& report) {
     out << "{\"name\":";
     WriteJsonString(out, report.name);
-    out << ",\"metrics\":";
+    out << ",\"host\":{";
+    if (!report.cpu_model.empty()) {
+        out << "\"cpu_model\":";
+        WriteJsonString(out, report.cpu_model);
+    }
+    out << "},\"metrics\":";
     WriteSnapshotJson(out, report.metrics);
     out << ",\"guard\":[";
     for (std::size_t i = 0; i < report.guard.size(); ++i) {

@@ -5,6 +5,7 @@
 // JSON schema (validated by tests/integration/report_smoke_test.cpp):
 //   {
 //     "name": "<run name>",
+//     "host": { "cpu_model": "<CPUID brand string>" },  // {} unless recorded
 //     "metrics": {
 //       "counters":   { "dfp.fpm.closed.nodes_expanded": 123, ... },
 //       "gauges":     { "dfp.core.pipeline.mine_seconds": 0.12, ... },
@@ -42,6 +43,10 @@ namespace dfp::obs {
 /// One run's observability payload.
 struct RunReport {
     std::string name;
+    /// CPU model of the host the numbers came from (bench reports set it;
+    /// empty when not recorded). The numeric host shape lives in
+    /// dfp.bench.* gauges.
+    std::string cpu_model;
     MetricsSnapshot metrics;
     /// Degradation events (budget breaches, min_sup escalations, solver
     /// fallbacks) drained from the GuardLog; empty on a clean run.
@@ -54,6 +59,10 @@ struct RunReport {
 /// roots and the process-wide guard log (so consecutive runs don't accumulate
 /// each other's trees/events).
 RunReport CollectRunReport(std::string name);
+
+/// The CPU's brand string from CPUID (leaves 0x80000002..4), trimmed;
+/// "unknown" where the CPU does not report one.
+std::string HostCpuModel();
 
 /// Serializes one span subtree as a JSON object.
 void WriteSpanJson(std::ostream& out, const SpanNode& node);

@@ -19,9 +19,13 @@ using Clock = std::chrono::steady_clock;
 /// into a Status: scoring one poisoned request must fail that request alone,
 /// never take down the batch, the worker thread, or the process. The
 /// `serve.engine.score` failpoint injects exactly those escapes.
+///
+/// Matching state is one Scratch per scoring thread, kept across batches
+/// (EncodeInto re-sizes it when a reload changes the model's size), so a
+/// request does not allocate O(|Fs|) counters.
 Result<Prediction> ScoreOne(const ServableModel& servable,
-                            const std::vector<ItemId>& items,
-                            PatternMatchIndex::Scratch* scratch) {
+                            const std::vector<ItemId>& items) {
+    thread_local PatternMatchIndex::Scratch scratch;
     try {
         if (const auto fp = DFP_FAILPOINT("serve.engine.score"); fp) {
             fp.Sleep();
@@ -34,8 +38,8 @@ Result<Prediction> ScoreOne(const ServableModel& servable,
                     return Status::Internal("injected scoring failure");
             }
         }
-        servable.index.EncodeInto(items, scratch);
-        return Prediction{servable.model.learner().Predict(scratch->encoded),
+        servable.index.EncodeInto(items, &scratch);
+        return Prediction{servable.model.learner().Predict(scratch.encoded),
                           servable.version};
     } catch (const std::bad_alloc&) {
         return Status::ResourceExhausted("out of memory while scoring");
@@ -179,9 +183,8 @@ Result<std::vector<Prediction>> ScoringEngine::PredictBatch(
     std::vector<Prediction> out(batch.size());
     std::vector<Status> errors(batch.size(), Status::Ok());
     const auto score_range = [&](std::size_t begin, std::size_t end) {
-        PatternMatchIndex::Scratch scratch;
         for (std::size_t i = begin; i < end; ++i) {
-            Result<Prediction> result = ScoreOne(*snapshot, batch[i], &scratch);
+            Result<Prediction> result = ScoreOne(*snapshot, batch[i]);
             if (result.ok()) {
                 out[i] = std::move(*result);
             } else {
@@ -292,7 +295,6 @@ std::size_t ScoringEngine::ProcessBatch(std::vector<PendingRequest> batch) {
 void ScoringEngine::ScoreRange(const ServablePtr& snapshot,
                                std::vector<PendingRequest>& batch,
                                std::size_t begin, std::size_t end) {
-    PatternMatchIndex::Scratch scratch;
     std::size_t scored = 0;
     for (std::size_t i = begin; i < end; ++i) {
         PendingRequest& request = batch[i];
@@ -311,7 +313,7 @@ void ScoringEngine::ScoreRange(const ServablePtr& snapshot,
             meters_.no_model.Inc();
             result = Status::FailedPrecondition("no model installed");
         } else {
-            result = ScoreOne(*snapshot, request.items, &scratch);
+            result = ScoreOne(*snapshot, request.items);
             if (result.ok()) {
                 ++scored;
             } else {

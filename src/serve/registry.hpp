@@ -46,7 +46,7 @@ struct ServableModel {
 
     LoadedModel model;
     /// The model's own matcher (FeatureSpace::matcher()), scored through
-    /// directly with a per-worker Scratch.
+    /// directly with a per-thread Scratch.
     const PatternMatchIndex& index;
     std::uint64_t version;
     std::string source;

@@ -178,6 +178,30 @@ TEST(ReportSmokeTest, MetricsMemberIsTheSnapshotDocument) {
         << json;
 }
 
+TEST(ReportSmokeTest, HostMemberCarriesTheCpuModel) {
+    obs::RunReport report = HandBuiltReport();
+    const auto bare = obs::ParseJson(obs::ReportToJsonString(report));
+    ASSERT_TRUE(bare.ok()) << bare.status();
+    ASSERT_NE(bare->Find("host"), nullptr);
+    EXPECT_TRUE(bare->Find("host")->is_object());
+    EXPECT_TRUE(bare->Find("host")->object().empty());
+
+    // What WriteBenchReport records beside the dfp.bench.* host gauges.
+    const std::string model = obs::HostCpuModel();
+    EXPECT_FALSE(model.empty());
+    EXPECT_EQ(model, obs::HostCpuModel());
+    EXPECT_NE(model.front(), ' ');
+    EXPECT_NE(model.back(), ' ');
+    report.cpu_model = model;
+    const auto parsed = obs::ParseJson(obs::ReportToJsonString(report));
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    const obs::JsonValue* host = parsed->Find("host");
+    ASSERT_NE(host, nullptr);
+    ASSERT_TRUE(host->is_object());
+    ASSERT_NE(host->Find("cpu_model"), nullptr);
+    EXPECT_EQ(host->Find("cpu_model")->string(), model);
+}
+
 TEST(ReportSmokeTest, TableRendersWindowQuantiles) {
     std::ostringstream out;
     obs::WriteReportTable(out, HandBuiltReport());

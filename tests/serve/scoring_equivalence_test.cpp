@@ -89,7 +89,7 @@ TEST(PatternMatchIndexTest, HandlesEdgeTransactions) {
         index.EncodeInto(txn, &scratch);
         EXPECT_EQ(scratch.encoded, testutil::ScanEncode(space, txn));
     }
-    // Scratch reuse across many calls stays clean (generation stamping).
+    // Scratch reuse across many calls stays clean (counters cleared per call).
     for (std::size_t t = 0; t < db.num_transactions(); ++t) {
         index.EncodeInto(db.transaction(t), &scratch);
         ASSERT_EQ(scratch.encoded, testutil::ScanEncode(space, db.transaction(t)));
