@@ -20,17 +20,10 @@ void BitVector::Set(std::size_t i) {
     words_[i / kWordBits] |= std::uint64_t{1} << (i % kWordBits);
 }
 
-void BitVector::Clear(std::size_t i) {
-    assert(i < size_);
-    words_[i / kWordBits] &= ~(std::uint64_t{1} << (i % kWordBits));
-}
-
 bool BitVector::Test(std::size_t i) const {
     assert(i < size_);
     return (words_[i / kWordBits] >> (i % kWordBits)) & 1u;
 }
-
-void BitVector::Reset() { std::fill(words_.begin(), words_.end(), 0); }
 
 void BitVector::Fill() {
     std::fill(words_.begin(), words_.end(), ~std::uint64_t{0});
@@ -57,12 +50,6 @@ BitVector& BitVector::operator&=(const BitVector& other) {
 BitVector& BitVector::operator|=(const BitVector& other) {
     assert(size_ == other.size_);
     for (std::size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
-    return *this;
-}
-
-BitVector& BitVector::operator^=(const BitVector& other) {
-    assert(size_ == other.size_);
-    for (std::size_t i = 0; i < words_.size(); ++i) words_[i] ^= other.words_[i];
     return *this;
 }
 
@@ -115,21 +102,6 @@ std::vector<std::uint32_t> BitVector::ToIndices() const {
     out.reserve(Count());
     ForEach([&out](std::uint32_t i) { out.push_back(i); });
     return out;
-}
-
-std::string BitVector::ToString() const {
-    std::string s(size_, '0');
-    ForEach([&s](std::uint32_t i) { s[i] = '1'; });
-    return s;
-}
-
-std::uint64_t BitVector::Hash() const {
-    std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
-    for (std::uint64_t w : words_) {
-        h ^= w;
-        h *= 1099511628211ull;  // FNV prime
-    }
-    return h ^ size_;
 }
 
 }  // namespace dfp

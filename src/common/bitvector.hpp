@@ -11,7 +11,6 @@
 #include <limits>
 #include <new>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace dfp {
@@ -73,11 +72,8 @@ class BitVector {
     std::span<std::uint64_t> mutable_words() { return words_; }
 
     void Set(std::size_t i);
-    void Clear(std::size_t i);
     bool Test(std::size_t i) const;
 
-    /// Sets all bits to zero without changing size.
-    void Reset();
     /// Sets all bits (respecting the tail mask).
     void Fill();
 
@@ -88,14 +84,11 @@ class BitVector {
     BitVector& operator&=(const BitVector& other);
     /// this |= other.
     BitVector& operator|=(const BitVector& other);
-    /// this ^= other.
-    BitVector& operator^=(const BitVector& other);
     /// Clears every bit of this that is set in other (this &= ~other).
     BitVector& AndNot(const BitVector& other);
 
     friend BitVector operator&(BitVector a, const BitVector& b) { return a &= b; }
     friend BitVector operator|(BitVector a, const BitVector& b) { return a |= b; }
-    friend BitVector operator^(BitVector a, const BitVector& b) { return a ^= b; }
 
     bool operator==(const BitVector& other) const = default;
 
@@ -130,12 +123,6 @@ class BitVector {
             }
         }
     }
-
-    /// "0101..."-style debug string (bit 0 first).
-    std::string ToString() const;
-
-    /// 64-bit hash of the contents (FNV-1a over words), for dedup maps.
-    std::uint64_t Hash() const;
 
   private:
     void MaskTail();

@@ -32,15 +32,6 @@ std::string_view Trim(std::string_view s) {
     return s.substr(b, e - b);
 }
 
-std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
-    std::string out;
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-        if (i != 0) out += sep;
-        out += parts[i];
-    }
-    return out;
-}
-
 bool ParseDouble(std::string_view s, double* out) {
     const std::string buf(Trim(s));
     if (buf.empty()) return false;

@@ -13,9 +13,6 @@ std::vector<std::string> Split(std::string_view s, char delim);
 /// Removes leading/trailing ASCII whitespace.
 std::string_view Trim(std::string_view s);
 
-/// Joins elements with a separator.
-std::string Join(const std::vector<std::string>& parts, std::string_view sep);
-
 /// True if `s` parses fully as a finite double; stores it in *out.
 bool ParseDouble(std::string_view s, double* out);
 

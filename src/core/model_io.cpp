@@ -85,12 +85,6 @@ Result<FeatureSpace> LoadFeatureSpaceAfterTag(std::istream& in) {
 
 }  // namespace
 
-Result<FeatureSpace> LoadFeatureSpace(std::istream& in) {
-    TokenReader reader(in);
-    DFP_RETURN_NOT_OK(reader.Expect("feature-space"));
-    return LoadFeatureSpaceAfterTag(in);
-}
-
 Result<std::unique_ptr<Classifier>> MakeLearnerByTypeId(const std::string& id) {
     if (id == "svm") return std::unique_ptr<Classifier>(new SvmClassifier());
     if (id == "c4.5") return std::unique_ptr<Classifier>(new C45Classifier());

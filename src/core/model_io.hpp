@@ -25,9 +25,9 @@
 
 namespace dfp {
 
-/// Serializes a feature space (item count + pattern itemsets).
+/// Serializes a feature space (item count + pattern itemsets), the first
+/// section of a pipeline bundle.
 Status SaveFeatureSpace(const FeatureSpace& space, std::ostream& out);
-Result<FeatureSpace> LoadFeatureSpace(std::istream& in);
 
 /// Creates an untrained learner from its TypeId ("svm", "c4.5", "nb").
 /// Returns NotFound for unknown ids.

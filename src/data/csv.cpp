@@ -1,7 +1,7 @@
 #include "data/csv.hpp"
 
+#include <algorithm>
 #include <fstream>
-#include <sstream>
 
 #include "common/string_util.hpp"
 
@@ -19,6 +19,15 @@ Result<std::size_t> ResolveClassColumn(int class_column, std::size_t num_columns
                       num_columns));
     }
     return static_cast<std::size_t>(idx);
+}
+
+// Code of `name` in `names`, appended on first sight: codes follow first
+// appearance.
+std::uint32_t CodeOf(std::vector<std::string>* names, const std::string& name) {
+    const auto it = std::find(names->begin(), names->end(), name);
+    if (it != names->end()) return static_cast<std::uint32_t>(it - names->begin());
+    names->push_back(name);
+    return static_cast<std::uint32_t>(names->size() - 1);
 }
 
 }  // namespace
@@ -81,35 +90,34 @@ Result<Dataset> ReadCsv(std::istream& in, const CsvOptions& options) {
         attr_cols.push_back(c);
     }
 
-    // Collect class names in first-appearance order.
     std::vector<std::string> class_names;
-    auto class_code = [&class_names](const std::string& name) -> ClassLabel {
-        for (std::size_t i = 0; i < class_names.size(); ++i) {
-            if (class_names[i] == name) return static_cast<ClassLabel>(i);
-        }
-        class_names.push_back(name);
-        return static_cast<ClassLabel>(class_names.size() - 1);
-    };
     std::vector<ClassLabel> labels;
     labels.reserve(rows.size());
-    for (const auto& row : rows) labels.push_back(class_code(row[class_col]));
+    for (const auto& row : rows) labels.push_back(CodeOf(&class_names, row[class_col]));
 
-    Dataset data(std::move(schema), class_names);
-    std::vector<double> values(attr_cols.size());
+    // Row-major cell values; the value names of categorical attributes are
+    // collected into the schema first, so the dataset is built whole.
+    const std::size_t num_attrs = attr_cols.size();
+    std::vector<double> cells(rows.size() * num_attrs);
     for (std::size_t r = 0; r < rows.size(); ++r) {
-        for (std::size_t a = 0; a < attr_cols.size(); ++a) {
+        for (std::size_t a = 0; a < num_attrs; ++a) {
             const std::string& cell = rows[r][attr_cols[a]];
-            if (data.attribute(a).type == AttributeType::kNumeric) {
-                double v = 0.0;
-                if (!ParseDouble(cell, &v)) {
+            double& value = cells[r * num_attrs + a];
+            if (schema[a].type == AttributeType::kNumeric) {
+                if (!ParseDouble(cell, &value)) {
                     return Status::ParseError(
                         StrFormat("row %zu: '%s' is not numeric", r + 1, cell.c_str()));
                 }
-                values[a] = v;
             } else {
-                values[a] = data.AddAttributeValue(a, cell);
+                value = CodeOf(&schema[a].values, cell);
             }
         }
+    }
+
+    Dataset data(std::move(schema), std::move(class_names));
+    std::vector<double> values(num_attrs);
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+        std::copy_n(cells.begin() + r * num_attrs, num_attrs, values.begin());
         DFP_RETURN_NOT_OK(data.AddRow(values, labels[r]));
     }
     return data;
@@ -119,21 +127,6 @@ Result<Dataset> LoadCsvFile(const std::string& path, const CsvOptions& options) 
     std::ifstream in(path);
     if (!in) return Status::NotFound("cannot open file: " + path);
     return ReadCsv(in, options);
-}
-
-Status WriteCsv(const Dataset& data, std::ostream& out, char delimiter) {
-    for (std::size_t a = 0; a < data.num_attributes(); ++a) {
-        out << data.attribute(a).name << delimiter;
-    }
-    out << "class\n";
-    for (std::size_t r = 0; r < data.num_rows(); ++r) {
-        for (std::size_t a = 0; a < data.num_attributes(); ++a) {
-            out << data.CellToString(r, a) << delimiter;
-        }
-        out << data.class_names()[data.label(r)] << "\n";
-    }
-    if (!out) return Status::Internal("CSV write failed");
-    return Status::Ok();
 }
 
 }  // namespace dfp

@@ -1,8 +1,9 @@
-// CSV loading/saving for Dataset.
+// CSV loading for Dataset.
 //
-// Columns are auto-typed: a column is numeric iff every non-empty cell parses
-// as a finite double; otherwise it is categorical with value codes assigned in
-// first-appearance order. The class column is always categorical.
+// Columns are auto-typed: a column is numeric iff every cell parses as a
+// finite double (an empty cell does not); otherwise it is categorical with
+// value codes assigned in first-appearance order. The class column is always
+// categorical.
 #pragma once
 
 #include <iosfwd>
@@ -25,8 +26,5 @@ Result<Dataset> ReadCsv(std::istream& in, const CsvOptions& options = {});
 
 /// Loads a CSV file. Returns NotFound if the file cannot be opened.
 Result<Dataset> LoadCsvFile(const std::string& path, const CsvOptions& options = {});
-
-/// Writes a Dataset as CSV (class label in the last column, header included).
-Status WriteCsv(const Dataset& data, std::ostream& out, char delimiter = ',');
 
 }  // namespace dfp

@@ -38,64 +38,10 @@ Status Dataset::AddRow(const std::vector<double>& values, ClassLabel label) {
     return Status::Ok();
 }
 
-std::uint32_t Dataset::AddAttributeValue(std::size_t attr, std::string value_name) {
-    auto& vals = attributes_[attr].values;
-    const auto it = std::find(vals.begin(), vals.end(), value_name);
-    if (it != vals.end()) return static_cast<std::uint32_t>(it - vals.begin());
-    vals.push_back(std::move(value_name));
-    return static_cast<std::uint32_t>(vals.size() - 1);
-}
-
-std::vector<std::size_t> Dataset::ClassCounts() const {
-    std::vector<std::size_t> counts(num_classes(), 0);
-    for (ClassLabel y : labels_) counts[y]++;
-    return counts;
-}
-
-std::vector<double> Dataset::ClassPriors() const {
-    std::vector<double> priors(num_classes(), 0.0);
-    if (labels_.empty()) return priors;
-    const auto counts = ClassCounts();
-    for (std::size_t c = 0; c < priors.size(); ++c) {
-        priors[c] = static_cast<double>(counts[c]) / static_cast<double>(labels_.size());
-    }
-    return priors;
-}
-
-ClassLabel Dataset::MajorityClass() const {
-    const auto counts = ClassCounts();
-    std::size_t best = 0;
-    for (std::size_t c = 1; c < counts.size(); ++c) {
-        if (counts[c] > counts[best]) best = c;
-    }
-    return static_cast<ClassLabel>(best);
-}
-
-Dataset Dataset::Subset(const std::vector<std::size_t>& rows) const {
-    Dataset out(attributes_, class_names_);
-    std::vector<double> row_values(attributes_.size());
-    for (std::size_t r : rows) {
-        for (std::size_t a = 0; a < attributes_.size(); ++a) {
-            row_values[a] = columns_[a][r];
-        }
-        // Values came from this dataset, so re-validation cannot fail.
-        (void)out.AddRow(row_values, labels_[r]);
-    }
-    return out;
-}
-
 bool Dataset::IsFullyCategorical() const {
     return std::all_of(attributes_.begin(), attributes_.end(), [](const Attribute& a) {
         return a.type == AttributeType::kCategorical;
     });
-}
-
-std::string Dataset::CellToString(std::size_t row, std::size_t attr) const {
-    const Attribute& a = attributes_[attr];
-    if (a.type == AttributeType::kCategorical) {
-        return a.values[Code(row, attr)];
-    }
-    return StrFormat("%g", Value(row, attr));
 }
 
 }  // namespace dfp

@@ -62,25 +62,8 @@ class Dataset {
     /// out-of-range code/label.
     Status AddRow(const std::vector<double>& values, ClassLabel label);
 
-    /// Registers a value name on a categorical attribute; returns its code.
-    std::uint32_t AddAttributeValue(std::size_t attr, std::string value_name);
-
-    /// Per-class row counts.
-    std::vector<std::size_t> ClassCounts() const;
-    /// Per-class fractions (empty dataset → all zero).
-    std::vector<double> ClassPriors() const;
-    /// Label occurring most often (ties → smallest label); 0 for empty data.
-    ClassLabel MajorityClass() const;
-
-    /// Copies the selected rows (in the given order) into a new dataset that
-    /// shares the schema.
-    Dataset Subset(const std::vector<std::size_t>& rows) const;
-
     /// True if every attribute is categorical.
     bool IsFullyCategorical() const;
-
-    /// Human-readable rendering of one cell ("red", "3.25", ...).
-    std::string CellToString(std::size_t row, std::size_t attr) const;
 
   private:
     std::vector<Attribute> attributes_;

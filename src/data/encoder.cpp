@@ -1,7 +1,5 @@
 #include "data/encoder.hpp"
 
-#include <algorithm>
-
 namespace dfp {
 
 Result<ItemEncoder> ItemEncoder::FromSchema(const Dataset& data) {
@@ -29,13 +27,6 @@ Result<ItemEncoder> ItemEncoder::FromSchema(const Dataset& data) {
         next += static_cast<ItemId>(attr.arity());
     }
     return enc;
-}
-
-std::pair<std::size_t, std::uint32_t> ItemEncoder::Decode(ItemId item) const {
-    // offsets_ is ascending; find the last attribute whose offset is <= item.
-    const auto it = std::upper_bound(offsets_.begin(), offsets_.end(), item);
-    const std::size_t attr = static_cast<std::size_t>(it - offsets_.begin()) - 1;
-    return {attr, item - offsets_[attr]};
 }
 
 std::vector<ItemId> ItemEncoder::EncodeRow(const Dataset& data, std::size_t row) const {

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/status.hpp"
@@ -18,7 +17,7 @@ namespace dfp {
 
 using ItemId = std::uint32_t;
 
-/// Bidirectional mapping between (attribute, value-code) pairs and item ids.
+/// Mapping from (attribute, value-code) pairs to item ids.
 /// Item ids are dense: 0..num_items()-1, ordered by (attribute, value).
 class ItemEncoder {
   public:
@@ -40,9 +39,6 @@ class ItemEncoder {
     ItemId Encode(std::size_t attr, std::uint32_t code) const {
         return offsets_[attr] + code;
     }
-
-    /// Inverse of Encode: (attribute index, value code) of an item.
-    std::pair<std::size_t, std::uint32_t> Decode(ItemId item) const;
 
     /// "attribute=value" display name of an item.
     const std::string& ItemName(ItemId item) const { return item_names_[item]; }

@@ -40,38 +40,6 @@ TransactionDatabase TransactionDatabase::FromTransactions(
     return db;
 }
 
-Result<TransactionDatabase> TransactionDatabase::FromTransactionsChecked(
-    std::vector<std::vector<ItemId>> transactions, std::vector<ClassLabel> labels,
-    std::size_t num_items, std::size_t num_classes,
-    std::vector<std::string> item_names) {
-    if (transactions.size() != labels.size()) {
-        return Status::InvalidArgument(
-            StrFormat("%zu transactions but %zu labels", transactions.size(),
-                      labels.size()));
-    }
-    if (!item_names.empty() && item_names.size() != num_items) {
-        return Status::InvalidArgument(
-            StrFormat("%zu item names but %zu items", item_names.size(),
-                      num_items));
-    }
-    for (std::size_t t = 0; t < transactions.size(); ++t) {
-        for (ItemId i : transactions[t]) {
-            if (i >= num_items) {
-                return Status::InvalidArgument(StrFormat(
-                    "transaction %zu: item id %u >= num_items %zu", t,
-                    static_cast<unsigned>(i), num_items));
-            }
-        }
-        if (labels[t] >= num_classes) {
-            return Status::InvalidArgument(
-                StrFormat("transaction %zu: label %u >= num_classes %zu", t,
-                          static_cast<unsigned>(labels[t]), num_classes));
-        }
-    }
-    return FromTransactions(std::move(transactions), std::move(labels),
-                            num_items, num_classes, std::move(item_names));
-}
-
 void TransactionDatabase::BuildIndexes() {
     item_covers_.assign(num_items_, BitVector(num_transactions()));
     class_covers_.assign(num_classes_, BitVector(num_transactions()));
@@ -161,12 +129,6 @@ TransactionDatabase TransactionDatabase::Subset(
     }
     return FromTransactions(std::move(txns), std::move(labels), num_items_,
                             num_classes_, item_names_);
-}
-
-bool TransactionDatabase::Contains(std::size_t t,
-                                   const std::vector<ItemId>& items) const {
-    const auto& txn = transactions_[t];
-    return std::includes(txn.begin(), txn.end(), items.begin(), items.end());
 }
 
 }  // namespace dfp

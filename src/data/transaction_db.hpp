@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/bitvector.hpp"
-#include "common/status.hpp"
 #include "data/dataset.hpp"
 #include "data/encoder.hpp"
 
@@ -32,15 +31,6 @@ class TransactionDatabase {
     /// Builds directly from raw transactions. Item ids must be < num_items;
     /// labels must be < num_classes. Transactions are sorted and deduplicated.
     static TransactionDatabase FromTransactions(
-        std::vector<std::vector<ItemId>> transactions, std::vector<ClassLabel> labels,
-        std::size_t num_items, std::size_t num_classes,
-        std::vector<std::string> item_names = {});
-
-    /// Validating variant of FromTransactions for untrusted inputs: returns
-    /// InvalidArgument (instead of asserting / indexing out of bounds) when
-    /// sizes mismatch, an item id is >= num_items, a label is >= num_classes,
-    /// or item_names has the wrong length.
-    static Result<TransactionDatabase> FromTransactionsChecked(
         std::vector<std::vector<ItemId>> transactions, std::vector<ClassLabel> labels,
         std::size_t num_items, std::size_t num_classes,
         std::vector<std::string> item_names = {});
@@ -96,9 +86,6 @@ class TransactionDatabase {
     TransactionDatabase FilterByClass(ClassLabel c) const;
     /// New database with the selected rows, in order.
     TransactionDatabase Subset(const std::vector<std::size_t>& rows) const;
-
-    /// True if transaction `t` contains all of `items` (items must be sorted).
-    bool Contains(std::size_t t, const std::vector<ItemId>& items) const;
 
   private:
     void BuildIndexes();

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/math_util.hpp"
-#include "common/string_util.hpp"
 
 namespace dfp {
 
@@ -111,7 +110,7 @@ std::int32_t C45Classifier::BuildNode(const PackedRows& x,
         const double nr = n - nl;
         const double gain = h_parent - (nl / n) * EntropyCounts(left_hist) -
                             (nr / n) * EntropyCounts(right_hist);
-        if (gain <= config_.min_gain) continue;
+        if (gain <= kMinGain) continue;
         const double split_info = -XLog2X(nl / n) - XLog2X(nr / n);
         if (split_info <= 0.0) continue;
         const double ratio = gain / split_info;
@@ -195,31 +194,6 @@ std::size_t C45Classifier::DepthOf(std::int32_t idx) const {
 }
 
 std::size_t C45Classifier::depth() const { return root_ < 0 ? 0 : DepthOf(root_); }
-
-void C45Classifier::TextOf(std::int32_t idx, std::size_t indent,
-                           const std::vector<std::string>* names,
-                           std::string* out) const {
-    const Node& node = nodes_[idx];
-    const std::string pad(indent * 2, ' ');
-    if (node.leaf) {
-        *out += StrFormat("%sclass %u (%zu/%zu)\n", pad.c_str(), node.label,
-                          node.count, node.errors);
-        return;
-    }
-    const std::string fname = (names != nullptr && node.feature < names->size())
-                                  ? (*names)[node.feature]
-                                  : StrFormat("f%zu", node.feature);
-    *out += StrFormat("%s%s <= %g:\n", pad.c_str(), fname.c_str(), node.threshold);
-    TextOf(node.left, indent + 1, names, out);
-    *out += StrFormat("%s%s >  %g:\n", pad.c_str(), fname.c_str(), node.threshold);
-    TextOf(node.right, indent + 1, names, out);
-}
-
-std::string C45Classifier::ToText(const std::vector<std::string>* feature_names) const {
-    std::string out;
-    if (root_ >= 0) TextOf(root_, 0, feature_names, &out);
-    return out;
-}
 
 }  // namespace dfp
 

@@ -17,7 +17,6 @@ namespace dfp {
 struct C45Config {
     std::size_t min_leaf = 2;     ///< minimum instances on each side of a split
     std::size_t max_depth = 60;   ///< hard recursion cap
-    double min_gain = 1e-7;       ///< minimum info gain to accept a split
     bool prune = true;            ///< pessimistic error pruning
     double confidence = 0.25;     ///< C4.5 pruning confidence factor
 };
@@ -39,9 +38,6 @@ class C45Classifier : public Classifier {
     std::size_t num_leaves() const;
     std::size_t depth() const;
 
-    /// Indented text rendering ("f3 <= 0.5: c1 (42/3)" style) for inspection.
-    std::string ToText(const std::vector<std::string>* feature_names = nullptr) const;
-
   private:
     struct Node {
         bool leaf = true;
@@ -58,6 +54,8 @@ class C45Classifier : public Classifier {
     /// Split threshold of a 0/1 feature (kept in the model format, which
     /// stores a threshold per node).
     static constexpr double kSplitThreshold = 0.5;
+    /// A split must gain more information than this.
+    static constexpr double kMinGain = 1e-7;
 
     /// `ones` is scratch of cols × num_classes counts shared by every node.
     std::int32_t BuildNode(const PackedRows& x, const std::vector<ClassLabel>& y,
@@ -66,8 +64,6 @@ class C45Classifier : public Classifier {
     /// Returns the pessimistic error estimate of the subtree; prunes in place.
     double PruneNode(std::int32_t idx);
     std::size_t DepthOf(std::int32_t idx) const;
-    void TextOf(std::int32_t idx, std::size_t indent,
-                const std::vector<std::string>* names, std::string* out) const;
 
     C45Config config_;
     std::size_t num_classes_ = 0;

@@ -13,6 +13,9 @@ namespace dfp::obs {
 
 namespace {
 
+/// Receive timeout per scrape connection; a stalled scraper is dropped.
+constexpr double kScrapeRecvTimeoutSeconds = 2.0;
+
 void WriteNumber(std::ostream& out, double v) { WriteJsonNumber(out, v); }
 
 const double kSummaryQuantiles[] = {0.5, 0.9, 0.95, 0.99, 0.999};
@@ -260,7 +263,7 @@ void MetricsHttpServer::ServeLoop() {
 }
 
 void MetricsHttpServer::HandleConnection(Socket socket) {
-    (void)socket.SetRecvTimeout(config_.recv_timeout_s);
+    (void)socket.SetRecvTimeout(kScrapeRecvTimeoutSeconds);
     LineReader reader(socket);
     std::string request_line;
     auto got = reader.ReadLine(&request_line, 8192);

@@ -89,8 +89,6 @@ class PeriodicSnapshotWriter {
 struct MetricsHttpConfig {
     /// 0 = kernel-assigned ephemeral port (read back with port()).
     std::uint16_t port = 0;
-    /// Receive timeout per connection; a stalled scraper is dropped.
-    double recv_timeout_s = 2.0;
     /// Readiness probe for `GET /healthz`: true -> 200 "ok", false -> 503
     /// "unavailable". Null means always ready (bare liveness). The serving
     /// stack wires this to "model installed and not draining".

@@ -1,6 +1,6 @@
 // Machine-readable run reports: a metrics snapshot plus the completed span
 // trees of the current thread, serialized to JSON (for BENCH_*.json
-// trajectories and `--report` flags) or a human-readable table.
+// trajectories and `--report` flags).
 //
 // JSON schema (validated by tests/integration/report_smoke_test.cpp):
 //   {
@@ -74,8 +74,5 @@ std::string ReportToJsonString(const RunReport& report);
 /// Writes the JSON document to `path`, replacing it atomically
 /// (WriteFileAtomic).
 Status WriteReportJsonFile(const RunReport& report, const std::string& path);
-
-/// Human-readable dump: indented span tree + aligned metric table.
-void WriteReportTable(std::ostream& out, const RunReport& report);
 
 }  // namespace dfp::obs

@@ -80,8 +80,8 @@ class ServeClient {
     /// Chrome trace-event document of the server's recent request traces.
     Result<obs::JsonValue> TraceDump();
 
-    /// Raw line round-trip (the protocol golden tests use this directly); the
-    /// line is sent as given, without an id.
+    /// Raw line round-trip: the line is sent as given, without an id, and
+    /// the server's response line is returned unparsed.
     Result<std::string> RoundTrip(const std::string& line);
 
   private:

@@ -48,6 +48,14 @@ Result<Prediction> ScoreOne(const ServableModel& servable,
     }
 }
 
+/// Completed request traces kept for {"op":"trace_dump"} and
+/// `dfp_serve --trace-out` (oldest overwritten).
+constexpr std::size_t kTraceRingCapacity = 4096;
+/// Trailing window of the dfp.serve.latency.* quantiles: 8 HDR epochs, one
+/// rotated out every 1.25 s (a 10 s window).
+constexpr std::size_t kWindowEpochs = 8;
+constexpr double kWindowEpochSeconds = 1.25;
+
 /// HDR geometry for serve latencies: 1 µs .. 60 s in milliseconds, 64
 /// sub-buckets per octave (quantile error <= 0.79%), 8 recording shards.
 obs::HdrConfig ServeHdrConfig() {
@@ -93,7 +101,7 @@ ScoringEngine::Meters ScoringEngine::ResolveMeters() {
 ScoringEngine::ScoringEngine(ModelRegistry& registry, EngineConfig config)
     : registry_(registry),
       config_(config),
-      trace_ring_(config.telemetry.trace_ring_capacity),
+      trace_ring_(kTraceRingCapacity),
       slow_sampler_(config.telemetry.slow_request_ms),
       meters_(ResolveMeters()) {
     const std::size_t threads = ResolveNumThreads(config_.num_threads);
@@ -101,25 +109,23 @@ ScoringEngine::ScoringEngine(ModelRegistry& registry, EngineConfig config)
 
     auto& reg = obs::Registry::Get();
     const obs::HdrConfig hdr = ServeHdrConfig();
-    const std::size_t epochs = std::max<std::size_t>(2, config_.telemetry.window_epochs);
-    const double epoch_s = std::max(0.05, config_.telemetry.window_epoch_seconds);
-    win_total_ = &reg.GetWindowedHdr("dfp.serve.latency.total", hdr, epochs, epoch_s);
-    win_queue_ = &reg.GetWindowedHdr("dfp.serve.latency.queue", hdr, epochs, epoch_s);
-    win_batch_wait_ =
-        &reg.GetWindowedHdr("dfp.serve.latency.batch_wait", hdr, epochs, epoch_s);
-    win_score_ = &reg.GetWindowedHdr("dfp.serve.latency.score", hdr, epochs, epoch_s);
-    win_serialize_ =
-        &reg.GetWindowedHdr("dfp.serve.latency.serialize", hdr, epochs, epoch_s);
+    const auto window = [&](const char* name) {
+        return &reg.GetWindowedHdr(name, hdr, kWindowEpochs, kWindowEpochSeconds);
+    };
+    win_total_ = window("dfp.serve.latency.total");
+    win_queue_ = window("dfp.serve.latency.queue");
+    win_batch_wait_ = window("dfp.serve.latency.batch_wait");
+    win_score_ = window("dfp.serve.latency.score");
+    win_serialize_ = window("dfp.serve.latency.serialize");
 
-    if (config_.telemetry.background_flush && !config_.manual_pump) {
+    // Manual-pump tests pump batches and rotate the windows by hand, for
+    // determinism.
+    if (!config_.manual_pump) {
         flusher_ = std::make_unique<obs::WindowFlusher>(
             std::vector<obs::WindowedHdrHistogram*>{win_total_, win_queue_,
                                                     win_batch_wait_, win_score_,
                                                     win_serialize_},
-            /*period_seconds=*/epoch_s / 4.0);
-    }
-
-    if (!config_.manual_pump) {
+            /*period_seconds=*/kWindowEpochSeconds / 4.0);
         batcher_ = std::thread([this] { BatcherLoop(); });
     }
 }

@@ -42,22 +42,12 @@
 
 namespace dfp::serve {
 
-/// Live-serving telemetry knobs (DESIGN.md §14).
+/// Live-serving telemetry knobs (DESIGN.md §14). The trace ring (4096
+/// traces) and the latency window (8 epochs of 1.25 s) are fixed.
 struct TelemetryConfig {
-    /// Completed request traces retained for {"op":"trace_dump"} and
-    /// `dfp_serve --trace-out` (bounded ring; oldest overwritten).
-    std::size_t trace_ring_capacity = 4096;
     /// Requests slower than this many milliseconds end to end are logged
     /// with their per-stage breakdown (rate-limited); < 0 disables.
     double slow_request_ms = -1.0;
-    /// Trailing-window geometry of the dfp.serve.latency.* quantiles: a ring
-    /// of `window_epochs` HDR shards, one rotated out every
-    /// `window_epoch_seconds` (defaults: 10 s trailing window).
-    std::size_t window_epochs = 8;
-    double window_epoch_seconds = 1.25;
-    /// Spawn the background window flusher. Disabled automatically in
-    /// manual_pump mode; tests rotate by hand for determinism.
-    bool background_flush = true;
 };
 
 struct EngineConfig {
@@ -73,8 +63,8 @@ struct EngineConfig {
     std::size_t num_threads = 1;
     /// Deadline applied to requests that don't carry their own (< 0 = none).
     double default_deadline_ms = -1.0;
-    /// Test seam: no batcher thread is spawned; tests call PumpOnce() to
-    /// process one micro-batch deterministically.
+    /// Test seam: no batcher thread or window flusher is spawned; tests call
+    /// PumpOnce() to process one micro-batch deterministically.
     bool manual_pump = false;
     TelemetryConfig telemetry;
 };
@@ -134,7 +124,7 @@ class ScoringEngine {
 
     const EngineConfig& config() const { return config_; }
 
-    /// Completed request traces (bounded; see TelemetryConfig).
+    /// Completed request traces (the last 4096; oldest overwritten).
     const obs::TraceRing& trace_ring() const { return trace_ring_; }
 
     /// Pushes a finished trace into the ring, samples it for slow-request

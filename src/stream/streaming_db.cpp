@@ -61,7 +61,7 @@ Result<AppendResult> StreamingDatabase::Append(TransactionBatch batch) {
                       batch.transactions.size(), batch.labels.size()));
     }
     // Validate + canonicalize before taking the lock; a bad row rejects the
-    // whole batch (appends are all-or-nothing, like FromTransactionsChecked).
+    // whole batch (appends are all-or-nothing).
     for (std::size_t t = 0; t < batch.size(); ++t) {
         auto& txn = batch.transactions[t];
         std::sort(txn.begin(), txn.end());

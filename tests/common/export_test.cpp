@@ -231,6 +231,23 @@ TEST(MetricsHttpServerTest, RejectsNonGet) {
     server.Stop();
 }
 
+TEST(MetricsHttpServerTest, StalledScraperIsDroppedAndScrapingResumes) {
+    MetricsHttpServer server(MetricsHttpConfig{});
+    ASSERT_TRUE(server.Start().ok());
+    // A scraper that connects and sends nothing holds the one serving
+    // thread until the server's receive timeout drops it.
+    auto stalled = TcpConnect("127.0.0.1", server.port());
+    ASSERT_TRUE(stalled.ok()) << stalled.status();
+    ASSERT_TRUE(stalled->SetRecvTimeout(30.0).ok());
+    char byte = 0;
+    const auto closed = stalled->Recv(&byte, 1);
+    ASSERT_TRUE(closed.ok()) << "the server never dropped the stalled scraper";
+    EXPECT_EQ(*closed, 0u);
+    EXPECT_NE(HttpGet(server.port(), "/metrics").find("HTTP/1.1 200 OK"),
+              std::string::npos);
+    server.Stop();
+}
+
 TEST(PeriodicSnapshotWriterTest, StopWritesFinalSnapshot) {
     Registry::Get().ResetValues();
     Registry::Get().GetGauge("dfp.test.final").Set(3.0);

@@ -142,7 +142,7 @@ void ExpectSingleWitnessFound(const PopcountBody& body) {
                 BitVector one_bit(size);
                 one_bit.Set(w * 64 + bit);
                 BitVector all_but_one = ones;
-                all_but_one.Clear(w * 64 + bit);
+                all_but_one.AndNot(one_bit);
                 for (std::size_t first = 0; first <= std::min<std::size_t>(words, 8);
                      ++first) {
                     SCOPED_TRACE(testing::Message()
@@ -226,7 +226,7 @@ bool TailClear(const BitVector& v) {
 }
 
 // The kernels count whole words, so a set bit past size() would be counted.
-// Pin that Fill, AndNot, ^= and AssignAnd never leave one there.
+// Pin that Fill, AndNot and AssignAnd never leave one there.
 TEST(PopcountTest, WholeWordOperationsKeepTailBitsClear) {
     Rng rng(9);
     for (const std::size_t size : {1, 63, 65, 127, 130, 1000, 3196}) {
@@ -240,11 +240,6 @@ TEST(PopcountTest, WholeWordOperationsKeepTailBitsClear) {
         diff.AndNot(b);
         ASSERT_TRUE(TailClear(diff)) << size;
         EXPECT_EQ(diff.Count(), size - b.Count());
-
-        BitVector flipped = full;
-        flipped ^= b;
-        ASSERT_TRUE(TailClear(flipped)) << size;
-        EXPECT_EQ(flipped.Count(), size - b.Count());
 
         BitVector both(size);
         both.AssignAnd(full, b);

@@ -19,12 +19,6 @@ TEST(TrimTest, RemovesEdgesOnly) {
     EXPECT_EQ(Trim("   "), "");
 }
 
-TEST(JoinTest, JoinsWithSeparator) {
-    EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
-    EXPECT_EQ(Join({}, ","), "");
-    EXPECT_EQ(Join({"only"}, ","), "only");
-}
-
 TEST(ParseDoubleTest, AcceptsNumbers) {
     double v = 0.0;
     EXPECT_TRUE(ParseDouble("3.25", &v));

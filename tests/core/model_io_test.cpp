@@ -38,17 +38,19 @@ TEST(FeatureSpaceIoTest, RoundTrip) {
     const auto db = Db(1);
     PatternClassifierPipeline pipeline(SmallConfig());
     ASSERT_TRUE(pipeline.Train(db, std::make_unique<NaiveBayesClassifier>()).ok());
+    // The feature space is read back as the first section of a bundle.
     std::stringstream stream;
-    ASSERT_TRUE(SaveFeatureSpace(pipeline.feature_space(), stream).ok());
-    auto loaded = LoadFeatureSpace(stream);
-    ASSERT_TRUE(loaded.ok()) << loaded.status();
-    EXPECT_EQ(loaded->dim(), pipeline.feature_space().dim());
-    EXPECT_EQ(loaded->num_patterns(), pipeline.feature_space().num_patterns());
+    ASSERT_TRUE(SavePipelineModel(pipeline, stream).ok());
+    auto model = LoadPipelineModel(stream);
+    ASSERT_TRUE(model.ok()) << model.status();
+    const FeatureSpace& loaded = model->feature_space();
+    EXPECT_EQ(loaded.dim(), pipeline.feature_space().dim());
+    EXPECT_EQ(loaded.num_patterns(), pipeline.feature_space().num_patterns());
     // Identical encodings on every transaction.
     PatternMatchIndex::Scratch a;
     PatternMatchIndex::Scratch b;
     for (std::size_t t = 0; t < db.num_transactions(); ++t) {
-        loaded->Encode(db.transaction(t), &a);
+        loaded.Encode(db.transaction(t), &a);
         pipeline.feature_space().Encode(db.transaction(t), &b);
         EXPECT_EQ(a.encoded, b.encoded) << "row " << t;
     }

@@ -52,6 +52,20 @@ TEST(SequencePipelineTest, GeneralizesToUnseenSequences) {
     EXPECT_GT(pipeline.Accuracy(holdout), 0.7);
 }
 
+TEST(SequencePipelineTest, PredictAgreesWithAccuracy) {
+    // Predict encodes one sequence at a time; Accuracy scores the whole
+    // database as one transformed matrix. Both must give the same labels.
+    const auto db = MakeDb(6, 300);
+    SequenceClassifierPipeline pipeline(SmallConfig());
+    ASSERT_TRUE(pipeline.Train(db, std::make_unique<C45Classifier>()).ok());
+    std::size_t correct = 0;
+    for (std::size_t i = 0; i < db.size(); ++i) {
+        correct += pipeline.Predict(db.sequence(i)) == db.label(i);
+    }
+    EXPECT_DOUBLE_EQ(pipeline.Accuracy(db),
+                     static_cast<double>(correct) / static_cast<double>(db.size()));
+}
+
 TEST(SequencePipelineTest, FeaturesHaveMinLengthAndMetadata) {
     const auto db = MakeDb(3);
     SequenceClassifierPipeline pipeline(SmallConfig());

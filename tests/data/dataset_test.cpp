@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "data/encoder.hpp"
+#include "data/transaction_db.hpp"
+
 namespace dfp {
 namespace {
 
@@ -44,33 +47,6 @@ TEST(DatasetTest, AddRowValidatesLabel) {
     EXPECT_FALSE(data.AddRow({0, 1.0}, 2).ok());
 }
 
-TEST(DatasetTest, ClassCountsAndPriors) {
-    const Dataset data = MakeToy();
-    EXPECT_EQ(data.ClassCounts(), (std::vector<std::size_t>{1, 2}));
-    const auto priors = data.ClassPriors();
-    EXPECT_NEAR(priors[0], 1.0 / 3.0, 1e-12);
-    EXPECT_NEAR(priors[1], 2.0 / 3.0, 1e-12);
-    EXPECT_EQ(data.MajorityClass(), 1u);
-}
-
-TEST(DatasetTest, SubsetPreservesSchemaAndOrder) {
-    const Dataset data = MakeToy();
-    const Dataset sub = data.Subset({2, 0});
-    EXPECT_EQ(sub.num_rows(), 2u);
-    EXPECT_DOUBLE_EQ(sub.Value(0, 1), 3.5);
-    EXPECT_DOUBLE_EQ(sub.Value(1, 1), 1.5);
-    EXPECT_EQ(sub.label(0), 1u);
-    EXPECT_EQ(sub.label(1), 0u);
-    EXPECT_EQ(sub.num_attributes(), 2u);
-}
-
-TEST(DatasetTest, AddAttributeValueDeduplicates) {
-    Dataset data = MakeToy();
-    EXPECT_EQ(data.AddAttributeValue(0, "red"), 0u);    // existing
-    EXPECT_EQ(data.AddAttributeValue(0, "blue"), 2u);   // new
-    EXPECT_EQ(data.attribute(0).arity(), 3u);
-}
-
 TEST(DatasetTest, IsFullyCategorical) {
     const Dataset mixed = MakeToy();
     EXPECT_FALSE(mixed.IsFullyCategorical());
@@ -79,17 +55,31 @@ TEST(DatasetTest, IsFullyCategorical) {
     EXPECT_TRUE(pure.IsFullyCategorical());
 }
 
-TEST(DatasetTest, CellToString) {
-    const Dataset data = MakeToy();
-    EXPECT_EQ(data.CellToString(0, 0), "red");
-    EXPECT_EQ(data.CellToString(0, 1), "1.5");
+TEST(DatasetTest, ClassCountsAndPriors) {
+    // The learners read a dataset's class counts and priors off its
+    // transaction database; they follow the dataset's labels.
+    Attribute color{"color", AttributeType::kCategorical, {"red", "green"}};
+    Dataset data({color}, {"no", "yes"});
+    ASSERT_TRUE(data.AddRow({0}, 0).ok());
+    ASSERT_TRUE(data.AddRow({1}, 1).ok());
+    ASSERT_TRUE(data.AddRow({1}, 1).ok());
+    const auto encoder = ItemEncoder::FromSchema(data);
+    ASSERT_TRUE(encoder.ok()) << encoder.status();
+    const TransactionDatabase db = TransactionDatabase::FromDataset(data, *encoder);
+    EXPECT_EQ(db.labels(), data.labels());
+    EXPECT_EQ(db.ClassCounts(), (std::vector<std::size_t>{1, 2}));
+    const auto priors = db.ClassPriors();
+    ASSERT_EQ(priors.size(), 2u);
+    EXPECT_NEAR(priors[0], 1.0 / 3.0, 1e-12);
+    EXPECT_NEAR(priors[1], 2.0 / 3.0, 1e-12);
 }
 
 TEST(DatasetTest, EmptyDatasetBehaves) {
     Dataset data({}, {"a", "b"});
     EXPECT_EQ(data.num_rows(), 0u);
-    EXPECT_EQ(data.MajorityClass(), 0u);
-    EXPECT_EQ(data.ClassPriors(), (std::vector<double>{0.0, 0.0}));
+    EXPECT_EQ(data.num_classes(), 2u);
+    EXPECT_TRUE(data.labels().empty());
+    EXPECT_TRUE(data.IsFullyCategorical());
 }
 
 }  // namespace

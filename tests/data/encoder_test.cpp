@@ -25,15 +25,14 @@ TEST(ItemEncoderTest, DenseItemIds) {
     EXPECT_EQ(enc->Encode(1, 2), 4u);
 }
 
-TEST(ItemEncoderTest, DecodeRoundTrip) {
+TEST(ItemEncoderTest, EncodedItemNamesItsAttributeAndValue) {
     const Dataset data = CategoricalToy();
     auto enc = ItemEncoder::FromSchema(data);
     ASSERT_TRUE(enc.ok());
     for (std::size_t a = 0; a < data.num_attributes(); ++a) {
-        for (std::uint32_t v = 0; v < data.attribute(a).arity(); ++v) {
-            const auto [da, dv] = enc->Decode(enc->Encode(a, v));
-            EXPECT_EQ(da, a);
-            EXPECT_EQ(dv, v);
+        const Attribute& attr = data.attribute(a);
+        for (std::uint32_t v = 0; v < attr.arity(); ++v) {
+            EXPECT_EQ(enc->ItemName(enc->Encode(a, v)), attr.name + "=" + attr.values[v]);
         }
     }
 }
@@ -69,8 +68,7 @@ TEST(ItemEncoderTest, ConstantAttributesProduceNoItems) {
     EXPECT_FALSE(enc->IsSkipped(0));
     const auto row = enc->EncodeRow(data, 0);
     EXPECT_EQ(row, (std::vector<ItemId>{1, 2}));  // a=y, b=p
-    // Decode still resolves the remaining items to the right attributes.
-    EXPECT_EQ(enc->Decode(2), (std::pair<std::size_t, std::uint32_t>{2, 0}));
+    // The remaining items still name the right attributes.
     EXPECT_EQ(enc->ItemName(2), "b=p");
 }
 

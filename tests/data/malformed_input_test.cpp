@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "data/csv.hpp"
-#include "data/transaction_db.hpp"
 
 namespace dfp {
 namespace {
@@ -92,42 +91,6 @@ TEST(MalformedCsvTest, DuplicateClassLabelsShareOneCode) {
     EXPECT_EQ(r->num_classes(), 2u);
     EXPECT_EQ(r->label(0), r->label(1));
     EXPECT_NE(r->label(0), r->label(2));
-}
-
-TEST(CheckedTransactionDbTest, SizeMismatchRejected) {
-    const auto r = TransactionDatabase::FromTransactionsChecked(
-        {{0, 1}, {1}}, {0}, 2, 1);
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(CheckedTransactionDbTest, ItemIdOutOfRangeRejected) {
-    const auto r = TransactionDatabase::FromTransactionsChecked(
-        {{0, 7}}, {0}, 2, 1);
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(CheckedTransactionDbTest, UnknownLabelRejected) {
-    const auto r = TransactionDatabase::FromTransactionsChecked(
-        {{0}, {1}}, {0, 2}, 2, 2);
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(CheckedTransactionDbTest, WrongItemNameCountRejected) {
-    const auto r = TransactionDatabase::FromTransactionsChecked(
-        {{0}}, {0}, 2, 1, {"only-one-name"});
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(CheckedTransactionDbTest, ValidInputBuilds) {
-    const auto r = TransactionDatabase::FromTransactionsChecked(
-        {{0, 1}, {1}, {0}}, {0, 1, 0}, 2, 2);
-    ASSERT_TRUE(r.ok()) << r.status();
-    EXPECT_EQ(r->num_transactions(), 3u);
-    EXPECT_EQ(r->SupportOf({1}), 2u);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "data/transaction_db.hpp"
 
+#include <algorithm>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -180,10 +181,21 @@ TEST(TransactionDbTest, SubsetKeepsOrder) {
 }
 
 TEST(TransactionDbTest, Contains) {
+    // Transaction t holds an itemset iff bit t of the itemset's cover is set.
     const auto db = Toy();
-    EXPECT_TRUE(db.Contains(0, {0, 2}));
-    EXPECT_FALSE(db.Contains(1, {0, 1}));
-    EXPECT_TRUE(db.Contains(2, {}));
+    EXPECT_TRUE(db.CoverOf({0, 2}).Test(0));
+    EXPECT_FALSE(db.CoverOf({0, 1}).Test(1));
+    EXPECT_TRUE(db.CoverOf({}).Test(2));
+    for (std::size_t t = 0; t < db.num_transactions(); ++t) {
+        for (const auto& items : std::vector<std::vector<ItemId>>{
+                 {0}, {1, 3}, {0, 1, 4}, {2, 4}}) {
+            const auto& txn = db.transaction(t);
+            EXPECT_EQ(db.CoverOf(items).Test(t),
+                      std::includes(txn.begin(), txn.end(), items.begin(),
+                                    items.end()))
+                << "row " << t;
+        }
+    }
 }
 
 TEST(TransactionDbTest, ClassPriors) {

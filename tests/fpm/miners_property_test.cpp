@@ -141,9 +141,9 @@ TEST_P(MinerAgreementTest, ClosedPatternsHaveUniqueCovers) {
     std::vector<Pattern> patterns = std::move(*mined);
     AttachMetadata(db, &patterns);
     // Two distinct closed itemsets can never share a cover set.
-    std::map<std::string, Itemset> by_cover;
+    std::map<std::vector<std::uint32_t>, Itemset> by_cover;
     for (const auto& p : patterns) {
-        const auto [it, inserted] = by_cover.emplace(p.cover.ToString(), p.items);
+        const auto [it, inserted] = by_cover.emplace(p.cover.ToIndices(), p.items);
         EXPECT_TRUE(inserted) << "duplicate cover for " << ItemsetToString(p.items)
                               << " and " << ItemsetToString(it->second);
     }

@@ -16,6 +16,7 @@
 #include "obs/export.hpp"
 #include "obs/hdr.hpp"
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "obs/report.hpp"
 
 namespace dfp {
@@ -142,14 +143,6 @@ TEST(ReportSmokeTest, PipelineRunEmitsValidJsonReport) {
     EXPECT_GT(gain->Find("count")->number(), 0.0);
 }
 
-TEST(ReportSmokeTest, TableRenderingDoesNotThrow) {
-    obs::Registry::Get().GetCounter("dfp.test.table.counter").Inc(3);
-    const obs::RunReport report = obs::CollectRunReport("table_smoke");
-    std::ostringstream out;
-    obs::WriteReportTable(out, report);
-    EXPECT_NE(out.str().find("dfp.test.table.counter"), std::string::npos);
-}
-
 obs::RunReport HandBuiltReport() {
     obs::RunReport report;
     report.name = "hand_built";
@@ -202,11 +195,40 @@ TEST(ReportSmokeTest, HostMemberCarriesTheCpuModel) {
     EXPECT_EQ(host->Find("cpu_model")->string(), model);
 }
 
-TEST(ReportSmokeTest, TableRendersWindowQuantiles) {
-    std::ostringstream out;
-    obs::WriteReportTable(out, HandBuiltReport());
-    EXPECT_NE(out.str().find("dfp.test.hdr"), std::string::npos) << out.str();
-    EXPECT_NE(out.str().find("count=2 p50="), std::string::npos) << out.str();
+TEST(ReportSmokeTest, CollectedReportCarriesRegistryCounters) {
+    auto& counter = obs::Registry::Get().GetCounter("dfp.test.table.counter");
+    const std::uint64_t mark = counter.value();
+    counter.Inc(3);
+    const obs::RunReport report = obs::CollectRunReport("table_smoke");
+    const auto parsed = obs::ParseJson(obs::ReportToJsonString(report));
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    ASSERT_NE(parsed->Find("name"), nullptr);
+    EXPECT_EQ(parsed->Find("name")->string(), "table_smoke");
+    const obs::JsonValue* counters = parsed->Find("metrics")->Find("counters");
+    ASSERT_NE(counters, nullptr);
+    const obs::JsonValue* value = counters->Find("dfp.test.table.counter");
+    ASSERT_NE(value, nullptr);
+    EXPECT_EQ(value->number(), static_cast<double>(mark + 3));
+}
+
+TEST(ReportSmokeTest, JsonReportCarriesWindowQuantiles) {
+    const obs::RunReport report = HandBuiltReport();
+    const auto parsed = obs::ParseJson(obs::ReportToJsonString(report));
+    ASSERT_TRUE(parsed.ok()) << parsed.status();
+    const obs::JsonValue* windows = parsed->Find("metrics")->Find("windows");
+    ASSERT_NE(windows, nullptr);
+    const obs::JsonValue* hdr = windows->Find("dfp.test.hdr");
+    ASSERT_NE(hdr, nullptr);
+    EXPECT_EQ(hdr->Find("count")->number(), 2.0);
+    // Recorded 1.0 and 2.0: the median is the lower one, within the
+    // histogram's relative error.
+    const obs::HdrSnapshot& snap = report.metrics.windows.at("dfp.test.hdr");
+    const double rel_error = hdr->Find("rel_error")->number();
+    ASSERT_NE(hdr->Find("p0.5"), nullptr);
+    const double p50 = hdr->Find("p0.5")->number();
+    EXPECT_EQ(p50, snap.ValueAtQuantile(0.5));
+    EXPECT_NEAR(p50, 1.0, rel_error);
+    EXPECT_NEAR(hdr->Find("p0.999")->number(), 2.0, 2.0 * rel_error);
 }
 
 TEST(ReportSmokeTest, WriteReportJsonFileReplacesAndReportsFailure) {

@@ -62,6 +62,23 @@ TEST(C45Test, PureDataYieldsSingleLeaf) {
     EXPECT_EQ(tree.Predict(probe), 1u);
 }
 
+TEST(C45Test, FeatureWithoutGainIsNotSplitOn) {
+    // Both sides of the feature hold the classes half and half: no
+    // information gain, so no split even with pruning off.
+    FeatureMatrix x(8, 1);
+    std::vector<ClassLabel> y;
+    for (std::size_t i = 0; i < 8; ++i) {
+        if (i >= 4) x.Set(i, 0);
+        y.push_back(static_cast<ClassLabel>(i % 2));
+    }
+    C45Config config;
+    config.prune = false;
+    C45Classifier tree(config);
+    ASSERT_TRUE(tree.Train(x, y, 2).ok());
+    EXPECT_EQ(tree.num_leaves(), 1u);
+    EXPECT_EQ(tree.depth(), 0u);
+}
+
 TEST(C45Test, PruningShrinksTreeOnNoise) {
     // Pure-noise labels: an unpruned tree overfits, a pruned one collapses.
     Rng rng(5);
@@ -129,22 +146,6 @@ TEST(C45Test, RejectsBadInput) {
     EXPECT_FALSE(tree.Train(FeatureMatrix(), {}, 2).ok());
     FeatureMatrix x(2, 1);
     EXPECT_FALSE(tree.Train(x, {0}, 2).ok());
-}
-
-TEST(C45Test, ToTextMentionsSplits) {
-    FeatureMatrix x(20, 1);  // the feature marks class 1
-    std::vector<ClassLabel> y;
-    for (std::size_t i = 0; i < 20; ++i) {
-        if (i >= 10) x.Set(i, 0);
-        y.push_back(i < 10 ? 0 : 1);
-    }
-    C45Classifier tree;
-    ASSERT_TRUE(tree.Train(x, y, 2).ok());
-    EXPECT_DOUBLE_EQ(tree.Accuracy(x, y), 1.0);
-    const std::vector<std::string> names = {"age"};
-    const std::string text = tree.ToText(&names);
-    EXPECT_NE(text.find("age <= 0.5"), std::string::npos) << text;
-    EXPECT_NE(text.find("class"), std::string::npos);
 }
 
 TEST(PessimisticErrorTest, BasicProperties) {

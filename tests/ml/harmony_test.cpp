@@ -46,7 +46,8 @@ TEST(HarmonyTest, EveryInstanceKeepsACoveringRule) {
         bool covered = false;
         for (const auto& rule : harmony.rules()) {
             if (rule.consequent == db.label(t) &&
-                db.Contains(t, rule.antecedent)) {
+                std::includes(db.transaction(t).begin(), db.transaction(t).end(),
+                              rule.antecedent.begin(), rule.antecedent.end())) {
                 covered = true;
                 break;
             }

@@ -184,6 +184,18 @@ TEST_F(ScoringEngineTest, BackgroundBatcherServesWithDelayWindow) {
     for (auto& f : futures) EXPECT_TRUE(f.get().ok());
 }
 
+TEST_F(ScoringEngineTest, TelemetryGeometryIsFixed) {
+    // The last 4096 traces, and latency windows of 8 epochs x 1.25 s.
+    ScoringEngine engine(registry_, ManualConfig());
+    EXPECT_EQ(engine.trace_ring().capacity(), 4096u);
+    for (const char* stage : {"total", "queue", "batch_wait", "score", "serialize"}) {
+        const obs::WindowedHdrHistogram& window =
+            obs::Registry::Get().GetWindowedHdr(std::string("dfp.serve.latency.") + stage);
+        EXPECT_EQ(window.epochs(), 8u) << stage;
+        EXPECT_DOUBLE_EQ(window.epoch_seconds(), 1.25) << stage;
+    }
+}
+
 TEST_F(ScoringEngineTest, DefaultDeadlineApplied) {
     EngineConfig config = ManualConfig();
     config.default_deadline_ms = 0.0;  // everything expires immediately

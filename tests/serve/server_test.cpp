@@ -202,6 +202,32 @@ TEST(PredictionServerTest, InProcessAndTcpClientsAgree) {
     std::remove(model_path.c_str());
 }
 
+TEST(PredictionServerTest, RawRoundTripCarriesExactLinesOverTcp) {
+    const auto db = Db(11);
+    const std::string model_path = TrainModelFile(db, "raw");
+    EngineConfig engine_config;
+    engine_config.max_delay_ms = 0.0;
+    Harness harness(engine_config, {}, model_path);
+    ASSERT_TRUE(harness.registry.Reload(model_path).ok());
+
+    // The line goes out as given (no id is spliced in) and the server's
+    // line comes back whole, as the dispatcher renders it in process.
+    ServeClient client = harness.Client();
+    auto health = client.RoundTrip("{\"op\":\"health\"}");
+    ASSERT_TRUE(health.ok()) << health.status();
+    EXPECT_EQ(*health,
+              "{\"ok\":true,\"serving\":true,\"version\":1,\"draining\":false}");
+    auto garbage = client.RoundTrip("this is not json");
+    ASSERT_TRUE(garbage.ok()) << garbage.status();
+    EXPECT_EQ(garbage->rfind("{\"ok\":false,\"error\":", 0), 0u) << *garbage;
+    // The connection stays in step for the next request.
+    auto prediction = client.Predict(db.transaction(0));
+    ASSERT_TRUE(prediction.ok()) << prediction.status();
+    EXPECT_EQ(prediction->label,
+              harness.registry.Snapshot()->model.Predict(db.transaction(0)));
+    std::remove(model_path.c_str());
+}
+
 TEST(PredictionServerTest, PredictWithoutModelIsFailedPrecondition) {
     EngineConfig engine_config;
     engine_config.max_delay_ms = 0.0;

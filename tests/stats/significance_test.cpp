@@ -417,12 +417,6 @@ TEST(SignificanceReportTest, StatsMetricsFlowIntoReportsAndPrometheus) {
     EXPECT_NE(json.find("\"dfp.core.pipeline.num_sig_rejected\""),
               std::string::npos);
 
-    std::ostringstream table;
-    obs::WriteReportTable(table, report);
-    EXPECT_NE(table.str().find("dfp.stats.p_value"), std::string::npos);
-    EXPECT_NE(table.str().find("dfp.stats.candidates_tested"),
-              std::string::npos);
-
     const std::string prom = obs::RenderPrometheus(report.metrics);
     EXPECT_NE(prom.find("dfp_stats_candidates_tested"), std::string::npos);
     EXPECT_NE(prom.find("dfp_stats_p_value_bucket"), std::string::npos);

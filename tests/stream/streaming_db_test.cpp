@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -77,6 +78,41 @@ TEST(StreamingDbTest, RejectsBadBatchesAtomically) {
     EXPECT_FALSE((*db)->Append(Batch({{1}}, {7})).ok());
     EXPECT_EQ((*db)->total_appended(), 0u);
     EXPECT_EQ((*db)->version(), 0u);
+}
+
+TEST(StreamingDbTest, RejectionsAreInvalidArgumentNamingTheRow) {
+    auto db = StreamingDatabase::Create(SmallConfig());
+    ASSERT_TRUE(db.ok());
+    const auto mismatch = (*db)->Append(Batch({{1}, {2}}, {0}));
+    ASSERT_FALSE(mismatch.ok());
+    EXPECT_EQ(mismatch.status().code(), StatusCode::kInvalidArgument);
+    const auto item = (*db)->Append(Batch({{1}, {2, 10}}, {0, 0}));
+    ASSERT_FALSE(item.ok());
+    EXPECT_EQ(item.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(item.status().message().find("row 1"), std::string::npos)
+        << item.status();
+    const auto label = (*db)->Append(Batch({{1}, {2}, {3}}, {0, 1, 2}));
+    ASSERT_FALSE(label.ok());
+    EXPECT_EQ(label.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(label.status().message().find("row 2"), std::string::npos)
+        << label.status();
+    // The last item id and label in range are accepted.
+    EXPECT_TRUE((*db)->Append(Batch({{9}}, {1})).ok());
+}
+
+TEST(StreamingDbTest, SnapshotWindowIndexesItsRows) {
+    // The snapshot is what a retrain mines, so its item and class covers
+    // must be built over the window's rows.
+    auto db = StreamingDatabase::Create(SmallConfig());
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE((*db)->Append(Batch({{0, 1}, {1}, {0}}, {0, 1, 0})).ok());
+    const auto snap = (*db)->SnapshotWindow();
+    ASSERT_EQ(snap->num_transactions(), 3u);
+    EXPECT_EQ(snap->SupportOf({1}), 2u);
+    EXPECT_EQ(snap->SupportOf({0, 1}), 1u);
+    EXPECT_EQ(snap->ItemCover(0).ToIndices(), (std::vector<std::uint32_t>{0, 2}));
+    EXPECT_EQ(snap->ClassCover(1).ToIndices(), (std::vector<std::uint32_t>{1}));
+    EXPECT_EQ(snap->ClassCounts(), (std::vector<std::size_t>{2, 1}));
 }
 
 TEST(StreamingDbTest, WindowEvictsFifo) {
